@@ -52,11 +52,6 @@ class Block:
         return self.length - 1
 
 
-def block_slice_count(b: Block) -> int:
-    """Basic slices inside a finite block: one less than its length."""
-    return b.slice_count()
-
-
 def witness_for_edge(a: Slope, b: Slope) -> GL2Z:
     """The SL2(Z) element sending the edge (a, b) to (-1, -2), sign-normalized."""
     eps = det(a, b)
@@ -150,10 +145,10 @@ class BlockDecomposition:
     def all_blocks(self) -> list[Block]:
         """Every block; only legal when the list is finite (attained target
         or rational non-attained, whose infinite block ends the list)."""
+        if not isinstance(self.path.target, RationalTarget):
+            raise InfiniteBlockError("irrational targets have infinitely many blocks")
         while self._emit_next():
             pass
-        if not self._done:
-            raise InfiniteBlockError("irrational targets have infinitely many blocks")
         return list(self._blocks)
 
     @property

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Any
 
@@ -171,10 +170,10 @@ def parse_division_tail(doc: Any, where: str = "division_tail"):
         if kind == "eventually-constant":
             _check_keys(doc, {"type", "after", "value"}, {"prefix"}, where)
             prefix = doc.get("prefix", [])
-            if not isinstance(prefix, list):
-                raise SchemaError(f"{where}.prefix must be a list")
+            if not isinstance(prefix, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in prefix):
+                raise SchemaError(f"{where}.prefix must be a list of integers")
             return ends_mod.EventuallyConstantDivision(
-                _int(doc, "after", where), _int(doc, "value", where), tuple(int(v) for v in prefix))
+                _int(doc, "after", where), _int(doc, "value", where), tuple(prefix))
         if kind == "strictly-increasing":
             _check_keys(doc, {"type"}, set(), where)
             return ends_mod.StrictlyIncreasingDivision()
@@ -265,7 +264,7 @@ def invariant_doc(inv) -> dict:
     if isinstance(inv, ends_mod.MinimallyTwisting):
         inv = inv.invariant
     if isinstance(inv, ends_mod.NonMinimallyTwisting):
-        rot = "inf" if inv.rotativity == math.inf else inv.rotativity
+        rot = "inf" if inv.rotativity is None else inv.rotativity
         return {
             "kind": "nonminimal",
             "rotativity": rot,
@@ -403,7 +402,7 @@ def _cmd_euler(doc: dict, options: dict) -> dict:
     if violations:
         raise ValidationError(violations)
     target = ends_mod.normalized_target(e)
-    if isinstance(target, RationalTarget) and target.attained and target.slope == ends_mod.BASE_SLOPE:
+    if target.attained and target.slope == ends_mod.BASE_SLOPE:
         return {"euler": [0, 0], "slices": 0}
     path = FareyPath(ends_mod.BASE_SLOPE, target)
     decomp = blocks_mod.decompose(path)

@@ -10,7 +10,6 @@ the target kind.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Union
 
@@ -86,6 +85,8 @@ class EventuallyConstantDivision:
     prefix: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.after < 0:
+            raise ValueError("after must be >= 0")
         if self.value < 1 or any(v < 1 for v in self.prefix):
             raise ValueError("division numbers must be >= 1")
 
@@ -156,7 +157,10 @@ class MinimallyTwisting:
 
 @dataclass(frozen=True)
 class NonMinimallyTwisting:
-    rotativity: int | float
+    """Rotative layers over a residual end; rotativity None means infinitely
+    many layers."""
+
+    rotativity: int | None
     sign: int
     residual: "EndInvariant | None"
     context: InvariantContext = field(compare=False)
@@ -201,14 +205,13 @@ def normalized_target(e: EndDescription) -> SlopeTarget:
 # the section-3 invariants of a description
 
 
-def division_at_infinity(e: EndDescription) -> int | float:
-    """Eventual minimum of the division numbers along the factorization."""
+def division_at_infinity(e: EndDescription) -> int | None:
+    """Eventual minimum of the division numbers along the factorization;
+    None when they increase without bound."""
     tail = e.division_tail
-    if isinstance(tail, ConstantDivision):
-        return tail.value
-    if isinstance(tail, EventuallyConstantDivision):
-        return tail.value
-    return math.inf
+    if isinstance(tail, StrictlyIncreasingDivision):
+        return None
+    return tail.value
 
 
 def is_minimally_twisting(e: EndDescription) -> bool:
@@ -217,15 +220,11 @@ def is_minimally_twisting(e: EndDescription) -> bool:
     return isinstance(e.rotative, tuple) and len(e.rotative) == 0
 
 
-def _is_attained(target: SlopeTarget) -> bool:
-    return isinstance(target, RationalTarget) and target.attained
-
-
 def _path_slice_count(e: EndDescription) -> int:
     """Number of basic slices of the finite factorization of an attained
     description (0 for the collar whose target equals the boundary)."""
     target = normalized_target(e)
-    assert _is_attained(target)
+    assert target.attained
     if target.slope == BASE_SLOPE:
         return 0
     path = FareyPath(BASE_SLOPE, target)
@@ -243,10 +242,9 @@ def validate(e: EndDescription) -> list[str]:
         violations.append("nonminimal sign conflict: rotative layers of both signs")
 
     target = e.target
-    attained = _is_attained(target)
     d_inf = division_at_infinity(e)
 
-    if attained:
+    if target.attained:
         if e.signs.tail is not None:
             violations.append("finite path, infinite tail")
         elif e.boundary.division == 1:
@@ -260,7 +258,7 @@ def validate(e: EndDescription) -> list[str]:
             violations.append("infinite path requires a sign tail")
         if isinstance(target, RationalTarget) and target.slope == e.boundary.slope:
             violations.append("degenerate target equals the boundary slope")
-        if d_inf is math.inf:
+        if d_inf is None:
             violations.append("division tail inconsistent with target kind: "
                               "infinite division needs an attained slope")
         elif d_inf != 1:
@@ -290,24 +288,24 @@ def classify(e: EndDescription) -> EndInvariant:
 
     base_context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, None)
     d_inf = division_at_infinity(e)
-    if d_inf is math.inf:
+    if d_inf is None:
         return InfiniteDivision(NestedAnnuli(), base_context)
 
     if isinstance(e.rotative, InfiniteRotativity):
-        return NonMinimallyTwisting(math.inf, e.rotative.sign, None, base_context)
+        return NonMinimallyTwisting(None, e.rotative.sign, None, base_context)
     if len(e.rotative) > 0:
         residual = classify(replace(e, rotative=()))
         return NonMinimallyTwisting(len(e.rotative), e.rotative[0], residual, base_context)
 
     target = normalized_target(e)
-    if _is_attained(target) and target.slope == BASE_SLOPE:
+    if target.attained and target.slope == BASE_SLOPE:
         # vertically invariant collar: no blocks, empty invariant
         return MinimallyTwisting(AttainedInvariant((), d_inf, base_context))
 
     path = FareyPath(BASE_SLOPE, target)
     decomp = decompose(path)
     context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, decomp)
-    inv = invariant_from_signs(decomp, e.signs, boundary_division=d_inf if _is_attained(target) else 1,
+    inv = invariant_from_signs(decomp, e.signs, boundary_division=d_inf if target.attained else 1,
                                context=context)
     return MinimallyTwisting(inv)
 
@@ -365,7 +363,7 @@ def extension_obstruction(inv, horizon: int = DEFAULT_HORIZON) -> ObstructionRes
     if isinstance(inv, MinimallyTwisting):
         inv = inv.invariant
     if isinstance(inv, (NonMinimallyTwisting, InfiniteDivision)):
-        raise ValueError("extension obstructions apply to minimally twisting invariants")
+        raise ToricEndError("extension obstructions apply to minimally twisting invariants")
 
     if isinstance(inv, AttainedInvariant):
         return ExtendsByConstruction()
@@ -374,7 +372,7 @@ def extension_obstruction(inv, horizon: int = DEFAULT_HORIZON) -> ObstructionRes
         if isinstance(form, AlternatingForm):
             return NoTightExtension("both infinite-block slice counts are infinite")
         if isinstance(form, BothFinite):
-            raise ValueError("inadmissible invariant: both infinite-block counts finite")
+            raise ToricEndError("inadmissible invariant: both infinite-block counts finite")
         if form.m >= 1:
             kind = "positive" if isinstance(form, PosFinite) else "negative"
             return NoTightExtension(

@@ -5,7 +5,7 @@ the extended rationals with oo = 1/0 sitting between the positive and the
 negative end.  Traversing clockwise means numerically decreasing, so the
 clockwise arc from -1 toward -2 runs through -3/2, and the clockwise arc
 from -1 toward oo runs through -2, -3, ...  Every comparison below is an
-exact integer sign test; floating point never enters path generation.
+exact integer sign test.
 """
 
 from __future__ import annotations
@@ -150,10 +150,6 @@ class GL2Z:
         return (self.a, self.b, self.c, self.d)
 
 
-def apply_matrix(m: GL2Z, s: Slope) -> Slope:
-    return m.apply(s)
-
-
 def _egcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
     old_r, r = a, b
@@ -235,9 +231,6 @@ class QuadraticValue:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
 
-    def sign(self) -> int:
-        return _surd_sign(self.a, self.b, self.d)
-
     def cmp_fraction(self, p: int, q: int) -> int:
         """Exact sign of (value - p/q), q > 0."""
         return _surd_sign(self.a * q - p * self.c, self.b * q, self.d)
@@ -267,9 +260,6 @@ class QuadraticValue:
         out_a = num_a * den_a - num_b * den_b * self.d
         out_b = num_b * den_a - num_a * den_b
         return QuadraticValue(out_a, out_b, norm, self.d)
-
-    def __float__(self) -> float:
-        return (self.a + self.b * self.d ** 0.5) / self.c
 
     def __str__(self) -> str:
         return f"({self.a} + {self.b}*sqrt({self.d}))/{self.c}"
@@ -334,49 +324,34 @@ class CFStream:
                 return -1
             i += 1
 
-    def mobius_floor(self, m: GL2Z) -> int:
-        """floor((a*t + b)/(c*t + d)) for the stream value t, exactly."""
+    def _gosper(self, m: GL2Z) -> Iterator[int]:
+        """Coefficients of (a*t + b)/(c*t + d) for the stream value t, by
+        Gosper's homographic algorithm (HAKMEM item 101)."""
         a, b, c, d = m.entries()
-        e0 = self.coefficient(0)
-        a, b = a * e0 + b, a
-        c, d = c * e0 + d, c
+        e = self.coefficient(0)
+        a, b = a * e + b, a
+        c, d = c * e + d, c
         i = 1
         while True:
-            # tail argument ranges over (1, oo)
+            # the unread tail ranges over (1, oo); emit once both ends agree
             if c != 0 and c + d != 0 and (c > 0) == (c + d > 0):
-                n1 = (a + b) // (c + d)
-                n2 = a // c
-                if n1 == n2:
-                    return n1
+                n = (a + b) // (c + d)
+                if n == a // c:
+                    yield n
+                    a, b, c, d = c, d, a - n * c, b - n * d
+                    continue
             e = self.coefficient(i)
             a, b = a * e + b, a
             c, d = c * e + d, c
             i += 1
 
+    def mobius_floor(self, m: GL2Z) -> int:
+        """floor((a*t + b)/(c*t + d)) for the stream value t, exactly."""
+        return next(self._gosper(m))
+
     def mobius(self, m: GL2Z) -> "CFStream":
         """The stream of the image (a*t + b)/(c*t + d)."""
-        outer = self
-
-        def emit() -> Iterator[int]:
-            a, b, c, d = m.entries()
-            e0 = outer.coefficient(0)
-            a, b = a * e0 + b, a
-            c, d = c * e0 + d, c
-            i = 1
-            while True:
-                if c != 0 and c + d != 0 and (c > 0) == (c + d > 0):
-                    n1 = (a + b) // (c + d)
-                    n2 = a // c
-                    if n1 == n2:
-                        yield n1
-                        a, b, c, d = c, d, a - n1 * c, b - n1 * d
-                        continue
-                e = outer.coefficient(i)
-                a, b = a * e + b, a
-                c, d = c * e + d, c
-                i += 1
-
-        return CFStream(emit())
+        return CFStream(self._gosper(m))
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +369,6 @@ class RationalTarget:
         d = s.p * self.slope.q - self.slope.p * s.q
         return (d > 0) - (d < 0)
 
-    @property
-    def is_irrational(self) -> bool:
-        return False
-
     def transform(self, m: GL2Z) -> "RationalTarget":
         return RationalTarget(m.apply(self.slope), self.attained)
 
@@ -406,8 +377,23 @@ class RationalTarget:
         return f"{self.slope} ({flag})"
 
 
+class IrrationalTarget:
+    """An irrational limit slope t, never attained.
+
+    Each kind answers two exact questions: cmp_fraction(p, q), the sign of
+    t - p/q for q > 0, and mobius_floor(m), the floor of the image of t
+    under m in GL2(Z)."""
+
+    attained = False
+
+    def det_sign(self, s: Slope) -> int:
+        if s.q == 0:
+            return 1
+        return -self.cmp_fraction(s.p, s.q)
+
+
 @dataclass(frozen=True)
-class QuadraticTarget:
+class QuadraticTarget(IrrationalTarget):
     """An exact quadratic irrational limit slope."""
 
     value: QuadraticValue
@@ -416,14 +402,11 @@ class QuadraticTarget:
     def of(cls, a: int, b: int, c: int, d: int) -> "QuadraticTarget":
         return cls(QuadraticValue(a, b, c, d))
 
-    def det_sign(self, s: Slope) -> int:
-        if s.q == 0:
-            return 1
-        return -self.value.cmp_fraction(s.p, s.q)
+    def cmp_fraction(self, p: int, q: int) -> int:
+        return self.value.cmp_fraction(p, q)
 
-    @property
-    def is_irrational(self) -> bool:
-        return True
+    def mobius_floor(self, m: GL2Z) -> int:
+        return self.value.mobius(m).floor()
 
     def transform(self, m: GL2Z) -> "QuadraticTarget":
         return QuadraticTarget(self.value.mobius(m))
@@ -432,7 +415,7 @@ class QuadraticTarget:
         return str(self.value)
 
 
-class CFTarget:
+class CFTarget(IrrationalTarget):
     """A limit slope given by an explicit continued fraction coefficient stream.
 
     Two CFTarget objects compare equal only when they are the same object;
@@ -442,14 +425,11 @@ class CFTarget:
     def __init__(self, coefficients: Iterable[int]):
         self.stream = coefficients if isinstance(coefficients, CFStream) else CFStream(coefficients)
 
-    def det_sign(self, s: Slope) -> int:
-        if s.q == 0:
-            return 1
-        return -self.stream.cmp_fraction(s.p, s.q)
+    def cmp_fraction(self, p: int, q: int) -> int:
+        return self.stream.cmp_fraction(p, q)
 
-    @property
-    def is_irrational(self) -> bool:
-        return True
+    def mobius_floor(self, m: GL2Z) -> int:
+        return self.stream.mobius_floor(m)
 
     def transform(self, m: GL2Z) -> "CFTarget":
         return CFTarget(self.stream.mobius(m))
@@ -509,13 +489,9 @@ def next_toward(current: Slope, target: SlopeTarget) -> Slope:
             k = int(ratio)
         else:
             k = ratio.numerator // ratio.denominator + 1
-    elif isinstance(target, QuadraticTarget):
-        # ratio = (up - uq*t) / (q*t - p) as an exact quadratic value
-        v = target.value
-        ratio = v.mobius(GL2Z(-uq, up, s.q, -s.p))
-        k = ratio.floor() + 1
     else:
-        k = target.stream.mobius_floor(GL2Z(-uq, up, s.q, -s.p)) + 1
+        # N/D = (up - uq*t) / (q*t - p)
+        k = target.mobius_floor(GL2Z(-uq, up, s.q, -s.p)) + 1
 
     return Slope(up + k * s.p, uq + k * s.q)
 
@@ -535,11 +511,7 @@ class FareyPath:
         self.start = start
         self.target = target
         self._vertices: list[Slope] = [start]
-        self._complete = (
-            isinstance(target, RationalTarget)
-            and target.attained
-            and target.slope == start
-        )
+        self._complete = target.attained and target.slope == start
 
     @property
     def complete(self) -> bool:
@@ -553,7 +525,7 @@ class FareyPath:
         while len(self._vertices) < n and not self._complete:
             nxt = next_toward(self._vertices[-1], self.target)
             self._vertices.append(nxt)
-            if isinstance(self.target, RationalTarget) and nxt == self.target.slope:
+            if self.target.attained and nxt == self.target.slope:
                 self._complete = True
         return len(self._vertices)
 
@@ -589,7 +561,7 @@ class FareyPath:
             target = RationalTarget(vs[-1], True)
         path = cls(vs[0], target)
         path._vertices = vs
-        path._complete = isinstance(target, RationalTarget) and target.attained and vs[-1] == target.slope
+        path._complete = target.attained and vs[-1] == target.slope
         return path
 
 

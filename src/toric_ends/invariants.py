@@ -144,27 +144,16 @@ class SignData:
         rot = extra % len(t.pattern)
         return SignData((), Periodic(t.pattern[rot:] + t.pattern[:rot]))
 
-    def _tail_suffix_counts(self, from_index: int) -> tuple[float, float]:
-        """(positive, negative) counts of the tail from a tail index on;
-        values may be math.inf."""
+    def _recurring_signs(self) -> set[int]:
+        """The signs that the tail rule repeats forever."""
         t = self.tail
-        if isinstance(t, AllPositive):
-            return (math.inf, 0)
-        if isinstance(t, AllNegative):
-            return (0, math.inf)
+        if isinstance(t, (AllPositive, AllNegative)):
+            return {t.sign_at(0)}
         if isinstance(t, EventuallySign):
-            opposite = max(0, t.after - from_index)
-            if t.sign == POSITIVE:
-                return (math.inf, opposite)
-            return (opposite, math.inf)
+            return {t.sign}
         if isinstance(t, Alternating):
-            return (math.inf, math.inf)
-        pats = set(t.pattern)
-        if pats == {POSITIVE}:
-            return (math.inf, 0)
-        if pats == {NEGATIVE}:
-            return (0, math.inf)
-        return (math.inf, math.inf)
+            return {POSITIVE, NEGATIVE}
+        return set(t.pattern)
 
 
 def signs_from_chars(prefix: Iterable[str], tail: SignTail | None = None) -> SignData:
@@ -367,8 +356,7 @@ class AttainedInvariant:
     def __post_init__(self):
         if self.boundary_division < 1:
             raise ValueError("division number must be >= 1")
-        target = self.context.target
-        if not isinstance(target, RationalTarget) or not target.attained:
+        if not self.context.target.attained:
             raise ValueError("attained invariants require an attained rational target")
 
 
@@ -377,10 +365,6 @@ MinimalInvariant = IrrationalInvariant | RationalNonAttainedInvariant | Attained
 
 # ---------------------------------------------------------------------------
 # construction from sign data
-
-
-def _finite_block_count(signs: SignData, lo: int, hi: int) -> int:
-    return sum(1 for j in range(lo, hi) if signs.sign_at(j) > 0)
 
 
 def _build_attained(decomp: BlockDecomposition, signs: SignData, division: int,
@@ -395,7 +379,7 @@ def _build_attained(decomp: BlockDecomposition, signs: SignData, division: int,
         raise CoverageMismatchError(
             f"prefix covers {len(signs.prefix)} slices but the path has {slices}")
     blocks = decomp.all_blocks()
-    counts = tuple(_finite_block_count(signs, *b.slice_range) for b in blocks)
+    counts = tuple(signs.count_positive(*b.slice_range) for b in blocks)
     return AttainedInvariant(counts, division, context)
 
 
@@ -407,19 +391,19 @@ def _build_rational_non_attained(decomp: BlockDecomposition, signs: SignData,
     finite = blocks[:-1]
     infinite = blocks[-1]
     assert infinite.infinite
-    counts = tuple(_finite_block_count(signs, *b.slice_range) for b in finite)
+    counts = tuple(signs.count_positive(*b.slice_range) for b in finite)
     lo = infinite.slice_range[0]
-    covered = signs.prefix[lo:]
-    pos = sum(1 for s in covered if s > 0)
-    neg = len(covered) - pos
-    tpos, tneg = signs._tail_suffix_counts(max(0, lo - len(signs.prefix)))
-    total_pos, total_neg = pos + tpos, neg + tneg
-    if total_pos == math.inf and total_neg == math.inf:
+    recurring = signs._recurring_signs()
+    if len(recurring) == 2:
         form: InfiniteBlockForm = AlternatingForm()
-    elif total_neg == math.inf:
-        form = PosFinite(int(total_pos))
     else:
-        form = NegFinite(int(total_neg))
+        # the other sign occurs finitely often: in the prefix, and in the
+        # opening run of an eventually-constant tail
+        rare = -recurring.pop()
+        m = sum(1 for s in signs.prefix[lo:] if s == rare)
+        if isinstance(signs.tail, EventuallySign):
+            m += max(0, signs.tail.after - max(0, lo - len(signs.prefix)))
+        form = PosFinite(m) if rare == POSITIVE else NegFinite(m)
     return RationalNonAttainedInvariant(counts, form, context)
 
 
@@ -459,7 +443,7 @@ def _build_irrational(decomp: BlockDecomposition, signs: SignData,
     while decomp.block(k).slice_range[0] < pure:
         k += 1
     counts = tuple(
-        _finite_block_count(signs, *decomp.block(i).slice_range) for i in range(1, k)
+        signs.count_positive(*decomp.block(i).slice_range) for i in range(1, k)
     )
     anchor = decomp.block(k).slice_range[0]
     return IrrationalInvariant(counts, _tail_pattern_at(signs, anchor), context)
@@ -473,9 +457,9 @@ def invariant_from_signs(decomp: BlockDecomposition, signs: SignData,
     if context is None:
         context = context_of(decomp, 1)
     target = decomp.path.target
+    if target.attained:
+        return _build_attained(decomp, signs, boundary_division, context)
     if isinstance(target, RationalTarget):
-        if target.attained:
-            return _build_attained(decomp, signs, boundary_division, context)
         return _build_rational_non_attained(decomp, signs, context)
     return _build_irrational(decomp, signs, context)
 
@@ -693,7 +677,7 @@ def euler_class(decomp: BlockDecomposition, signs: SignData,
     """Sum over basic slices of sign * (v(s_next) - v(s_prev)) with
     v(p/q) = (q, p), truncated at `horizon` slices for infinite paths."""
     path = decomp.path
-    if isinstance(path.target, RationalTarget) and path.target.attained:
+    if path.target.attained:
         while not path.complete:
             path.extend_to(len(path) + 16)
         slices = len(path) - 1

@@ -32,7 +32,6 @@ from .errors import (
 from .farey import (
     FareyPath,
     GL2Z,
-    QuadraticTarget,
     RationalTarget,
     Slope,
     SlopeTarget,
@@ -44,10 +43,6 @@ from .invariants import POSITIVE, equivalent
 # minus-side descriptions are stored after reflecting across the (1, 0)
 # curve; on slopes the reflection acts as p/q -> -p/q
 REFLECTION = (-1, 0, 0, 1)
-
-
-def reflect_slope(s: Slope) -> Slope:
-    return Slope(-s.p, s.q)
 
 
 @dataclass(frozen=True)
@@ -110,21 +105,11 @@ def _closest_one_over_n(target: SlopeTarget) -> Slope:
         if t.p >= t.q:
             return INFINITY
         return Slope(1, (t.q - 1) // t.p)
-    if isinstance(target, QuadraticTarget):
-        v = target.value
-        if v.sign() < 0:
-            k = v.mobius(GL2Z(0, -1, 1, 0)).floor() + 1  # floor(-1/v) + 1
-            return Slope(-1, k)
-        if v.cmp_fraction(1, 1) > 0:
-            return INFINITY
-        return Slope(1, v.mobius(GL2Z(0, 1, 1, 0)).floor())
-    stream = target.stream
-    if stream.cmp_fraction(0, 1) < 0:
-        k = stream.mobius_floor(GL2Z(0, -1, 1, 0)) + 1
-        return Slope(-1, k)
-    if stream.cmp_fraction(1, 1) > 0:
+    if target.cmp_fraction(0, 1) < 0:
+        return Slope(-1, target.mobius_floor(GL2Z(0, -1, 1, 0)) + 1)  # floor(-1/t) + 1
+    if target.cmp_fraction(1, 1) > 0:
         return INFINITY
-    return Slope(1, stream.mobius_floor(GL2Z(0, 1, 1, 0)))
+    return Slope(1, target.mobius_floor(GL2Z(0, 1, 1, 0)))
 
 
 def _shift_division(tail, k: int):
@@ -148,8 +133,7 @@ def solid_torus_factor(e: EndDescription) -> SolidTorusEnd:
     boundary = e.boundary.slope
     target = e.target
     s_r = _closest_one_over_n(target)
-    attained = isinstance(target, RationalTarget) and target.attained
-    if not on_arc(boundary, target, s_r, include_target=attained):
+    if not on_arc(boundary, target, s_r, include_target=target.attained):
         raise NoRealizedPointError(
             f"no 1/n point lies on the realized arc from {boundary}: nearest is {s_r}")
 
@@ -159,7 +143,7 @@ def solid_torus_factor(e: EndDescription) -> SolidTorusEnd:
         v = path.vertex(index)
         if v == s_r:
             break
-        if not on_arc(v, target, s_r, include_target=attained):
+        if not on_arc(v, target, s_r, include_target=target.attained):
             raise NoRealizedPointError(
                 f"s(r) = {s_r} is not a vertex of the factorization from {boundary}")
         index += 1

@@ -9,11 +9,11 @@ from toric_ends import (
     QuadraticTarget,
     RationalTarget,
     Slope,
-    block_slice_count,
     decompose,
     farey_sequence,
     n_of_r,
     parse_slope,
+    quadratic_cf_target,
 )
 from toric_ends.blocks import witness_for_edge
 from toric_ends.errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
@@ -98,12 +98,19 @@ def test_n_of_r_degenerate():
 
 def test_block_slice_count():
     path = farey_sequence(S("-1"), MINUS_SQRT2, 6)
-    assert block_slice_count(decompose(path).block(1)) == 2
+    assert decompose(path).block(1).slice_count() == 2
     two = decompose(farey_sequence(S("-1"), RationalTarget(S("-2"), True), 4))
-    assert block_slice_count(two.all_blocks()[0]) == 1
+    assert two.all_blocks()[0].slice_count() == 1
     inf = decompose(FareyPath(S("-1"), RationalTarget(INFINITY, False)))
     with pytest.raises(InfiniteBlockError):
-        block_slice_count(inf.block(1))
+        inf.block(1).slice_count()
+
+
+@pytest.mark.parametrize("target", [MINUS_SQRT2, quadratic_cf_target(MINUS_SQRT2.value)],
+                         ids=["quadratic", "cf-stream"])
+def test_all_blocks_refuses_irrational_targets(target):
+    with pytest.raises(InfiniteBlockError):
+        decompose(FareyPath(S("-1"), target)).all_blocks()
 
 
 def test_edge_partition_on_finite_prefixes():

@@ -1,9 +1,14 @@
 """Coefficient-stream targets: parity with exact surds, basis changes, and
 the honest-refusal paths when a finite scan cannot settle a question."""
 
+import functools
 import itertools
+import operator
+from math import isqrt
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toric_ends import (
     Alternating,
@@ -59,10 +64,28 @@ def test_stream_comparisons():
     assert s.cmp_fraction(141421357, 100000000) < 0
 
 
-def test_stream_mobius_floor_matches_surd():
-    rt2 = QuadraticTarget.of(0, 1, 1, 2).value  # sqrt(2)
-    for m in (GL2Z(1, 0, 0, 1), GL2Z(2, 1, 1, 1), GL2Z(0, -1, 1, 0), GL2Z(-3, 2, 1, -1)):
-        assert sqrt2_stream().mobius_floor(m) == rt2.mobius(m).floor()
+# every GL2(Z) matrix is a product of translations and the swap
+GL2Z_WORDS = st.lists(
+    st.one_of(st.integers(-4, 4).map(lambda k: GL2Z(1, k, 0, 1)), st.just(GL2Z(0, 1, 1, 0))),
+    max_size=8,
+).map(lambda ms: functools.reduce(operator.matmul, ms, GL2Z.identity()))
+
+
+@settings(max_examples=80, deadline=None)
+@example(2, 0, 1, 1, GL2Z(1, 0, 0, 1))
+@example(2, 0, 1, 1, GL2Z(2, 1, 1, 1))
+@example(2, 0, 1, 1, GL2Z(0, -1, 1, 0))
+@example(2, 0, 1, 1, GL2Z(-3, 2, 1, -1))
+@given(st.integers(2, 60).filter(lambda d: isqrt(d) ** 2 != d),
+       st.integers(-20, 20), st.integers(-5, 5).filter(bool), st.integers(-10, 10).filter(bool),
+       GL2Z_WORDS)
+def test_stream_mobius_floor_matches_surd(d, a, b, c, m):
+    quad = QuadraticTarget.of(a, b, c, d)
+    twin = quadratic_cf_target(quad.value)
+    assert quad.mobius_floor(m) == twin.mobius_floor(m)
+    image = twin.stream.mobius(m)
+    exact = quad.value.mobius(m).cf_coefficients()
+    assert [image.coefficient(i) for i in range(8)] == [next(exact) for _ in range(8)]
 
 
 def test_stream_mobius_emits_image_cf():

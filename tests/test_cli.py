@@ -135,6 +135,18 @@ def test_exit_code_malformed():
     assert "unknown fields" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("division_tail", [
+    {"type": "eventually-constant", "after": 1, "value": 1, "prefix": [True]},
+    {"type": "eventually-constant", "after": 1, "value": 1, "prefix": ["3"]},
+    {"type": "eventually-constant", "after": -4, "value": 1},
+], ids=["bool-prefix", "string-prefix", "negative-after"])
+def test_division_tail_schema_is_strict(division_tail):
+    attained = {"kind": "rational", "slope": "-2/1", "attained": True}
+    code, out = invoke("classify", {"end": end_doc(attained, prefix=["+"], division_tail=division_tail)})
+    assert code == 2
+    assert "division_tail" in json.loads(out)["error"]
+
+
 def test_exit_code_bad_json():
     stdin, stdout = sys.stdin, sys.stdout
     sys.stdin = io.StringIO("{not json")
@@ -157,12 +169,15 @@ def test_batch_run_statuses():
         {"command": "classify",
          "input": {"end": end_doc({"kind": "rational", "slope": "-3/1", "attained": True},
                                   prefix=["+", "+"], tail={"type": "all-positive"})}},
+        {"command": "extend-check",
+         "input": {"end": end_doc(SQRT2, tail={"type": "all-positive"},
+                                  rotative={"sign": "+", "n": 2})}},
+        {"command": "count", "input": {"lengths": [2]}},
     ]
     code, out = invoke("run", jobs)
     assert code == 1
     results = json.loads(out)
-    assert results[0]["status"] == "ok"
-    assert results[1]["status"] == "violation"
+    assert [r["status"] for r in results] == ["ok", "violation", "violation", "ok"]
 
 
 def test_determinism_byte_identical():

@@ -13,7 +13,6 @@ from toric_ends import (
     QuadraticTarget,
     RationalTarget,
     Slope,
-    apply_matrix,
     clockwise_between,
     farey_edge,
     farey_sequence,
@@ -82,11 +81,11 @@ def test_farey_edge_needs_distinct():
 
 
 def test_apply_matrix_examples():
-    assert apply_matrix(GL2Z.identity(), S("-4/3")) == S("-4/3")
+    assert GL2Z.identity().apply(S("-4/3")) == S("-4/3")
     m = GL2Z(1, 2, -2, -3)
     # hand oracle: (-4 + 6)/(8 - 9) and (-7 + 10)/(14 - 15)
-    assert apply_matrix(m, S("-4/3")) == S("-2")
-    assert apply_matrix(m, S("-7/5")) == S("-3")
+    assert m.apply(S("-4/3")) == S("-2")
+    assert m.apply(S("-7/5")) == S("-3")
 
 
 def test_matrix_determinant_enforced():

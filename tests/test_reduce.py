@@ -12,6 +12,7 @@ from toric_ends import (
     QuadraticTarget,
     RationalTarget,
     SignData,
+    Slope,
     TorusRecord,
     classify_solid_torus,
     normalize_rotativity,
@@ -26,7 +27,7 @@ from toric_ends.errors import (
     ValidationError,
 )
 from toric_ends.invariants import Periodic
-from toric_ends.reduce import _closest_one_over_n, reflect_slope
+from toric_ends.reduce import _closest_one_over_n
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 P, N = 1, -1
@@ -122,7 +123,8 @@ def test_factor_rejects_infinite_rotativity():
 def make_annulus(plus_rot=(), minus_rot=(), middle="-1"):
     plus = EndDescription(TorusRecord(S(middle), 1), MINUS_SQRT2,
                           SignData((), AllPositive()), rotative=plus_rot)
-    minus = EndDescription(TorusRecord(reflect_slope(S(middle)), 1), MINUS_SQRT2,
+    reflected = Slope(-S(middle).p, S(middle).q)
+    minus = EndDescription(TorusRecord(reflected, 1), MINUS_SQRT2,
                            SignData((), AllPositive()), rotative=minus_rot)
     return OpenToricAnnulus(plus, minus, TorusRecord(S(middle), 1))
 
