@@ -227,10 +227,7 @@ def _path_slice_count(e: EndDescription) -> int:
     assert target.attained
     if target.slope == BASE_SLOPE:
         return 0
-    path = FareyPath(BASE_SLOPE, target)
-    while not path.complete:
-        path.extend_to(len(path) + 16)
-    return len(path) - 1
+    return FareyPath(BASE_SLOPE, target).walk_to_end() - 1
 
 
 def validate(e: EndDescription) -> list[str]:

@@ -41,6 +41,17 @@ class Slope:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
+    @classmethod
+    def _primitive(cls, p: int, q: int) -> "Slope":
+        """p/q for a vector known to be primitive, such as the image of a
+        slope under GL2(Z): only the sign is normalized, with no gcd."""
+        if q < 0 or (q == 0 and p < 0):
+            p, q = -p, -q
+        s = object.__new__(cls)
+        object.__setattr__(s, "p", p)
+        object.__setattr__(s, "q", q)
+        return s
+
     @property
     def is_infinite(self) -> bool:
         return self.q == 0
@@ -49,6 +60,12 @@ class Slope:
         if self.q == 0:
             raise ValueError("oo has no finite value")
         return Fraction(self.p, self.q)
+
+    def floor(self) -> int:
+        return self.p // self.q
+
+    def mobius(self, m: "GL2Z") -> "Slope":
+        return m.apply(self)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -123,7 +140,7 @@ class GL2Z:
         return cls(1, 0, 0, 1)
 
     def apply(self, s: Slope) -> Slope:
-        return Slope(self.a * s.p + self.b * s.q, self.c * s.p + self.d * s.q)
+        return Slope._primitive(self.a * s.p + self.b * s.q, self.c * s.p + self.d * s.q)
 
     def __matmul__(self, other: "GL2Z") -> "GL2Z":
         return GL2Z(
@@ -220,7 +237,17 @@ class QuadraticValue:
         f, d0 = _squarefree_split(d)
         if d0 == 1:
             raise ValueError("sqrt(d) is an integer; value is rational")
-        b, d = b * f, d0
+        self._store(a, b * f, c, d0)
+
+    @classmethod
+    def _reduced(cls, a: int, b: int, c: int, d: int) -> "QuadraticValue":
+        """The value for a d that is already squarefree, as every result of
+        arithmetic on existing values is: no validation, no trial division."""
+        value = object.__new__(cls)
+        value._store(a, b, c, d)
+        return value
+
+    def _store(self, a: int, b: int, c: int, d: int):
         if c < 0:
             a, b, c = -a, -b, -c
         g = gcd(gcd(abs(a), abs(b)), c)
@@ -236,16 +263,14 @@ class QuadraticValue:
         return _surd_sign(self.a * q - p * self.c, self.b * q, self.d)
 
     def floor(self) -> int:
+        # a + b*sqrt(d) lies strictly between the integers a + root and
+        # a + root + 1, so a multiple of c lies below it exactly when it
+        # lies at or below a + root
         if self.b > 0:
             root = isqrt(self.b * self.b * self.d)
         else:
             root = -isqrt(self.b * self.b * self.d) - 1
-        n = (self.a + root) // self.c
-        while self.cmp_fraction(n + 1, 1) >= 0:
-            n += 1
-        while self.cmp_fraction(n, 1) < 0:
-            n -= 1
-        return n
+        return (self.a + root) // self.c
 
     def mobius(self, m: GL2Z) -> "QuadraticValue":
         """(A*t + B) / (C*t + D), exactly, for t = this value."""
@@ -259,19 +284,23 @@ class QuadraticValue:
             raise ZeroDivisionError("Mobius image of an irrational cannot have zero denominator")
         out_a = num_a * den_a - num_b * den_b * self.d
         out_b = num_b * den_a - num_a * den_b
-        return QuadraticValue(out_a, out_b, norm, self.d)
+        return QuadraticValue._reduced(out_a, out_b, norm, self.d)
 
     def __str__(self) -> str:
         return f"({self.a} + {self.b}*sqrt({self.d}))/{self.c}"
 
     def cf_coefficients(self) -> Iterator[int]:
         """Simple continued fraction coefficients, generated forever."""
-        x = self
-        while True:
-            n = x.floor()
-            yield n
-            # x <- 1 / (x - n)
-            x = QuadraticValue(x.a - n * x.c, x.b, x.c, x.d).mobius(GL2Z(0, 1, 1, 0))
+        return _cf_coefficients(self)
+
+
+def _cf_coefficients(x) -> Iterator[int]:
+    """Coefficients of an irrational x that answers floor() and mobius(m):
+    emit n = floor(x), then continue with x <- 1 / (x - n)."""
+    while True:
+        n = x.floor()
+        yield n
+        x = x.mobius(GL2Z(0, 1, 1, -n))
 
 
 # ---------------------------------------------------------------------------
@@ -324,34 +353,47 @@ class CFStream:
                 return -1
             i += 1
 
-    def _gosper(self, m: GL2Z) -> Iterator[int]:
-        """Coefficients of (a*t + b)/(c*t + d) for the stream value t, by
-        Gosper's homographic algorithm (HAKMEM item 101)."""
-        a, b, c, d = m.entries()
-        e = self.coefficient(0)
-        a, b = a * e + b, a
-        c, d = c * e + d, c
-        i = 1
-        while True:
-            # the unread tail ranges over (1, oo); emit once both ends agree
-            if c != 0 and c + d != 0 and (c > 0) == (c + d > 0):
-                n = (a + b) // (c + d)
-                if n == a // c:
-                    yield n
-                    a, b, c, d = c, d, a - n * c, b - n * d
-                    continue
-            e = self.coefficient(i)
-            a, b = a * e + b, a
-            c, d = c * e + d, c
-            i += 1
-
     def mobius_floor(self, m: GL2Z) -> int:
         """floor((a*t + b)/(c*t + d)) for the stream value t, exactly."""
-        return next(self._gosper(m))
+        return _StreamImage(self, 0, *m.entries()).floor()
 
     def mobius(self, m: GL2Z) -> "CFStream":
         """The stream of the image (a*t + b)/(c*t + d)."""
-        return CFStream(self._gosper(m))
+        return CFStream(_cf_coefficients(_StreamImage(self, 0, *m.entries())))
+
+
+class _StreamImage:
+    """The image (a*t_i + b)/(c*t_i + d) of the tail t_i = [e_i; e_(i+1), ...]
+    of a stream, read lazily by Gosper's homographic algorithm (HAKMEM item
+    101): floor() reads coefficients only until the floor is decided, and
+    mobius(m) multiplies the matrix on the left without reading any."""
+
+    __slots__ = ("stream", "i", "a", "b", "c", "d")
+
+    def __init__(self, stream: CFStream, i: int, a: int, b: int, c: int, d: int):
+        self.stream, self.i = stream, i
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    def floor(self) -> int:
+        a, b, c, d, i = self.a, self.b, self.c, self.d, self.i
+        while True:
+            # past the first coefficient the unread tail ranges over (1, oo);
+            # the floor is decided once both ends of that range agree on it
+            if i and c != 0 and c + d != 0 and (c > 0) == (c + d > 0):
+                n = a // c
+                if n == (a + b) // (c + d):
+                    break
+            e = self.stream.coefficient(i)
+            a, b = a * e + b, a
+            c, d = c * e + d, c
+            i += 1
+        self.a, self.b, self.c, self.d, self.i = a, b, c, d, i
+        return n
+
+    def mobius(self, m: GL2Z) -> "_StreamImage":
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return _StreamImage(self.stream, self.i, m.a * a + m.b * c, m.a * b + m.b * d,
+                            m.c * a + m.d * c, m.c * b + m.d * d)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +414,9 @@ class RationalTarget:
     def transform(self, m: GL2Z) -> "RationalTarget":
         return RationalTarget(m.apply(self.slope), self.attained)
 
+    def image(self, m: GL2Z) -> Slope:
+        return m.apply(self.slope)
+
     def __str__(self) -> str:
         flag = "attained" if self.attained else "non-attained"
         return f"{self.slope} ({flag})"
@@ -382,7 +427,8 @@ class IrrationalTarget:
 
     Each kind answers two exact questions: cmp_fraction(p, q), the sign of
     t - p/q for q > 0, and mobius_floor(m), the floor of the image of t
-    under m in GL2(Z)."""
+    under m in GL2(Z).  Like a rational target, each kind also gives that
+    image itself, image(m), as a value answering floor() and mobius(m)."""
 
     attained = False
 
@@ -411,6 +457,9 @@ class QuadraticTarget(IrrationalTarget):
     def transform(self, m: GL2Z) -> "QuadraticTarget":
         return QuadraticTarget(self.value.mobius(m))
 
+    def image(self, m: GL2Z) -> QuadraticValue:
+        return self.value.mobius(m)
+
     def __str__(self) -> str:
         return str(self.value)
 
@@ -433,6 +482,9 @@ class CFTarget(IrrationalTarget):
 
     def transform(self, m: GL2Z) -> "CFTarget":
         return CFTarget(self.stream.mobius(m))
+
+    def image(self, m: GL2Z) -> _StreamImage:
+        return _StreamImage(self.stream, 0, *m.entries())
 
     def __str__(self) -> str:
         head = [self.stream.coefficient(i) for i in range(4)]
@@ -462,38 +514,53 @@ def on_arc(start: Slope, target: SlopeTarget, x: Slope, include_target: bool = F
 # the clockwise step
 
 
-def next_toward(current: Slope, target: SlopeTarget) -> Slope:
-    """The neighbor of `current` closest to `target` on the clockwise arc.
+class _Walk:
+    """The minimal clockwise walk toward a target, one vertex per step.
 
-    Every neighbor of s is [u + k*s] for the Bezout partner u with
-    det(u, s) = -1; the neighbors move monotonically around the circle as k
-    grows, approaching s from the clockwise side.  With D = det(target, s)
-    and N = det(u, target), the neighbor [u + k*s] lies strictly inside the
-    clockwise arc from s to the target exactly when k > N/D, so the closest
-    one is k = floor(N/D) + 1, and k = N/D itself is the target when that
-    ratio is an integer.  Ties cannot occur; the ratio determines k uniquely.
+    The state is the current vertex s as an integer vector, a partner u with
+    det(u, s) = -1, and the image x = det(u, t) / det(t, s) of the target t
+    under the element of SL2(Z) sending s to oo and each neighbor [u + k*s]
+    of s to the integer k.  The neighbors move monotonically around the
+    circle as k grows, approaching s from the clockwise side, so the closest
+    one inside the clockwise arc from s to the target is k = floor(x) + 1;
+    when x is an integer, k = x is the target itself, taken only when it is
+    attained.  Ties cannot occur; x determines k uniquely.
+
+    The step to s' = u + k*s with partner u' = -s sends the target to
+    x' = 1/(k - x), so only the vertex grows with depth: x is the image of a
+    rational target (bounded by the target, as in Euclid's algorithm), a
+    quadratic surd (reduced after a few steps, so bounded by Lagrange), or a
+    stream image that reads about one coefficient per step.
     """
-    s = current
-    up, uq = _bezout_partner(s)
 
-    if isinstance(target, RationalTarget):
-        t = target.slope
-        if t == s:
+    __slots__ = ("u", "s", "x", "attained")
+
+    def __init__(self, current: Slope, target: SlopeTarget):
+        if isinstance(target, RationalTarget) and target.slope == current:
             if target.attained:
                 raise ValueError("attained target equals the current slope")
             raise DegenerateTargetError("non-attained rational target equals the current slope")
-        num = up * t.q - t.p * uq          # det(u, t)
-        den = t.p * s.q - s.p * t.q        # det(t, s)
-        ratio = Fraction(num, den)
-        if target.attained and ratio.denominator == 1:
-            k = int(ratio)
-        else:
-            k = ratio.numerator // ratio.denominator + 1
-    else:
-        # N/D = (up - uq*t) / (q*t - p)
-        k = target.mobius_floor(GL2Z(-uq, up, s.q, -s.p)) + 1
+        up, uq = _bezout_partner(current)
+        self.u, self.s = (up, uq), (current.p, current.q)
+        # x = (up - uq*t) / (q*t - p)
+        self.x = target.image(GL2Z(-uq, up, current.q, -current.p))
+        self.attained = target.attained
 
-    return Slope(up + k * s.p, uq + k * s.q)
+    def step(self) -> Slope:
+        x = self.x
+        k = x.floor() + 1
+        if self.attained and x.q == 1:
+            k -= 1  # only rational targets are attained, so x is a Slope
+        (up, uq), (sp, sq) = self.u, self.s
+        self.u, self.s = (-sp, -sq), (up + k * sp, uq + k * sq)
+        self.x = x.mobius(GL2Z(0, 1, -1, k))  # 1 / (k - x)
+        return Slope._primitive(*self.s)  # det(u, s) = -1 makes s primitive
+
+
+def next_toward(current: Slope, target: SlopeTarget) -> Slope:
+    """The neighbor of `current` closest to `target` on the clockwise arc:
+    one step of a walk started at `current`."""
+    return _Walk(current, target).step()
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +570,9 @@ def next_toward(current: Slope, target: SlopeTarget) -> Slope:
 class FareyPath:
     """A minimal clockwise vertex sequence from a start slope toward a target.
 
-    Vertices are generated lazily by iterating `next_toward` and are cached,
-    so extending a path never changes the vertices already produced.
+    Vertices are generated lazily by one walk, started at the last vertex
+    on the first extension, and are cached, so extending a path never
+    changes the vertices already produced.
     """
 
     def __init__(self, start: Slope, target: SlopeTarget):
@@ -512,6 +580,7 @@ class FareyPath:
         self.target = target
         self._vertices: list[Slope] = [start]
         self._complete = target.attained and target.slope == start
+        self._walk: _Walk | None = None
 
     @property
     def complete(self) -> bool:
@@ -523,11 +592,25 @@ class FareyPath:
     def extend_to(self, n: int) -> int:
         """Materialize up to n vertices; returns how many exist."""
         while len(self._vertices) < n and not self._complete:
-            nxt = next_toward(self._vertices[-1], self.target)
-            self._vertices.append(nxt)
-            if self.target.attained and nxt == self.target.slope:
-                self._complete = True
+            self._advance()
         return len(self._vertices)
+
+    def walk_to_end(self) -> int:
+        """Materialize every vertex of a path toward an attained target;
+        returns the vertex count."""
+        if not self.target.attained:
+            raise ValueError("only a path toward an attained target has an end")
+        while not self._complete:
+            self._advance()
+        return len(self._vertices)
+
+    def _advance(self):
+        if self._walk is None:
+            self._walk = _Walk(self._vertices[-1], self.target)
+        nxt = self._walk.step()
+        self._vertices.append(nxt)
+        if self.target.attained and nxt == self.target.slope:
+            self._complete = True
 
     def vertex(self, i: int) -> Slope:
         if self.extend_to(i + 1) <= i:

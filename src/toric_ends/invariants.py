@@ -369,10 +369,7 @@ MinimalInvariant = IrrationalInvariant | RationalNonAttainedInvariant | Attained
 
 def _build_attained(decomp: BlockDecomposition, signs: SignData, division: int,
                     context: InvariantContext) -> AttainedInvariant:
-    path = decomp.path
-    while not path.complete:
-        path.extend_to(len(path) + 16)
-    slices = len(path) - 1
+    slices = decomp.path.walk_to_end() - 1
     if signs.tail is not None:
         raise IllegalTailError("finite path, infinite tail")
     if len(signs.prefix) != slices:
@@ -678,9 +675,7 @@ def euler_class(decomp: BlockDecomposition, signs: SignData,
     v(p/q) = (q, p), truncated at `horizon` slices for infinite paths."""
     path = decomp.path
     if path.target.attained:
-        while not path.complete:
-            path.extend_to(len(path) + 16)
-        slices = len(path) - 1
+        slices = path.walk_to_end() - 1
     else:
         slices = horizon
         path.extend_to(slices + 1)

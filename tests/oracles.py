@@ -13,7 +13,8 @@ from itertools import product
 from math import gcd
 
 from toric_ends import Slope
-from toric_ends.farey import QuadraticTarget, RationalTarget
+from toric_ends.errors import DegenerateTargetError
+from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _bezout_partner
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +170,42 @@ def oracle_next_toward(current: Slope, target, max_den: int = 1000) -> Slope | N
         if best is None or rank_less(best_rank, r):
             best, best_rank = cand, r
     return best
+
+
+# ---------------------------------------------------------------------------
+# reference stepper
+
+
+def reference_next_toward(current: Slope, target) -> Slope:
+    """One clockwise step computed from scratch at every vertex: the Bezout
+    partner u of the current vertex s, then k from the ratio
+    det(u, t) / det(t, s) for the original target t (a Fraction for a
+    rational t, the target's own mobius_floor otherwise)."""
+    s = current
+    up, uq = _bezout_partner(s)
+    if isinstance(target, RationalTarget):
+        t = target.slope
+        if t == s:
+            if target.attained:
+                raise ValueError("attained target equals the current slope")
+            raise DegenerateTargetError("non-attained rational target equals the current slope")
+        ratio = Fraction(up * t.q - t.p * uq, t.p * s.q - s.p * t.q)
+        if target.attained and ratio.denominator == 1:
+            k = int(ratio)
+        else:
+            k = ratio.numerator // ratio.denominator + 1
+    else:
+        k = target.mobius_floor(GL2Z(-uq, up, s.q, -s.p)) + 1
+    return Slope(up + k * s.p, uq + k * s.q)
+
+
+def reference_path(start: Slope, target, n: int) -> tuple[Slope, ...]:
+    """The first n vertices by the reference stepper (fewer when an attained
+    target is reached sooner)."""
+    vs = [start]
+    while len(vs) < n and not (target.attained and vs[-1] == target.slope):
+        vs.append(reference_next_toward(vs[-1], target))
+    return tuple(vs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,106 @@
+"""The walk in normalized coordinates against the reference stepper, which
+recomputes each step from scratch, plus work counts that show a step costs
+the same at every depth (counts, not timings)."""
+
+from math import isqrt
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from toric_ends import (
+    GL2Z,
+    CFTarget,
+    FareyPath,
+    QuadraticTarget,
+    RationalTarget,
+    Slope,
+    next_toward,
+    quadratic_cf_target,
+)
+
+from oracles import reference_next_toward, reference_path
+from test_cf_targets import GL2Z_WORDS
+
+MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
+
+SLOPES = st.tuples(st.integers(-40, 40), st.integers(0, 12)).filter(any).map(lambda pq: Slope(*pq))
+
+NON_SQUARES = st.integers(2, 10 ** 4).filter(lambda d: isqrt(d) ** 2 != d)
+
+
+@settings(max_examples=150, deadline=None)
+@example(-300, 1, True, GL2Z(1, 0, 0, 1), 80)
+@example(-7, 5, False, GL2Z(1, 0, 0, 1), 40)
+@given(st.integers(-300, 300), st.integers(0, 60), st.booleans(), GL2Z_WORDS, st.integers(1, 80))
+def test_walk_matches_reference_on_rationals(p, q, attained, m, n):
+    if p == 0 and q == 0:
+        return
+    start, target = m.apply(Slope(-1, 1)), RationalTarget(m.apply(Slope(p, q)), attained)
+    if target.slope == start:
+        return
+    assert next_toward(start, target) == reference_next_toward(start, target)
+    assert FareyPath(start, target).prefix(n) == reference_path(start, target, n)
+
+
+@settings(max_examples=80, deadline=None)
+@example(0, -1, 1, 2, Slope(-1, 1), 60)
+@example(-1, 1, 2, 9973, Slope(1, 0), 60)
+@given(st.integers(-50, 50), st.integers(-6, 6).filter(bool), st.integers(-20, 20).filter(bool),
+       NON_SQUARES, SLOPES, st.integers(1, 60))
+def test_walk_matches_reference_on_surds(a, b, c, d, start, n):
+    target = QuadraticTarget.of(a, b, c, d)
+    assert FareyPath(start, target).prefix(n) == reference_path(start, target, n)
+
+
+@settings(max_examples=40, deadline=None)
+@example(0, -1, 1, 2, 40)
+@given(st.integers(-20, 20), st.integers(-4, 4).filter(bool), st.integers(-10, 10).filter(bool),
+       st.integers(2, 200).filter(lambda d: isqrt(d) ** 2 != d), st.integers(1, 40))
+def test_walk_matches_reference_on_streams(a, b, c, d, n):
+    value = QuadraticTarget.of(a, b, c, d).value
+    walked = FareyPath(Slope(-1, 1), quadratic_cf_target(value)).prefix(n)
+    assert walked == reference_path(Slope(-1, 1), quadratic_cf_target(value), n)
+    assert walked == reference_path(Slope(-1, 1), QuadraticTarget(value), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.builds(RationalTarget, st.builds(Slope, st.integers(-200, -2), st.integers(1, 30)), st.booleans()),
+    st.builds(QuadraticTarget.of, st.integers(-20, 20), st.integers(-4, 4).filter(bool),
+              st.integers(-10, 10).filter(bool), NON_SQUARES),
+), st.integers(1, 30), st.integers(0, 30))
+def test_walk_resumes_a_path_given_by_vertices(target, known, more):
+    start = Slope(-1, 1)
+    if isinstance(target, RationalTarget) and target.slope == start:
+        return
+    vertices = reference_path(start, target, known)
+    if target.attained and vertices[-1] == target.slope:
+        return  # a complete path has nothing left to walk
+    path = FareyPath.from_vertices(vertices, target)
+    assert path.prefix(known + more) == reference_path(start, target, known + more)
+
+
+def test_stream_walk_reads_one_coefficient_per_vertex():
+    read = 0
+
+    def coefficients():
+        nonlocal read
+        for e in MINUS_SQRT2.value.cf_coefficients():
+            read += 1
+            yield e
+
+    n = 2000
+    path = FareyPath(Slope(-1, 1), CFTarget(coefficients()))
+    assert path.extend_to(n) == n
+    assert read <= n + 8
+
+
+def test_surd_walk_state_stays_bounded():
+    for target in (MINUS_SQRT2, QuadraticTarget.of(-3, 1, 4, 13), QuadraticTarget.of(-1, -1, 1, 421),
+                   QuadraticTarget.of(-1, 1, 2, 100003)):
+        bound = 2 * target.value.d.bit_length() + 8
+        path = FareyPath(Slope(-1, 1), target)
+        for n in range(2, 2002):
+            path.extend_to(n)
+            x = path._walk.x
+            assert max(abs(x.a), abs(x.b), x.c).bit_length() <= bound, (target, n, x)
