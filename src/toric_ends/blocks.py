@@ -2,13 +2,16 @@
 
 A run of consecutive path vertices is a continued fraction block when some
 element of SL2(Z) carries it to -1, -2, ..., -m.  The witness of the run is
-pinned down (up to sign) by its first edge, so decomposition walks the path
-edge by edge: start a block, extend it while the witness keeps sending
-vertices to consecutive negative integers, then start the next block at the
-shared boundary vertex.  Greedy forward-maximal blocks are automatically
-backward-maximal as well: right after a maximal block the normalized picture
-is -1, ..., -m, -m - 1/a with a >= 2, and the triple (-(m-1), -m, -m - 1/a)
-normalizes to (-1, -2, -2 - 1/a), never to (-1, -2, -3).
+pinned down (up to sign) by its first edge.  With coherent vertex lifts
+(consecutive determinant +1) the next vertex after v, w is -v + k*w, and it
+is carried to -(m + 1) exactly when k = 2, that is when the lifts go on by
+the same difference; so a block is one step of the walk followed by every
+step with k = 2, which is how FareyPath stores the path (its runs), and the
+decomposition is a view of those runs.  Greedy forward-maximal blocks are
+automatically backward-maximal as well: right after a maximal block the
+normalized picture is -1, ..., -m, -m - 1/a with a >= 2, and the triple
+(-(m-1), -m, -m - 1/a) normalizes to (-1, -2, -2 - 1/a), never to
+(-1, -2, -3).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
-from .farey import GL2Z, FareyPath, RationalTarget, Slope, cw, det
+from .farey import GL2Z, FareyPath, RationalTarget, Slope, det
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,8 @@ def witness_for_edge(a: Slope, b: Slope) -> GL2Z:
 
 
 class BlockDecomposition:
-    """Lazily computed maximal blocks of a path, oldest first.
+    """Lazily computed maximal blocks of a path, oldest first: one block per
+    run of the path, with its witness.
 
     Blocks partition the path's edges; consecutive blocks share exactly one
     boundary vertex.  For irrational targets the block list is infinite and
@@ -77,51 +81,28 @@ class BlockDecomposition:
 
     def __init__(self, path: FareyPath):
         self.path = path
-        self._validate_prefix()
+        if not path.has_vertex(1):
+            raise MalformedPathError("decomposition needs a path with at least 2 vertices")
         self._blocks: list[Block] = []
         self._done = False
-
-    def _validate_prefix(self):
-        n = self.path.extend_to(3)
-        if n < 2:
-            raise MalformedPathError("decomposition needs a path with at least 2 vertices")
-        vs = [self.path.vertex(i) for i in range(n)]
-        for a, b in zip(vs, vs[1:]):
-            if abs(det(a, b)) != 1:
-                raise MalformedPathError(f"consecutive vertices {a}, {b} are not a Farey edge")
-        for a, b, c in zip(vs, vs[1:], vs[2:]):
-            if not cw(a, b, c):
-                raise MalformedPathError(f"vertices {a}, {b}, {c} are not clockwise")
-
-    def _target_maps_to_infinity(self, m: GL2Z) -> bool:
-        t = self.path.target
-        if not (isinstance(t, RationalTarget) and not t.attained):
-            return False
-        return m.c * t.slope.p + m.d * t.slope.q == 0
 
     def _emit_next(self) -> bool:
         """Compute one more block; returns False when the list is finished."""
         if self._done:
             return False
-        start = self._blocks[-1].end_index if self._blocks else 0
-        if not self.path.has_vertex(start + 1):
+        i = len(self._blocks)
+        run = self.path.run(i)
+        if run is None:
             self._done = True
             return False
-        m = witness_for_edge(self.path.vertex(start), self.path.vertex(start + 1))
-        if self._target_maps_to_infinity(m):
+        m = witness_for_edge(run.vertex(0), run.vertex(1))
+        if run.edges is None:
             # the normalized tail is -1, -2, -3, ... forever
-            self._blocks.append(Block(start, None, m, infinite=True))
+            self._blocks.append(Block(run.start, None, m, infinite=True))
             self._done = True
             return True
-        length = 2
-        while self.path.has_vertex(start + length):
-            image = m.apply(self.path.vertex(start + length))
-            if image != Slope(-(length + 1), 1):
-                break
-            length += 1
-        self._blocks.append(Block(start, start + length - 1, m))
-        if self.path.complete and not self.path.has_vertex(start + length):
-            self._done = True
+        self._blocks.append(Block(run.start, run.start + run.edges, m))
+        self._done = self.path.complete and self.path.run(i + 1) is None
         return True
 
     def block(self, i: int) -> Block:

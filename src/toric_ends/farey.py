@@ -10,10 +10,12 @@ exact integer sign test.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DegenerateTargetError, MalformedPathError, ToricEndError
 
@@ -48,8 +50,9 @@ class Slope:
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
         s = object.__new__(cls)
-        object.__setattr__(s, "p", p)
-        object.__setattr__(s, "q", q)
+        fields = s.__dict__  # one write each, a third cheaper than object.__setattr__
+        fields["p"] = p
+        fields["q"] = q
         return s
 
     @property
@@ -513,9 +516,11 @@ def on_arc(start: Slope, target: SlopeTarget, x: Slope, include_target: bool = F
 # ---------------------------------------------------------------------------
 # the clockwise step
 
+_TO_RUN = GL2Z(0, 1, 1, -1)  # x -> y = 1/(x - 1)
+
 
 class _Walk:
-    """The minimal clockwise walk toward a target, one vertex per step.
+    """The minimal clockwise walk toward a target.
 
     The state is the current vertex s as an integer vector, a partner u with
     det(u, s) = -1, and the image x = det(u, t) / det(t, s) of the target t
@@ -530,55 +535,133 @@ class _Walk:
     x' = 1/(k - x), so only the vertex grows with depth: x is the image of a
     rational target (bounded by the target, as in Euclid's algorithm), a
     quadratic surd (reduced after a few steps, so bounded by Lagrange), or a
-    stream image that reads about one coefficient per step.
+    stream image that reads about one coefficient per step.  Consecutive
+    vertices have determinant +1, so the vectors s are coherent lifts.
+
+    A step with k = 2 moves s by the constant vector s + u, and it changes
+    y = 1/(x - 1) to y - 1.  A run of such steps is therefore read off y and
+    taken in one jump: j steps send s to s + j*(s + u) and y to y - j.  A
+    step with k = 2 is taken while 1 <= x < 2 (1 < x <= 2 for an attained
+    target), that is while y > 1 (y >= 1), so the run has ceil(y) - 1 steps
+    toward a rational target that is not attained (infinitely many at x = 1)
+    and floor(y) steps otherwise; toward an attained target the last of them
+    hits it when y is an integer.
     """
 
-    __slots__ = ("u", "s", "x", "attained")
+    __slots__ = ("u", "s", "x", "attained", "rational", "_k")
 
-    def __init__(self, current: Slope, target: SlopeTarget):
-        if isinstance(target, RationalTarget) and target.slope == current:
+    def __init__(self, u: tuple[int, int], s: tuple[int, int], target: SlopeTarget):
+        (up, uq), (sp, sq) = u, s
+        self.u, self.s = u, s
+        # x = (up - uq*t) / (sq*t - sp)
+        self.x = target.image(GL2Z(-uq, up, sq, -sp))
+        self.attained = target.attained
+        self.rational = isinstance(target, RationalTarget)
+        self._k = None
+        if self.rational and self.x.q == 0:
             if target.attained:
                 raise ValueError("attained target equals the current slope")
             raise DegenerateTargetError("non-attained rational target equals the current slope")
-        up, uq = _bezout_partner(current)
-        self.u, self.s = (up, uq), (current.p, current.q)
-        # x = (up - uq*t) / (q*t - p)
-        self.x = target.image(GL2Z(-uq, up, current.q, -current.p))
-        self.attained = target.attained
 
-    def step(self) -> Slope:
-        x = self.x
-        k = x.floor() + 1
-        if self.attained and x.q == 1:
-            k -= 1  # only rational targets are attained, so x is a Slope
+    @classmethod
+    def at(cls, current: Slope, target: SlopeTarget) -> "_Walk":
+        """A walk standing at `current`, with a Bezout partner."""
+        return cls(_bezout_partner(current), (current.p, current.q), target)
+
+    @property
+    def hit(self) -> bool:
+        """True once the walk stands on an attained target (x = oo)."""
+        return self.attained and self.x.q == 0
+
+    def k(self) -> int:
+        """The k of the next step."""
+        if self._k is None:
+            x = self.x
+            self._k = x.floor() + 1
+            if self.attained and x.q == 1:
+                self._k -= 1  # only rational targets are attained, so x is a Slope
+        return self._k
+
+    def step(self):
+        k = self.k()
         (up, uq), (sp, sq) = self.u, self.s
         self.u, self.s = (-sp, -sq), (up + k * sp, uq + k * sq)
-        self.x = x.mobius(GL2Z(0, 1, -1, k))  # 1 / (k - x)
-        return Slope._primitive(*self.s)  # det(u, s) = -1 makes s primitive
+        self.x = self.x.mobius(GL2Z(0, 1, -1, k))  # 1 / (k - x)
+        self._k = None
+
+    def run(self) -> int | None:
+        """Take every step with k = 2 from here; returns how many, None for
+        infinitely many (then the walk stops inside the run).  The first is
+        an ordinary step, and only a run that goes on past it is jumped, so
+        a run of one step costs no more than the step."""
+        if self.k() != 2:
+            return 0
+        self.step()
+        if self.hit or self.k() != 2:
+            return 1
+        y = self.x.mobius(_TO_RUN)
+        if self.rational and y.q == 0:
+            return None
+        j = y.floor()
+        if self.rational and not self.attained and y.q == 1:
+            j -= 1
+        (up, uq), (sp, sq) = self.u, self.s
+        dp, dq = sp + up, sq + uq
+        sp, sq = sp + j * dp, sq + j * dq
+        self.u, self.s = (dp - sp, dq - sq), (sp, sq)
+        self.x = y.mobius(GL2Z(1, 1 - j, 1, -j))  # 1 + 1/(y - j)
+        self._k = None
+        return j + 1
 
 
 def next_toward(current: Slope, target: SlopeTarget) -> Slope:
     """The neighbor of `current` closest to `target` on the clockwise arc:
     one step of a walk started at `current`."""
-    return _Walk(current, target).step()
+    walk = _Walk.at(current, target)
+    walk.step()
+    return Slope._primitive(*walk.s)  # det(u, s) = -1 makes s primitive
 
 
 # ---------------------------------------------------------------------------
 # paths
 
 
+class Run(NamedTuple):
+    """A maximal run of path vertices whose coherent lifts advance by one
+    constant vector: vertex start + j is (p + j*dp)/(q + j*dq) for
+    0 <= j <= edges, with edges None for a run that never ends.
+
+    A run is one step of the walk followed by all the steps with k = 2
+    after it, which makes it a maximal continued fraction block: a witness
+    sending its first two vertices to -1 and -2 sends vertex start + j to
+    -(j + 1).  Consecutive runs share their boundary vertex."""
+
+    start: int
+    p: int
+    q: int
+    dp: int
+    dq: int
+    edges: int | None
+
+    def vertex(self, j: int) -> Slope:
+        return Slope._primitive(self.p + j * self.dp, self.q + j * self.dq)
+
+
 class FareyPath:
     """A minimal clockwise vertex sequence from a start slope toward a target.
 
-    Vertices are generated lazily by one walk, started at the last vertex
-    on the first extension, and are cached, so extending a path never
-    changes the vertices already produced.
+    The path is stored as its runs, walked lazily one run at a time from
+    the last vertex, so extending a path never changes the runs already
+    walked; a vertex becomes a Slope only when vertex(i) or prefix(n) asks
+    for it.  The length is the number of vertices asked for so far.
     """
 
     def __init__(self, start: Slope, target: SlopeTarget):
         self.start = start
         self.target = target
-        self._vertices: list[Slope] = [start]
+        self._runs: list[Run] = []
+        self._size: int | None = 1  # vertices walked; None inside a run that never ends
+        self._length = 1
         self._complete = target.attained and target.slope == start
         self._walk: _Walk | None = None
 
@@ -587,42 +670,103 @@ class FareyPath:
         return self._complete
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return self._length
+
+    def _reach(self, i: int) -> bool:
+        """Walk until vertex i exists; False when the path ends before it."""
+        while self._size is not None and self._size <= i:
+            if self._complete:
+                return False
+            self._advance()
+        return True
 
     def extend_to(self, n: int) -> int:
-        """Materialize up to n vertices; returns how many exist."""
-        while len(self._vertices) < n and not self._complete:
-            self._advance()
-        return len(self._vertices)
+        """Make the first n vertices available (fewer when the path ends
+        sooner); returns the length."""
+        if n > self._length:
+            self._length = n if self._reach(n - 1) else self._size
+        return self._length
 
     def walk_to_end(self) -> int:
-        """Materialize every vertex of a path toward an attained target;
-        returns the vertex count."""
+        """Walk a path toward an attained target to its end; returns the
+        vertex count."""
         if not self.target.attained:
             raise ValueError("only a path toward an attained target has an end")
         while not self._complete:
             self._advance()
-        return len(self._vertices)
+        self._length = self._size
+        return self._size
+
+    def run(self, i: int) -> Run | None:
+        """The i-th run (0-based), walked as far as needed; None when the
+        path has fewer runs."""
+        runs = self._runs
+        # the last run of a path given by vertices may go on once walked
+        while len(runs) <= i or (self._walk is None and i == len(runs) - 1):
+            if self._complete or self._size is None:
+                break
+            self._advance()
+        return runs[i] if i < len(runs) else None
 
     def _advance(self):
-        if self._walk is None:
-            self._walk = _Walk(self._vertices[-1], self.target)
-        nxt = self._walk.step()
-        self._vertices.append(nxt)
-        if self.target.attained and nxt == self.target.slope:
-            self._complete = True
+        """Walk one more run, or the rest of the last run of a path given
+        by vertices."""
+        walk = self._walk
+        if walk is None:
+            walk = self._walk = self._resume()
+            if self._runs:
+                more = walk.run()
+                if more != 0:
+                    last = self._runs[-1]
+                    edges = None if more is None else last.edges + more
+                    self._runs[-1] = last._replace(edges=edges)
+                    self._size = None if edges is None else last.start + edges + 1
+                    self._complete = walk.hit
+                    return
+        start, (p, q) = self._size - 1, walk.s
+        walk.step()
+        dp, dq = walk.s[0] - p, walk.s[1] - q
+        more = 0 if walk.hit else walk.run()
+        edges = None if more is None else 1 + more
+        self._runs.append(Run(start, p, q, dp, dq, edges))
+        self._size = None if edges is None else start + edges + 1
+        self._complete = walk.hit
+
+    def _resume(self) -> _Walk:
+        if not self._runs:
+            return _Walk.at(self.start, self.target)
+        # partner -v(n-2) keeps the lifts coherent, so a step with k = 2
+        # goes on with the last run
+        last = self._runs[-1]
+        p, q = last.p + last.edges * last.dp, last.q + last.edges * last.dq
+        return _Walk((last.dp - p, last.dq - q), (p, q), self.target)
 
     def vertex(self, i: int) -> Slope:
         if self.extend_to(i + 1) <= i:
-            raise IndexError(f"path is complete with {len(self._vertices)} vertices")
-        return self._vertices[i]
+            raise IndexError(f"path is complete with {self._size} vertices")
+        if i == 0:
+            return self.start
+        run = self._runs[bisect_right(self._runs, i, key=attrgetter("start")) - 1]
+        return run.vertex(i - run.start)
 
     def has_vertex(self, i: int) -> bool:
         return self.extend_to(i + 1) > i
 
     def prefix(self, n: int) -> tuple[Slope, ...]:
-        self.extend_to(n)
-        return tuple(self._vertices[:n])
+        if n < 1:
+            return ()
+        n = min(n, self.extend_to(n))
+        out = [self.start]
+        for run in self._runs:
+            if len(out) >= n:
+                break
+            stop = n - run.start  # vertices start + 1 .. n - 1 of this run
+            if run.edges is not None:
+                stop = min(stop, run.edges + 1)
+            p, q, dp, dq = run.p, run.q, run.dp, run.dq
+            for j in range(1, stop):
+                out.append(Slope._primitive(p + j * dp, q + j * dq))
+        return tuple(out)
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[Slope], target: SlopeTarget | None = None) -> "FareyPath":
@@ -643,7 +787,17 @@ class FareyPath:
         if target is None:
             target = RationalTarget(vs[-1], True)
         path = cls(vs[0], target)
-        path._vertices = vs
+        p, q = vs[0].p, vs[0].q
+        for i, v in enumerate(vs[1:]):
+            e = p * v.q - v.p * q  # det(previous lift, v) = +-1: lift v coherently
+            dp, dq = e * v.p - p, e * v.q - q
+            runs = path._runs
+            if runs and (runs[-1].dp, runs[-1].dq) == (dp, dq):
+                runs[-1] = runs[-1]._replace(edges=runs[-1].edges + 1)
+            else:
+                runs.append(Run(i, p, q, dp, dq, 1))
+            p, q = p + dp, q + dq
+        path._size = path._length = len(vs)
         path._complete = target.attained and vs[-1] == target.slope
         return path
 

@@ -20,7 +20,6 @@ from .errors import (
     IllegalTailError,
     IncomparableTargetsError,
     InfiniteBlockError,
-    MalformedPathError,
     UndecidableAtHorizonError,
     UndecidableError,
 )
@@ -41,16 +40,35 @@ DEFAULT_HORIZON = 64
 # sign data
 
 
+def _count_periodic(pattern: tuple[int, ...], lo: int, hi: int) -> int:
+    """Positive entries of pattern[j % len(pattern)] for lo <= j < hi."""
+    if hi <= lo:
+        return 0
+    n = len(pattern)
+    cycles, rem = divmod(hi - lo, n)
+    return cycles * pattern.count(POSITIVE) + sum(1 for j in range(lo, lo + rem) if pattern[j % n] > 0)
+
+
+# Each tail rule answers sign_at(j) and count_positive(lo, hi), the number
+# of positive slices j with lo <= j < hi, in time independent of hi - lo.
+
+
 @dataclass(frozen=True)
 class AllPositive:
     def sign_at(self, j: int) -> int:
         return POSITIVE
+
+    def count_positive(self, lo: int, hi: int) -> int:
+        return hi - lo
 
 
 @dataclass(frozen=True)
 class AllNegative:
     def sign_at(self, j: int) -> int:
         return NEGATIVE
+
+    def count_positive(self, lo: int, hi: int) -> int:
+        return 0
 
 
 @dataclass(frozen=True)
@@ -72,6 +90,11 @@ class EventuallySign:
     def sign_at(self, j: int) -> int:
         return -self.sign if j < self.after else self.sign
 
+    def count_positive(self, lo: int, hi: int) -> int:
+        if self.sign == POSITIVE:
+            return max(0, hi - max(lo, self.after))
+        return max(0, min(hi, self.after) - lo)
+
 
 @dataclass(frozen=True)
 class Alternating:
@@ -83,6 +106,10 @@ class Alternating:
 
     def sign_at(self, j: int) -> int:
         return self.first if j % 2 == 0 else -self.first
+
+    def count_positive(self, lo: int, hi: int) -> int:
+        evens = (hi + 1) // 2 - (lo + 1) // 2
+        return evens if self.first == POSITIVE else hi - lo - evens
 
 
 @dataclass(frozen=True)
@@ -98,6 +125,9 @@ class Periodic:
 
     def sign_at(self, j: int) -> int:
         return self.pattern[j % len(self.pattern)]
+
+    def count_positive(self, lo: int, hi: int) -> int:
+        return _count_periodic(self.pattern, lo, hi)
 
 
 SignTail = AllPositive | AllNegative | EventuallySign | Alternating | Periodic
@@ -125,7 +155,18 @@ class SignData:
         return self.tail.sign_at(j - len(self.prefix))
 
     def count_positive(self, lo: int, hi: int) -> int:
-        return sum(1 for j in range(lo, hi) if self.sign_at(j) > 0)
+        """Positive slices j with 0 <= lo <= j < hi: the prefix part from a
+        slice of the tuple, the tail part from the tail rule."""
+        if hi <= lo:
+            return 0
+        n = len(self.prefix)
+        total = self.prefix[lo:hi].count(POSITIVE)
+        if hi <= n:
+            return total
+        if self.tail is None:
+            raise CoverageMismatchError(
+                f"slice {max(lo, n)} is beyond the sign prefix and there is no tail")
+        return total + self.tail.count_positive(max(lo, n) - n, hi - n)
 
     def shifted(self, k: int) -> "SignData":
         """The same sign sequence with the first k slices dropped."""
@@ -222,14 +263,7 @@ class PatternCounts:
         return self.pattern[(j - self.anchor) % len(self.pattern)]
 
     def count_positive(self, lo: int, hi: int) -> int:
-        if hi <= lo:
-            return 0
-        length = len(self.pattern)
-        per_cycle = sum(1 for s in self.pattern if s > 0)
-        total = (hi - lo) // length * per_cycle
-        rem = (hi - lo) % length
-        total += sum(1 for j in range(lo, lo + rem) if self.sign_at(j) > 0)
-        return total
+        return _count_periodic(self.pattern, lo - self.anchor, hi - self.anchor)
 
 
 CountTail = SaturatedCounts | ZeroCounts | PatternCounts
@@ -649,41 +683,23 @@ class EulerClass:
         return (self.x, self.y)
 
 
-def _coherent_vectors(path, count: int) -> list[tuple[int, int]]:
-    """Integer vector lifts of the first `count` vertices, chosen so that
-    consecutive lifts have determinant +1.  Within one block the lift
-    differences are then constant, which is what makes the class invariant
-    under within-block sign shuffles."""
-    v = path.vertex(0)
-    lifts = [(v.p, v.q)]
-    for i in range(1, count):
-        s = path.vertex(i)
-        prev = lifts[-1]
-        d = prev[0] * s.q - s.p * prev[1]
-        if d == 1:
-            lifts.append((s.p, s.q))
-        elif d == -1:
-            lifts.append((-s.p, -s.q))
-        else:
-            raise MalformedPathError(f"vertices {i - 1}, {i} are not a Farey edge")
-    return lifts
-
-
 def euler_class(decomp: BlockDecomposition, signs: SignData,
                 horizon: int = DEFAULT_HORIZON) -> EulerClass:
     """Sum over basic slices of sign * (v(s_next) - v(s_prev)) with
-    v(p/q) = (q, p), truncated at `horizon` slices for infinite paths."""
+    v(p/q) = (q, p), truncated at `horizon` slices for infinite paths.
+
+    The lifts are coherent (consecutive determinant +1), which is what
+    makes the class invariant under within-block sign shuffles: their
+    difference is constant on a block, the step of the path's run, so a
+    block adds that step times (positives - negatives) among its slices."""
     path = decomp.path
-    if path.target.attained:
-        slices = path.walk_to_end() - 1
-    else:
-        slices = horizon
-        path.extend_to(slices + 1)
-    lifts = _coherent_vectors(path, slices + 1)
+    slices = path.walk_to_end() - 1 if path.target.attained else horizon
     x = y = 0
-    for j in range(slices):
-        s = signs.sign_at(j)
-        (p0, q0), (p1, q1) = lifts[j], lifts[j + 1]
-        x += s * (q1 - q0)
-        y += s * (p1 - p0)
+    i = 0
+    while (run := path.run(i)) is not None and run.start < slices:
+        hi = slices if run.edges is None else min(run.start + run.edges, slices)
+        weight = 2 * signs.count_positive(run.start, hi) - (hi - run.start)
+        x += weight * run.dq
+        y += weight * run.dp
+        i += 1
     return EulerClass(x, y)

@@ -13,6 +13,7 @@ from itertools import product
 from math import gcd
 
 from toric_ends import Slope
+from toric_ends.blocks import witness_for_edge
 from toric_ends.errors import DegenerateTargetError
 from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _bezout_partner
 
@@ -206,6 +207,60 @@ def reference_path(start: Slope, target, n: int) -> tuple[Slope, ...]:
     while len(vs) < n and not (target.attained and vs[-1] == target.slope):
         vs.append(reference_next_toward(vs[-1], target))
     return tuple(vs)
+
+
+# ---------------------------------------------------------------------------
+# reference block finder, sign counts and Euler class
+
+
+def reference_blocks(path, count: int) -> list[tuple]:
+    """The first `count` blocks of the path found vertex by vertex, as
+    (start, end, witness entries, infinite): take the witness of the first
+    edge of a block, extend the block while the witness sends the next
+    vertex to the next negative integer, and start the next block at the
+    boundary.  A block whose witness sends a non-attained rational target
+    to oo is the infinite one."""
+    target = path.target
+    out = []
+    start = 0
+    while len(out) < count and path.has_vertex(start + 1):
+        m = witness_for_edge(path.vertex(start), path.vertex(start + 1))
+        if (isinstance(target, RationalTarget) and not target.attained
+                and m.c * target.slope.p + m.d * target.slope.q == 0):
+            out.append((start, None, m.entries(), True))
+            break
+        length = 2
+        while (path.has_vertex(start + length)
+               and m.apply(path.vertex(start + length)) == Slope(-(length + 1), 1)):
+            length += 1
+        out.append((start, start + length - 1, m.entries(), False))
+        start += length - 1
+    return out
+
+
+def reference_count_positive(signs, lo: int, hi: int) -> int:
+    """Positive slices among lo <= j < hi, one sign_at call per slice."""
+    return sum(1 for j in range(lo, hi) if signs.sign_at(j) > 0)
+
+
+def reference_euler_class(vertices, signs, slices: int) -> tuple[int, int]:
+    """Sum over the first `slices` basic slices of sign * (v(s_next) -
+    v(s_prev)) with v(p/q) = (q, p), slice by slice, over vertex lifts
+    chosen so that consecutive lifts have determinant +1."""
+    first = vertices[0]
+    lifts = [(first.p, first.q)]
+    for s in vertices[1:slices + 1]:
+        p, q = lifts[-1]
+        d = p * s.q - s.p * q
+        assert d in (1, -1), "not a Farey edge"
+        lifts.append((d * s.p, d * s.q))
+    x = y = 0
+    for j in range(slices):
+        sign = signs.sign_at(j)
+        (p0, q0), (p1, q1) = lifts[j], lifts[j + 1]
+        x += sign * (q1 - q0)
+        y += sign * (p1 - p0)
+    return x, y
 
 
 # ---------------------------------------------------------------------------

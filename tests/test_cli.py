@@ -128,6 +128,24 @@ def test_exit_code_validation_violation():
     assert "finite path, infinite tail" in doc["violations"]
 
 
+def test_attained_path_to_a_far_rational_is_walked_by_blocks():
+    # one block of 10^9 vertices: the walk takes it in one jump, so the
+    # coverage check answers at once instead of walking every integer
+    far = {"kind": "rational", "slope": "-1000000000/1", "attained": True}
+    code, out = invoke("classify", {"end": end_doc(far, prefix=["+", "-", "+"])})
+    assert code == 1
+    assert any("path has 999999999 basic slices" in v for v in json.loads(out)["violations"])
+
+
+def test_blocks_toward_a_far_non_attained_rational():
+    far = {"kind": "rational", "slope": "-1000000000/1", "attained": False}
+    code, out = invoke("blocks", {"start": "-1/1", "target": far, "count": 2})
+    assert code == 0
+    doc = json.loads(out)
+    assert [b["length"] for b in doc["blocks"]] == [999999999, None]
+    assert doc["complete"] is True
+
+
 def test_exit_code_malformed():
     code, out = invoke("classify", {"end": {"boundary": {"slope": "-1/1"},
                                             "target": SQRT2, "bogus": 1}})

@@ -20,6 +20,7 @@ from toric_ends import (
     RationalNonAttainedInvariant,
     RationalTarget,
     SignData,
+    Slope,
     admissible,
     count_invariants,
     decompose,
@@ -43,7 +44,13 @@ from toric_ends.invariants import (
     signs_from_chars,
 )
 
-from oracles import oracle_orbit_count, synthetic_path_vertices
+from oracles import (
+    oracle_orbit_count,
+    reference_count_positive,
+    reference_euler_class,
+    reference_path,
+    synthetic_path_vertices,
+)
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 P, N = 1, -1
@@ -309,6 +316,75 @@ def test_invariant_constant_on_shuffle_orbits_and_separating():
 
 # ---------------------------------------------------------------------------
 # Euler class
+
+
+SIGNS = st.sampled_from((P, N))
+SIGN_TAILS = st.one_of(
+    st.none(), st.just(AllPositive()), st.just(AllNegative()),
+    st.builds(EventuallySign, SIGNS, st.integers(0, 20)),
+    st.builds(Alternating, SIGNS),
+    st.builds(Periodic, st.lists(SIGNS, min_size=1, max_size=6).map(tuple)),
+)
+SIGN_DATA = st.builds(SignData, st.lists(SIGNS, max_size=30).map(tuple), SIGN_TAILS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SIGN_DATA, st.integers(0, 120), st.integers(0, 120))
+def test_count_positive_matches_slice_sum(signs, lo, hi):
+    try:
+        expected = reference_count_positive(signs, lo, hi)
+    except CoverageMismatchError as exc:
+        with pytest.raises(CoverageMismatchError) as info:
+            signs.count_positive(lo, hi)
+        assert str(info.value) == str(exc)
+        return
+    assert signs.count_positive(lo, hi) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(SIGNS, min_size=1, max_size=6).map(tuple), st.integers(0, 20),
+       st.integers(0, 80), st.integers(0, 80))
+def test_pattern_counts_match_slice_sum(pattern, anchor, lo, hi):
+    counts = PatternCounts(pattern, anchor)
+    assert counts.count_positive(lo, hi) == reference_count_positive(counts, lo, hi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(2, 7), min_size=1, max_size=5), st.data())
+def test_euler_class_matches_slice_sum_on_synthetic_paths(lengths, data):
+    vertices = synthetic_path_vertices(lengths)
+    slices = len(vertices) - 1
+    signs = SignData(tuple(data.draw(st.lists(SIGNS, min_size=slices, max_size=slices))))
+    d = decompose(FareyPath.from_vertices(vertices))
+    assert euler_class(d, signs).as_pair() == reference_euler_class(vertices, signs, slices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.builds(RationalTarget, st.builds(Slope, st.integers(-200, 200), st.integers(0, 30).filter(bool)),
+              st.booleans()),
+    st.builds(QuadraticTarget.of, st.integers(-20, 20), st.integers(-4, 4).filter(bool),
+              st.integers(-10, 10).filter(bool), st.sampled_from((2, 3, 5, 13, 421, 9973))),
+), SIGN_DATA, st.integers(0, 80))
+def test_euler_class_matches_slice_sum_toward_random_targets(target, signs, horizon):
+    start = Slope(-1, 1)
+    if isinstance(target, RationalTarget) and target.slope == start:
+        return
+    if target.attained:
+        vertices = reference_path(start, target, 10 ** 6)
+        slices = len(vertices) - 1
+    else:
+        slices = horizon
+        vertices = reference_path(start, target, slices + 1)
+    d = decompose(FareyPath(start, target))
+    try:
+        expected = reference_euler_class(vertices, signs, slices)
+    except CoverageMismatchError as exc:
+        with pytest.raises(CoverageMismatchError) as info:
+            euler_class(d, signs, horizon)
+        assert str(info.value) == str(exc)
+        return
+    assert euler_class(d, signs, horizon).as_pair() == expected
 
 
 def test_euler_single_slice_signs():

@@ -1,6 +1,8 @@
 """The walk in normalized coordinates against the reference stepper, which
-recomputes each step from scratch, plus work counts that show a step costs
-the same at every depth (counts, not timings)."""
+recomputes each step from scratch, the blocks read off its runs against
+the reference block finder, which tests vertex by vertex, plus work counts
+that show a step costs the same at every depth and a block costs the same
+at every length (counts, not timings)."""
 
 from math import isqrt
 
@@ -14,11 +16,13 @@ from toric_ends import (
     QuadraticTarget,
     RationalTarget,
     Slope,
+    decompose,
+    n_of_r,
     next_toward,
     quadratic_cf_target,
 )
 
-from oracles import reference_next_toward, reference_path
+from oracles import reference_blocks, reference_next_toward, reference_path
 from test_cf_targets import GL2Z_WORDS
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
@@ -104,3 +108,87 @@ def test_surd_walk_state_stays_bounded():
             path.extend_to(n)
             x = path._walk.x
             assert max(abs(x.a), abs(x.b), x.c).bit_length() <= bound, (target, n, x)
+
+
+# ---------------------------------------------------------------------------
+# blocks read off the runs of the walk
+
+
+def walked_blocks(path, count):
+    return [(b.start_index, b.end_index, b.witness.entries(), b.infinite)
+            for b in decompose(path).blocks_up_to(count)]
+
+
+def partial_quotient_sum(p, q):
+    """Sum of |a_i| over the continued fraction of p/q: about the length
+    of a minimal path toward p/q."""
+    total = 0
+    while q:
+        a, r = divmod(p, q)
+        total, p, q = total + abs(a), q, r
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@example((-300001, 3), True)
+@example((-300001, 3), False)
+@example((-10 ** 6, 7), False)
+@given(st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(2, 10 ** 6))
+       .filter(lambda pq: partial_quotient_sum(*pq) <= 20000), st.booleans())
+def test_blocks_match_reference_on_rationals(pq, attained):
+    start, target = Slope(-1, 1), RationalTarget(Slope(*pq), attained)
+    if target.slope == start:
+        return
+    count = 10 ** 9  # every block: the list is finite toward a rational target
+    assert walked_blocks(FareyPath(start, target), count) == reference_blocks(FareyPath(start, target), count)
+
+
+@settings(max_examples=60, deadline=None)
+@example(0, -1, 1, 2, Slope(-1, 1), 40)
+@example(-1, -1, 1, 421, Slope(-1, 1), 40)
+@given(st.integers(-50, 50), st.integers(-6, 6).filter(bool), st.integers(-20, 20).filter(bool),
+       NON_SQUARES, SLOPES, st.integers(1, 40))
+def test_blocks_match_reference_on_surds(a, b, c, d, start, count):
+    target = QuadraticTarget.of(a, b, c, d)
+    assert walked_blocks(FareyPath(start, target), count) == reference_blocks(FareyPath(start, target), count)
+
+
+@settings(max_examples=30, deadline=None)
+@example(0, -1, 1, 2, 30)
+@given(st.integers(-20, 20), st.integers(-4, 4).filter(bool), st.integers(-10, 10).filter(bool),
+       st.integers(2, 200).filter(lambda d: isqrt(d) ** 2 != d), st.integers(1, 30))
+def test_blocks_match_reference_on_streams(a, b, c, d, count):
+    value = QuadraticTarget.of(a, b, c, d).value
+    start = Slope(-1, 1)
+    walked = walked_blocks(FareyPath(start, quadratic_cf_target(value)), count)
+    assert walked == reference_blocks(FareyPath(start, QuadraticTarget(value)), count)
+
+
+@settings(max_examples=60, deadline=None)
+@example(RationalTarget(Slope(1, 0), False), 3, 4)
+@example(RationalTarget(Slope(-40, 1), True), 5, 3)
+@given(st.one_of(
+    st.builds(RationalTarget, st.builds(Slope, st.integers(-200, -2), st.integers(1, 30)), st.booleans()),
+    st.builds(QuadraticTarget.of, st.integers(-20, 20), st.integers(-4, 4).filter(bool),
+              st.integers(-10, 10).filter(bool), NON_SQUARES),
+), st.integers(2, 30), st.integers(1, 12))
+def test_blocks_of_a_path_given_by_vertices_then_extended(target, known, count):
+    start = Slope(-1, 1)
+    if isinstance(target, RationalTarget) and target.slope == start:
+        return
+    path = FareyPath.from_vertices(reference_path(start, target, known), target)
+    assert walked_blocks(path, count) == reference_blocks(FareyPath(start, target), count)
+
+
+def test_block_walk_stores_one_run_per_block():
+    far = Slope(-10 ** 12, 1)
+    assert n_of_r(far, Slope(-1, 1)) == 2
+    path = FareyPath(Slope(-1, 1), RationalTarget(far, False))
+    assert [b.length for b in decompose(path).all_blocks()] == [10 ** 12 - 1, None]
+    assert len(path._runs) == 2
+
+    path = FareyPath(Slope(-1, 1), RationalTarget(far, True))
+    assert path.walk_to_end() == 10 ** 12
+    assert path.vertex(5 * 10 ** 11) == Slope(-(5 * 10 ** 11 + 1), 1)
+    assert path.prefix(3) == (Slope(-1, 1), Slope(-2, 1), Slope(-3, 1))
+    assert len(path._runs) == 1
