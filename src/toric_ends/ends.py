@@ -11,7 +11,7 @@ the target kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Union
+from typing import Callable, Union
 
 from .blocks import decompose
 from .errors import (
@@ -32,12 +32,11 @@ from .invariants import (
     POSITIVE,
     NEGATIVE,
     DEFAULT_HORIZON,
-    AllNegative,
-    AllPositive,
     Alternating,
     AlternatingForm,
     AttainedInvariant,
     BothFinite,
+    EventuallySign,
     InvariantContext,
     IrrationalInvariant,
     MinimalInvariant,
@@ -298,13 +297,24 @@ def classify(e: EndDescription) -> EndInvariant:
     if target.attained and target.slope == BASE_SLOPE:
         # vertically invariant collar: no blocks, empty invariant
         return MinimallyTwisting(AttainedInvariant((), d_inf, base_context))
+    return _classify_minimal(e, _decomposition_context(e, target), d_inf)
 
-    path = FareyPath(BASE_SLOPE, target)
-    decomp = decompose(path)
-    context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, decomp)
-    inv = invariant_from_signs(decomp, e.signs, boundary_division=d_inf if target.attained else 1,
-                               context=context)
-    return MinimallyTwisting(inv)
+
+def _decomposition_context(e: EndDescription, target: SlopeTarget) -> InvariantContext:
+    """The context of e carrying the block decomposition of the path from
+    the base slope toward the normalized target; every end with the same
+    boundary and target shares it."""
+    decomp = decompose(FareyPath(BASE_SLOPE, target))
+    return InvariantContext(e.boundary.slope, e.boundary.division, e.target, decomp)
+
+
+def _classify_minimal(e: EndDescription, context: InvariantContext,
+                      d_inf: int) -> MinimallyTwisting:
+    """The invariant of a validated, minimally twisting end whose context
+    comes from _decomposition_context."""
+    decomp = context.decomposition()
+    division = d_inf if decomp.path.target.attained else 1
+    return MinimallyTwisting(invariant_from_signs(decomp, e.signs, division, context))
 
 
 # ---------------------------------------------------------------------------
@@ -382,73 +392,74 @@ def extension_obstruction(inv, horizon: int = DEFAULT_HORIZON) -> ObstructionRes
 # non-extendable families
 
 
-def _rational_family_description(target: RationalTarget, start: Slope,
-                                 finite_slices: int, member: int) -> EndDescription:
+def _rational_family_signs(base: tuple[int, ...], member: int) -> SignData:
     """Members enumerate AlternatingForm, PosFinite(1), NegFinite(1),
-    PosFinite(2), ... with zero counts on the finite blocks."""
-    base = (NEGATIVE,) * finite_slices
+    PosFinite(2), ... with zero counts on the finite blocks, whose slices
+    are the negative signs of `base`."""
     if member == 0:
-        signs = SignData(base, Alternating())
-    else:
-        m = (member + 1) // 2
-        if member % 2 == 1:
-            signs = SignData(base + (POSITIVE,) * m, AllNegative())
-        else:
-            signs = SignData(base + (NEGATIVE,) * m, AllPositive())
-    return EndDescription(TorusRecord(start, 1), target, signs)
+        return SignData(base, Alternating())
+    m = (member + 1) // 2
+    return SignData(base, EventuallySign(NEGATIVE if member % 2 == 1 else POSITIVE, m))
+
+
+def _alternating_family_signs(lengths: list[int], counts: list[int]) -> SignData:
+    """counts[i] positive slices, then negative ones, on block i + 1 of the
+    given lengths; alternating signs after them."""
+    prefix: list[int] = []
+    for c, length in zip(counts, lengths):
+        prefix.extend([POSITIVE] * c + [NEGATIVE] * (length - 1 - c))
+    return SignData(tuple(prefix), Alternating())
 
 
 def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE,
                           horizon: int = DEFAULT_HORIZON) -> list[EndInvariant]:
-    """k pairwise non-equivalent invariants, each certified NoTightExtension."""
+    """k pairwise non-equivalent invariants, each certified NoTightExtension.
+
+    The members differ only in their signs, so they are classified against
+    one shared decomposition of the path toward the target; each member is
+    still validated and certified on its own."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
         return []
-    members: list[EndInvariant] = []
+    if target.attained:
+        raise ToricEndError("non-extendable families need a non-attained or irrational target")
+    frame = EndDescription(TorusRecord(start, 1), target)
+    context = _decomposition_context(frame, normalized_target(frame))
+    decomp = context.decomposition()
+
+    def certified(signs: SignData, failure: Callable[[], str]) -> EndInvariant:
+        e = replace(frame, signs=signs)
+        violations = validate(e)
+        if violations:
+            raise ValidationError(violations)
+        inv = _classify_minimal(e, context, 1)
+        result = extension_obstruction(inv, horizon)
+        if not isinstance(result, NoTightExtension):
+            raise InsufficientBlocksError(f"{failure()}: {result}")
+        return inv
 
     if isinstance(target, RationalTarget):
-        if target.attained:
-            raise ToricEndError("non-extendable families need a non-attained or irrational target")
-        path = FareyPath(start, target)
-        decomp = decompose(path)
-        blocks = decomp.all_blocks()
-        finite_slices = blocks[-1].slice_range[0]
-        for member in range(k):
-            e = _rational_family_description(target, start, finite_slices, member)
-            inv = classify(e)
-            result = extension_obstruction(inv, horizon)
-            if not isinstance(result, NoTightExtension):
-                raise InsufficientBlocksError(
-                    f"family member {member} failed certification: {result}")
-            members.append(inv)
-        return members
+        finite_slices = decomp.all_blocks()[-1].slice_range[0]
+        base = (NEGATIVE,) * finite_slices
+        return [certified(_rational_family_signs(base, member),
+                          lambda: f"family member {member} failed certification")
+                for member in range(k)]
 
-    path = FareyPath(start, target)
-    decomp = decompose(path)
     lengths: list[int] = []
     product = 1
     while product < k:
         if len(lengths) >= horizon:
             raise InsufficientBlocksError(
                 f"cannot distinguish {k} invariants within {horizon} blocks")
-        block = decomp.block(len(lengths) + 1)
-        lengths.append(block.length)
-        product *= block.length
+        lengths.append(decomp.block(len(lengths) + 1).length)
+        product *= lengths[-1]
+    members: list[EndInvariant] = []
     counts = [0] * len(lengths)
     while len(members) < k:
-        prefix: list[int] = []
-        for c, block_index in zip(counts, range(1, len(lengths) + 1)):
-            slices = lengths[block_index - 1] - 1
-            prefix.extend([POSITIVE] * c + [NEGATIVE] * (slices - c))
-        e = EndDescription(TorusRecord(start, 1), target,
-                           SignData(tuple(prefix), Alternating()))
-        inv = classify(e)
-        result = extension_obstruction(inv, horizon)
-        if not isinstance(result, NoTightExtension):
-            raise InsufficientBlocksError(
-                f"alternating-tail members toward {target} are not certifiable: {result}")
-        members.append(inv)
+        members.append(certified(
+            _alternating_family_signs(lengths, counts),
+            lambda: f"alternating-tail members toward {target} are not certifiable"))
         # lexicographic increment over per-block count ranges
         for j in range(len(counts) - 1, -1, -1):
             if counts[j] + 1 < lengths[j]:

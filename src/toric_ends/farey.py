@@ -196,15 +196,36 @@ def _bezout_partner(s: Slope) -> tuple[int, int]:
 # exact quadratic irrationals
 
 
+# largest trial divisor of the square-free split: enough for every d <= 10^18
+SQUAREFREE_TRIAL_BUDGET = 10**6
+
+
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """d = f*f * d0 with d0 squarefree; returns (f, d0)."""
-    f, d0, k = 1, d, 2
-    while k * k <= d0:
-        while d0 % (k * k) == 0:
-            d0 //= k * k
-            f *= k
-        k += 1
-    return f, d0
+    """d = f*f * d0 with d0 squarefree; returns (f, d0).
+
+    Trial division strips each factor k only while k^3 <= the cofactor.
+    What remains then has no prime factor below its cube root: it is 1, a
+    prime, a product of two distinct primes or a prime square, and one
+    isqrt tells the square apart.  Past SQUAREFREE_TRIAL_BUDGET trial
+    divisors the split stops with a ToricEndError."""
+    f, odd, rest, k = 1, 1, d, 2
+    while k * k * k <= rest:
+        if k > SQUAREFREE_TRIAL_BUDGET:
+            raise ToricEndError(
+                f"square-free split of d = {d} needs trial divisors beyond the budget "
+                f"of {SQUAREFREE_TRIAL_BUDGET}")
+        while rest % k == 0:
+            rest //= k
+            if rest % k == 0:
+                rest //= k
+                f *= k
+            else:
+                odd *= k
+        k += 1 if k == 2 else 2
+    root = isqrt(rest)
+    if root * root == rest:
+        return f * root, odd
+    return f, odd * rest
 
 
 def _surd_sign(a: int, b: int, d: int) -> int:

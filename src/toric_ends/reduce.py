@@ -119,6 +119,34 @@ def _shift_division(tail, k: int):
     return EventuallyConstantDivision(max(0, tail.after - k), tail.value, tail.prefix[k:])
 
 
+def _vertex_index(path: FareyPath, s: Slope) -> int:
+    """The position on the path of a slope s on its arc, found run by run:
+    vertex j of a run is s exactly when det((p + j*dp, q + j*dq), s) = 0,
+    and a run whose last vertex is past s has passed it.  A run that never
+    ends converges to the target, so it passes every s before the target;
+    so does a run ending at an attained target other than s."""
+    if s == path.start:
+        return 0
+    target = path.target
+    i = 0
+    while (run := path.run(i)) is not None:
+        a = run.p * s.q - s.p * run.q
+        b = run.dp * s.q - s.p * run.dq
+        if b != 0:
+            j, rem = divmod(-a, b)
+            if rem == 0 and 0 <= j and (run.edges is None or j <= run.edges):
+                return run.start + j
+        if run.edges is None:
+            break
+        last = run.vertex(run.edges)
+        if (target.attained and last == target.slope) or not on_arc(
+                last, target, s, include_target=target.attained):
+            break
+        i += 1
+    raise NoRealizedPointError(
+        f"s(r) = {s} is not a vertex of the factorization from {path.start}")
+
+
 def solid_torus_factor(e: EndDescription) -> SolidTorusEnd:
     """Split a meridian-framed end at the last realized 1/n slope.
 
@@ -137,17 +165,7 @@ def solid_torus_factor(e: EndDescription) -> SolidTorusEnd:
         raise NoRealizedPointError(
             f"no 1/n point lies on the realized arc from {boundary}: nearest is {s_r}")
 
-    path = FareyPath(boundary, target)
-    index = 0
-    while True:
-        v = path.vertex(index)
-        if v == s_r:
-            break
-        if not on_arc(v, target, s_r, include_target=target.attained):
-            raise NoRealizedPointError(
-                f"s(r) = {s_r} is not a vertex of the factorization from {boundary}")
-        index += 1
-
+    index = _vertex_index(FareyPath(boundary, target), s_r)
     rest = EndDescription(
         TorusRecord(s_r, 1),
         target,

@@ -12,10 +12,28 @@ from fractions import Fraction
 from itertools import product
 from math import gcd
 
-from toric_ends import Slope
+from toric_ends import (
+    AllNegative,
+    AllPositive,
+    Alternating,
+    EndDescription,
+    FareyPath,
+    NoTightExtension,
+    SignData,
+    Slope,
+    TorusRecord,
+    classify,
+    decompose,
+    extension_obstruction,
+)
 from toric_ends.blocks import witness_for_edge
-from toric_ends.errors import DegenerateTargetError
-from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _bezout_partner
+from toric_ends.errors import (
+    DegenerateTargetError,
+    InsufficientBlocksError,
+    NoRealizedPointError,
+    ToricEndError,
+)
+from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _bezout_partner, on_arc
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +395,87 @@ def synthetic_path_vertices(lengths: list[int]) -> list[Slope]:
             prev, cur = cur, nxt
         first = False
     return [Slope(p, q) for p, q in vs]
+
+
+# ---------------------------------------------------------------------------
+# reference realized-point scan, square-free split and family loop
+
+
+def reference_solid_torus_index(start: Slope, target, s: Slope) -> int:
+    """The position of a slope s of the clockwise arc on the path from start
+    toward target, vertex by vertex with the reference stepper: stop at s,
+    or with NoRealizedPointError at the first vertex past s (an attained
+    target other than s is past it)."""
+    v, index = start, 0
+    while v != s:
+        if (target.attained and v == target.slope) or not on_arc(
+                v, target, s, include_target=target.attained):
+            raise NoRealizedPointError(
+                f"s(r) = {s} is not a vertex of the factorization from {start}")
+        v, index = reference_next_toward(v, target), index + 1
+    return index
+
+
+def reference_squarefree_split(d: int) -> tuple[int, int]:
+    """d = f*f * d0 with d0 squarefree, as (f, d0), by trial division of
+    every k with k*k <= d0."""
+    f, d0, k = 1, d, 2
+    while k * k <= d0:
+        while d0 % (k * k) == 0:
+            d0 //= k * k
+            f *= k
+        k += 1
+    return f, d0
+
+
+def reference_family(target, k: int, start: Slope = Slope(-1, 1), horizon: int = 64) -> list:
+    """The non-extendable family with every member classified from scratch
+    by the public classify: the block lengths are read off a separate path
+    from start, and rational members carry their finitely many rare signs
+    in an explicit prefix."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    if k == 0:
+        return []
+    members = []
+
+    def certify(e, failure):
+        inv = classify(e)
+        result = extension_obstruction(inv, horizon)
+        if not isinstance(result, NoTightExtension):
+            raise InsufficientBlocksError(f"{failure}: {result}")
+        members.append(inv)
+
+    decomp = decompose(FareyPath(start, target)) if not target.attained else None
+    if isinstance(target, RationalTarget):
+        if target.attained:
+            raise ToricEndError("non-extendable families need a non-attained or irrational target")
+        base = (-1,) * decomp.all_blocks()[-1].slice_range[0]
+        for member in range(k):
+            if member == 0:
+                signs = SignData(base, Alternating())
+            else:
+                m = (member + 1) // 2
+                rare = 1 if member % 2 == 1 else -1
+                signs = SignData(base + (rare,) * m, AllNegative() if rare == 1 else AllPositive())
+            certify(EndDescription(TorusRecord(start, 1), target, signs),
+                    f"family member {member} failed certification")
+        return members
+
+    lengths = []
+    product_ = 1
+    while product_ < k:
+        if len(lengths) >= horizon:
+            raise InsufficientBlocksError(
+                f"cannot distinguish {k} invariants within {horizon} blocks")
+        lengths.append(decomp.block(len(lengths) + 1).length)
+        product_ *= lengths[-1]
+    for counts in product(*(range(m) for m in lengths)):
+        if len(members) == k:
+            break
+        prefix = []
+        for c, m in zip(counts, lengths):
+            prefix.extend([1] * c + [-1] * (m - 1 - c))
+        certify(EndDescription(TorusRecord(start, 1), target, SignData(tuple(prefix), Alternating())),
+                f"alternating-tail members toward {target} are not certifiable")
+    return members

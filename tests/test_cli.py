@@ -146,6 +146,13 @@ def test_blocks_toward_a_far_non_attained_rational():
     assert doc["complete"] is True
 
 
+def test_surd_beyond_the_trial_division_budget_is_a_violation():
+    huge = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 10 ** 33 + 1}
+    code, out = invoke("path", {"start": "-1/1", "target": huge, "n": 3})
+    assert code == 1
+    assert "trial divisors beyond the budget of 1000000" in json.loads(out)["error"]
+
+
 def test_exit_code_malformed():
     code, out = invoke("classify", {"end": {"boundary": {"slope": "-1/1"},
                                             "target": SQRT2, "bogus": 1}})

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,15 @@ from toric_ends import (
     parse_slope,
     quadratic_cf_target,
 )
-from toric_ends.errors import DegenerateTargetError
+from toric_ends.errors import DegenerateTargetError, ToricEndError
+from toric_ends.farey import SQUAREFREE_TRIAL_BUDGET, _squarefree_split
 
-from oracles import circular_census, oracle_clockwise_between, oracle_next_toward
+from oracles import (
+    circular_census,
+    oracle_clockwise_between,
+    oracle_next_toward,
+    reference_squarefree_split,
+)
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 
@@ -259,3 +266,35 @@ def test_path_from_vertices_validates():
         FareyPath.from_vertices([S("-1"), S("-7/5")])
     with pytest.raises(MalformedPathError):
         FareyPath.from_vertices([S("-3"), S("-2"), S("-1")])
+
+
+# ---------------------------------------------------------------------------
+# square-free split of input surds
+
+PRIMES_BELOW_10_5 = [p for p in range(2, 10 ** 5) if all(p % k for k in range(2, isqrt(p) + 1))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10 ** 9))
+def test_squarefree_split_matches_trial_division(d):
+    assert _squarefree_split(d) == reference_squarefree_split(d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES_BELOW_10_5), st.integers(1, 10 ** 4))
+def test_squarefree_split_strips_prime_squares(p, q):
+    assert _squarefree_split(p * p * q) == reference_squarefree_split(p * p * q)
+
+
+def test_squarefree_split_of_two_large_primes_is_exact():
+    p, q = 10000019, 10000079  # both prime
+    assert _squarefree_split(p * q) == (1, p * q)
+    assert _squarefree_split(p * p * 6) == (p, 6)
+    assert _squarefree_split(p * p) == (p, 1)
+    value = QuadraticTarget.of(0, -1, 1, p * q).value
+    assert value.d == p * q and value.floor() == -isqrt(p * q) - 1
+
+
+def test_squarefree_split_stops_at_its_budget():
+    with pytest.raises(ToricEndError, match=f"budget of {SQUAREFREE_TRIAL_BUDGET}"):
+        QuadraticTarget.of(0, -1, 1, 10 ** 33 + 1)

@@ -1,5 +1,7 @@
+from math import isqrt
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toric_ends import (
@@ -7,12 +9,14 @@ from toric_ends import (
     AllPositive,
     Alternating,
     EndDescription,
+    FareyPath,
     InfiniteRotativity,
     OpenToricAnnulus,
     QuadraticTarget,
     RationalTarget,
     SignData,
     Slope,
+    SolidTorusEnd,
     TorusRecord,
     classify_solid_torus,
     normalize_rotativity,
@@ -24,10 +28,14 @@ from toric_ends.errors import (
     AttainedZeroSlopeError,
     MixedSignRotativityError,
     NoRealizedPointError,
+    ToricEndError,
     ValidationError,
 )
+from toric_ends.farey import on_arc
 from toric_ends.invariants import Periodic
-from toric_ends.reduce import _closest_one_over_n
+from toric_ends.reduce import _closest_one_over_n, _vertex_index
+
+from oracles import reference_solid_torus_index
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 P, N = 1, -1
@@ -114,6 +122,80 @@ def test_factor_rejects_infinite_rotativity():
     e = end(MINUS_SQRT2, SignData((), AllPositive()), rotative=InfiniteRotativity(P))
     with pytest.raises(NoRealizedPointError):
         solid_torus_factor(e)
+
+
+def test_factor_at_a_far_realized_point():
+    # 1/n slopes toward 1/10^12 lie inside one run of 10^12 vertices; the
+    # run is solved for the realized one instead of being scanned
+    e = end(RationalTarget(Slope(1, 10 ** 12), False), SignData((N,), AllPositive()))
+    st = solid_torus_factor(e)
+    assert st.realized_start == Slope(1, 10 ** 12 - 1)
+    assert st.end.signs == SignData((), AllPositive())
+
+
+@pytest.mark.parametrize("slope", ["-1", "1/3"])
+def test_factor_of_a_collar_at_a_realized_point(slope):
+    # boundary and attained target are the same 1/n slope: the path has no edge
+    e = end(RationalTarget(S(slope), True), SignData(()), boundary=slope)
+    st = solid_torus_factor(e)
+    assert st.realized_start == S(slope)
+    assert st.end == e
+
+
+def test_factor_when_the_last_edge_jumps_past_the_realized_point():
+    # the path to the attained -2/3 is the one edge -1, -2/3, which passes
+    # s(r) = -1/2 without stopping on it
+    e = end(RationalTarget(S("-2/3"), True), SignData((P,)))
+    with pytest.raises(NoRealizedPointError, match=r"s\(r\) = -1/2 is not a vertex of the "
+                                                   r"factorization from -1/1"):
+        solid_torus_factor(e)
+
+
+SLOPES = st.tuples(st.integers(-30, 30), st.integers(0, 10)).filter(any).map(lambda pq: Slope(*pq))
+
+TARGETS = st.one_of(
+    st.builds(RationalTarget, SLOPES, st.booleans()),
+    st.builds(QuadraticTarget.of, st.integers(-20, 20), st.integers(-4, 4).filter(bool),
+              st.integers(-10, 10).filter(bool),
+              st.integers(2, 200).filter(lambda d: isqrt(d) ** 2 != d)),
+)
+
+
+def outcome(find):
+    try:
+        return find()
+    except ToricEndError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@example(S("-1"), RationalTarget(S("-2/3"), True), S("-1/2"))
+@example(S("1/0"), RationalTarget(S("-11/3"), True), S("-1"))
+@example(S("-1"), RationalTarget(S("2/5"), False), S("1/2"))
+@given(SLOPES, TARGETS, SLOPES)
+def test_vertex_index_matches_reference_scan(boundary, target, s):
+    assume(not (isinstance(target, RationalTarget) and target.slope == boundary))
+    assume(on_arc(boundary, target, s, include_target=target.attained))
+    assert outcome(lambda: _vertex_index(FareyPath(boundary, target), s)) == \
+        outcome(lambda: reference_solid_torus_index(boundary, target, s))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SLOPES, TARGETS)
+def test_factor_matches_reference_scan(boundary, target):
+    assume(not (isinstance(target, RationalTarget) and target.slope == boundary))
+    s_r = outcome(lambda: _closest_one_over_n(target))
+    assume(isinstance(s_r, Slope) and on_arc(boundary, target, s_r, include_target=target.attained))
+    if target.attained:
+        slices = FareyPath(boundary, target).walk_to_end() - 1
+        signs = SignData(tuple(P if j % 3 else N for j in range(slices)))
+    else:
+        signs = SignData((N, P), Periodic((P, N, N)))
+    e = end(target, signs, boundary=str(boundary))
+    index = outcome(lambda: reference_solid_torus_index(boundary, target, s_r))
+    expected = index if not isinstance(index, int) else \
+        SolidTorusEnd(s_r, EndDescription(TorusRecord(s_r, 1), target, signs.shifted(index)))
+    assert outcome(lambda: solid_torus_factor(e)) == expected
 
 
 # ---------------------------------------------------------------------------
