@@ -85,6 +85,7 @@ class BlockDecomposition:
             raise MalformedPathError("decomposition needs a path with at least 2 vertices")
         self._blocks: list[Block] = []
         self._done = False
+        self._period: list = []  # [target.block_period(start)] once computed
 
     def _emit_next(self) -> bool:
         """Compute one more block; returns False when the list is finished."""
@@ -136,8 +137,13 @@ class BlockDecomposition:
     def finished(self) -> bool:
         return self._done
 
-    def known_blocks(self) -> list[Block]:
-        return list(self._blocks)
+    def period(self) -> tuple[int, int, int] | None:
+        """The block period (i0, blocks, slices) of an irrational target,
+        None when its blocks need not repeat; found once per decomposition
+        (see IrrationalTarget.block_period)."""
+        if not self._period:
+            self._period.append(self.path.target.block_period(self.path.start))
+        return self._period[0]
 
 
 def decompose(path: FareyPath) -> BlockDecomposition:
@@ -150,11 +156,4 @@ def n_of_r(r: Slope, start: Slope) -> int:
     non-attained rational target r: the finite ones plus the infinite one."""
     if r == start:
         raise DegenerateTargetError("target equals the start slope")
-    path = FareyPath(start, RationalTarget(r, attained=False))
-    decomp = BlockDecomposition(path)
-    i = 1
-    while True:
-        b = decomp.block(i)
-        if b.infinite:
-            return i
-        i += 1
+    return len(BlockDecomposition(FareyPath(start, RationalTarget(r, attained=False))).all_blocks())

@@ -538,12 +538,12 @@ def _run_batch(jobs: Any, options: dict) -> tuple[list, int]:
     status = 0
     for i, job in enumerate(jobs):
         _check_keys(job, {"command", "input"}, {"options"}, f"job[{i}]")
-        job_options = dict(options)
-        if "options" in job:
-            odoc = _check_keys(job["options"], set(), {"horizon", "format"}, f"job[{i}].options")
-            if "horizon" in odoc:
-                job_options["horizon"] = _int(odoc, "horizon", f"job[{i}].options")
         try:
+            job_options = dict(options)
+            if "options" in job:
+                odoc = _check_keys(job["options"], set(), {"horizon"}, f"job[{i}].options")
+                if "horizon" in odoc:
+                    job_options["horizon"] = _int(odoc, "horizon", f"job[{i}].options")
             output = run_command(job["command"], job["input"], job_options)
             results.append({"status": "ok", "output": output})
         except SchemaError as exc:
@@ -566,7 +566,9 @@ def main(argv=None) -> int:
     parser.add_argument("--input", default="-", help="input JSON file (default: stdin)")
     parser.add_argument("--output", default="-", help="output file (default: stdout)")
     parser.add_argument("--horizon", type=int, default=64,
-                        help="block/slice horizon for truncated scans (default 64)")
+                        help="blocks/slices scanned where no exact rule applies: coefficient-stream "
+                             "decisions, euler truncation, the blocks count and the family block "
+                             "search; quadratic decisions never read it (default 64)")
     parser.add_argument("--format", choices=("structured", "human"), default="structured")
     parser.add_argument("--max-family", type=int, default=DEFAULT_MAX_FAMILY,
                         help="cap on family sizes (default 10000)")

@@ -22,7 +22,6 @@ from .errors import (
 from .farey import (
     GL2Z,
     FareyPath,
-    QuadraticTarget,
     RationalTarget,
     Slope,
     SlopeTarget,
@@ -45,7 +44,7 @@ from .invariants import (
     SaturatedCounts,
     SignData,
     ZeroCounts,
-    _quadratic_period,
+    _periodic_span,
     invariant_from_signs,
 )
 
@@ -353,14 +352,10 @@ def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> Obstructi
         if all(extreme(i, c) for i, c in enumerate(inv.counts, start=1)):
             return ExtendsByConstruction()
         return Unknown(horizon)
-    target = decomp.path.target  # normalized: block states are images of it
-    if isinstance(target, QuadraticTarget):
-        k = inv.first_tail_block()
-        i0, i1 = _quadratic_period(decomp, target.value, k, len(tail.pattern), horizon)
-        if any(_strictly_between(inv, i) for i in range(i0, i1)):
-            return NoTightExtension(
-                "per-block count is neither maximal nor minimal for infinitely many blocks")
-        return Unknown(horizon)
+    span = _periodic_span(decomp, inv.first_tail_block(), len(tail.pattern))
+    if span is not None and any(_strictly_between(inv, i) for i in span):
+        return NoTightExtension(
+            "per-block count is neither maximal nor minimal for infinitely many blocks")
     return Unknown(horizon)
 
 

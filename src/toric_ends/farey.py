@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
@@ -54,15 +53,6 @@ class Slope:
         fields["p"] = p
         fields["q"] = q
         return s
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.q == 0
-
-    def as_fraction(self) -> Fraction:
-        if self.q == 0:
-            raise ValueError("oo has no finite value")
-        return Fraction(self.p, self.q)
 
     def floor(self) -> int:
         return self.p // self.q
@@ -198,6 +188,10 @@ def _bezout_partner(s: Slope) -> tuple[int, int]:
 
 # largest trial divisor of the square-free split: enough for every d <= 10^18
 SQUAREFREE_TRIAL_BUDGET = 10**6
+
+# blocks QuadraticTarget.block_period walks in search of a repeat; periods
+# grow like sqrt(d) log d: from -1/1 toward -sqrt(10^10 + 19) it is 62067
+PERIOD_BUDGET = 10**5
 
 
 def _squarefree_split(d: int) -> tuple[int, int]:
@@ -461,6 +455,13 @@ class IrrationalTarget:
             return 1
         return -self.cmp_fraction(s.p, s.q)
 
+    def block_period(self, start: Slope) -> tuple[int, int, int] | None:
+        """The period of the continued fraction blocks of the path from
+        start, as (i0, blocks, slices): from block i0 (1-based) on, block
+        i + blocks is as long as block i and begins `slices` slices later.
+        None here: the blocks of a general stream need not repeat."""
+        return None
+
 
 @dataclass(frozen=True)
 class QuadraticTarget(IrrationalTarget):
@@ -483,6 +484,28 @@ class QuadraticTarget(IrrationalTarget):
 
     def image(self, m: GL2Z) -> QuadraticValue:
         return self.value.mobius(m)
+
+    def block_period(self, start: Slope) -> tuple[int, int, int]:
+        """At a block start the walk state x fixes every later block, and
+        by Lagrange x is soon one of the finitely many reduced surds of
+        discriminant d, so the first repeat of x gives the period.  Stops
+        with a ToricEndError past PERIOD_BUDGET blocks."""
+        walk = _Walk.at(start, self)
+        seen: dict[tuple[int, int, int], tuple[int, int]] = {}
+        block = slices = 0
+        while True:
+            key = (walk.x.a, walk.x.b, walk.x.c)
+            if key in seen:
+                i0, s0 = seen[key]
+                return i0, block + 1 - i0, slices - s0
+            if block == PERIOD_BUDGET:
+                raise ToricEndError(
+                    f"the blocks toward {self} do not repeat within the budget of "
+                    f"PERIOD_BUDGET = {PERIOD_BUDGET} blocks")
+            block += 1
+            seen[key] = (block, slices)
+            walk.step()
+            slices += 1 + walk.run()
 
     def __str__(self) -> str:
         return str(self.value)
@@ -530,6 +553,8 @@ def on_arc(start: Slope, target: SlopeTarget, x: Slope, include_target: bool = F
         return include_target
     ds = target.det_sign(start)
     if ds == 0:
+        if target.attained:
+            return False  # the path ends where it starts: the arc is one point
         raise DegenerateTargetError("target equals the start slope")
     return det(start, x) * target.det_sign(x) * (-ds) < 0
 

@@ -23,12 +23,7 @@ from .errors import (
     UndecidableAtHorizonError,
     UndecidableError,
 )
-from .farey import (
-    QuadraticTarget,
-    RationalTarget,
-    Slope,
-    SlopeTarget,
-)
+from .farey import RationalTarget, Slope, SlopeTarget
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -291,14 +286,6 @@ def _normalize_count_tail(pattern: tuple[int, ...], anchor: int) -> CountTail:
 # invariant context
 
 
-def _target_key(target: SlopeTarget):
-    if isinstance(target, RationalTarget):
-        return ("rational", target.slope, target.attained)
-    if isinstance(target, QuadraticTarget):
-        return ("quadratic", target.value.a, target.value.b, target.value.c, target.value.d)
-    return ("cf", id(target))
-
-
 class InvariantContext:
     """Boundary data an invariant classifies against: start slope, start
     division number and the slope at infinity.  Two invariants are only
@@ -313,7 +300,8 @@ class InvariantContext:
         self._decomposition = decomposition
 
     def key(self):
-        return (self.start, self.division, _target_key(self.target))
+        # rational and quadratic targets compare by value, streams by identity
+        return (self.start, self.division, self.target)
 
     def __eq__(self, other):
         return isinstance(other, InvariantContext) and self.key() == other.key()
@@ -506,22 +494,17 @@ def _require_comparable(a_ctx: InvariantContext, b_ctx: InvariantContext):
             f"{a_ctx} vs {b_ctx}")
 
 
-def _quadratic_period(decomp: BlockDecomposition, value, from_block: int,
-                      phase_mod: int, horizon: int) -> tuple[int, int]:
-    """Indices (i0, i1) with identical block state, so blocks repeat with
-    period i1 - i0 from i0 on.  The state is the normalized image of the
-    target under the block witness together with the slice phase."""
-    seen: dict = {}
-    i = from_block
-    while i <= from_block + max(horizon, 8) * 4:
-        b = decomp.block(i)
-        image = value.mobius(b.witness)
-        key = ((image.a, image.b, image.c, image.d), b.slice_range[0] % phase_mod)
-        if key in seen:
-            return seen[key], i
-        seen[key] = i
-        i += 1
-    raise UndecidableAtHorizonError("no block periodicity detected", horizon)
+def _periodic_span(decomp: BlockDecomposition, k: int, m: int) -> range | None:
+    """The blocks, from block k on, over which the per-block counts under a
+    sign pattern of length m run through one period: blocks repeat every
+    `blocks` blocks, and the pattern phase after m / gcd(slices, m) such
+    periods.  None when the target's blocks need not repeat (a stream)."""
+    period = decomp.period()
+    if period is None:
+        return None
+    i0, blocks, slices = period
+    lo = max(k, i0)
+    return range(lo, lo + blocks * m // math.gcd(slices, m))
 
 
 def _patterns_identical(p1: PatternCounts, p2: PatternCounts, from_slice: int) -> bool:
@@ -548,14 +531,9 @@ def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,
     anchor = decomp.block(k).slice_range[0]
     if _patterns_identical(ta, tb, anchor):
         return True
-    # the suffix of the path past block i is determined by the image of the
-    # target under the block witness, so state repeats are decided against
-    # the normalized target the decomposition actually walks toward
-    target = decomp.path.target
-    if isinstance(target, QuadraticTarget):
-        phase = math.lcm(len(ta.pattern), len(tb.pattern))
-        i0, i1 = _quadratic_period(decomp, target.value, k, phase, horizon)
-        return all(a.f(i) == b.f(i) for i in range(k, i1))
+    span = _periodic_span(decomp, k, math.lcm(len(ta.pattern), len(tb.pattern)))
+    if span is not None:
+        return all(a.f(i) == b.f(i) for i in range(k, span.stop))
     for i in range(k, k + horizon):
         if a.f(i) != b.f(i):
             return False

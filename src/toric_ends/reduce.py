@@ -38,7 +38,7 @@ from .farey import (
     INFINITY,
     on_arc,
 )
-from .invariants import POSITIVE, equivalent
+from .invariants import DEFAULT_HORIZON, POSITIVE, equivalent
 
 # minus-side descriptions are stored after reflecting across the (1, 0)
 # curve; on slopes the reflection acts as p/q -> -p/q
@@ -224,7 +224,7 @@ def normalize_rotativity(a: OpenToricAnnulus) -> OpenToricAnnulus:
     return OpenToricAnnulus(plus, minus, a.middle)
 
 
-def t2xr_equivalent(a: OpenToricAnnulus, b: OpenToricAnnulus, horizon: int = 64) -> bool:
+def t2xr_equivalent(a: OpenToricAnnulus, b: OpenToricAnnulus, horizon: int = DEFAULT_HORIZON) -> bool:
     """Two annuli describe the same structure iff their canonical forms'
     component invariants agree over the same middle torus."""
     na, nb = normalize_rotativity(a), normalize_rotativity(b)

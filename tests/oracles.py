@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 from toric_ends import (
     AllNegative,
@@ -20,6 +20,7 @@ from toric_ends import (
     FareyPath,
     NoTightExtension,
     SignData,
+    Unknown,
     Slope,
     TorusRecord,
     classify,
@@ -32,7 +33,9 @@ from toric_ends.errors import (
     InsufficientBlocksError,
     NoRealizedPointError,
     ToricEndError,
+    UndecidableAtHorizonError,
 )
+from toric_ends.invariants import PatternCounts
 from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _bezout_partner, on_arc
 
 
@@ -479,3 +482,57 @@ def reference_family(target, k: int, start: Slope = Slope(-1, 1), horizon: int =
         certify(EndDescription(TorusRecord(start, 1), target, SignData(tuple(prefix), Alternating())),
                 f"alternating-tail members toward {target} are not certifiable")
     return members
+
+
+# ---------------------------------------------------------------------------
+# reference block period by witness images, bounded by a horizon
+
+
+def reference_quadratic_period(decomp, value, from_block: int, phase_mod: int,
+                               horizon: int) -> tuple[int, int]:
+    """Indices (i0, i1) with identical block state, so blocks repeat with
+    period i1 - i0 from i0 on.  The state is the image of the target value
+    under the block witness together with the slice phase; the scan starts
+    at from_block and gives up after 4 * max(horizon, 8) blocks."""
+    seen: dict = {}
+    i = from_block
+    while i <= from_block + max(horizon, 8) * 4:
+        b = decomp.block(i)
+        image = value.mobius(b.witness)
+        key = ((image.a, image.b, image.c, image.d), b.slice_range[0] % phase_mod)
+        if key in seen:
+            return seen[key], i
+        seen[key] = i
+        i += 1
+    raise UndecidableAtHorizonError("no block periodicity detected", horizon)
+
+
+def reference_quadratic_equivalent(a, b, horizon: int) -> bool:
+    """Equality of two irrational invariants toward one quadratic target:
+    counts compared block by block up to the reference period found from
+    the first tail block on."""
+    k = max(a.first_tail_block(), b.first_tail_block())
+    if any(a.f(i) != b.f(i) for i in range(1, k)):
+        return False
+    ta, tb = a.tail, b.tail
+    if type(ta) is not type(tb):
+        return False
+    if not isinstance(ta, PatternCounts):
+        return True
+    decomp = a.context.decomposition()
+    phase = lcm(len(ta.pattern), len(tb.pattern))
+    _, i1 = reference_quadratic_period(decomp, decomp.path.target.value, k, phase, horizon)
+    return all(a.f(i) == b.f(i) for i in range(k, i1))
+
+
+def reference_quadratic_obstruction(inv, horizon: int):
+    """The extension obstruction of an irrational invariant toward a
+    quadratic target with a mixed count tail: a strictly intermediate count
+    within one reference period certifies NoTightExtension."""
+    decomp = inv.context.decomposition()
+    i0, i1 = reference_quadratic_period(decomp, decomp.path.target.value, inv.first_tail_block(),
+                                        len(inv.tail.pattern), horizon)
+    if any(0 < inv.f(i) < decomp.block(i).length - 1 for i in range(i0, i1)):
+        return NoTightExtension(
+            "per-block count is neither maximal nor minimal for infinitely many blocks")
+    return Unknown(horizon)

@@ -153,6 +153,35 @@ def test_surd_beyond_the_trial_division_budget_is_a_violation():
     assert "trial divisors beyond the budget of 1000000" in json.loads(out)["error"]
 
 
+def periodic_pair(target):
+    return {"a": end_doc(target, tail={"type": "periodic", "pattern": ["+", "+", "-"]}),
+            "b": end_doc(target, tail={"type": "periodic", "pattern": ["+", "-", "-"]})}
+
+
+def test_quadratic_compare_is_decided_at_horizon_one():
+    target = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 99999989}
+    code, out = invoke("compare", periodic_pair(target), "--horizon", "1")
+    assert code == 0
+    assert json.loads(out) == {"equivalent": False}
+
+
+def test_period_budget_is_a_violation(monkeypatch):
+    monkeypatch.setattr("toric_ends.farey.PERIOD_BUDGET", 3)
+    target = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 421}
+    code, out = invoke("compare", periodic_pair(target))
+    assert code == 1
+    assert "PERIOD_BUDGET = 3 blocks" in json.loads(out)["error"]
+
+
+def test_solid_torus_with_a_one_point_arc_has_no_realized_point():
+    attained = {"kind": "rational", "slope": "-3/2", "attained": True}
+    doc = end_doc(attained)
+    doc["boundary"]["slope"] = "-3/2"
+    code, out = invoke("reduce-solid-torus", {"end": doc})
+    assert code == 1
+    assert "no 1/n point lies on the realized arc from -3/2" in json.loads(out)["error"]
+
+
 def test_exit_code_malformed():
     code, out = invoke("classify", {"end": {"boundary": {"slope": "-1/1"},
                                             "target": SQRT2, "bogus": 1}})
@@ -203,6 +232,16 @@ def test_batch_run_statuses():
     assert code == 1
     results = json.loads(out)
     assert [r["status"] for r in results] == ["ok", "violation", "violation", "ok"]
+
+
+def test_batch_job_options_are_strict():
+    jobs = [{"command": "count", "input": {"lengths": [2]}, "options": {"format": "human"}},
+            {"command": "count", "input": {"lengths": [2]}, "options": {"horizon": 8}}]
+    code, out = invoke("run", jobs)
+    assert code == 2
+    results = json.loads(out)
+    assert [r["status"] for r in results] == ["malformed", "ok"]
+    assert "format" in results[0]["error"]
 
 
 def test_determinism_byte_identical():

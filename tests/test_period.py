@@ -1,0 +1,153 @@
+"""The block period of a quadratic target, read off the walk state, against
+the reference scan of witness images in tests/oracles.py: every quadratic
+compare and extension check is decided by the period, whatever the horizon."""
+
+from math import isqrt
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from toric_ends import (
+    EndDescription,
+    FareyPath,
+    NoTightExtension,
+    Periodic,
+    QuadraticTarget,
+    SignData,
+    Slope,
+    TorusRecord,
+    Unknown,
+    classify,
+    decompose,
+    equivalent,
+    extension_obstruction,
+    non_extendable_family,
+    quadratic_cf_target,
+)
+from toric_ends import farey
+from toric_ends.errors import ToricEndError, UndecidableAtHorizonError
+from toric_ends.invariants import PatternCounts
+
+from oracles import (
+    reference_quadratic_equivalent,
+    reference_quadratic_obstruction,
+    reference_quadratic_period,
+)
+
+P, N = 1, -1
+HORIZONS = (1, 64, 4096)
+
+SURDS = st.builds(
+    QuadraticTarget.of,
+    st.integers(-6, 6),
+    st.sampled_from((-2, -1, 1, 2)),
+    st.integers(1, 4),
+    st.integers(2, 300).filter(lambda d: isqrt(d) ** 2 != d),
+)
+STARTS = st.builds(Slope, st.integers(-9, 9), st.integers(1, 5)) | st.just(Slope(1, 0))
+SIGNS = st.lists(st.sampled_from((P, N)), max_size=6)
+PATTERNS = st.lists(st.sampled_from((P, N)), min_size=1, max_size=4)
+
+
+def periodic_end(target, prefix, pattern, start=Slope(-1, 1)):
+    return EndDescription(TorusRecord(start, 1), target, SignData(tuple(prefix), Periodic(tuple(pattern))))
+
+
+def outcome(decide):
+    """The answer, with the horizon an Unknown echoes dropped, or the error type."""
+    try:
+        result = decide()
+    except UndecidableAtHorizonError as exc:
+        return type(exc)
+    return Unknown if isinstance(result, Unknown) else result
+
+
+@settings(max_examples=150, deadline=None)
+@given(SURDS, STARTS)
+def test_block_period_matches_reference_scan(target, start):
+    decomp = decompose(FareyPath(start, target))
+    i0, blocks, slices = decomp.period()
+    assert decomp.period() == (i0, blocks, slices)
+    assert reference_quadratic_period(decomp, target.value, i0, 1, 4 * blocks) == (i0, i0 + blocks)
+    for i in range(i0, i0 + 2 * blocks):
+        lo, hi = decomp.block(i).slice_range
+        lo2, hi2 = decomp.block(i + blocks).slice_range
+        assert (lo2 - lo, hi2 - hi) == (slices, slices)
+
+
+@settings(max_examples=150, deadline=None)
+# the first block lies before the period: it counts for equality (the first
+# example differs only there) but not for the obstruction (in the second it
+# alone is strictly between)
+@example(QuadraticTarget.of(-1, 2, 2, 3), Slope(-2, 1), [], [P, P, N, P], [], [N, P, P, P], None)
+@example(QuadraticTarget.of(3, 1, 2, 77), Slope(8, 3), [], [P, N, N, N], [], [P], None)
+@example(QuadraticTarget.of(0, -1, 1, 5), Slope(-9, 4), [], [N, N, P, P], [], [N, N, N, P], None)
+@given(SURDS, STARTS, SIGNS, PATTERNS, SIGNS, PATTERNS, st.none() | st.integers(1, 3))
+def test_quadratic_decisions_ignore_the_horizon(target, start, pre_a, pat_a, pre_b, pat_b, rotate):
+    if rotate is not None:  # a rotated pattern often gives equal per-block counts
+        pre_b, pat_b = pre_a, pat_a[rotate % len(pat_a):] + pat_a[:rotate % len(pat_a)]
+    a = classify(periodic_end(target, pre_a, pat_a, start)).invariant
+    b = classify(periodic_end(target, pre_b, pat_b, start)).invariant
+    answers = {outcome(lambda: equivalent(a, b, h)) for h in HORIZONS}
+    assert len(answers) == 1 and isinstance(answers.pop(), bool)
+    reference = outcome(lambda: reference_quadratic_equivalent(a, b, 64))
+    if reference is not UndecidableAtHorizonError:
+        assert equivalent(a, b, 1) is reference
+    for inv in (a, b):
+        answers = {outcome(lambda: extension_obstruction(inv, h)) for h in HORIZONS}
+        assert len(answers) == 1
+        if isinstance(inv.tail, PatternCounts):
+            reference = outcome(lambda: reference_quadratic_obstruction(inv, 64))
+            if reference is not UndecidableAtHorizonError:
+                assert answers.pop() == reference
+
+
+@pytest.mark.parametrize("target,reference_horizon", [
+    (QuadraticTarget.of(-1, -1, 1, 421), 64),
+    (QuadraticTarget.of(0, -1, 1, 99999989), 1024),
+], ids=["-1-sqrt421", "-sqrt99999989"])
+def test_long_periods_are_decided_at_horizon_one(target, reference_horizon):
+    a = classify(periodic_end(target, (), (P, P, N))).invariant
+    b = classify(periodic_end(target, (), (P, N, N))).invariant
+    with pytest.raises(UndecidableAtHorizonError):
+        reference_quadratic_equivalent(a, b, 1)
+    assert equivalent(a, b, 1) is reference_quadratic_equivalent(a, b, reference_horizon) is False
+    assert isinstance(extension_obstruction(a, 1), NoTightExtension)
+
+
+def test_count_equal_patterns_are_equivalent_at_horizon_one():
+    # every block of -sqrt(2) has two slices, so (+,-) and (-,+) give each
+    # block one positive slice: different rules, equal invariants
+    target = QuadraticTarget.of(0, -1, 1, 2)
+    a = classify(periodic_end(target, (), (P, N))).invariant
+    b = classify(periodic_end(target, (), (N, P))).invariant
+    assert equivalent(a, b, 1) is True
+
+
+def test_stream_targets_have_no_period():
+    stream = quadratic_cf_target(QuadraticTarget.of(0, -1, 1, 2).value)
+    assert decompose(FareyPath(Slope(-1, 1), stream)).period() is None
+
+
+def test_period_budget_is_named(monkeypatch):
+    monkeypatch.setattr(farey, "PERIOD_BUDGET", 3)
+    target = QuadraticTarget.of(0, -1, 1, 421)
+    a = classify(periodic_end(target, (), (P, P, N))).invariant
+    b = classify(periodic_end(target, (), (P, N, N))).invariant
+    with pytest.raises(ToricEndError, match="PERIOD_BUDGET = 3 blocks"):
+        equivalent(a, b)
+
+
+def test_family_finds_the_period_once(monkeypatch):
+    calls = []
+    find = QuadraticTarget.block_period
+
+    def counted(self, start):
+        calls.append(start)
+        return find(self, start)
+
+    monkeypatch.setattr(QuadraticTarget, "block_period", counted)
+    members = non_extendable_family(QuadraticTarget.of(0, -1, 1, 3), 250)
+    assert len(members) == 250
+    assert len(calls) == 1

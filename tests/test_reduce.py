@@ -23,9 +23,11 @@ from toric_ends import (
     parse_slope,
     solid_torus_factor,
     t2xr_equivalent,
+    validate,
 )
 from toric_ends.errors import (
     AttainedZeroSlopeError,
+    DegenerateTargetError,
     MixedSignRotativityError,
     NoRealizedPointError,
     ToricEndError,
@@ -196,6 +198,49 @@ def test_factor_matches_reference_scan(boundary, target):
     expected = index if not isinstance(index, int) else \
         SolidTorusEnd(s_r, EndDescription(TorusRecord(s_r, 1), target, signs.shifted(index)))
     assert outcome(lambda: solid_torus_factor(e)) == expected
+
+
+CENSUS_BOUNDARIES = ("-1", "-3/2", "2", "1/0", "0", "-2/5", "5/2")
+CENSUS_SLOPES = sorted({Slope(p, q) for p in range(-12, 13) for q in range(13) if (p, q) != (0, 0)},
+                       key=lambda s: (s.q, s.p))
+
+
+def census_end(boundary, target):
+    if target.attained:
+        slices = FareyPath(boundary, target).walk_to_end() - 1
+        signs = SignData(tuple(P if j % 3 else N for j in range(slices)))
+    else:
+        signs = SignData((N, P), Periodic((P, N, N)))
+    return EndDescription(TorusRecord(boundary, 1), target, signs)
+
+
+def reference_factor(e):
+    """solid_torus_factor by the reference vertex scan, or the type of the
+    error it meets."""
+    if validate(e):
+        return ValidationError
+    try:
+        s_r = _closest_one_over_n(e.target)
+        index = reference_solid_torus_index(e.boundary.slope, e.target, s_r)
+    except ToricEndError as exc:
+        return type(exc)
+    return SolidTorusEnd(s_r, EndDescription(TorusRecord(s_r, 1), e.target, e.signs.shifted(index)))
+
+
+@pytest.mark.parametrize("boundary", CENSUS_BOUNDARIES)
+def test_factor_census_against_reference_scan(boundary):
+    # every p/q with |p|, q <= 12, attained or not; an attained target at
+    # the boundary leaves a one-point arc, which holds s(r) only when it
+    # is s(r) itself
+    for slope in CENSUS_SLOPES:
+        for attained in (True, False):
+            e = census_end(S(boundary), RationalTarget(slope, attained))
+            try:
+                actual = solid_torus_factor(e)
+            except ToricEndError as exc:
+                actual = type(exc)
+            assert actual is not DegenerateTargetError
+            assert actual == reference_factor(e), (boundary, slope, attained)
 
 
 # ---------------------------------------------------------------------------
