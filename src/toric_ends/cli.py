@@ -352,7 +352,7 @@ def _cmd_path(doc: dict, options: dict) -> dict:
     if n < 1:
         raise SchemaError("input.n must be >= 1")
     path = farey_sequence(_slope(doc["start"], "input.start"), parse_target(doc["target"]), n)
-    return {"vertices": [str(v) for v in path.prefix(n)]}
+    return {"vertices": path.prefix_text(n)}
 
 
 def _cmd_blocks(doc: dict, options: dict) -> dict:

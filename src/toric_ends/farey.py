@@ -54,11 +54,19 @@ class Slope:
         fields["q"] = q
         return s
 
+    # a rational walk value x (see _Walk): its floor and its updates
     def floor(self) -> int:
         return self.p // self.q
 
-    def mobius(self, m: "GL2Z") -> "Slope":
-        return m.apply(self)
+    def _step(self, k: int) -> "Slope":  # 1/(k - x)
+        return Slope._primitive(self.q, k * self.q - self.p)
+
+    def _recip(self, n: int) -> "Slope":  # 1/(x - n)
+        return Slope._primitive(self.q, self.p - n * self.q)
+
+    def _after_run(self, j: int) -> "Slope":  # 1 + 1/(x - j)
+        p, q = self.p - j * self.q, self.q
+        return Slope._primitive(p + q, p)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -309,16 +317,55 @@ class QuadraticValue:
 
     def cf_coefficients(self) -> Iterator[int]:
         """Simple continued fraction coefficients, generated forever."""
-        return _cf_coefficients(self)
+        return _cf_coefficients(_Surd.of(self))
+
+
+class _Surd:
+    """A quadratic irrational walk value x = (P + sqrt(D))/Q in PQa form:
+    D is a non-square fixed for the whole walk and Q divides D - P^2, so
+    each update below is integer arithmetic with one exact division and no
+    gcd.  The pair (P, Q) determines x."""
+
+    __slots__ = ("P", "Q", "D", "r")
+
+    def __init__(self, P: int, Q: int, D: int, r: int):
+        self.P, self.Q, self.D, self.r = P, Q, D, r  # r = isqrt(D)
+
+    @classmethod
+    def of(cls, v: QuadraticValue) -> "_Surd":
+        sign = 1 if v.b > 0 else -1
+        P, Q, D = sign * v.a, sign * v.c, v.b * v.b * v.d
+        if (D - P * P) % Q:
+            P, Q, D = P * abs(Q), Q * abs(Q), D * Q * Q
+        return cls(P, Q, D, isqrt(D))
+
+    def floor(self) -> int:
+        # P + sqrt(D) lies strictly between P + r and P + r + 1
+        if self.Q > 0:
+            return (self.P + self.r) // self.Q
+        return (self.P + self.r + 1) // self.Q
+
+    def _step(self, k: int) -> "_Surd":  # 1/(k - x)
+        P = k * self.Q - self.P
+        return _Surd(P, (P * P - self.D) // self.Q, self.D, self.r)
+
+    def _recip(self, n: int) -> "_Surd":  # 1/(x - n)
+        P = n * self.Q - self.P
+        return _Surd(P, (self.D - P * P) // self.Q, self.D, self.r)
+
+    def _after_run(self, j: int) -> "_Surd":  # 1 + 1/(x - j)
+        P = j * self.Q - self.P
+        Q = (self.D - P * P) // self.Q
+        return _Surd(P + Q, Q, self.D, self.r)
 
 
 def _cf_coefficients(x) -> Iterator[int]:
-    """Coefficients of an irrational x that answers floor() and mobius(m):
-    emit n = floor(x), then continue with x <- 1 / (x - n)."""
+    """Coefficients of an irrational walk value x: emit n = floor(x), then
+    continue with x <- 1 / (x - n)."""
     while True:
         n = x.floor()
         yield n
-        x = x.mobius(GL2Z(0, 1, 1, -n))
+        x = x._recip(n)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +431,7 @@ class _StreamImage:
     """The image (a*t_i + b)/(c*t_i + d) of the tail t_i = [e_i; e_(i+1), ...]
     of a stream, read lazily by Gosper's homographic algorithm (HAKMEM item
     101): floor() reads coefficients only until the floor is decided, and
-    mobius(m) multiplies the matrix on the left without reading any."""
+    the walk updates multiply the matrix on the left without reading any."""
 
     __slots__ = ("stream", "i", "a", "b", "c", "d")
 
@@ -408,10 +455,17 @@ class _StreamImage:
         self.a, self.b, self.c, self.d, self.i = a, b, c, d, i
         return n
 
-    def mobius(self, m: GL2Z) -> "_StreamImage":
+    def _step(self, k: int) -> "_StreamImage":  # 1/(k - x)
         a, b, c, d = self.a, self.b, self.c, self.d
-        return _StreamImage(self.stream, self.i, m.a * a + m.b * c, m.a * b + m.b * d,
-                            m.c * a + m.d * c, m.c * b + m.d * d)
+        return _StreamImage(self.stream, self.i, c, d, k * c - a, k * d - b)
+
+    def _recip(self, n: int) -> "_StreamImage":  # 1/(x - n)
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return _StreamImage(self.stream, self.i, c, d, a - n * c, b - n * d)
+
+    def _after_run(self, j: int) -> "_StreamImage":  # 1 + 1/(x - j)
+        a, b, c, d = self.a - j * self.c, self.b - j * self.d, self.c, self.d
+        return _StreamImage(self.stream, self.i, a + c, b + d, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +500,7 @@ class IrrationalTarget:
     Each kind answers two exact questions: cmp_fraction(p, q), the sign of
     t - p/q for q > 0, and mobius_floor(m), the floor of the image of t
     under m in GL2(Z).  Like a rational target, each kind also gives that
-    image itself, image(m), as a value answering floor() and mobius(m)."""
+    image itself, image(m), as a walk value (see _Walk)."""
 
     attained = False
 
@@ -482,19 +536,21 @@ class QuadraticTarget(IrrationalTarget):
     def transform(self, m: GL2Z) -> "QuadraticTarget":
         return QuadraticTarget(self.value.mobius(m))
 
-    def image(self, m: GL2Z) -> QuadraticValue:
-        return self.value.mobius(m)
+    def image(self, m: GL2Z) -> _Surd:
+        return _Surd.of(self.value.mobius(m))
 
     def block_period(self, start: Slope) -> tuple[int, int, int]:
-        """At a block start the walk state x fixes every later block, and
+        """At a block start the walk value x fixes every later block, and
         by Lagrange x is soon one of the finitely many reduced surds of
-        discriminant d, so the first repeat of x gives the period.  Stops
-        with a ToricEndError past PERIOD_BUDGET blocks."""
-        walk = _Walk.at(start, self)
-        seen: dict[tuple[int, int, int], tuple[int, int]] = {}
+        discriminant D, so the first repeat of x gives the period.  Only x
+        is walked, as in _Walk without the vertices: one step, then the
+        run of k = 2 steps after it.  Stops with a ToricEndError past
+        PERIOD_BUDGET blocks."""
+        x = _Walk.at(start, self).x
+        seen: dict[tuple[int, int], tuple[int, int]] = {}
         block = slices = 0
         while True:
-            key = (walk.x.a, walk.x.b, walk.x.c)
+            key = (x.P, x.Q)
             if key in seen:
                 i0, s0 = seen[key]
                 return i0, block + 1 - i0, slices - s0
@@ -504,8 +560,13 @@ class QuadraticTarget(IrrationalTarget):
                     f"PERIOD_BUDGET = {PERIOD_BUDGET} blocks")
             block += 1
             seen[key] = (block, slices)
-            walk.step()
-            slices += 1 + walk.run()
+            x = x._step(x.floor() + 1)
+            slices += 1
+            if x.floor() == 1:  # k = 2: floor(y) steps, y = 1/(x - 1)
+                y = x._recip(1)
+                j = y.floor()
+                x = y._after_run(j)
+                slices += j
 
     def __str__(self) -> str:
         return str(self.value)
@@ -562,8 +623,6 @@ def on_arc(start: Slope, target: SlopeTarget, x: Slope, include_target: bool = F
 # ---------------------------------------------------------------------------
 # the clockwise step
 
-_TO_RUN = GL2Z(0, 1, 1, -1)  # x -> y = 1/(x - 1)
-
 
 class _Walk:
     """The minimal clockwise walk toward a target.
@@ -592,6 +651,10 @@ class _Walk:
     toward a rational target that is not attained (infinitely many at x = 1)
     and floor(y) steps otherwise; toward an attained target the last of them
     hits it when y is an integer.
+
+    Each kind of x does these updates itself in integers: a Slope for a
+    rational target, a _Surd in PQa form for a quadratic one and a
+    _StreamImage for a stream.  No GL2Z is built after the first x.
     """
 
     __slots__ = ("u", "s", "x", "attained", "rational", "_k")
@@ -632,7 +695,7 @@ class _Walk:
         k = self.k()
         (up, uq), (sp, sq) = self.u, self.s
         self.u, self.s = (-sp, -sq), (up + k * sp, uq + k * sq)
-        self.x = self.x.mobius(GL2Z(0, 1, -1, k))  # 1 / (k - x)
+        self.x = self.x._step(k)
         self._k = None
 
     def run(self) -> int | None:
@@ -645,7 +708,7 @@ class _Walk:
         self.step()
         if self.hit or self.k() != 2:
             return 1
-        y = self.x.mobius(_TO_RUN)
+        y = self.x._recip(1)
         if self.rational and y.q == 0:
             return None
         j = y.floor()
@@ -655,7 +718,7 @@ class _Walk:
         dp, dq = sp + up, sq + uq
         sp, sq = sp + j * dp, sq + j * dq
         self.u, self.s = (dp - sp, dq - sq), (sp, sq)
-        self.x = y.mobius(GL2Z(1, 1 - j, 1, -j))  # 1 + 1/(y - j)
+        self.x = y._after_run(j)
         self._k = None
         return j + 1
 
@@ -798,21 +861,49 @@ class FareyPath:
     def has_vertex(self, i: int) -> bool:
         return self.extend_to(i + 1) > i
 
+    def _pieces(self, n: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+        """Vertices 1 .. n - 1 of a path walked that far, as pieces
+        (p, q, dp, dq, lo, hi): (p + j*dp)/(q + j*dq) for lo <= j < hi, with
+        the sign already normalized.  The lifts of a run change sign at most
+        once, where q + j*dq does, so a run gives one or two pieces."""
+        for start, p, q, dp, dq, edges in self._runs:
+            hi = n - start  # vertices start + 1 .. n - 1 of this run
+            if hi <= 1:
+                break
+            if edges is not None:
+                hi = min(hi, edges + 1)
+            # the lift of vertex j needs sign e from j = c on and -e before;
+            # det(v_j, v_(j+1)) = p*dq - q*dp = 1 makes the lift with
+            # q + j*dq = 0 equal to (dq, 0), so it takes the sign of dq
+            if dq:
+                e, c = (1 if dq > 0 else -1), min(max(-(q // dq), 1), hi)
+            else:
+                e, c = q, 1  # q = -dp = +-1
+            if e < 0:
+                p, q, dp, dq = -p, -q, -dp, -dq
+            if 1 < c:
+                yield -p, -q, -dp, -dq, 1, c
+            if c < hi:
+                yield p, q, dp, dq, c, hi
+
     def prefix(self, n: int) -> tuple[Slope, ...]:
         if n < 1:
             return ()
         n = min(n, self.extend_to(n))
         out = [self.start]
-        for run in self._runs:
-            if len(out) >= n:
-                break
-            stop = n - run.start  # vertices start + 1 .. n - 1 of this run
-            if run.edges is not None:
-                stop = min(stop, run.edges + 1)
-            p, q, dp, dq = run.p, run.q, run.dp, run.dq
-            for j in range(1, stop):
-                out.append(Slope._primitive(p + j * dp, q + j * dq))
+        for p, q, dp, dq, lo, hi in self._pieces(n):
+            out += [Slope._primitive(p + j * dp, q + j * dq) for j in range(lo, hi)]
         return tuple(out)
+
+    def prefix_text(self, n: int) -> list[str]:
+        """[str(v) for v in prefix(n)], rendered straight from the runs."""
+        if n < 1:
+            return []
+        n = min(n, self.extend_to(n))
+        out = [str(self.start)]
+        for p, q, dp, dq, lo, hi in self._pieces(n):
+            out += [f"{p + j * dp}/{q + j * dq}" for j in range(lo, hi)]
+        return out
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[Slope], target: SlopeTarget | None = None) -> "FareyPath":

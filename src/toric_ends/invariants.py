@@ -531,10 +531,15 @@ def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,
     anchor = decomp.block(k).slice_range[0]
     if _patterns_identical(ta, tb, anchor):
         return True
-    span = _periodic_span(decomp, k, math.lcm(len(ta.pattern), len(tb.pattern)))
+    # a block whose counts differ answers False at once; only True needs
+    # the whole periodic span, and so the block period
+    m = math.lcm(len(ta.pattern), len(tb.pattern))
+    if any(a.f(i) != b.f(i) for i in range(k, k + m)):
+        return False
+    span = _periodic_span(decomp, k, m)
     if span is not None:
-        return all(a.f(i) == b.f(i) for i in range(k, span.stop))
-    for i in range(k, k + horizon):
+        return all(a.f(i) == b.f(i) for i in range(k + m, span.stop))
+    for i in range(k + m, k + horizon):
         if a.f(i) != b.f(i):
             return False
     raise UndecidableAtHorizonError(

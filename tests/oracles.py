@@ -221,6 +221,16 @@ def reference_next_toward(current: Slope, target) -> Slope:
     return Slope(up + k * s.p, uq + k * s.q)
 
 
+def reference_cf_coefficients(value, n: int) -> list[int]:
+    """The first n continued fraction coefficients of a QuadraticValue by
+    its own floor and a gcd-normalized mobius per coefficient."""
+    out = []
+    for _ in range(n):
+        out.append(value.floor())
+        value = value.mobius(GL2Z(0, 1, 1, -out[-1]))  # 1 / (x - floor(x))
+    return out
+
+
 def reference_path(start: Slope, target, n: int) -> tuple[Slope, ...]:
     """The first n vertices by the reference stepper (fewer when an attained
     target is reached sooner)."""

@@ -168,7 +168,10 @@ def test_quadratic_compare_is_decided_at_horizon_one():
 def test_period_budget_is_a_violation(monkeypatch):
     monkeypatch.setattr("toric_ends.farey.PERIOD_BUDGET", 3)
     target = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 421}
+    # the compare answers at the first differing block, with no period
     code, out = invoke("compare", periodic_pair(target))
+    assert code == 0 and json.loads(out) == {"equivalent": False}
+    code, out = invoke("extend-check", {"end": periodic_pair(target)["a"]})
     assert code == 1
     assert "PERIOD_BUDGET = 3 blocks" in json.loads(out)["error"]
 

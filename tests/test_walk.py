@@ -102,12 +102,15 @@ def test_stream_walk_reads_one_coefficient_per_vertex():
 def test_surd_walk_state_stays_bounded():
     for target in (MINUS_SQRT2, QuadraticTarget.of(-3, 1, 4, 13), QuadraticTarget.of(-1, -1, 1, 421),
                    QuadraticTarget.of(-1, 1, 2, 100003)):
-        bound = 2 * target.value.d.bit_length() + 8
         path = FareyPath(Slope(-1, 1), target)
-        for n in range(2, 2002):
+        path.extend_to(2)
+        D = path._walk.x.D
+        bound = D.bit_length() + 4
+        for n in range(3, 2003):
             path.extend_to(n)
             x = path._walk.x
-            assert max(abs(x.a), abs(x.b), x.c).bit_length() <= bound, (target, n, x)
+            assert x.D == D and (D - x.P * x.P) % x.Q == 0
+            assert max(abs(x.P), abs(x.Q)).bit_length() <= bound, (target, n, x.P, x.Q)
 
 
 # ---------------------------------------------------------------------------
