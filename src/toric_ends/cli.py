@@ -60,6 +60,13 @@ def _int(doc: dict, key: str, where: str) -> int:
     return v
 
 
+def _positive_int(doc: dict, key: str, where: str) -> int:
+    v = _int(doc, key, where)
+    if v < 1:
+        raise SchemaError(f"{where}.{key} must be >= 1")
+    return v
+
+
 def _slope(text: Any, where: str) -> Slope:
     if not isinstance(text, str):
         raise SchemaError(f"{where} must be a slope string like \"-1/1\"")
@@ -118,7 +125,10 @@ def parse_sign_tail(doc: Any, where: str):
         return inv_mod.AllNegative()
     if kind == "eventually":
         _check_keys(doc, {"type", "sign", "after"}, set(), where)
-        return inv_mod.EventuallySign(_sign(doc["sign"], f"{where}.sign"), _int(doc, "after", where))
+        try:
+            return inv_mod.EventuallySign(_sign(doc["sign"], f"{where}.sign"), _int(doc, "after", where))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     if kind == "alternating":
         _check_keys(doc, {"type"}, {"first"}, where)
         first = _sign(doc.get("first", "+"), f"{where}.first")
@@ -212,14 +222,18 @@ def rotative_doc(rot) -> dict:
     return {"n": len(rot), "sign": _sign_str(sign)}
 
 
+def _torus(doc: Any, where: str) -> ends_mod.TorusRecord:
+    _check_keys(doc, {"slope"}, {"div"}, where)
+    division = _int(doc, "div", where) if "div" in doc else 1
+    try:
+        return ends_mod.TorusRecord(_slope(doc["slope"], f"{where}.slope"), division)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def parse_end(doc: Any, where: str = "end") -> ends_mod.EndDescription:
     _check_keys(doc, {"boundary", "target"}, {"signs", "division_tail", "rotative"}, where)
-    bdoc = _check_keys(doc["boundary"], {"slope"}, {"div"}, f"{where}.boundary")
-    division = _int(bdoc, "div", f"{where}.boundary") if "div" in bdoc else 1
-    try:
-        boundary = ends_mod.TorusRecord(_slope(bdoc["slope"], f"{where}.boundary.slope"), division)
-    except ValueError as exc:
-        raise SchemaError(f"{where}.boundary: {exc}") from None
+    boundary = _torus(doc["boundary"], f"{where}.boundary")
     target = parse_target(doc["target"], f"{where}.target")
     signs = parse_signs(doc["signs"], f"{where}.signs") if "signs" in doc else inv_mod.SignData()
     division_tail = (parse_division_tail(doc["division_tail"], f"{where}.division_tail")
@@ -348,18 +362,14 @@ def block_doc(b: blocks_mod.Block) -> dict:
 
 def _cmd_path(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"start", "target", "n"}, set(), "input")
-    n = _int(doc, "n", "input")
-    if n < 1:
-        raise SchemaError("input.n must be >= 1")
+    n = _positive_int(doc, "n", "input")
     path = farey_sequence(_slope(doc["start"], "input.start"), parse_target(doc["target"]), n)
     return {"vertices": path.prefix_text(n)}
 
 
 def _cmd_blocks(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"start", "target"}, {"count"}, "input")
-    count = _int(doc, "count", "input") if "count" in doc else options["horizon"]
-    if count < 1:
-        raise SchemaError("input.count must be >= 1")
+    count = _positive_int(doc, "count", "input") if "count" in doc else options["horizon"]
     path = FareyPath(_slope(doc["start"], "input.start"), parse_target(doc["target"]))
     decomp = blocks_mod.decompose(path)
     out = [block_doc(b) for b in decomp.blocks_up_to(count)]
@@ -396,7 +406,7 @@ def _cmd_count(doc: dict, options: dict) -> dict:
 
 def _cmd_euler(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"end"}, {"horizon"}, "input")
-    horizon = _int(doc, "horizon", "input") if "horizon" in doc else options["horizon"]
+    horizon = _positive_int(doc, "horizon", "input") if "horizon" in doc else options["horizon"]
     e = parse_end(doc["end"])
     violations = ends_mod.validate(e)
     if violations:
@@ -451,9 +461,7 @@ def _cmd_reduce_solid_torus(doc: dict, options: dict) -> dict:
 
 def _cmd_reduce_t2xr(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"plus", "minus", "middle"}, set(), "input")
-    mdoc = _check_keys(doc["middle"], {"slope"}, {"div"}, "input.middle")
-    division = _int(mdoc, "div", "input.middle") if "div" in mdoc else 1
-    middle = ends_mod.TorusRecord(_slope(mdoc["slope"], "input.middle.slope"), division)
+    middle = _torus(doc["middle"], "input.middle")
     annulus = reduce_mod.OpenToricAnnulus(
         parse_end(doc["plus"], "plus"), parse_end(doc["minus"], "minus"), middle)
     norm = reduce_mod.normalize_rotativity(annulus)
@@ -543,7 +551,7 @@ def _run_batch(jobs: Any, options: dict) -> tuple[list, int]:
             if "options" in job:
                 odoc = _check_keys(job["options"], set(), {"horizon"}, f"job[{i}].options")
                 if "horizon" in odoc:
-                    job_options["horizon"] = _int(odoc, "horizon", f"job[{i}].options")
+                    job_options["horizon"] = _positive_int(odoc, "horizon", f"job[{i}].options")
             output = run_command(job["command"], job["input"], job_options)
             results.append({"status": "ok", "output": output})
         except SchemaError as exc:

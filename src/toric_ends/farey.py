@@ -288,16 +288,6 @@ class QuadraticValue:
         """Exact sign of (value - p/q), q > 0."""
         return _surd_sign(self.a * q - p * self.c, self.b * q, self.d)
 
-    def floor(self) -> int:
-        # a + b*sqrt(d) lies strictly between the integers a + root and
-        # a + root + 1, so a multiple of c lies below it exactly when it
-        # lies at or below a + root
-        if self.b > 0:
-            root = isqrt(self.b * self.b * self.d)
-        else:
-            root = -isqrt(self.b * self.b * self.d) - 1
-        return (self.a + root) // self.c
-
     def mobius(self, m: GL2Z) -> "QuadraticValue":
         """(A*t + B) / (C*t + D), exactly, for t = this value."""
         num_a = m.a * self.a + m.b * self.c
@@ -382,7 +372,6 @@ class CFStream:
     def __init__(self, coefficients: Iterable[int]):
         self._it = iter(coefficients)
         self._coeffs: list[int] = []
-        self._conv: list[tuple[int, int]] = [(1, 0)]  # h_{-1}/k_{-1}
 
     def coefficient(self, i: int) -> int:
         while len(self._coeffs) <= i:
@@ -393,34 +382,12 @@ class CFStream:
             if self._coeffs and a < 1:
                 raise ToricEndError("cf-stream coefficients after the first must be >= 1")
             self._coeffs.append(a)
-            h1, k1 = self._conv[-1]
-            h0, k0 = self._conv[-2] if len(self._conv) >= 2 else (0, 1)
-            self._conv.append((a * h1 + h0, a * k1 + k0))
         return self._coeffs[i]
 
-    def convergent(self, i: int) -> tuple[int, int]:
-        self.coefficient(i)
-        return self._conv[i + 1]
-
     def cmp_fraction(self, p: int, q: int) -> int:
-        """Exact sign of (value - p/q), q > 0, by interval narrowing."""
-        i = 0
-        while True:
-            h0, k0 = self.convergent(i)
-            h1, k1 = self.convergent(i + 1)
-            # value lies strictly between consecutive convergents
-            lo_num, lo_den, hi_num, hi_den = h0, k0, h1, k1
-            if lo_num * hi_den > hi_num * lo_den:
-                lo_num, lo_den, hi_num, hi_den = hi_num, hi_den, lo_num, lo_den
-            if p * lo_den <= lo_num * q:
-                return 1
-            if p * hi_den >= hi_num * q:
-                return -1
-            i += 1
-
-    def mobius_floor(self, m: GL2Z) -> int:
-        """floor((a*t + b)/(c*t + d)) for the stream value t, exactly."""
-        return _StreamImage(self, 0, *m.entries()).floor()
+        """Exact sign of (value - p/q), q > 0: the sign of floor(q*t - p),
+        read by the Gosper cursor (q*t - p is irrational, so never 0)."""
+        return 1 if _StreamImage(self, 0, q, -p, 0, 1).floor() >= 0 else -1
 
     def mobius(self, m: GL2Z) -> "CFStream":
         """The stream of the image (a*t + b)/(c*t + d)."""
@@ -497,10 +464,10 @@ class RationalTarget:
 class IrrationalTarget:
     """An irrational limit slope t, never attained.
 
-    Each kind answers two exact questions: cmp_fraction(p, q), the sign of
-    t - p/q for q > 0, and mobius_floor(m), the floor of the image of t
-    under m in GL2(Z).  Like a rational target, each kind also gives that
-    image itself, image(m), as a walk value (see _Walk)."""
+    Each kind answers cmp_fraction(p, q), the sign of t - p/q for q > 0,
+    exactly.  Like a rational target, each kind also gives the image of t
+    under m in GL2(Z), image(m), as a walk value (see _Walk), and the floor
+    of that image is mobius_floor(m)."""
 
     attained = False
 
@@ -508,6 +475,9 @@ class IrrationalTarget:
         if s.q == 0:
             return 1
         return -self.cmp_fraction(s.p, s.q)
+
+    def mobius_floor(self, m: GL2Z) -> int:
+        return self.image(m).floor()
 
     def block_period(self, start: Slope) -> tuple[int, int, int] | None:
         """The period of the continued fraction blocks of the path from
@@ -529,9 +499,6 @@ class QuadraticTarget(IrrationalTarget):
 
     def cmp_fraction(self, p: int, q: int) -> int:
         return self.value.cmp_fraction(p, q)
-
-    def mobius_floor(self, m: GL2Z) -> int:
-        return self.value.mobius(m).floor()
 
     def transform(self, m: GL2Z) -> "QuadraticTarget":
         return QuadraticTarget(self.value.mobius(m))
@@ -584,9 +551,6 @@ class CFTarget(IrrationalTarget):
 
     def cmp_fraction(self, p: int, q: int) -> int:
         return self.stream.cmp_fraction(p, q)
-
-    def mobius_floor(self, m: GL2Z) -> int:
-        return self.stream.mobius_floor(m)
 
     def transform(self, m: GL2Z) -> "CFTarget":
         return CFTarget(self.stream.mobius(m))
@@ -810,28 +774,15 @@ class FareyPath:
         """The i-th run (0-based), walked as far as needed; None when the
         path has fewer runs."""
         runs = self._runs
-        # the last run of a path given by vertices may go on once walked
-        while len(runs) <= i or (self._walk is None and i == len(runs) - 1):
-            if self._complete or self._size is None:
-                break
+        while len(runs) <= i and not self._complete and self._size is not None:
             self._advance()
         return runs[i] if i < len(runs) else None
 
     def _advance(self):
-        """Walk one more run, or the rest of the last run of a path given
-        by vertices."""
+        """Walk one more run."""
+        if self._walk is None:
+            self._walk = _Walk.at(self.start, self.target)
         walk = self._walk
-        if walk is None:
-            walk = self._walk = self._resume()
-            if self._runs:
-                more = walk.run()
-                if more != 0:
-                    last = self._runs[-1]
-                    edges = None if more is None else last.edges + more
-                    self._runs[-1] = last._replace(edges=edges)
-                    self._size = None if edges is None else last.start + edges + 1
-                    self._complete = walk.hit
-                    return
         start, (p, q) = self._size - 1, walk.s
         walk.step()
         dp, dq = walk.s[0] - p, walk.s[1] - q
@@ -840,15 +791,6 @@ class FareyPath:
         self._runs.append(Run(start, p, q, dp, dq, edges))
         self._size = None if edges is None else start + edges + 1
         self._complete = walk.hit
-
-    def _resume(self) -> _Walk:
-        if not self._runs:
-            return _Walk.at(self.start, self.target)
-        # partner -v(n-2) keeps the lifts coherent, so a step with k = 2
-        # goes on with the last run
-        last = self._runs[-1]
-        p, q = last.p + last.edges * last.dp, last.q + last.edges * last.dq
-        return _Walk((last.dp - p, last.dq - q), (p, q), self.target)
 
     def vertex(self, i: int) -> Slope:
         if self.extend_to(i + 1) <= i:
@@ -907,35 +849,22 @@ class FareyPath:
 
     @classmethod
     def from_vertices(cls, vertices: Iterable[Slope], target: SlopeTarget | None = None) -> "FareyPath":
-        """Wrap an explicit finite vertex list, validating the path invariants.
-
-        Without an explicit target the path is treated as complete with an
-        attained target at its last vertex.
+        """The path from the first vertex toward target, checked against an
+        explicit finite vertex list: the list must be the walk's first
+        len(vertices) vertices.  Without an explicit target the target is
+        attained at the last vertex, so the list must be a complete path.
         """
         vs = list(vertices)
         if not vs:
             raise MalformedPathError("a path needs at least one vertex")
-        for a, b in zip(vs, vs[1:]):
-            if a == b or abs(det(a, b)) != 1:
-                raise MalformedPathError(f"consecutive vertices {a}, {b} are not a Farey edge")
-        for a, b, c in zip(vs, vs[1:], vs[2:]):
-            if not cw(a, b, c):
-                raise MalformedPathError(f"vertices {a}, {b}, {c} are not clockwise")
         if target is None:
             target = RationalTarget(vs[-1], True)
         path = cls(vs[0], target)
-        p, q = vs[0].p, vs[0].q
-        for i, v in enumerate(vs[1:]):
-            e = p * v.q - v.p * q  # det(previous lift, v) = +-1: lift v coherently
-            dp, dq = e * v.p - p, e * v.q - q
-            runs = path._runs
-            if runs and (runs[-1].dp, runs[-1].dq) == (dp, dq):
-                runs[-1] = runs[-1]._replace(edges=runs[-1].edges + 1)
-            else:
-                runs.append(Run(i, p, q, dp, dq, 1))
-            p, q = p + dp, q + dq
-        path._size = path._length = len(vs)
-        path._complete = target.attained and vs[-1] == target.slope
+        walked = path.prefix(len(vs))
+        for i, v in enumerate(vs):
+            if i == len(walked) or walked[i] != v:
+                raise MalformedPathError(
+                    f"vertex {i} ({v}) is not on the minimal clockwise path from {vs[0]} toward {target}")
         return path
 
 

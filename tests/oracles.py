@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from toric_ends import (
     AllNegative,
@@ -56,6 +56,17 @@ def _surd_cmp_fraction(a: int, b: int, c: int, d: int, x: Fraction) -> int:
     if lhs > 0:
         return 1 if big else -1
     return -1 if big else 1
+
+
+def _surd_floor(a: int, b: int, c: int, d: int) -> int:
+    """floor((a + b*sqrt(d))/c), c > 0: an isqrt estimate, corrected by the
+    standalone surd comparator."""
+    n = (a + (isqrt(b * b * d) if b > 0 else -isqrt(b * b * d))) // c
+    while _surd_cmp_fraction(a, b, c, d, Fraction(n)) < 0:
+        n -= 1
+    while _surd_cmp_fraction(a, b, c, d, Fraction(n + 1)) >= 0:
+        n += 1
+    return n
 
 
 class OracleTarget:
@@ -202,7 +213,8 @@ def reference_next_toward(current: Slope, target) -> Slope:
     """One clockwise step computed from scratch at every vertex: the Bezout
     partner u of the current vertex s, then k from the ratio
     det(u, t) / det(t, s) for the original target t (a Fraction for a
-    rational t, the target's own mobius_floor otherwise)."""
+    rational t, the oracle's own surd floor for a quadratic t, the target's
+    own mobius_floor for a stream)."""
     s = current
     up, uq = _bezout_partner(s)
     if isinstance(target, RationalTarget):
@@ -216,6 +228,9 @@ def reference_next_toward(current: Slope, target) -> Slope:
             k = int(ratio)
         else:
             k = ratio.numerator // ratio.denominator + 1
+    elif isinstance(target, QuadraticTarget):
+        v = target.value.mobius(GL2Z(-uq, up, s.q, -s.p))
+        k = _surd_floor(v.a, v.b, v.c, v.d) + 1
     else:
         k = target.mobius_floor(GL2Z(-uq, up, s.q, -s.p)) + 1
     return Slope(up + k * s.p, uq + k * s.q)
@@ -223,10 +238,10 @@ def reference_next_toward(current: Slope, target) -> Slope:
 
 def reference_cf_coefficients(value, n: int) -> list[int]:
     """The first n continued fraction coefficients of a QuadraticValue by
-    its own floor and a gcd-normalized mobius per coefficient."""
+    the oracle's own floor and a gcd-normalized mobius per coefficient."""
     out = []
     for _ in range(n):
-        out.append(value.floor())
+        out.append(_surd_floor(value.a, value.b, value.c, value.d))
         value = value.mobius(GL2Z(0, 1, 1, -out[-1]))  # 1 / (x - floor(x))
     return out
 

@@ -56,12 +56,31 @@ def test_stream_validation():
         CFStream(itertools.cycle([1, 0])).coefficient(1)
 
 
-def test_stream_comparisons():
+@settings(max_examples=150, deadline=None)
+@example(2, 0, 1, 1, 141421356, 100000000)
+@example(421, -1, -1, 3, 0, 1)
+@given(st.integers(2, 500).filter(lambda d: isqrt(d) ** 2 != d),
+       st.integers(-40, 40), st.integers(-6, 6).filter(bool), st.integers(-10, 10).filter(bool),
+       st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
+def test_stream_comparisons(d, a, b, c, p, q):
     s = sqrt2_stream()  # sqrt(2)
     assert s.cmp_fraction(1, 1) > 0
     assert s.cmp_fraction(3, 2) < 0
     assert s.cmp_fraction(141421356, 100000000) > 0
     assert s.cmp_fraction(141421357, 100000000) < 0
+    # the Gosper cursor against the exact surd sign test: p/q, and each
+    # convergent h/k of the surd with h - 1 and h + 1 around it
+    quad = QuadraticTarget.of(a, b, c, d)
+    twin = quadratic_cf_target(quad.value)
+    fractions = [(p, q)]
+    h, k, h0, k0 = 1, 0, 0, 1
+    coefficients = quad.value.cf_coefficients()
+    for _ in range(12):
+        e = next(coefficients)
+        h, k, h0, k0 = e * h + h0, e * k + k0, h, k
+        fractions += [(h - 1, k), (h, k), (h + 1, k)]
+    for p, q in fractions:
+        assert twin.cmp_fraction(p, q) == quad.cmp_fraction(p, q), (p, q)
 
 
 # every GL2(Z) matrix is a product of translations and the swap

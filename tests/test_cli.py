@@ -247,6 +247,26 @@ def test_batch_job_options_are_strict():
     assert "format" in results[0]["error"]
 
 
+@pytest.mark.parametrize("job,field", [
+    ({"command": "classify",
+      "input": {"end": end_doc(SQRT2, tail={"type": "eventually", "sign": "+", "after": -1})}}, "end.signs.tail"),
+    ({"command": "reduce-t2xr",
+      "input": {"plus": end_doc(SQRT2), "minus": end_doc(SQRT2), "middle": {"slope": "0/1", "div": 0}}},
+     "input.middle"),
+    ({"command": "euler", "input": {"end": end_doc(SQRT2), "horizon": 0}}, "input.horizon"),
+    ({"command": "euler", "input": {"end": end_doc(SQRT2), "horizon": -5}}, "input.horizon"),
+    ({"command": "blocks", "input": {"start": "-1/1", "target": SQRT2}, "options": {"horizon": 0}},
+     "job[0].options.horizon"),
+], ids=["negative-sign-tail-after", "middle-div-0", "euler-horizon-0", "euler-horizon-negative",
+        "option-horizon-0"])
+def test_batch_reports_out_of_range_numbers_as_malformed(job, field):
+    code, out = invoke("run", [job, {"command": "count", "input": {"lengths": [2]}}])
+    assert code == 2
+    results = json.loads(out)
+    assert [r["status"] for r in results] == ["malformed", "ok"]
+    assert results[0]["error"].startswith(field)
+
+
 def test_determinism_byte_identical():
     doc = {"end": end_doc(SQRT2, tail={"type": "periodic", "pattern": ["+", "-"]})}
     _, out1 = invoke("classify", doc)

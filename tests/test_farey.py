@@ -268,6 +268,18 @@ def test_path_from_vertices_validates():
         FareyPath.from_vertices([S("-3"), S("-2"), S("-1")])
 
 
+@pytest.mark.parametrize("vertices,target", [
+    (["-3", "1/0", "5", "4", "3"], None),  # oo -> 3 is an edge: the turn at oo is not minimal
+    (["-1", "-2", "-3"], RationalTarget(S("-2"), True)),  # runs past its attained target
+    (["-1", "-2", "-3"], RationalTarget(S("5"), False)),  # the minimal path is -1, oo, ...
+    (["-1", "-3/2", "-2"], None),  # a k = 1 turn: -1 -> -2 is an edge
+], ids=["turn-at-oo", "past-attained", "wrong-side", "k-1-turn"])
+def test_path_from_vertices_rejects_paths_off_the_walk(vertices, target):
+    from toric_ends.errors import MalformedPathError
+    with pytest.raises(MalformedPathError):
+        FareyPath.from_vertices([S(v) for v in vertices], target)
+
+
 # ---------------------------------------------------------------------------
 # square-free split of input surds
 
@@ -291,8 +303,8 @@ def test_squarefree_split_of_two_large_primes_is_exact():
     assert _squarefree_split(p * q) == (1, p * q)
     assert _squarefree_split(p * p * 6) == (p, 6)
     assert _squarefree_split(p * p) == (p, 1)
-    value = QuadraticTarget.of(0, -1, 1, p * q).value
-    assert value.d == p * q and value.floor() == -isqrt(p * q) - 1
+    target = QuadraticTarget.of(0, -1, 1, p * q)
+    assert target.value.d == p * q and target.mobius_floor(GL2Z.identity()) == -isqrt(p * q) - 1
 
 
 def test_squarefree_split_stops_at_its_budget():

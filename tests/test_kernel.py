@@ -21,6 +21,7 @@ from toric_ends import (
     equivalent,
     quadratic_cf_target,
 )
+from toric_ends.errors import MalformedPathError
 from toric_ends.farey import _Walk
 
 from oracles import reference_cf_coefficients, reference_path, reference_quadratic_period
@@ -103,11 +104,12 @@ def test_vertex_text_crosses_oo_inside_a_run():
     path = FareyPath(Slope(-11, 3), RationalTarget(Slope(-7, 2), False))
     assert path.prefix_text(4) == ["-11/3", "-4/1", "-3/1", "-10/3"]
     assert path.run(0).edges is None and path.run(0).dq == -2  # q = 3, 1, -1, -3, ...
-    # a given path may turn at oo into a run of lifts with constant q = -1
+    # a given path that turns at oo into 5, 4, 3 is not the walk (oo -> 3
+    # is an edge), so it is refused rather than stored
     vertices = [Slope(-3, 1), Slope(1, 0), Slope(5, 1), Slope(4, 1), Slope(3, 1)]
-    path = FareyPath.from_vertices(vertices)
-    assert (path.run(2).q, path.run(2).dq) == (-1, 0)
-    assert path.prefix_text(9) == ["-3/1", "1/0", "5/1", "4/1", "3/1"]
+    with pytest.raises(MalformedPathError, match="vertex 2"):
+        FareyPath.from_vertices(vertices)
+    assert FareyPath.from_vertices(vertices[:2] + vertices[-1:]).prefix_text(9) == ["-3/1", "1/0", "3/1"]
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,6 +6,7 @@ at every length (counts, not timings)."""
 
 from math import isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +22,8 @@ from toric_ends import (
     next_toward,
     quadratic_cf_target,
 )
+from toric_ends.errors import MalformedPathError
+from toric_ends.farey import cw
 
 from oracles import reference_blocks, reference_next_toward, reference_path
 from test_cf_targets import GL2Z_WORDS
@@ -82,6 +85,34 @@ def test_walk_resumes_a_path_given_by_vertices(target, known, more):
         return  # a complete path has nothing left to walk
     path = FareyPath.from_vertices(vertices, target)
     assert path.prefix(known + more) == reference_path(start, target, known + more)
+
+
+@settings(max_examples=60, deadline=None)
+@example(RationalTarget(Slope(-40, 1), True), 5, 0)
+@example(RationalTarget(Slope(1, 0), False), 4, 2)
+@given(st.one_of(
+    st.builds(RationalTarget, SLOPES, st.booleans()),
+    st.builds(QuadraticTarget.of, st.integers(-20, 20), st.integers(-4, 4).filter(bool),
+              st.integers(-10, 10).filter(bool), NON_SQUARES),
+), st.integers(2, 30), st.integers(0, 28))
+def test_from_vertices_accepts_the_walk_and_refuses_a_mediant(target, known, turn):
+    start = Slope(-1, 1)
+    if isinstance(target, RationalTarget) and target.slope == start:
+        return
+    vertices = reference_path(start, target, known)
+    for n in range(1, len(vertices) + 1):
+        walked = FareyPath(start, target)
+        walked.extend_to(n)
+        path = FareyPath.from_vertices(vertices[:n], target)
+        assert path._runs == walked._runs and path.prefix(n) == vertices[:n]
+    if len(vertices) < 2:
+        return
+    # a mediant between two consecutive vertices makes a k = 1 turn
+    i = turn % (len(vertices) - 1)
+    a, b = vertices[i], vertices[i + 1]
+    mediant = next(m for m in (Slope(a.p + b.p, a.q + b.q), Slope(a.p - b.p, a.q - b.q)) if cw(a, m, b))
+    with pytest.raises(MalformedPathError, match=f"vertex {i + 1} "):
+        FareyPath.from_vertices(vertices[:i + 1] + (mediant,) + vertices[i + 1:], target)
 
 
 def test_stream_walk_reads_one_coefficient_per_vertex():
