@@ -35,6 +35,9 @@ COMMANDS = (
 
 DEFAULT_MAX_FAMILY = 10_000
 
+# most vertices a path answer and most blocks a blocks answer may list
+OUTPUT_BUDGET = 10**6
+
 
 # ---------------------------------------------------------------------------
 # schema helpers
@@ -360,11 +363,21 @@ def block_doc(b: blocks_mod.Block) -> dict:
 # command implementations
 
 
+def _check_output_budget(size: int, what: str):
+    """Refuse an answer past OUTPUT_BUDGET items.  Callers walk at most
+    OUTPUT_BUDGET + 1 items whatever was asked for, so a path that ends
+    sooner still answers in full."""
+    if size > OUTPUT_BUDGET:
+        raise ToricEndError(f"the answer would list more than OUTPUT_BUDGET = {OUTPUT_BUDGET} {what}")
+
+
 def _cmd_path(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"start", "target", "n"}, set(), "input")
     n = _positive_int(doc, "n", "input")
-    path = farey_sequence(_slope(doc["start"], "input.start"), parse_target(doc["target"]), n)
-    return {"vertices": path.prefix_text(n)}
+    path = farey_sequence(_slope(doc["start"], "input.start"), parse_target(doc["target"]),
+                          min(n, OUTPUT_BUDGET + 1))
+    _check_output_budget(len(path), "vertices")
+    return {"vertices": path.prefix_text(len(path))}
 
 
 def _cmd_blocks(doc: dict, options: dict) -> dict:
@@ -372,8 +385,9 @@ def _cmd_blocks(doc: dict, options: dict) -> dict:
     count = _positive_int(doc, "count", "input") if "count" in doc else options["horizon"]
     path = FareyPath(_slope(doc["start"], "input.start"), parse_target(doc["target"]))
     decomp = blocks_mod.decompose(path)
-    out = [block_doc(b) for b in decomp.blocks_up_to(count)]
-    return {"blocks": out, "complete": decomp.finished}
+    blocks = decomp.blocks_up_to(min(count, OUTPUT_BUDGET + 1))
+    _check_output_budget(len(blocks), "blocks")
+    return {"blocks": [block_doc(b) for b in blocks], "complete": decomp.finished}
 
 
 def _cmd_classify(doc: dict, options: dict) -> dict:

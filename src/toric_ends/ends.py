@@ -11,6 +11,7 @@ the target kind.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import islice, product
 from typing import Callable, Union
 
 from .blocks import decompose
@@ -338,11 +339,6 @@ class Unknown:
 ObstructionResult = Union[NoTightExtension, ExtendsByConstruction, Unknown]
 
 
-def _strictly_between(inv: IrrationalInvariant, i: int) -> bool:
-    block = inv.context.decomposition().block(i)
-    return 0 < inv.f(i) < block.length - 1
-
-
 def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> ObstructionResult:
     decomp = inv.context.decomposition()
     tail = inv.tail
@@ -352,8 +348,11 @@ def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> Obstructi
         if all(extreme(i, c) for i, c in enumerate(inv.counts, start=1)):
             return ExtendsByConstruction()
         return Unknown(horizon)
+    # every block of the span is a tail block, so its count is the tail's
     span = _periodic_span(decomp, inv.first_tail_block(), len(tail.pattern))
-    if span is not None and any(_strictly_between(inv, i) for i in span):
+    if span is not None and any(
+            0 < tail.count_positive(b.start_index, b.end_index) < b.end_index - b.start_index
+            for b in map(decomp.block, span)):
         return NoTightExtension(
             "per-block count is neither maximal nor minimal for infinitely many blocks")
     return Unknown(horizon)
@@ -397,13 +396,16 @@ def _rational_family_signs(base: tuple[int, ...], member: int) -> SignData:
     return SignData(base, EventuallySign(NEGATIVE if member % 2 == 1 else POSITIVE, m))
 
 
-def _alternating_family_signs(lengths: list[int], counts: list[int]) -> SignData:
+_ALTERNATING = Alternating()
+
+
+def _alternating_family_signs(lengths: list[int], counts: tuple[int, ...]) -> SignData:
     """counts[i] positive slices, then negative ones, on block i + 1 of the
     given lengths; alternating signs after them."""
-    prefix: list[int] = []
+    prefix: tuple[int, ...] = ()
     for c, length in zip(counts, lengths):
-        prefix.extend([POSITIVE] * c + [NEGATIVE] * (length - 1 - c))
-    return SignData(tuple(prefix), Alternating())
+        prefix += (POSITIVE,) * c + (NEGATIVE,) * (length - 1 - c)
+    return SignData(prefix, _ALTERNATING)
 
 
 def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE,
@@ -424,7 +426,7 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
     decomp = context.decomposition()
 
     def certified(signs: SignData, failure: Callable[[], str]) -> EndInvariant:
-        e = replace(frame, signs=signs)
+        e = EndDescription(frame.boundary, frame.target, signs)
         violations = validate(e)
         if violations:
             raise ValidationError(violations)
@@ -442,27 +444,14 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
                 for member in range(k)]
 
     lengths: list[int] = []
-    product = 1
-    while product < k:
+    distinct = 1  # count vectors over the blocks so far
+    while distinct < k:
         if len(lengths) >= horizon:
             raise InsufficientBlocksError(
                 f"cannot distinguish {k} invariants within {horizon} blocks")
         lengths.append(decomp.block(len(lengths) + 1).length)
-        product *= lengths[-1]
-    members: list[EndInvariant] = []
-    counts = [0] * len(lengths)
-    while len(members) < k:
-        members.append(certified(
-            _alternating_family_signs(lengths, counts),
-            lambda: f"alternating-tail members toward {target} are not certifiable"))
-        # lexicographic increment over per-block count ranges
-        for j in range(len(counts) - 1, -1, -1):
-            if counts[j] + 1 < lengths[j]:
-                counts[j] += 1
-                break
-            counts[j] = 0
-        else:
-            if len(members) < k:
-                raise InsufficientBlocksError(
-                    f"count space exhausted after {len(members)} members")
-    return members
+        distinct *= lengths[-1]
+    # the first k count vectors in lexicographic order
+    return [certified(_alternating_family_signs(lengths, counts),
+                      lambda: f"alternating-tail members toward {target} are not certifiable")
+            for counts in islice(product(*map(range, lengths)), k)]

@@ -138,9 +138,11 @@ class SignData:
     tail: SignTail | None = None
 
     def __post_init__(self):
-        if any(s not in (POSITIVE, NEGATIVE) for s in self.prefix):
+        prefix = tuple(self.prefix)
+        # two counts by ==, so an unhashable entry is rejected like any other
+        if prefix.count(POSITIVE) + prefix.count(NEGATIVE) != len(prefix):
             raise ValueError("prefix entries must be +1 or -1")
-        object.__setattr__(self, "prefix", tuple(self.prefix))
+        object.__setattr__(self, "prefix", prefix)
 
     def sign_at(self, j: int) -> int:
         if j < len(self.prefix):
@@ -406,12 +408,10 @@ def _build_rational_non_attained(decomp: BlockDecomposition, signs: SignData,
                                  context: InvariantContext) -> RationalNonAttainedInvariant:
     if signs.tail is None:
         raise IllegalTailError("infinite path requires a sign tail")
-    blocks = decomp.all_blocks()
-    finite = blocks[:-1]
-    infinite = blocks[-1]
+    *finite, infinite = decomp.all_blocks()
     assert infinite.infinite
-    counts = tuple(signs.count_positive(*b.slice_range) for b in finite)
-    lo = infinite.slice_range[0]
+    counts = tuple(signs.count_positive(b.start_index, b.end_index) for b in finite)
+    lo = infinite.start_index
     recurring = signs._recurring_signs()
     if len(recurring) == 2:
         form: InfiniteBlockForm = AlternatingForm()
@@ -419,7 +419,7 @@ def _build_rational_non_attained(decomp: BlockDecomposition, signs: SignData,
         # the other sign occurs finitely often: in the prefix, and in the
         # opening run of an eventually-constant tail
         rare = -recurring.pop()
-        m = sum(1 for s in signs.prefix[lo:] if s == rare)
+        m = signs.prefix[lo:].count(rare)
         if isinstance(signs.tail, EventuallySign):
             m += max(0, signs.tail.after - max(0, lo - len(signs.prefix)))
         form = PosFinite(m) if rare == POSITIVE else NegFinite(m)
@@ -447,8 +447,9 @@ def _tail_pattern_at(signs: SignData, anchor: int) -> CountTail:
     if isinstance(t, EventuallySign):
         return SaturatedCounts() if t.sign == POSITIVE else ZeroCounts()
     if isinstance(t, Alternating):
+        # (first, -first) is primitive and mixed, so it needs no normalizing
         first = t.first if (anchor - base) % 2 == 0 else -t.first
-        return _normalize_count_tail((first, -first), anchor)
+        return PatternCounts((first, -first), anchor)
     rot = (anchor - base) % len(t.pattern)
     return _normalize_count_tail(t.pattern[rot:] + t.pattern[:rot], anchor)
 
@@ -458,14 +459,10 @@ def _build_irrational(decomp: BlockDecomposition, signs: SignData,
     if signs.tail is None:
         raise IllegalTailError("infinite path requires a sign tail")
     pure = _tail_pure_start(signs)
-    k = 1
-    while decomp.block(k).slice_range[0] < pure:
-        k += 1
-    counts = tuple(
-        signs.count_positive(*decomp.block(i).slice_range) for i in range(1, k)
-    )
-    anchor = decomp.block(k).slice_range[0]
-    return IrrationalInvariant(counts, _tail_pattern_at(signs, anchor), context)
+    counts = []
+    while (block := decomp.block(len(counts) + 1)).start_index < pure:
+        counts.append(signs.count_positive(block.start_index, block.end_index))
+    return IrrationalInvariant(tuple(counts), _tail_pattern_at(signs, block.start_index), context)
 
 
 def invariant_from_signs(decomp: BlockDecomposition, signs: SignData,

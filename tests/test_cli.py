@@ -176,6 +176,44 @@ def test_period_budget_is_a_violation(monkeypatch):
     assert "PERIOD_BUDGET = 3 blocks" in json.loads(out)["error"]
 
 
+def test_output_budget_refuses_a_long_path_and_the_batch_goes_on():
+    # one run of 10^12 vertices: only OUTPUT_BUDGET + 1 of them are walked
+    far = {"kind": "rational", "slope": "-1000000000000/1", "attained": True}
+    near = {"kind": "rational", "slope": "-5/2", "attained": True}
+    jobs = [{"command": "path", "input": {"start": "-1/1", "target": far, "n": 10 ** 9}},
+            {"command": "path", "input": {"start": "-1/1", "target": near, "n": 10 ** 9}},
+            {"command": "path", "input": {"start": "-1/1", "target": far, "n": 10 ** 6}}]
+    code, out = invoke("run", jobs)
+    assert code == 1
+    results = json.loads(out)
+    assert [r["status"] for r in results] == ["violation", "ok", "ok"]
+    assert "more than OUTPUT_BUDGET = 1000000 vertices" in results[0]["error"]
+    assert results[1]["output"]["vertices"] == ["-1/1", "-2/1", "-5/2"]
+    assert len(results[2]["output"]["vertices"]) == 10 ** 6
+    code, out = invoke("path", jobs[0]["input"])
+    assert code == 1 and "OUTPUT_BUDGET" in json.loads(out)["error"]
+
+
+def test_output_budget_counts_what_is_listed_not_what_is_asked(monkeypatch):
+    monkeypatch.setattr("toric_ends.cli.OUTPUT_BUDGET", 5)
+    rational = {"kind": "rational", "slope": "-1000000000/1", "attained": False}
+    # toward a surd only budget + 1 items are walked, so 10^9 answers at once
+    for command, size, what in (("path", "n", "vertices"), ("blocks", "count", "blocks")):
+        code, out = invoke(command, {"start": "-1/1", "target": SQRT2, size: 10 ** 9})
+        assert code == 1
+        assert json.loads(out)["error"] == f"the answer would list more than OUTPUT_BUDGET = 5 {what}"
+        code, out = invoke(command, {"start": "-1/1", "target": SQRT2, size: 5})
+        assert code == 0
+        assert len(json.loads(out)[what]) == 5
+    # a finite block list shorter than the budget is answered whatever the count
+    code, out = invoke("blocks", {"start": "-1/1", "target": rational, "count": 10 ** 9})
+    assert code == 0
+    assert json.loads(out) == json.loads(invoke("blocks", {"start": "-1/1", "target": rational})[1])
+    # the default count is the horizon, under the same budget
+    code, out = invoke("blocks", {"start": "-1/1", "target": SQRT2}, "--horizon", "6")
+    assert code == 1 and "5 blocks" in json.loads(out)["error"]
+
+
 def test_solid_torus_with_a_one_point_arc_has_no_realized_point():
     attained = {"kind": "rational", "slope": "-3/2", "attained": True}
     doc = end_doc(attained)

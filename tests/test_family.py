@@ -94,15 +94,21 @@ def counting(monkeypatch, name):
 def test_family_shares_one_decomposition(monkeypatch):
     decompositions = counting(monkeypatch, "decompose")
     validated = counting(monkeypatch, "validate")
+    classified = counting(monkeypatch, "_classify_minimal")
     certified = counting(monkeypatch, "extension_obstruction")
-    family = non_extendable_family(QuadraticTarget.of(0, -1, 1, 3), 250)
-    assert len(family) == 250
-    assert len(decompositions) == 1
-    shared = family[0].context.decomposition()
-    assert all(m.context.decomposition() is shared for m in family)
-    # every member is still validated and certified on its own
-    assert len(validated) == 250
-    assert [id(inv) for inv in certified] == [id(m) for m in family]
+    for target in (QuadraticTarget.of(0, -1, 1, 3), RationalTarget(Slope(-19, 2), False)):
+        for seen in (decompositions, validated, classified, certified):
+            seen.clear()
+        family = non_extendable_family(target, 250)
+        assert len(family) == 250
+        assert len(decompositions) == 1
+        shared = family[0].context.decomposition()
+        assert all(m.context.decomposition() is shared for m in family)
+        # every member is still validated, classified from its own signs
+        # and certified on its own
+        assert len(validated) == 250
+        assert [id(e) for e in classified] == [id(e) for e in validated]
+        assert [id(inv) for inv in certified] == [id(m) for m in family]
 
 
 def test_rational_members_carry_constant_size_signs(monkeypatch):

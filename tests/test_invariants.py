@@ -1,7 +1,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_ends import (
@@ -41,11 +41,14 @@ from toric_ends.invariants import (
     PatternCounts,
     SaturatedCounts,
     ZeroCounts,
+    _normalize_count_tail,
+    _tail_pattern_at,
     signs_from_chars,
 )
 
 from oracles import (
     oracle_orbit_count,
+    reference_blocks,
     reference_count_positive,
     reference_euler_class,
     reference_path,
@@ -325,7 +328,74 @@ SIGN_TAILS = st.one_of(
     st.builds(Alternating, SIGNS),
     st.builds(Periodic, st.lists(SIGNS, min_size=1, max_size=6).map(tuple)),
 )
-SIGN_DATA = st.builds(SignData, st.lists(SIGNS, max_size=30).map(tuple), SIGN_TAILS)
+PREFIXES = st.lists(SIGNS, max_size=30).map(tuple)
+SIGN_DATA = st.builds(SignData, PREFIXES, SIGN_TAILS)
+
+
+@pytest.mark.parametrize("entry", [0, 2, "+", None, [1]], ids=["0", "2", "plus-text", "None", "list"])
+def test_sign_data_rejects_entries_other_than_plus_or_minus_one(entry):
+    with pytest.raises(ValueError, match="prefix entries must be"):
+        SignData((P, entry, N))
+    with pytest.raises(ValueError, match="prefix entries must be"):
+        SignData([entry])
+
+
+# the builders, against slice-by-slice counts on the oracle's blocks: a
+# prefix of at most 30 signs and an opening run of at most 20 leave the
+# tail pure after slice 50, and a pattern repeats within 6 slices
+
+TAILS = SIGN_TAILS.filter(lambda t: t is not None)
+
+
+def far_signs(signs, lo):
+    """The signs the tail repeats forever, read well past slice lo."""
+    return {signs.sign_at(j) for j in range(lo + 100, lo + 140)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(PREFIXES, TAILS, st.builds(QuadraticTarget.of, st.integers(-20, 20), st.integers(-4, 4).filter(bool),
+                                  st.integers(-10, 10).filter(bool), st.sampled_from((2, 3, 5, 13, 421))),
+       st.sampled_from((Slope(-1, 1), Slope(1, 0), Slope(3, 7))))
+def test_irrational_invariant_matches_slice_sums_per_block(prefix, tail, target, start):
+    signs = SignData(prefix, tail)
+    inv = invariant_from_signs(decompose(FareyPath(start, target)), signs)
+    blocks = reference_blocks(FareyPath(start, target), len(inv.counts) + 12)
+    assert [inv.f(i) for i in range(1, len(blocks) + 1)] == \
+        [reference_count_positive(signs, lo, hi) for lo, hi, _, _ in blocks]
+    far = far_signs(signs, 0)
+    assert type(inv.tail) is (SaturatedCounts if far == {P} else ZeroCounts if far == {N} else PatternCounts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(PREFIXES, TAILS, st.tuples(st.integers(-200, 200), st.integers(0, 30)).filter(any)
+       .map(lambda pq: Slope(*pq)).filter(lambda s: s != S("-1")))
+def test_rational_invariant_matches_slice_sums_per_block(prefix, tail, slope):
+    signs = SignData(prefix, tail)
+    target = RationalTarget(slope, False)
+    inv = invariant_from_signs(decompose(FareyPath(S("-1"), target)), signs)
+    *finite, (lo, _, _, infinite) = reference_blocks(FareyPath(S("-1"), target), 10 ** 6)
+    assert infinite
+    assert list(inv.finite_f) == [reference_count_positive(signs, first, last) for first, last, _, _ in finite]
+    far = far_signs(signs, lo)
+    if len(far) == 2:
+        assert inv.infinite_block == AlternatingForm()
+        return
+    rare = -far.pop()
+    m = sum(1 for j in range(lo, lo + 100) if signs.sign_at(j) == rare)
+    assert inv.infinite_block == (PosFinite(m) if rare == P else NegFinite(m))
+
+
+@settings(max_examples=60, deadline=None)
+@example((), P, 0)
+@example((), P, 1)
+@example((N, N, P), N, 0)
+@example((N, N, P), N, 1)
+@given(st.lists(SIGNS, max_size=8).map(tuple), SIGNS, st.integers(0, 9))
+def test_alternating_count_tail_is_already_normal(prefix, first, offset):
+    signs = SignData(prefix, Alternating(first))
+    anchor = len(prefix) + offset
+    pattern = (signs.sign_at(anchor), signs.sign_at(anchor + 1))
+    assert _tail_pattern_at(signs, anchor) == _normalize_count_tail(pattern, anchor)
 
 
 @settings(max_examples=300, deadline=None)
