@@ -16,37 +16,41 @@ normalized picture is -1, ..., -m, -m - 1/a with a >= 2, and the triple
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
-from .farey import GL2Z, FareyPath, RationalTarget, Slope, det
+from .farey import GL2Z, FareyPath, RationalTarget, Run, Slope, det
+from .records import Record, setfield
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """A maximal run of path vertices carried to -1, ..., -m by the witness.
 
     Indices are vertex positions into the path; end_index is inclusive and
     None for the terminal infinite block of a rational non-attained path.
     """
 
-    start_index: int
-    end_index: int | None
-    witness: GL2Z
-    infinite: bool = False
+    __slots__ = ("start_index", "end_index", "infinite", "run")
+    _fields = ("start_index", "end_index", "witness", "infinite")
+
+    def __init__(self, run: Run):
+        infinite = run.edges is None
+        setfield(self, "start_index", run.start)
+        setfield(self, "end_index", None if infinite else run.start + run.edges)
+        setfield(self, "infinite", infinite)
+        setfield(self, "run", run)
+
+    @property
+    def witness(self) -> GL2Z:
+        """Built when read, from the first edge of the run."""
+        return witness_for_edge(self.run.vertex(0), self.run.vertex(1))
 
     @property
     def length(self) -> int | None:
-        if self.infinite:
-            return None
-        return self.end_index - self.start_index + 1
+        return None if self.infinite else self.end_index - self.start_index + 1
 
     @property
     def slice_range(self) -> tuple[int, int | None]:
         """Global basic-slice (edge) indices covered: [first, last) with
         last = None for the infinite block."""
-        if self.infinite:
-            return (self.start_index, None)
         return (self.start_index, self.end_index)
 
     def slice_count(self) -> int:
@@ -71,7 +75,7 @@ def witness_for_edge(a: Slope, b: Slope) -> GL2Z:
 
 class BlockDecomposition:
     """Lazily computed maximal blocks of a path, oldest first: one block per
-    run of the path, with its witness.
+    run of the path.
 
     Blocks partition the path's edges; consecutive blocks share exactly one
     boundary vertex.  For irrational targets the block list is infinite and
@@ -96,14 +100,9 @@ class BlockDecomposition:
         if run is None:
             self._done = True
             return False
-        m = witness_for_edge(run.vertex(0), run.vertex(1))
-        if run.edges is None:
-            # the normalized tail is -1, -2, -3, ... forever
-            self._blocks.append(Block(run.start, None, m, infinite=True))
-            self._done = True
-            return True
-        self._blocks.append(Block(run.start, run.start + run.edges, m))
-        self._done = self.path.complete and self.path.run(i + 1) is None
+        self._blocks.append(Block(run))
+        # an infinite run (normalized: -1, -2, -3, ... forever) ends the list
+        self._done = run.edges is None or (self.path.complete and self.path.run(i + 1) is None)
         return True
 
     def block(self, i: int) -> Block:

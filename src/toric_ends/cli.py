@@ -70,13 +70,18 @@ def _positive_int(doc: dict, key: str, where: str) -> int:
     return v
 
 
+def _schema(where: str, make, *args):
+    """make(*args), with a ValueError from its checks reported as a SchemaError."""
+    try:
+        return make(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def _slope(text: Any, where: str) -> Slope:
     if not isinstance(text, str):
         raise SchemaError(f"{where} must be a slope string like \"-1/1\"")
-    try:
-        return parse_slope(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _schema(where, parse_slope, text)
 
 
 def _sign(text: Any, where: str) -> int:
@@ -101,10 +106,7 @@ def parse_target(doc: Any, where: str = "target") -> SlopeTarget:
         return RationalTarget(_slope(doc["slope"], f"{where}.slope"), doc["attained"])
     if kind == "quadratic":
         _check_keys(doc, {"kind", "a", "b", "c", "d"}, set(), where)
-        try:
-            return QuadraticTarget.of(*(_int(doc, k, where) for k in "abcd"))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        return _schema(where, QuadraticTarget.of, *(_int(doc, k, where) for k in "abcd"))
     raise SchemaError(f"{where}.kind must be \"rational\" or \"quadratic\"")
 
 
@@ -128,10 +130,8 @@ def parse_sign_tail(doc: Any, where: str):
         return inv_mod.AllNegative()
     if kind == "eventually":
         _check_keys(doc, {"type", "sign", "after"}, set(), where)
-        try:
-            return inv_mod.EventuallySign(_sign(doc["sign"], f"{where}.sign"), _int(doc, "after", where))
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+        return _schema(where, inv_mod.EventuallySign, _sign(doc["sign"], f"{where}.sign"),
+                       _int(doc, "after", where))
     if kind == "alternating":
         _check_keys(doc, {"type"}, {"first"}, where)
         first = _sign(doc.get("first", "+"), f"{where}.first")
@@ -228,10 +228,7 @@ def rotative_doc(rot) -> dict:
 def _torus(doc: Any, where: str) -> ends_mod.TorusRecord:
     _check_keys(doc, {"slope"}, {"div"}, where)
     division = _int(doc, "div", where) if "div" in doc else 1
-    try:
-        return ends_mod.TorusRecord(_slope(doc["slope"], f"{where}.slope"), division)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    return _schema(where, ends_mod.TorusRecord, _slope(doc["slope"], f"{where}.slope"), division)
 
 
 def parse_end(doc: Any, where: str = "end") -> ends_mod.EndDescription:
@@ -371,13 +368,31 @@ def _check_output_budget(size: int, what: str):
         raise ToricEndError(f"the answer would list more than OUTPUT_BUDGET = {OUTPUT_BUDGET} {what}")
 
 
+def _digits_error(what: str) -> ToricEndError:
+    return ToricEndError(f"the answer would hold {what} of more than {sys.get_int_max_str_digits()} "
+                         "digits, the limit of int-to-text conversion")
+
+
+def _check_digits(values, what: str):
+    """Refuse an answer holding an integer that json.dumps cannot write:
+    one with more decimal digits than sys.get_int_max_str_digits(), a
+    limit that guards against quadratic-time conversion.  An integer of at
+    most 3 * limit bits is within it, so only longer ones are compared."""
+    limit = sys.get_int_max_str_digits()
+    if limit and any(v.bit_length() > 3 * limit and abs(v) >= 10 ** limit for v in values):
+        raise _digits_error(what)
+
+
 def _cmd_path(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"start", "target", "n"}, set(), "input")
     n = _positive_int(doc, "n", "input")
     path = farey_sequence(_slope(doc["start"], "input.start"), parse_target(doc["target"]),
                           min(n, OUTPUT_BUDGET + 1))
     _check_output_budget(len(path), "vertices")
-    return {"vertices": path.prefix_text(len(path))}
+    try:
+        return {"vertices": path.prefix_text(len(path))}
+    except ValueError:  # str() of an entry past sys.get_int_max_str_digits()
+        raise _digits_error("a vertex entry") from None
 
 
 def _cmd_blocks(doc: dict, options: dict) -> dict:
@@ -387,7 +402,9 @@ def _cmd_blocks(doc: dict, options: dict) -> dict:
     decomp = blocks_mod.decompose(path)
     blocks = decomp.blocks_up_to(min(count, OUTPUT_BUDGET + 1))
     _check_output_budget(len(blocks), "blocks")
-    return {"blocks": [block_doc(b) for b in blocks], "complete": decomp.finished}
+    docs = [block_doc(b) for b in blocks]
+    _check_digits((x for d in docs for x in d["witness"]), "a witness entry")
+    return {"blocks": docs, "complete": decomp.finished}
 
 
 def _cmd_classify(doc: dict, options: dict) -> dict:
@@ -431,6 +448,7 @@ def _cmd_euler(doc: dict, options: dict) -> dict:
     path = FareyPath(ends_mod.BASE_SLOPE, target)
     decomp = blocks_mod.decompose(path)
     cls = inv_mod.euler_class(decomp, e.signs, horizon)
+    _check_digits(cls.as_pair(), "an euler entry")
     slices = len(path) - 1 if path.complete else horizon
     return {"euler": [cls.x, cls.y], "slices": slices}
 
@@ -462,15 +480,9 @@ def _cmd_reduce_solid_torus(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"end"}, set(), "input")
     e = parse_end(doc["end"])
     pair = reduce_mod.classify_solid_torus(e)
-    out: dict[str, Any] = {
-        "s": str(pair.s_of_r) if pair.s_of_r is not None else None,
-        "invariant": invariant_doc(pair.invariant),
-    }
-    if pair.s_of_r is not None:
-        out["end"] = end_doc(reduce_mod.solid_torus_factor(e).end)
-    else:
-        out["end"] = end_doc(e)
-    return out
+    rest = e if pair.s_of_r is None else reduce_mod.solid_torus_factor(e).end
+    return {"s": None if pair.s_of_r is None else str(pair.s_of_r),
+            "invariant": invariant_doc(pair.invariant), "end": end_doc(rest)}
 
 
 def _cmd_reduce_t2xr(doc: dict, options: dict) -> dict:
@@ -549,7 +561,7 @@ def _load_input(args) -> Any:
         text = sys.stdin.read()
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
         raise SchemaError(f"input is not valid JSON: {exc}") from None
 
 

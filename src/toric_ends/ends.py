@@ -10,7 +10,6 @@ the target kind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from itertools import islice, product
 from typing import Callable, Union
 
@@ -48,6 +47,7 @@ from .invariants import (
     _periodic_span,
     invariant_from_signs,
 )
+from .records import Record, setfield
 
 BASE_SLOPE = Slope(-1, 1)
 
@@ -56,122 +56,115 @@ BASE_SLOPE = Slope(-1, 1)
 # description pieces
 
 
-@dataclass(frozen=True)
-class TorusRecord:
+class TorusRecord(Record):
     """A convex torus: its slope and half the number of dividing curves."""
 
-    slope: Slope
-    division: int = 1
+    __slots__ = ("slope", "division")
 
-    def __post_init__(self):
-        if self.division < 1:
+    def __init__(self, slope: Slope, division: int = 1):
+        if division < 1:
             raise ValueError("division number must be >= 1")
+        setfield(self, "slope", slope)
+        setfield(self, "division", division)
 
 
-@dataclass(frozen=True)
-class ConstantDivision:
-    value: int = 1
+class ConstantDivision(Record):
+    __slots__ = ("value",)
 
-    def __post_init__(self):
-        if self.value < 1:
+    def __init__(self, value: int = 1):
+        if value < 1:
             raise ValueError("division number must be >= 1")
+        setfield(self, "value", value)
 
 
-@dataclass(frozen=True)
-class EventuallyConstantDivision:
-    after: int
-    value: int
-    prefix: tuple[int, ...] = ()
+class EventuallyConstantDivision(Record):
+    __slots__ = ("after", "value", "prefix")
 
-    def __post_init__(self):
-        if self.after < 0:
+    def __init__(self, after: int, value: int, prefix: tuple[int, ...] = ()):
+        if after < 0:
             raise ValueError("after must be >= 0")
-        if self.value < 1 or any(v < 1 for v in self.prefix):
+        if value < 1 or any(v < 1 for v in prefix):
             raise ValueError("division numbers must be >= 1")
+        setfield(self, "after", after)
+        setfield(self, "value", value)
+        setfield(self, "prefix", prefix)
 
 
-@dataclass(frozen=True)
-class StrictlyIncreasingDivision:
-    pass
+class StrictlyIncreasingDivision(Record):
+    __slots__ = ()
 
 
 DivisionTail = Union[ConstantDivision, EventuallyConstantDivision, StrictlyIncreasingDivision]
 
 
-@dataclass(frozen=True)
-class InfiniteRotativity:
-    sign: int
+class InfiniteRotativity(Record):
+    __slots__ = ("sign",)
 
-    def __post_init__(self):
-        if self.sign not in (POSITIVE, NEGATIVE):
+    def __init__(self, sign: int):
+        if sign not in (POSITIVE, NEGATIVE):
             raise ValueError("sign must be +1 or -1")
+        setfield(self, "sign", sign)
 
 
 RotativeLayers = Union[tuple, InfiniteRotativity]
 
 
-@dataclass(frozen=True)
-class EndDescription:
+class EndDescription(Record):
     """A factorization of a toric end into convex tori, given symbolically."""
 
-    boundary: TorusRecord
-    target: SlopeTarget
-    signs: SignData = SignData()
-    division_tail: DivisionTail = ConstantDivision(1)
-    rotative: RotativeLayers = ()
+    __slots__ = ("boundary", "target", "signs", "division_tail", "rotative")
 
-    def __post_init__(self):
-        if isinstance(self.rotative, tuple):
-            if any(s not in (POSITIVE, NEGATIVE) for s in self.rotative):
+    def __init__(self, boundary: TorusRecord, target: SlopeTarget, signs: SignData = SignData(),
+                 division_tail: DivisionTail = ConstantDivision(1), rotative: RotativeLayers = ()):
+        if isinstance(rotative, tuple):
+            if any(s not in (POSITIVE, NEGATIVE) for s in rotative):
                 raise ValueError("rotative layer signs must be +1 or -1")
-
-    def change_of_basis(self) -> GL2Z:
-        """The stored normalization: the canonical SL2(Z) element carrying
-        the boundary slope to -1."""
-        return basis_change(self.boundary.slope)
+        setfield(self, "boundary", boundary)
+        setfield(self, "target", target)
+        setfield(self, "signs", signs)
+        setfield(self, "division_tail", division_tail)
+        setfield(self, "rotative", rotative)
 
 
 # ---------------------------------------------------------------------------
 # invariant wrappers
 
 
-@dataclass(frozen=True)
-class NestedAnnuli:
+class NestedAnnuli(Record):
     """Descriptor of the nested convex-annuli family attached to an end with
     infinite division number at infinity: Legendrian boundary twisting starts
     at tb = -1 and climbs by one per annulus."""
 
-    tb_start: int = -1
-    tb_step: int = 1
+    __slots__ = ("tb_start", "tb_step")
+
+    def __init__(self, tb_start: int = -1, tb_step: int = 1):
+        setfield(self, "tb_start", tb_start)
+        setfield(self, "tb_step", tb_step)
 
 
-@dataclass(frozen=True)
-class MinimallyTwisting:
-    invariant: MinimalInvariant
+class MinimallyTwisting(Record):
+    __slots__ = ("invariant",)
+
+    def __init__(self, invariant: MinimalInvariant):
+        setfield(self, "invariant", invariant)
 
     @property
     def context(self) -> InvariantContext:
         return self.invariant.context
 
 
-@dataclass(frozen=True)
-class NonMinimallyTwisting:
+class NonMinimallyTwisting(Record):
     """Rotative layers over a residual end; rotativity None means infinitely
     many layers."""
 
-    rotativity: int | None
-    sign: int
-    residual: "EndInvariant | None"
-    context: InvariantContext = field(compare=False)
+    __slots__ = ("rotativity", "sign", "residual", "context")
 
 
-@dataclass(frozen=True)
-class InfiniteDivision:
+class InfiniteDivision(Record):
     """Terminal marker: the classification beyond the nested-annuli data is
     an open question, so no equivalence is ever claimed between two of these."""
 
-    descriptor: NestedAnnuli
-    context: InvariantContext = field(compare=False)
+    __slots__ = ("descriptor", "context")
 
 
 EndInvariant = Union[MinimallyTwisting, NonMinimallyTwisting, InfiniteDivision]
@@ -290,7 +283,7 @@ def classify(e: EndDescription) -> EndInvariant:
     if isinstance(e.rotative, InfiniteRotativity):
         return NonMinimallyTwisting(None, e.rotative.sign, None, base_context)
     if len(e.rotative) > 0:
-        residual = classify(replace(e, rotative=()))
+        residual = classify(EndDescription(e.boundary, e.target, e.signs, e.division_tail))
         return NonMinimallyTwisting(len(e.rotative), e.rotative[0], residual, base_context)
 
     target = normalized_target(e)
@@ -321,19 +314,19 @@ def _classify_minimal(e: EndDescription, context: InvariantContext,
 # extension obstructions
 
 
-@dataclass(frozen=True)
-class NoTightExtension:
-    reason: str
+class NoTightExtension(Record):
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        setfield(self, "reason", reason)
 
 
-@dataclass(frozen=True)
-class ExtendsByConstruction:
-    pass
+class ExtendsByConstruction(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unknown:
-    horizon: int
+class Unknown(Record):
+    __slots__ = ("horizon",)
 
 
 ObstructionResult = Union[NoTightExtension, ExtendsByConstruction, Unknown]

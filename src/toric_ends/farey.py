@@ -11,27 +11,24 @@ exact integer sign test.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import gcd, isqrt
 from operator import attrgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DegenerateTargetError, MalformedPathError, ToricEndError
+from .records import Record, setfield
 
 
 # ---------------------------------------------------------------------------
 # slopes
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Record):
     """An extended rational p/q in lowest terms, q >= 0, with oo = 1/0."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        p, q = self.p, self.q
+    def __init__(self, p: int, q: int):
         if p == 0 and q == 0:
             raise ValueError("slope 0/0 is not a point of the circle")
         if q < 0 or (q == 0 and p < 0):
@@ -39,8 +36,8 @@ class Slope:
         g = gcd(abs(p), q)
         if g > 1:
             p, q = p // g, q // g
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        setfield(self, "p", p)
+        setfield(self, "q", q)
 
     @classmethod
     def _primitive(cls, p: int, q: int) -> "Slope":
@@ -49,10 +46,17 @@ class Slope:
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
         s = object.__new__(cls)
-        fields = s.__dict__  # one write each, a third cheaper than object.__setattr__
-        fields["p"] = p
-        fields["q"] = q
+        setfield(s, "p", p)
+        setfield(s, "q", q)
         return s
+
+    def __eq__(self, other):  # the hottest comparison: no key tuples
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.p == other.p and self.q == other.q
+
+    def __hash__(self):
+        return hash((self.p, self.q))
 
     # a rational walk value x (see _Walk): its floor and its updates
     def floor(self) -> int:
@@ -119,18 +123,19 @@ def clockwise_between(a: Slope, b: Slope, x: Slope) -> bool:
 # GL2(Z)
 
 
-@dataclass(frozen=True)
-class GL2Z:
+class GL2Z(Record):
     """Integer matrix [[a, b], [c, d]] with determinant +-1."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        if self.det not in (1, -1):
-            raise ValueError(f"determinant must be +-1, got {self.det}")
+    def __init__(self, a: int, b: int, c: int, d: int):
+        det = a * d - b * c
+        if det != 1 and det != -1:
+            raise ValueError(f"determinant must be +-1, got {det}")
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
+        setfield(self, "d", d)
 
     @property
     def det(self) -> int:
@@ -243,17 +248,12 @@ def _surd_sign(a: int, b: int, d: int) -> int:
     return -1 if lhs > rhs else 1
 
 
-@dataclass(frozen=True)
-class QuadraticValue:
+class QuadraticValue(Record):
     """The exact irrational (a + b*sqrt(d)) / c with b != 0, c > 0, d squarefree."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+    def __init__(self, a: int, b: int, c: int, d: int):
         if d <= 0:
             raise ValueError("d must be positive")
         if b == 0:
@@ -279,10 +279,10 @@ class QuadraticValue:
         g = gcd(gcd(abs(a), abs(b)), c)
         if g > 1:
             a, b, c = a // g, b // g, c // g
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "c", c)
+        setfield(self, "d", d)
 
     def cmp_fraction(self, p: int, q: int) -> int:
         """Exact sign of (value - p/q), q > 0."""
@@ -439,12 +439,14 @@ class _StreamImage:
 # slope targets
 
 
-@dataclass(frozen=True)
-class RationalTarget:
+class RationalTarget(Record):
     """A rational limit slope together with its attainment flag."""
 
-    slope: Slope
-    attained: bool = False
+    __slots__ = ("slope", "attained")
+
+    def __init__(self, slope: Slope, attained: bool = False):
+        setfield(self, "slope", slope)
+        setfield(self, "attained", attained)
 
     def det_sign(self, s: Slope) -> int:
         d = s.p * self.slope.q - self.slope.p * s.q
@@ -469,6 +471,7 @@ class IrrationalTarget:
     under m in GL2(Z), image(m), as a walk value (see _Walk), and the floor
     of that image is mobius_floor(m)."""
 
+    __slots__ = ()
     attained = False
 
     def det_sign(self, s: Slope) -> int:
@@ -487,11 +490,10 @@ class IrrationalTarget:
         return None
 
 
-@dataclass(frozen=True)
-class QuadraticTarget(IrrationalTarget):
+class QuadraticTarget(IrrationalTarget, Record):
     """An exact quadratic irrational limit slope."""
 
-    value: QuadraticValue
+    __slots__ = ("value",)
 
     @classmethod
     def of(cls, a: int, b: int, c: int, d: int) -> "QuadraticTarget":

@@ -11,7 +11,6 @@ alternating, periodic) for which per-block counts stay exactly computable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable
 
 from .blocks import BlockDecomposition
@@ -24,6 +23,7 @@ from .errors import (
     UndecidableError,
 )
 from .farey import RationalTarget, Slope, SlopeTarget
+from .records import Record, setfield
 
 POSITIVE = 1
 NEGATIVE = -1
@@ -41,15 +41,18 @@ def _count_periodic(pattern: tuple[int, ...], lo: int, hi: int) -> int:
         return 0
     n = len(pattern)
     cycles, rem = divmod(hi - lo, n)
-    return cycles * pattern.count(POSITIVE) + sum(1 for j in range(lo, lo + rem) if pattern[j % n] > 0)
+    start = lo % n
+    rest = pattern[start:start + rem] + pattern[:max(0, start + rem - n)]  # wraps past the end
+    return cycles * pattern.count(POSITIVE) + rest.count(POSITIVE)
 
 
 # Each tail rule answers sign_at(j) and count_positive(lo, hi), the number
 # of positive slices j with lo <= j < hi, in time independent of hi - lo.
 
 
-@dataclass(frozen=True)
-class AllPositive:
+class AllPositive(Record):
+    __slots__ = ()
+
     def sign_at(self, j: int) -> int:
         return POSITIVE
 
@@ -57,8 +60,9 @@ class AllPositive:
         return hi - lo
 
 
-@dataclass(frozen=True)
-class AllNegative:
+class AllNegative(Record):
+    __slots__ = ()
+
     def sign_at(self, j: int) -> int:
         return NEGATIVE
 
@@ -66,21 +70,21 @@ class AllNegative:
         return 0
 
 
-@dataclass(frozen=True)
-class EventuallySign:
+class EventuallySign(Record):
     """`after` slices of the opposite sign, then `sign` forever.
 
     With sign=-1 and after=m this is the m-positives-then-all-negatives tail
     whose infinite-block normal form is PosFinite(m)."""
 
-    sign: int
-    after: int
+    __slots__ = ("sign", "after")
 
-    def __post_init__(self):
-        if self.sign not in (POSITIVE, NEGATIVE):
+    def __init__(self, sign: int, after: int):
+        if sign not in (POSITIVE, NEGATIVE):
             raise ValueError("sign must be +1 or -1")
-        if self.after < 0:
+        if after < 0:
             raise ValueError("after must be >= 0")
+        setfield(self, "sign", sign)
+        setfield(self, "after", after)
 
     def sign_at(self, j: int) -> int:
         return -self.sign if j < self.after else self.sign
@@ -91,13 +95,13 @@ class EventuallySign:
         return max(0, min(hi, self.after) - lo)
 
 
-@dataclass(frozen=True)
-class Alternating:
-    first: int = POSITIVE
+class Alternating(Record):
+    __slots__ = ("first",)
 
-    def __post_init__(self):
-        if self.first not in (POSITIVE, NEGATIVE):
+    def __init__(self, first: int = POSITIVE):
+        if first not in (POSITIVE, NEGATIVE):
             raise ValueError("first must be +1 or -1")
+        setfield(self, "first", first)
 
     def sign_at(self, j: int) -> int:
         return self.first if j % 2 == 0 else -self.first
@@ -107,16 +111,15 @@ class Alternating:
         return evens if self.first == POSITIVE else hi - lo - evens
 
 
-@dataclass(frozen=True)
-class Periodic:
-    pattern: tuple[int, ...]
+class Periodic(Record):
+    __slots__ = ("pattern",)
 
-    def __post_init__(self):
-        if not self.pattern:
+    def __init__(self, pattern: tuple[int, ...]):
+        if not pattern:
             raise ValueError("pattern must be nonempty")
-        if any(s not in (POSITIVE, NEGATIVE) for s in self.pattern):
+        if any(s not in (POSITIVE, NEGATIVE) for s in pattern):
             raise ValueError("pattern entries must be +1 or -1")
-        object.__setattr__(self, "pattern", tuple(self.pattern))
+        setfield(self, "pattern", tuple(pattern))
 
     def sign_at(self, j: int) -> int:
         return self.pattern[j % len(self.pattern)]
@@ -128,21 +131,20 @@ class Periodic:
 SignTail = AllPositive | AllNegative | EventuallySign | Alternating | Periodic
 
 
-@dataclass(frozen=True)
-class SignData:
+class SignData(Record):
     """Signs of the basic slices: an explicit prefix plus an optional tail
     rule for infinite factorizations.  Slice j of an infinite path always
     has a sign; a finite path must be covered exactly by the prefix."""
 
-    prefix: tuple[int, ...] = ()
-    tail: SignTail | None = None
+    __slots__ = ("prefix", "tail")
 
-    def __post_init__(self):
-        prefix = tuple(self.prefix)
+    def __init__(self, prefix: tuple[int, ...] = (), tail: SignTail | None = None):
+        prefix = tuple(prefix)
         # two counts by ==, so an unhashable entry is rejected like any other
         if prefix.count(POSITIVE) + prefix.count(NEGATIVE) != len(prefix):
             raise ValueError("prefix entries must be +1 or -1")
-        object.__setattr__(self, "prefix", prefix)
+        setfield(self, "prefix", prefix)
+        setfield(self, "tail", tail)
 
     def sign_at(self, j: int) -> int:
         if j < len(self.prefix):
@@ -202,32 +204,29 @@ def signs_from_chars(prefix: Iterable[str], tail: SignTail | None = None) -> Sig
 # infinite block normal forms (rational non-attained case)
 
 
-@dataclass(frozen=True)
-class PosFinite:
+class PosFinite(Record):
     """Finitely many positive slices (m of them) in the infinite block."""
 
-    m: int
+    __slots__ = ("m",)
 
 
-@dataclass(frozen=True)
-class NegFinite:
+class NegFinite(Record):
     """Finitely many negative slices (m of them) in the infinite block."""
 
-    m: int
+    __slots__ = ("m",)
 
 
-@dataclass(frozen=True)
-class AlternatingForm:
+class AlternatingForm(Record):
     """Both signs occur infinitely often; the alternating model."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class BothFinite:
+
+class BothFinite(Record):
     """Both counts finite: never produced by construction, always inadmissible.
     Exists so that the admissibility check has something to reject."""
 
-    positive: int
-    negative: int
+    __slots__ = ("positive", "negative")
 
 
 InfiniteBlockForm = PosFinite | NegFinite | AlternatingForm | BothFinite
@@ -237,24 +236,28 @@ InfiniteBlockForm = PosFinite | NegFinite | AlternatingForm | BothFinite
 # per-block count tails (irrational case)
 
 
-@dataclass(frozen=True)
-class SaturatedCounts:
+class SaturatedCounts(Record):
     """f(i) = length(B_i) - 1 for every tail block (all slices positive)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ZeroCounts:
+
+class ZeroCounts(Record):
     """f(i) = 0 for every tail block (all slices negative)."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class PatternCounts:
+
+class PatternCounts(Record):
     """Slice signs follow `pattern` with period len(pattern), phase-anchored
     so that slice index `anchor` reads pattern[0].  The pattern is primitive
     and genuinely mixed (single-sign patterns normalize to the forms above)."""
 
-    pattern: tuple[int, ...]
-    anchor: int
+    __slots__ = ("pattern", "anchor")
+
+    def __init__(self, pattern: tuple[int, ...], anchor: int):
+        setfield(self, "pattern", pattern)
+        setfield(self, "anchor", anchor)
 
     def sign_at(self, j: int) -> int:
         return self.pattern[(j - self.anchor) % len(self.pattern)]
@@ -288,28 +291,22 @@ def _normalize_count_tail(pattern: tuple[int, ...], anchor: int) -> CountTail:
 # invariant context
 
 
-class InvariantContext:
+class InvariantContext(Record):
     """Boundary data an invariant classifies against: start slope, start
     division number and the slope at infinity.  Two invariants are only
-    comparable when these agree.  Also carries the decomposition the
+    comparable when these agree (rational and quadratic targets compare by
+    value, streams by identity).  Also carries the decomposition the
     invariant was computed from, for lazy re-evaluation."""
+
+    __slots__ = ("start", "division", "target", "_decomposition")
+    _fields = ("start", "division", "target")
 
     def __init__(self, start: Slope, division: int, target: SlopeTarget,
                  decomposition: BlockDecomposition | None):
-        self.start = start
-        self.division = division
-        self.target = target
-        self._decomposition = decomposition
-
-    def key(self):
-        # rational and quadratic targets compare by value, streams by identity
-        return (self.start, self.division, self.target)
-
-    def __eq__(self, other):
-        return isinstance(other, InvariantContext) and self.key() == other.key()
-
-    def __hash__(self):
-        return hash(self.key())
+        setfield(self, "start", start)
+        setfield(self, "division", division)
+        setfield(self, "target", target)
+        setfield(self, "_decomposition", decomposition)
 
     def __repr__(self):
         return f"InvariantContext(start={self.start}, div={self.division}, target={self.target})"
@@ -320,22 +317,20 @@ class InvariantContext:
         return self._decomposition
 
 
-def context_of(decomp: BlockDecomposition, division: int = 1) -> InvariantContext:
-    return InvariantContext(decomp.path.start, division, decomp.path.target, decomp)
-
-
 # ---------------------------------------------------------------------------
 # the invariants
 
 
-@dataclass(frozen=True)
-class IrrationalInvariant:
+class IrrationalInvariant(Record):
     """Per-block positive-slice counts for an irrational slope at infinity:
     an explicit prefix plus a count tail covering every later block."""
 
-    counts: tuple[int, ...]
-    tail: CountTail
-    context: InvariantContext = field(compare=False)
+    __slots__ = ("counts", "tail", "context")
+
+    def __init__(self, counts: tuple[int, ...], tail: CountTail, context: InvariantContext):
+        setfield(self, "counts", counts)
+        setfield(self, "tail", tail)
+        setfield(self, "context", context)
 
     def first_tail_block(self) -> int:
         return len(self.counts) + 1
@@ -355,33 +350,36 @@ class IrrationalInvariant:
         return self.tail.count_positive(lo, hi)
 
 
-@dataclass(frozen=True)
-class RationalNonAttainedInvariant:
+class RationalNonAttainedInvariant(Record):
     """Counts on the n-1 finite blocks plus the infinite block normal form."""
 
-    finite_f: tuple[int, ...]
-    infinite_block: InfiniteBlockForm
-    context: InvariantContext = field(compare=False)
+    __slots__ = ("finite_f", "infinite_block", "context")
+
+    def __init__(self, finite_f: tuple[int, ...], infinite_block: InfiniteBlockForm,
+                 context: InvariantContext):
+        setfield(self, "finite_f", finite_f)
+        setfield(self, "infinite_block", infinite_block)
+        setfield(self, "context", context)
 
     @property
     def n(self) -> int:
         return len(self.finite_f) + 1
 
 
-@dataclass(frozen=True)
-class AttainedInvariant:
+class AttainedInvariant(Record):
     """Counts on every block of the finite path, with the division number of
     the boundary torus at infinity."""
 
-    finite_f: tuple[int, ...]
-    boundary_division: int
-    context: InvariantContext = field(compare=False)
+    __slots__ = ("finite_f", "boundary_division", "context")
 
-    def __post_init__(self):
-        if self.boundary_division < 1:
+    def __init__(self, finite_f: tuple[int, ...], boundary_division: int, context: InvariantContext):
+        if boundary_division < 1:
             raise ValueError("division number must be >= 1")
-        if not self.context.target.attained:
+        if not context.target.attained:
             raise ValueError("attained invariants require an attained rational target")
+        setfield(self, "finite_f", finite_f)
+        setfield(self, "boundary_division", boundary_division)
+        setfield(self, "context", context)
 
 
 MinimalInvariant = IrrationalInvariant | RationalNonAttainedInvariant | AttainedInvariant
@@ -471,7 +469,7 @@ def invariant_from_signs(decomp: BlockDecomposition, signs: SignData,
     """Per-block positive-slice counts of the decomposition under the given
     sign assignment, reduced to the appropriate normal form."""
     if context is None:
-        context = context_of(decomp, 1)
+        context = InvariantContext(decomp.path.start, 1, decomp.path.target, decomp)
     target = decomp.path.target
     if target.attained:
         return _build_attained(decomp, signs, boundary_division, context)
@@ -504,41 +502,31 @@ def _periodic_span(decomp: BlockDecomposition, k: int, m: int) -> range | None:
     return range(lo, lo + blocks * m // math.gcd(slices, m))
 
 
-def _patterns_identical(p1: PatternCounts, p2: PatternCounts, from_slice: int) -> bool:
-    period = math.lcm(len(p1.pattern), len(p2.pattern))
-    return all(p1.sign_at(j) == p2.sign_at(j) for j in range(from_slice, from_slice + period))
-
-
 def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,
                            horizon: int) -> bool:
     k = max(a.first_tail_block(), b.first_tail_block())
-    for i in range(1, k):
-        if a.f(i) != b.f(i):
-            return False
-    ta, tb = a.tail, b.tail
-    if isinstance(ta, SaturatedCounts) and isinstance(tb, SaturatedCounts):
-        return True
-    if isinstance(ta, ZeroCounts) and isinstance(tb, ZeroCounts):
-        return True
-    # a mixed pattern disagrees with a constant tail somewhere: the blocks
-    # partition the slices, so every pattern residue is eventually hit
-    if not isinstance(ta, PatternCounts) or not isinstance(tb, PatternCounts):
+    if any(a.f(i) != b.f(i) for i in range(1, k)):
         return False
+    ta, tb = a.tail, b.tail
+    # two constant tails agree when they are alike; a mixed pattern
+    # disagrees with a constant tail somewhere: the blocks partition the
+    # slices, so every pattern residue is eventually hit
+    if not isinstance(ta, PatternCounts) or not isinstance(tb, PatternCounts):
+        return ta == tb
     decomp = a.context.decomposition()
-    anchor = decomp.block(k).slice_range[0]
-    if _patterns_identical(ta, tb, anchor):
-        return True
+    anchor = decomp.block(k).start_index
+    m = math.lcm(len(ta.pattern), len(tb.pattern))
+    if all(ta.sign_at(j) == tb.sign_at(j) for j in range(anchor, anchor + m)):
+        return True  # the patterns agree on every slice from block k on
     # a block whose counts differ answers False at once; only True needs
     # the whole periodic span, and so the block period
-    m = math.lcm(len(ta.pattern), len(tb.pattern))
     if any(a.f(i) != b.f(i) for i in range(k, k + m)):
         return False
     span = _periodic_span(decomp, k, m)
     if span is not None:
         return all(a.f(i) == b.f(i) for i in range(k + m, span.stop))
-    for i in range(k + m, k + horizon):
-        if a.f(i) != b.f(i):
-            return False
+    if any(a.f(i) != b.f(i) for i in range(k + m, k + horizon)):
+        return False
     raise UndecidableAtHorizonError(
         "count tails differ as rules but no differing block was found", horizon)
 
@@ -553,16 +541,11 @@ def equivalent(a, b, horizon: int = DEFAULT_HORIZON) -> bool:
     if isinstance(b, MinimallyTwisting):
         b = b.invariant
     if isinstance(a, NonMinimallyTwisting) or isinstance(b, NonMinimallyTwisting):
-        if not (isinstance(a, NonMinimallyTwisting) and isinstance(b, NonMinimallyTwisting)):
-            _require_comparable(a.context, b.context)
-            return False
         _require_comparable(a.context, b.context)
-        if (a.rotativity, a.sign) != (b.rotativity, b.sign):
+        if type(a) is not type(b) or (a.rotativity, a.sign) != (b.rotativity, b.sign):
             return False
-        if a.residual is None and b.residual is None:
-            return True
-        if (a.residual is None) != (b.residual is None):
-            return False
+        if a.residual is None or b.residual is None:
+            return a.residual is b.residual
         return equivalent(a.residual, b.residual, horizon)
     if isinstance(a, InfiniteDivision) or isinstance(b, InfiniteDivision):
         raise UndecidableError(
@@ -595,23 +578,15 @@ def admissible(inv, decomp: BlockDecomposition) -> bool:
         return True
 
     if isinstance(inv, IrrationalInvariant):
-        for i, c in enumerate(inv.counts, start=1):
-            block = decomp.block(i)
-            if block.infinite or not 0 <= c <= block.length - 1:
-                return False
-        return True
+        blocks = map(decomp.block, range(1, len(inv.counts) + 1))
+        return all(not b.infinite and 0 <= c <= b.length - 1 for c, b in zip(inv.counts, blocks))
     if isinstance(inv, RationalNonAttainedInvariant):
-        blocks = decomp.all_blocks()
-        if not blocks[-1].infinite or len(blocks) - 1 != len(inv.finite_f):
-            return False
-        for c, block in zip(inv.finite_f, blocks):
-            if not 0 <= c <= block.length - 1:
-                return False
-        if isinstance(inv.infinite_block, BothFinite):
-            return False
-        if isinstance(inv.infinite_block, (PosFinite, NegFinite)) and inv.infinite_block.m < 0:
-            return False
-        return True
+        *finite, last = decomp.all_blocks()
+        form = inv.infinite_block
+        return (last.infinite and len(finite) == len(inv.finite_f)
+                and all(0 <= c <= b.length - 1 for c, b in zip(inv.finite_f, finite))
+                and not isinstance(form, BothFinite)
+                and not (isinstance(form, (PosFinite, NegFinite)) and form.m < 0))
     blocks = decomp.all_blocks()
     if any(b.infinite for b in blocks) or len(blocks) != len(inv.finite_f):
         return False
@@ -639,22 +614,17 @@ def count_invariants(blocks_or_lengths, k: int | None = None) -> int:
         lengths = [int(x) for x in blocks_or_lengths]
         if any(m < 1 for m in lengths):
             raise ValueError("block lengths must be >= 1")
-    total = 1
-    for m in lengths:
-        total *= m
-    return total
+    return math.prod(lengths)
 
 
 # ---------------------------------------------------------------------------
 # relative Euler class
 
 
-@dataclass(frozen=True)
-class EulerClass:
+class EulerClass(Record):
     """Integer vector in the first homology of the torus fiber."""
 
-    x: int
-    y: int
+    __slots__ = ("x", "y")
 
     def __neg__(self) -> "EulerClass":
         return EulerClass(-self.x, -self.y)

@@ -10,12 +10,9 @@ every rotative layer on the plus side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .ends import (
     ConstantDivision,
     EndDescription,
-    EndInvariant,
     EventuallyConstantDivision,
     InfiniteRotativity,
     StrictlyIncreasingDivision,
@@ -39,47 +36,46 @@ from .farey import (
     on_arc,
 )
 from .invariants import DEFAULT_HORIZON, POSITIVE, equivalent
+from .records import Record, setfield
 
 # minus-side descriptions are stored after reflecting across the (1, 0)
 # curve; on slopes the reflection acts as p/q -> -p/q
 REFLECTION = (-1, 0, 0, 1)
 
 
-@dataclass(frozen=True)
-class SolidTorusEnd:
+class SolidTorusEnd(Record):
     """A factored open solid torus: the compact part has boundary slope
     realized_start = 1/n (meridian-framed); `end` is the complementary end."""
 
-    realized_start: Slope
-    end: EndDescription
+    __slots__ = ("realized_start", "end")
 
-    def __post_init__(self):
-        if abs(self.realized_start.p) != 1:
-            raise ValueError(f"{self.realized_start} is not of the form 1/n")
+    def __init__(self, realized_start: Slope, end: EndDescription):
+        if abs(realized_start.p) != 1:
+            raise ValueError(f"{realized_start} is not of the form 1/n")
+        setfield(self, "realized_start", realized_start)
+        setfield(self, "end", end)
 
 
-@dataclass(frozen=True)
-class SolidTorusClass:
+class SolidTorusClass(Record):
     """Classification pair for an open solid torus: s(r) and the invariant
     of the complementary end.  s_of_r is None in the zero-slope case, which
     corresponds directly to a non-attained toric end with no 1/n factor."""
 
-    s_of_r: Slope | None
-    invariant: EndInvariant
+    __slots__ = ("s_of_r", "invariant")
 
 
-@dataclass(frozen=True)
-class OpenToricAnnulus:
+class OpenToricAnnulus(Record):
     """Two toric ends glued along a middle torus of division 1; the minus
     side is stored already reflected into a positive description."""
 
-    plus: EndDescription
-    minus: EndDescription
-    middle: TorusRecord
+    __slots__ = ("plus", "minus", "middle")
 
-    def __post_init__(self):
-        if self.middle.division != 1:
+    def __init__(self, plus: EndDescription, minus: EndDescription, middle: TorusRecord):
+        if middle.division != 1:
             raise ValidationError(["middle torus must have division 1"])
+        setfield(self, "plus", plus)
+        setfield(self, "minus", minus)
+        setfield(self, "middle", middle)
 
 
 def _is_one_over_n(s: Slope) -> bool:
@@ -216,12 +212,10 @@ def normalize_rotativity(a: OpenToricAnnulus) -> OpenToricAnnulus:
     """Canonical form with every rotative layer shifted to the plus side.
     Idempotent, and the total rotativity is conserved."""
     sign, has_infinite, total = _rotative_sign_and_counts(a)
-    if has_infinite:
-        plus = replace(a.plus, rotative=InfiniteRotativity(sign))
-    else:
-        plus = replace(a.plus, rotative=(sign,) * total)
-    minus = replace(a.minus, rotative=())
-    return OpenToricAnnulus(plus, minus, a.middle)
+    p, m = a.plus, a.minus
+    rotative = InfiniteRotativity(sign) if has_infinite else (sign,) * total
+    return OpenToricAnnulus(EndDescription(p.boundary, p.target, p.signs, p.division_tail, rotative),
+                            EndDescription(m.boundary, m.target, m.signs, m.division_tail), a.middle)
 
 
 def t2xr_equivalent(a: OpenToricAnnulus, b: OpenToricAnnulus, horizon: int = DEFAULT_HORIZON) -> bool:

@@ -214,6 +214,31 @@ def test_output_budget_counts_what_is_listed_not_what_is_asked(monkeypatch):
     assert code == 1 and "5 blocks" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("command,size,value,what", [
+    ("path", "n", 12000, "a vertex entry"),
+    ("blocks", "count", 6000, "a witness entry"),
+])
+def test_entries_past_the_int_to_text_limit_are_a_violation_and_the_batch_goes_on(command, size, value, what):
+    # toward -sqrt(2) entries reach 4301 digits at vertex 11234 and in the witness of block 5618
+    limit = sys.get_int_max_str_digits()
+    jobs = [{"command": command, "input": {"start": "-1/1", "target": SQRT2, size: value}},
+            {"command": "count", "input": {"lengths": [2]}}]
+    code, out = invoke("run", jobs)
+    assert code == 1
+    assert json.loads(out) == [
+        {"status": "violation",
+         "error": f"the answer would hold {what} of more than {limit} digits, the limit of int-to-text conversion"},
+        {"status": "ok", "output": {"count": 2}}]
+
+
+def test_euler_entries_past_the_int_to_text_limit_are_a_violation():
+    end = end_doc(SQRT2, tail={"type": "all-positive"})
+    code, out = invoke("euler", {"end": end, "horizon": 12000})
+    assert code == 1 and "an euler entry of more than" in json.loads(out)["error"]
+    code, out = invoke("euler", {"end": end, "horizon": 100})
+    assert code == 0 and json.loads(out)["slices"] == 100
+
+
 def test_solid_torus_with_a_one_point_arc_has_no_realized_point():
     attained = {"kind": "rational", "slope": "-3/2", "attained": True}
     doc = end_doc(attained)
@@ -248,6 +273,17 @@ def test_exit_code_bad_json():
     sys.stdout = io.StringIO()
     try:
         assert main(["classify"]) == 2
+    finally:
+        sys.stdin, sys.stdout = stdin, stdout
+
+
+def test_input_integer_past_the_int_to_text_limit_is_malformed():
+    stdin, stdout = sys.stdin, sys.stdout
+    sys.stdin = io.StringIO('{"lengths": [1%s]}' % ("0" * sys.get_int_max_str_digits()))
+    sys.stdout = io.StringIO()
+    try:
+        assert main(["count"]) == 2
+        assert json.loads(sys.stdout.getvalue())["error"].startswith("input is not valid JSON")
     finally:
         sys.stdin, sys.stdout = stdin, stdout
 

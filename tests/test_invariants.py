@@ -41,6 +41,7 @@ from toric_ends.invariants import (
     PatternCounts,
     SaturatedCounts,
     ZeroCounts,
+    _count_periodic,
     _normalize_count_tail,
     _tail_pattern_at,
     signs_from_chars,
@@ -417,6 +418,18 @@ def test_count_positive_matches_slice_sum(signs, lo, hi):
 def test_pattern_counts_match_slice_sum(pattern, anchor, lo, hi):
     counts = PatternCounts(pattern, anchor)
     assert counts.count_positive(lo, hi) == reference_count_positive(counts, lo, hi)
+
+
+def test_count_periodic_matches_the_per_slice_sum():
+    # every pattern of length 1-6 and every lo < hi in a window of three
+    # periods starting one period below 0
+    for n in range(1, 7):
+        for pattern in product((P, N), repeat=n):
+            for lo in range(-n, 2 * n):
+                for hi in range(lo + 1, 2 * n + 1):
+                    naive = sum(1 for j in range(lo, hi) if pattern[j % n] == P)
+                    assert _count_periodic(pattern, lo, hi) == naive, (pattern, lo, hi)
+    assert _count_periodic((P, N), 5, 5) == _count_periodic((P, N), 5, 2) == 0
 
 
 @settings(max_examples=100, deadline=None)
