@@ -126,7 +126,7 @@ class BlockDecomposition:
     def all_blocks(self) -> list[Block]:
         """Every block; only legal when the list is finite (attained target
         or rational non-attained, whose infinite block ends the list)."""
-        if not isinstance(self.path.target, RationalTarget):
+        if not self.path.target.rational:
             raise InfiniteBlockError("irrational targets have infinitely many blocks")
         while self._emit_next():
             pass

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import attrgetter
 from typing import Any
 
 from . import blocks as blocks_mod
@@ -22,16 +23,10 @@ from .farey import (
     QuadraticTarget,
     RationalTarget,
     Slope,
-    SlopeTarget,
     farey_sequence,
     parse_slope,
 )
 from .invariants import NEGATIVE, POSITIVE
-
-COMMANDS = (
-    "path", "blocks", "classify", "compare", "count", "euler",
-    "extend-check", "family", "reduce-solid-torus", "reduce-t2xr",
-)
 
 DEFAULT_MAX_FAMILY = 10_000
 
@@ -40,310 +35,292 @@ OUTPUT_BUDGET = 10**6
 
 
 # ---------------------------------------------------------------------------
-# schema helpers
+# document tables: each document kind is one Document, read both to decode a
+# document with every check and to encode a record.  A field's codec is a
+# pair (decode, encode): decode(value, where, key) checks and converts the
+# value under `key` of the document at `where`; encode converts back (None:
+# as it is; a result of _MISSING leaves the key out).
 
 
 def _check_keys(doc: Any, required: set[str], optional: set[str] = frozenset(), where: str = "document") -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where} must be an object")
-    keys = set(doc)
-    unknown = keys - required - optional
+    if optional.issuperset(doc) and doc.keys() >= required:  # the common case, with no sets built
+        return doc
+    unknown = doc.keys() - required - optional
     if unknown:
         raise SchemaError(f"{where} has unknown fields: {sorted(unknown)}")
-    missing = required - keys
+    missing = required - doc.keys()
     if missing:
         raise SchemaError(f"{where} is missing fields: {sorted(missing)}")
     return doc
 
 
-def _int(doc: dict, key: str, where: str) -> int:
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
+def _int(value: Any, where: str, key: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}.{key} must be an integer")
-    return v
+    return value
 
 
-def _positive_int(doc: dict, key: str, where: str) -> int:
-    v = _int(doc, key, where)
-    if v < 1:
-        raise SchemaError(f"{where}.{key} must be >= 1")
-    return v
+def _at_least(low: int):
+    def decode(value: Any, where: str, key: str) -> int:
+        if _int(value, where, key) < low:
+            raise SchemaError(f"{where}.{key} must be >= {low}")
+        return value
+    return decode
 
 
-def _schema(where: str, make, *args):
-    """make(*args), with a ValueError from its checks reported as a SchemaError."""
-    try:
-        return make(*args)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+_nonnegative = _at_least(0)
+_positive = _at_least(1)
 
 
-def _slope(text: Any, where: str) -> Slope:
+def _bool(value: Any, where: str, key: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{where}.{key} must be a boolean")
+    return value
+
+
+def _slope(text: Any, where: str, key: str) -> Slope:
     if not isinstance(text, str):
-        raise SchemaError(f"{where} must be a slope string like \"-1/1\"")
-    return _schema(where, parse_slope, text)
+        raise SchemaError(f"{where}.{key} must be a slope string like \"-1/1\"")
+    try:
+        return parse_slope(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise SchemaError(f"{where}.{key}: {exc}") from None
 
 
-def _sign(text: Any, where: str) -> int:
+def _sign(text: Any, where: str, key: str) -> int:
     if text == "+":
         return POSITIVE
     if text == "-":
         return NEGATIVE
-    raise SchemaError(f"{where} must be \"+\" or \"-\"")
+    raise SchemaError(f"{where}.{key} must be \"+\" or \"-\"")
 
 
-def _sign_str(s: int) -> str:
-    return "+" if s > 0 else "-"
+def _signs(texts: Any, where: str, key: str) -> tuple[int, ...]:
+    if not isinstance(texts, list):
+        raise SchemaError(f"{where}.{key} must be a list")
+    return tuple([_sign(s, where, key) for s in texts])
 
 
-def parse_target(doc: Any, where: str = "target") -> SlopeTarget:
-    _check_keys(doc, {"kind"}, {"slope", "attained", "a", "b", "c", "d"}, where)
-    kind = doc["kind"]
-    if kind == "rational":
-        _check_keys(doc, {"kind", "slope", "attained"}, set(), where)
-        if not isinstance(doc["attained"], bool):
-            raise SchemaError(f"{where}.attained must be a boolean")
-        return RationalTarget(_slope(doc["slope"], f"{where}.slope"), doc["attained"])
-    if kind == "quadratic":
-        _check_keys(doc, {"kind", "a", "b", "c", "d"}, set(), where)
-        return _schema(where, QuadraticTarget.of, *(_int(doc, k, where) for k in "abcd"))
-    raise SchemaError(f"{where}.kind must be \"rational\" or \"quadratic\"")
+def _pattern(texts: Any, where: str, key: str) -> tuple[int, ...]:
+    if not isinstance(texts, list) or not texts:
+        raise SchemaError(f"{where}.{key} must be a nonempty list")
+    return _signs(texts, where, key)
 
 
-def target_doc(t: SlopeTarget) -> dict:
-    if isinstance(t, RationalTarget):
-        return {"kind": "rational", "slope": str(t.slope), "attained": t.attained}
-    if isinstance(t, QuadraticTarget):
-        v = t.value
-        return {"kind": "quadratic", "a": v.a, "b": v.b, "c": v.c, "d": v.d}
-    raise SchemaError("cf-stream targets have no document form")
+def _ints(values: Any, where: str, key: str) -> tuple[int, ...]:
+    if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in values):
+        raise SchemaError(f"{where}.{key} must be a list of integers")
+    return tuple(values)
 
 
-def parse_sign_tail(doc: Any, where: str):
-    _check_keys(doc, {"type"}, {"sign", "after", "first", "pattern"}, where)
-    kind = doc["type"]
-    if kind == "none":
+def _counts(values: Any, where: str, key: str) -> tuple[int, ...]:
+    if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
+                                           for v in values):
+        raise SchemaError(f"{where}.{key} must be a list of non-negative integers")
+    return tuple(values)
+
+
+def _rotativity(value: Any, where: str, key: str) -> int | None:
+    if value == "inf":  # infinitely many layers
         return None
-    if kind == "all-positive":
-        return inv_mod.AllPositive()
-    if kind == "all-negative":
-        return inv_mod.AllNegative()
-    if kind == "eventually":
-        _check_keys(doc, {"type", "sign", "after"}, set(), where)
-        return _schema(where, inv_mod.EventuallySign, _sign(doc["sign"], f"{where}.sign"),
-                       _int(doc, "after", where))
-    if kind == "alternating":
-        _check_keys(doc, {"type"}, {"first"}, where)
-        first = _sign(doc.get("first", "+"), f"{where}.first")
-        return inv_mod.Alternating(first)
-    if kind == "periodic":
-        _check_keys(doc, {"type", "pattern"}, set(), where)
-        pattern = doc["pattern"]
-        if not isinstance(pattern, list) or not pattern:
-            raise SchemaError(f"{where}.pattern must be a nonempty list")
-        return inv_mod.Periodic(tuple(_sign(s, f"{where}.pattern") for s in pattern))
-    raise SchemaError(f"{where}.type is not a sign tail rule")
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise SchemaError(f"{where}.{key} must be a positive integer or \"inf\"")
+    return value
 
 
-def sign_tail_doc(tail) -> dict:
-    if tail is None:
-        return {"type": "none"}
-    if isinstance(tail, inv_mod.AllPositive):
-        return {"type": "all-positive"}
-    if isinstance(tail, inv_mod.AllNegative):
-        return {"type": "all-negative"}
-    if isinstance(tail, inv_mod.EventuallySign):
-        return {"type": "eventually", "sign": _sign_str(tail.sign), "after": tail.after}
-    if isinstance(tail, inv_mod.Alternating):
-        return {"type": "alternating", "first": _sign_str(tail.first)}
-    return {"type": "periodic", "pattern": [_sign_str(s) for s in tail.pattern]}
+def _residual(value: Any, where: str, key: str):
+    return None if value is None else INVARIANT.decode(value, f"{where}.{key}")
 
 
-def parse_signs(doc: Any, where: str = "signs") -> inv_mod.SignData:
-    _check_keys(doc, set(), {"prefix", "tail"}, where)
-    prefix = doc.get("prefix", [])
-    if not isinstance(prefix, list):
-        raise SchemaError(f"{where}.prefix must be a list")
-    signs = tuple(_sign(s, f"{where}.prefix") for s in prefix)
-    tail = parse_sign_tail(doc["tail"], f"{where}.tail") if "tail" in doc else None
-    return inv_mod.SignData(signs, tail)
+_SIGN_TEXT = {POSITIVE: "+", NEGATIVE: "-"}
 
 
-def signs_doc(signs: inv_mod.SignData) -> dict:
-    return {"prefix": [_sign_str(s) for s in signs.prefix], "tail": sign_tail_doc(signs.tail)}
+def _sign_texts(signs: tuple[int, ...]) -> list[str]:
+    return [_SIGN_TEXT[s] for s in signs]
 
 
-def parse_division_tail(doc: Any, where: str = "division_tail"):
-    _check_keys(doc, {"type"}, {"value", "after", "prefix"}, where)
-    kind = doc["type"]
-    try:
-        if kind == "constant":
-            _check_keys(doc, {"type", "value"}, set(), where)
-            return ends_mod.ConstantDivision(_int(doc, "value", where))
-        if kind == "eventually-constant":
-            _check_keys(doc, {"type", "after", "value"}, {"prefix"}, where)
-            prefix = doc.get("prefix", [])
-            if not isinstance(prefix, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in prefix):
-                raise SchemaError(f"{where}.prefix must be a list of integers")
-            return ends_mod.EventuallyConstantDivision(
-                _int(doc, "after", where), _int(doc, "value", where), tuple(prefix))
-        if kind == "strictly-increasing":
-            _check_keys(doc, {"type"}, set(), where)
-            return ends_mod.StrictlyIncreasingDivision()
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-    raise SchemaError(f"{where}.type is not a division rule")
+_MISSING = object()
+INT = (_int, None)
+NONNEGATIVE = (_nonnegative, None)
+POSITIVE_INT = (_positive, None)
+BOOL = (_bool, None)
+SLOPE = (_slope, str)
+SIGN = (_sign, _SIGN_TEXT.__getitem__)
+SIGNS = (_signs, _sign_texts)
+PATTERN = (_pattern, _sign_texts)
+INTS = (_ints, lambda values: list(values) if values else _MISSING)
+COUNTS = (_counts, list)
+ROTATIVITY = (_rotativity, lambda n: "inf" if n is None else n)
+RESIDUAL = (_residual, lambda inv: None if inv is None else invariant_doc(inv))
 
 
-def division_tail_doc(tail) -> dict:
-    if isinstance(tail, ends_mod.ConstantDivision):
-        return {"type": "constant", "value": tail.value}
-    if isinstance(tail, ends_mod.EventuallyConstantDivision):
-        doc = {"type": "eventually-constant", "after": tail.after, "value": tail.value}
-        if tail.prefix:
-            doc["prefix"] = list(tail.prefix)
+def field(key: str, codec: tuple, attr: str | None = None, default: Any = _MISSING) -> tuple:
+    """A document key as (key, decode, encode, get, default): its codec, the
+    getter of the record attribute it holds (the key unless named; a dotted
+    name reaches into the record) and its default when it may be left out."""
+    return (key, *codec, attrgetter(attr or key), default)
+
+
+class Variant:
+    """One form of a document: the record class it stands for, its fields,
+    and `make`, which builds the record from the decoded fields (the class
+    itself unless given)."""
+
+    def __init__(self, cls: type, *fields: tuple, make=None):
+        self.cls = cls
+        self.fields = fields
+        self.make = make or cls
+        self.keys = frozenset(f[0] for f in fields)
+        self.required = frozenset(f[0] for f in fields if f[-1] is _MISSING)
+
+
+class Document:
+    """A document kind: one variant, or several told apart by the value under
+    the key `tag` (`default_tag` when the key is left out).  `bad_tag` is the
+    phrase that refuses an unknown value."""
+
+    def __init__(self, variants: dict, tag: str | None = None, bad_tag: str = "", default_tag: Any = None):
+        self.variants = variants
+        self.tag = tag
+        self.bad_tag = bad_tag
+        self.default_tag = default_tag
+        self.tag_class = type(next(iter(variants)))
+        self.only = variants[None] if tag is None else None
+        for value, variant in variants.items():
+            if tag is not None:
+                variant.keys |= {tag}
+                variant.required |= set() if value is default_tag else {tag}
+        self.by_class = {variant.cls: (value, variant.fields) for value, variant in variants.items()}
+        # the keys that some variant allows, and the keys that all require
+        self.keys = frozenset().union(*(v.keys for v in variants.values()))
+        self.required = frozenset.intersection(*(v.required for v in variants.values()))
+        self.codec = (self.decode_field, self.encode)
+
+    def decode(self, doc: Any, where: str):
+        """The record of the document at `where`, or a SchemaError naming its
+        first fault: keys that no variant allows or that all require, the
+        tag, the keys of the tag's variant, then each field in order."""
+        variant = self.only
+        if variant is None:
+            _check_keys(doc, self.required, self.keys, where)
+            tag = doc.get(self.tag, self.default_tag)
+            variant = self.variants.get(tag) if tag.__class__ is self.tag_class else None
+            if variant is None:
+                raise SchemaError(f"{where}.{self.tag} {self.bad_tag}")
+        _check_keys(doc, variant.required, variant.keys, where)
+        values = []
+        for key, decode, _, _, default in variant.fields:
+            value = doc.get(key, _MISSING)
+            values.append(default if value is _MISSING else decode(value, where, key))
+        try:
+            return variant.make(*values)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"{where}: {exc}") from None
+
+    def decode_field(self, doc: Any, where: str, key: str):
+        return self.decode(doc, f"{where}.{key}")
+
+    def encode(self, record) -> dict:
+        entry = self.by_class.get(record.__class__)
+        if entry is None:
+            raise SchemaError(f"{record.__class__.__name__} records have no document form")
+        tag, fields = entry
+        doc = {} if tag is self.default_tag else {self.tag: tag}
+        for key, _, encode, get, _ in fields:
+            value = get(record) if encode is None else encode(get(record))
+            if value is not _MISSING:
+                doc[key] = value
         return doc
-    return {"type": "strictly-increasing"}
 
 
-def parse_rotative(doc: Any, where: str = "rotative"):
-    _check_keys(doc, {"sign"}, {"n", "infinite"}, where)
-    sign = _sign(doc["sign"], f"{where}.sign")
-    if doc.get("infinite", False):
-        _check_keys(doc, {"sign", "infinite"}, set(), where)
-        return ends_mod.InfiniteRotativity(sign)
-    n = _int(doc, "n", where) if "n" in doc else 0
-    if n < 0:
-        raise SchemaError(f"{where}.n must be >= 0")
-    return (sign,) * n
+def _checked_only(*values):
+    """Invariant documents are only checked: no document holds a decomposition."""
+    return values
 
 
-def rotative_doc(rot) -> dict:
-    if isinstance(rot, ends_mod.InfiniteRotativity):
-        return {"infinite": True, "sign": _sign_str(rot.sign)}
-    sign = rot[0] if rot else POSITIVE
-    return {"n": len(rot), "sign": _sign_str(sign)}
+TARGET = Document({
+    "rational": Variant(RationalTarget, field("slope", SLOPE), field("attained", BOOL)),
+    "quadratic": Variant(QuadraticTarget, *(field(k, INT, f"value.{k}") for k in "abcd"),
+                         make=QuadraticTarget.of),
+}, "kind", "must be \"rational\" or \"quadratic\"")
 
+SIGN_TAIL = Document({
+    "none": Variant(type(None), make=lambda: None),
+    "all-positive": Variant(inv_mod.AllPositive),
+    "all-negative": Variant(inv_mod.AllNegative),
+    "eventually": Variant(inv_mod.EventuallySign, field("sign", SIGN), field("after", INT)),
+    "alternating": Variant(inv_mod.Alternating, field("first", SIGN, default=POSITIVE)),
+    "periodic": Variant(inv_mod.Periodic, field("pattern", PATTERN)),
+}, "type", "is not a sign tail rule")
 
-def _torus(doc: Any, where: str) -> ends_mod.TorusRecord:
-    _check_keys(doc, {"slope"}, {"div"}, where)
-    division = _int(doc, "div", where) if "div" in doc else 1
-    return _schema(where, ends_mod.TorusRecord, _slope(doc["slope"], f"{where}.slope"), division)
+SIGN_DATA = Document({None: Variant(
+    inv_mod.SignData, field("prefix", SIGNS, default=()), field("tail", SIGN_TAIL.codec, default=None))})
 
+DIVISION_TAIL = Document({
+    "constant": Variant(ends_mod.ConstantDivision, field("value", INT)),
+    "eventually-constant": Variant(ends_mod.EventuallyConstantDivision, field("after", INT), field("value", INT),
+                                   field("prefix", INTS, default=())),
+    "strictly-increasing": Variant(ends_mod.StrictlyIncreasingDivision),
+}, "type", "is not a division rule")
 
-def parse_end(doc: Any, where: str = "end") -> ends_mod.EndDescription:
-    _check_keys(doc, {"boundary", "target"}, {"signs", "division_tail", "rotative"}, where)
-    boundary = _torus(doc["boundary"], f"{where}.boundary")
-    target = parse_target(doc["target"], f"{where}.target")
-    signs = parse_signs(doc["signs"], f"{where}.signs") if "signs" in doc else inv_mod.SignData()
-    division_tail = (parse_division_tail(doc["division_tail"], f"{where}.division_tail")
-                     if "division_tail" in doc else ends_mod.ConstantDivision(1))
-    rotative = parse_rotative(doc["rotative"], f"{where}.rotative") if "rotative" in doc else ()
-    return ends_mod.EndDescription(boundary, target, signs, division_tail, rotative)
+TORUS = Document({None: Variant(
+    ends_mod.TorusRecord, field("slope", SLOPE), field("div", INT, "division", default=1))})
 
+ROTATIVE = Document({
+    False: Variant(ends_mod.RotativeLayers, field("sign", SIGN), field("n", NONNEGATIVE, default=0)),
+    True: Variant(ends_mod.InfiniteRotativity, field("sign", SIGN)),
+}, "infinite", "must be a boolean", default_tag=False)
 
-def end_doc(e: ends_mod.EndDescription) -> dict:
-    return {
-        "boundary": {"slope": str(e.boundary.slope), "div": e.boundary.division},
-        "target": target_doc(e.target),
-        "signs": signs_doc(e.signs),
-        "division_tail": division_tail_doc(e.division_tail),
-        "rotative": rotative_doc(e.rotative),
-    }
+END = Document({None: Variant(
+    ends_mod.EndDescription,
+    field("boundary", TORUS.codec),
+    field("target", TARGET.codec),
+    field("signs", SIGN_DATA.codec, default=inv_mod.SignData()),
+    field("division_tail", DIVISION_TAIL.codec, default=ends_mod.ConstantDivision(1)),
+    field("rotative", ROTATIVE.codec, default=ends_mod.NO_LAYERS),
+)})
 
+COUNT_TAIL = Document({
+    "saturated": Variant(inv_mod.SaturatedCounts),
+    "zero": Variant(inv_mod.ZeroCounts),
+    "pattern": Variant(inv_mod.PatternCounts, field("pattern", PATTERN), field("anchor", INT)),
+}, "type", "is unknown")
 
-# ---------------------------------------------------------------------------
-# invariant documents
+INFINITE_BLOCK = Document({
+    "pos": Variant(inv_mod.PosFinite, field("m", NONNEGATIVE)),
+    "neg": Variant(inv_mod.NegFinite, field("m", NONNEGATIVE)),
+    "alt": Variant(inv_mod.AlternatingForm),
+    "both": Variant(inv_mod.BothFinite, field("p", NONNEGATIVE, "positive"), field("n", NONNEGATIVE, "negative")),
+}, "form", "is unknown")
 
+ANNULI = Document({None: Variant(ends_mod.NestedAnnuli, field("tb_start", INT), field("tb_step", INT))})
 
-def count_tail_doc(tail) -> dict:
-    if isinstance(tail, inv_mod.SaturatedCounts):
-        return {"type": "saturated"}
-    if isinstance(tail, inv_mod.ZeroCounts):
-        return {"type": "zero"}
-    return {"type": "pattern", "pattern": [_sign_str(s) for s in tail.pattern], "anchor": tail.anchor}
-
-
-def infinite_block_doc(form) -> dict:
-    if isinstance(form, inv_mod.PosFinite):
-        return {"form": "pos", "m": form.m}
-    if isinstance(form, inv_mod.NegFinite):
-        return {"form": "neg", "m": form.m}
-    if isinstance(form, inv_mod.AlternatingForm):
-        return {"form": "alt"}
-    return {"form": "both", "p": form.positive, "n": form.negative}
+INVARIANT = Document({
+    "attained": Variant(inv_mod.AttainedInvariant, field("f", COUNTS, "finite_f"),
+                        field("d", POSITIVE_INT, "boundary_division"), make=_checked_only),
+    "rational": Variant(inv_mod.RationalNonAttainedInvariant, field("f", COUNTS, "finite_f"),
+                        field("infinite", INFINITE_BLOCK.codec, "infinite_block"), make=_checked_only),
+    "irrational": Variant(inv_mod.IrrationalInvariant, field("f", COUNTS, "counts"),
+                          field("tail", COUNT_TAIL.codec), make=_checked_only),
+    "nonminimal": Variant(ends_mod.NonMinimallyTwisting, field("rotativity", ROTATIVITY), field("sign", SIGN),
+                          field("residual", RESIDUAL), make=_checked_only),
+    "infinite-division": Variant(ends_mod.InfiniteDivision, field("annuli", ANNULI.codec, "descriptor"),
+                                 make=_checked_only),
+}, "kind", "is unknown")
 
 
 def invariant_doc(inv) -> dict:
     if isinstance(inv, ends_mod.MinimallyTwisting):
         inv = inv.invariant
-    if isinstance(inv, ends_mod.NonMinimallyTwisting):
-        rot = "inf" if inv.rotativity is None else inv.rotativity
-        return {
-            "kind": "nonminimal",
-            "rotativity": rot,
-            "sign": _sign_str(inv.sign),
-            "residual": invariant_doc(inv.residual) if inv.residual is not None else None,
-        }
-    if isinstance(inv, ends_mod.InfiniteDivision):
-        return {
-            "kind": "infinite-division",
-            "annuli": {"tb_start": inv.descriptor.tb_start, "tb_step": inv.descriptor.tb_step},
-        }
-    if isinstance(inv, inv_mod.AttainedInvariant):
-        return {"kind": "attained", "f": list(inv.finite_f), "d": inv.boundary_division}
-    if isinstance(inv, inv_mod.RationalNonAttainedInvariant):
-        return {"kind": "rational", "f": list(inv.finite_f),
-                "infinite": infinite_block_doc(inv.infinite_block)}
-    return {"kind": "irrational", "f": list(inv.counts), "tail": count_tail_doc(inv.tail)}
+    return INVARIANT.encode(inv)
 
 
 def parse_invariant_document(doc: Any, where: str = "invariant") -> dict:
-    """Validate an invariant document against its schema; returns the doc."""
-    _check_keys(doc, {"kind"}, {"f", "d", "infinite", "tail", "rotativity", "sign", "residual", "annuli"}, where)
-    kind = doc["kind"]
-    if kind == "attained":
-        _check_keys(doc, {"kind", "f", "d"}, set(), where)
-        _validate_f(doc["f"], where)
-        if _int(doc, "d", where) < 1:
-            raise SchemaError(f"{where}.d must be >= 1")
-    elif kind == "rational":
-        _check_keys(doc, {"kind", "f", "infinite"}, set(), where)
-        _validate_f(doc["f"], where)
-        form = _check_keys(doc["infinite"], {"form"}, {"m", "p", "n"}, f"{where}.infinite")
-        if form["form"] not in ("pos", "neg", "alt", "both"):
-            raise SchemaError(f"{where}.infinite.form is unknown")
-        if form["form"] in ("pos", "neg") and _int(form, "m", where) < 0:
-            raise SchemaError(f"{where}.infinite.m must be >= 0")
-    elif kind == "irrational":
-        _check_keys(doc, {"kind", "f", "tail"}, set(), where)
-        _validate_f(doc["f"], where)
-        tail = _check_keys(doc["tail"], {"type"}, {"pattern", "anchor"}, f"{where}.tail")
-        if tail["type"] not in ("saturated", "zero", "pattern"):
-            raise SchemaError(f"{where}.tail.type is unknown")
-        if tail["type"] == "pattern":
-            _check_keys(tail, {"type", "pattern", "anchor"}, set(), f"{where}.tail")
-            for s in tail["pattern"]:
-                _sign(s, f"{where}.tail.pattern")
-    elif kind == "nonminimal":
-        _check_keys(doc, {"kind", "rotativity", "sign", "residual"}, set(), where)
-        rot = doc["rotativity"]
-        if rot != "inf" and (isinstance(rot, bool) or not isinstance(rot, int) or rot < 1):
-            raise SchemaError(f"{where}.rotativity must be a positive integer or \"inf\"")
-        _sign(doc["sign"], f"{where}.sign")
-        if doc["residual"] is not None:
-            parse_invariant_document(doc["residual"], f"{where}.residual")
-    elif kind == "infinite-division":
-        _check_keys(doc, {"kind", "annuli"}, set(), where)
-        _check_keys(doc["annuli"], {"tb_start", "tb_step"}, set(), f"{where}.annuli")
-    else:
-        raise SchemaError(f"{where}.kind is unknown")
+    """Check an invariant document against its table; returns the doc."""
+    INVARIANT.decode(doc, where)
     return doc
-
-
-def _validate_f(f: Any, where: str):
-    if not isinstance(f, list) or any(isinstance(v, bool) or not isinstance(v, int) or v < 0 for v in f):
-        raise SchemaError(f"{where}.f must be a list of non-negative integers")
 
 
 def block_doc(b: blocks_mod.Block) -> dict:
@@ -385,8 +362,8 @@ def _check_digits(values, what: str):
 
 def _cmd_path(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"start", "target", "n"}, set(), "input")
-    n = _positive_int(doc, "n", "input")
-    path = farey_sequence(_slope(doc["start"], "input.start"), parse_target(doc["target"]),
+    n = _positive(doc["n"], "input", "n")
+    path = farey_sequence(_slope(doc["start"], "input", "start"), TARGET.decode(doc["target"], "target"),
                           min(n, OUTPUT_BUDGET + 1))
     _check_output_budget(len(path), "vertices")
     try:
@@ -397,8 +374,8 @@ def _cmd_path(doc: dict, options: dict) -> dict:
 
 def _cmd_blocks(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"start", "target"}, {"count"}, "input")
-    count = _positive_int(doc, "count", "input") if "count" in doc else options["horizon"]
-    path = FareyPath(_slope(doc["start"], "input.start"), parse_target(doc["target"]))
+    count = _positive(doc["count"], "input", "count") if "count" in doc else options["horizon"]
+    path = FareyPath(_slope(doc["start"], "input", "start"), TARGET.decode(doc["target"], "target"))
     decomp = blocks_mod.decompose(path)
     blocks = decomp.blocks_up_to(min(count, OUTPUT_BUDGET + 1))
     _check_output_budget(len(blocks), "blocks")
@@ -409,13 +386,13 @@ def _cmd_blocks(doc: dict, options: dict) -> dict:
 
 def _cmd_classify(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"end"}, set(), "input")
-    return invariant_doc(ends_mod.classify(parse_end(doc["end"])))
+    return invariant_doc(ends_mod.classify(END.decode(doc["end"], "end")))
 
 
 def _cmd_compare(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"a", "b"}, set(), "input")
-    a = ends_mod.classify(parse_end(doc["a"], "a"))
-    b = ends_mod.classify(parse_end(doc["b"], "b"))
+    a = ends_mod.classify(END.decode(doc["a"], "a"))
+    b = ends_mod.classify(END.decode(doc["b"], "b"))
     return {"equivalent": inv_mod.equivalent(a, b, options["horizon"])}
 
 
@@ -437,11 +414,9 @@ def _cmd_count(doc: dict, options: dict) -> dict:
 
 def _cmd_euler(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"end"}, {"horizon"}, "input")
-    horizon = _positive_int(doc, "horizon", "input") if "horizon" in doc else options["horizon"]
-    e = parse_end(doc["end"])
-    violations = ends_mod.validate(e)
-    if violations:
-        raise ValidationError(violations)
+    horizon = _positive(doc["horizon"], "input", "horizon") if "horizon" in doc else options["horizon"]
+    e = END.decode(doc["end"], "end")
+    ends_mod.require_valid(e)
     target = ends_mod.normalized_target(e)
     if target.attained and target.slope == ends_mod.BASE_SLOPE:
         return {"euler": [0, 0], "slices": 0}
@@ -455,7 +430,7 @@ def _cmd_euler(doc: dict, options: dict) -> dict:
 
 def _cmd_extend_check(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"end"}, set(), "input")
-    inv = ends_mod.classify(parse_end(doc["end"]))
+    inv = ends_mod.classify(END.decode(doc["end"], "end"))
     result = ends_mod.extension_obstruction(inv, options["horizon"])
     if isinstance(result, ends_mod.NoTightExtension):
         return {"result": "no-tight-extension", "reason": result.reason}
@@ -466,35 +441,32 @@ def _cmd_extend_check(doc: dict, options: dict) -> dict:
 
 def _cmd_family(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"target", "k"}, {"start"}, "input")
-    k = _int(doc, "k", "input")
-    if k < 0:
-        raise SchemaError("input.k must be >= 0")
+    k = _nonnegative(doc["k"], "input", "k")
     if k > options["max_family"]:
         raise SchemaError(f"input.k exceeds the family cap {options['max_family']}")
-    start = _slope(doc["start"], "input.start") if "start" in doc else ends_mod.BASE_SLOPE
-    members = ends_mod.non_extendable_family(parse_target(doc["target"]), k, start, options["horizon"])
+    start = _slope(doc["start"], "input", "start") if "start" in doc else ends_mod.BASE_SLOPE
+    members = ends_mod.non_extendable_family(TARGET.decode(doc["target"], "target"), k, start,
+                                             options["horizon"])
     return {"invariants": [invariant_doc(m) for m in members]}
 
 
 def _cmd_reduce_solid_torus(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"end"}, set(), "input")
-    e = parse_end(doc["end"])
-    pair = reduce_mod.classify_solid_torus(e)
-    rest = e if pair.s_of_r is None else reduce_mod.solid_torus_factor(e).end
-    return {"s": None if pair.s_of_r is None else str(pair.s_of_r),
-            "invariant": invariant_doc(pair.invariant), "end": end_doc(rest)}
+    s_of_r, rest = reduce_mod.complementary_end(END.decode(doc["end"], "end"))
+    return {"s": None if s_of_r is None else str(s_of_r),
+            "invariant": invariant_doc(ends_mod.classify(rest)), "end": END.encode(rest)}
 
 
 def _cmd_reduce_t2xr(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"plus", "minus", "middle"}, set(), "input")
-    middle = _torus(doc["middle"], "input.middle")
+    middle = TORUS.decode(doc["middle"], "input.middle")
     annulus = reduce_mod.OpenToricAnnulus(
-        parse_end(doc["plus"], "plus"), parse_end(doc["minus"], "minus"), middle)
+        END.decode(doc["plus"], "plus"), END.decode(doc["minus"], "minus"), middle)
     norm = reduce_mod.normalize_rotativity(annulus)
     return {
-        "plus": end_doc(norm.plus),
-        "minus": end_doc(norm.minus),
-        "middle": {"slope": str(norm.middle.slope), "div": norm.middle.division},
+        "plus": END.encode(norm.plus),
+        "minus": END.encode(norm.minus),
+        "middle": TORUS.encode(norm.middle),
         "plus_invariant": invariant_doc(ends_mod.classify(norm.plus)),
         "minus_invariant": invariant_doc(ends_mod.classify(norm.minus)),
         "framing": list(reduce_mod.REFLECTION),
@@ -513,6 +485,7 @@ _RUNNERS = {
     "reduce-solid-torus": _cmd_reduce_solid_torus,
     "reduce-t2xr": _cmd_reduce_t2xr,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +550,7 @@ def _run_batch(jobs: Any, options: dict) -> tuple[list, int]:
             if "options" in job:
                 odoc = _check_keys(job["options"], set(), {"horizon"}, f"job[{i}].options")
                 if "horizon" in odoc:
-                    job_options["horizon"] = _positive_int(odoc, "horizon", f"job[{i}].options")
+                    job_options["horizon"] = _positive(odoc["horizon"], f"job[{i}].options", "horizon")
             output = run_command(job["command"], job["input"], job_options)
             results.append({"status": "ok", "output": output})
         except SchemaError as exc:

@@ -22,7 +22,6 @@ from .errors import (
 from .farey import (
     GL2Z,
     FareyPath,
-    RationalTarget,
     Slope,
     SlopeTarget,
     _egcd,
@@ -92,13 +91,29 @@ class EventuallyConstantDivision(Record):
 
 class StrictlyIncreasingDivision(Record):
     __slots__ = ()
+    value = None  # no eventual division number
 
 
 DivisionTail = Union[ConstantDivision, EventuallyConstantDivision, StrictlyIncreasingDivision]
 
 
+class RotativeLayers(Record):
+    """n full-twist layers of one sign; zero layers carry none (stored as +1)."""
+
+    __slots__ = ("sign", "n")
+
+    def __init__(self, sign: int, n: int):
+        if sign not in (POSITIVE, NEGATIVE) or n < 0:
+            raise ValueError("rotative layers need a sign of +1 or -1 and a count >= 0")
+        setfield(self, "sign", sign if n else POSITIVE)
+        setfield(self, "n", n)
+
+
 class InfiniteRotativity(Record):
+    """Infinitely many full-twist layers of one sign; n is None."""
+
     __slots__ = ("sign",)
+    n = None
 
     def __init__(self, sign: int):
         if sign not in (POSITIVE, NEGATIVE):
@@ -106,7 +121,7 @@ class InfiniteRotativity(Record):
         setfield(self, "sign", sign)
 
 
-RotativeLayers = Union[tuple, InfiniteRotativity]
+NO_LAYERS = RotativeLayers(POSITIVE, 0)
 
 
 class EndDescription(Record):
@@ -115,10 +130,8 @@ class EndDescription(Record):
     __slots__ = ("boundary", "target", "signs", "division_tail", "rotative")
 
     def __init__(self, boundary: TorusRecord, target: SlopeTarget, signs: SignData = SignData(),
-                 division_tail: DivisionTail = ConstantDivision(1), rotative: RotativeLayers = ()):
-        if isinstance(rotative, tuple):
-            if any(s not in (POSITIVE, NEGATIVE) for s in rotative):
-                raise ValueError("rotative layer signs must be +1 or -1")
+                 division_tail: DivisionTail = ConstantDivision(1),
+                 rotative: RotativeLayers | InfiniteRotativity = NO_LAYERS):
         setfield(self, "boundary", boundary)
         setfield(self, "target", target)
         setfield(self, "signs", signs)
@@ -200,16 +213,13 @@ def normalized_target(e: EndDescription) -> SlopeTarget:
 def division_at_infinity(e: EndDescription) -> int | None:
     """Eventual minimum of the division numbers along the factorization;
     None when they increase without bound."""
-    tail = e.division_tail
-    if isinstance(tail, StrictlyIncreasingDivision):
-        return None
-    return tail.value
+    return e.division_tail.value
 
 
 def is_minimally_twisting(e: EndDescription) -> bool:
     """No rotative layers; path-based descriptions stay inside one arc of
     the circle of slopes, so they never complete a circuit by themselves."""
-    return isinstance(e.rotative, tuple) and len(e.rotative) == 0
+    return e.rotative.n == 0
 
 
 def _path_slice_count(e: EndDescription) -> int:
@@ -227,8 +237,6 @@ def validate(e: EndDescription) -> list[str]:
     violations: list[str] = []
     if e.boundary.division != 1:
         violations.append("boundary division must be 1 (higher starting division is out of scope)")
-    if isinstance(e.rotative, tuple) and len({s for s in e.rotative}) > 1:
-        violations.append("nonminimal sign conflict: rotative layers of both signs")
 
     target = e.target
     d_inf = division_at_infinity(e)
@@ -245,7 +253,7 @@ def validate(e: EndDescription) -> list[str]:
     else:
         if e.signs.tail is None:
             violations.append("infinite path requires a sign tail")
-        if isinstance(target, RationalTarget) and target.slope == e.boundary.slope:
+        if target.rational and target.slope == e.boundary.slope:
             violations.append("degenerate target equals the boundary slope")
         if d_inf is None:
             violations.append("division tail inconsistent with target kind: "
@@ -256,12 +264,17 @@ def validate(e: EndDescription) -> list[str]:
     return violations
 
 
-def slope_at_infinity(e: EndDescription) -> SlopeTarget:
-    """The limit slope of the factorization, after validating convergence of
-    the underlying net of slopes."""
+def require_valid(e: EndDescription) -> None:
+    """Raise a ValidationError listing the violations of e, if it has any."""
     violations = validate(e)
     if violations:
         raise ValidationError(violations)
+
+
+def slope_at_infinity(e: EndDescription) -> SlopeTarget:
+    """The limit slope of the factorization, after validating convergence of
+    the underlying net of slopes."""
+    require_valid(e)
     return e.target
 
 
@@ -271,20 +284,18 @@ def slope_at_infinity(e: EndDescription) -> SlopeTarget:
 
 def classify(e: EndDescription) -> EndInvariant:
     """Dispatch to the complete invariant of the end."""
-    violations = validate(e)
-    if violations:
-        raise ValidationError(violations)
+    require_valid(e)
 
     base_context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, None)
     d_inf = division_at_infinity(e)
     if d_inf is None:
         return InfiniteDivision(NestedAnnuli(), base_context)
 
-    if isinstance(e.rotative, InfiniteRotativity):
-        return NonMinimallyTwisting(None, e.rotative.sign, None, base_context)
-    if len(e.rotative) > 0:
-        residual = classify(EndDescription(e.boundary, e.target, e.signs, e.division_tail))
-        return NonMinimallyTwisting(len(e.rotative), e.rotative[0], residual, base_context)
+    rotative = e.rotative
+    if rotative.n != 0:  # infinitely many layers (n None) leave no residual end
+        residual = None if rotative.n is None else classify(
+            EndDescription(e.boundary, e.target, e.signs, e.division_tail))
+        return NonMinimallyTwisting(rotative.n, rotative.sign, residual, base_context)
 
     target = normalized_target(e)
     if target.attained and target.slope == BASE_SLOPE:
@@ -420,16 +431,14 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
 
     def certified(signs: SignData, failure: Callable[[], str]) -> EndInvariant:
         e = EndDescription(frame.boundary, frame.target, signs)
-        violations = validate(e)
-        if violations:
-            raise ValidationError(violations)
+        require_valid(e)
         inv = _classify_minimal(e, context, 1)
         result = extension_obstruction(inv, horizon)
         if not isinstance(result, NoTightExtension):
             raise InsufficientBlocksError(f"{failure()}: {result}")
         return inv
 
-    if isinstance(target, RationalTarget):
+    if target.rational:
         finite_slices = decomp.all_blocks()[-1].slice_range[0]
         base = (NEGATIVE,) * finite_slices
         return [certified(_rational_family_signs(base, member),

@@ -440,9 +440,11 @@ class _StreamImage:
 
 
 class RationalTarget(Record):
-    """A rational limit slope together with its attainment flag."""
+    """A rational limit slope and its attainment flag.  Every target kind
+    says whether it is `rational` and `attained`; no caller tests a class."""
 
     __slots__ = ("slope", "attained")
+    rational = True
 
     def __init__(self, slope: Slope, attained: bool = False):
         setfield(self, "slope", slope)
@@ -473,6 +475,7 @@ class IrrationalTarget:
 
     __slots__ = ()
     attained = False
+    rational = False
 
     def det_sign(self, s: Slope) -> int:
         if s.q == 0:
@@ -576,7 +579,7 @@ def on_arc(start: Slope, target: SlopeTarget, x: Slope, include_target: bool = F
     """
     if x == start:
         return True
-    if isinstance(target, RationalTarget) and x == target.slope:
+    if target.rational and x == target.slope:
         return include_target
     ds = target.det_sign(start)
     if ds == 0:
@@ -631,7 +634,7 @@ class _Walk:
         # x = (up - uq*t) / (sq*t - sp)
         self.x = target.image(GL2Z(-uq, up, sq, -sp))
         self.attained = target.attained
-        self.rational = isinstance(target, RationalTarget)
+        self.rational = target.rational
         self._k = None
         if self.rational and self.x.q == 0:
             if target.attained:

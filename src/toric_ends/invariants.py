@@ -22,7 +22,7 @@ from .errors import (
     UndecidableAtHorizonError,
     UndecidableError,
 )
-from .farey import RationalTarget, Slope, SlopeTarget
+from .farey import Slope, SlopeTarget
 from .records import Record, setfield
 
 POSITIVE = 1
@@ -473,7 +473,7 @@ def invariant_from_signs(decomp: BlockDecomposition, signs: SignData,
     target = decomp.path.target
     if target.attained:
         return _build_attained(decomp, signs, boundary_division, context)
-    if isinstance(target, RationalTarget):
+    if target.rational:
         return _build_rational_non_attained(decomp, signs, context)
     return _build_irrational(decomp, signs, context)
 

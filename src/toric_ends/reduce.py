@@ -11,14 +11,14 @@ every rotative layer on the plus side.
 from __future__ import annotations
 
 from .ends import (
-    ConstantDivision,
+    NO_LAYERS,
     EndDescription,
     EventuallyConstantDivision,
     InfiniteRotativity,
-    StrictlyIncreasingDivision,
+    RotativeLayers,
     TorusRecord,
     classify,
-    validate,
+    require_valid,
 )
 from .errors import (
     AttainedZeroSlopeError,
@@ -29,7 +29,6 @@ from .errors import (
 from .farey import (
     FareyPath,
     GL2Z,
-    RationalTarget,
     Slope,
     SlopeTarget,
     INFINITY,
@@ -85,7 +84,7 @@ def _is_one_over_n(s: Slope) -> bool:
 def _closest_one_over_n(target: SlopeTarget) -> Slope:
     """Largest-position 1/n point not past the target, traversing the arc
     clockwise; exclusive of a non-attained rational target."""
-    if isinstance(target, RationalTarget):
+    if target.rational:
         t = target.slope
         if target.attained and _is_one_over_n(t):
             return t
@@ -109,9 +108,8 @@ def _closest_one_over_n(target: SlopeTarget) -> Slope:
 
 
 def _shift_division(tail, k: int):
-    if isinstance(tail, (ConstantDivision, StrictlyIncreasingDivision)):
-        return tail
-    assert isinstance(tail, EventuallyConstantDivision)
+    if not isinstance(tail, EventuallyConstantDivision):
+        return tail  # constant or strictly increasing: the same from every slice on
     return EventuallyConstantDivision(max(0, tail.after - k), tail.value, tail.prefix[k:])
 
 
@@ -148,10 +146,8 @@ def solid_torus_factor(e: EndDescription) -> SolidTorusEnd:
 
     Finite rotative layers are absorbed into the compact solid torus; the
     complementary end is minimally twisting and starts at s(r)."""
-    violations = validate(e)
-    if violations:
-        raise ValidationError(violations)
-    if isinstance(e.rotative, InfiniteRotativity):
+    require_valid(e)
+    if e.rotative.n is None:
         raise NoRealizedPointError("infinite rotativity has no computable realized arc")
 
     boundary = e.boundary.slope
@@ -167,53 +163,46 @@ def solid_torus_factor(e: EndDescription) -> SolidTorusEnd:
         target,
         e.signs.shifted(index),
         _shift_division(e.division_tail, index),
-        rotative=(),
+        NO_LAYERS,
     )
     return SolidTorusEnd(s_r, rest)
+
+
+def complementary_end(e: EndDescription) -> tuple[Slope | None, EndDescription]:
+    """s(r) and the end left once the solid torus is split there; (None, e)
+    when the slope at infinity is the non-attained slope zero."""
+    target = e.target
+    if target.rational and target.slope == Slope(0, 1):
+        if target.attained:
+            raise AttainedZeroSlopeError("attained slope zero at infinity is excluded")
+        return None, e
+    factored = solid_torus_factor(e)
+    return factored.realized_start, factored.end
 
 
 def classify_solid_torus(e: EndDescription) -> SolidTorusClass:
     """The classification pair (s(r), invariant of the complementary end);
     equality of these pairs classifies tight open solid tori."""
-    target = e.target
-    if isinstance(target, RationalTarget) and target.slope == Slope(0, 1):
-        if target.attained:
-            raise AttainedZeroSlopeError("attained slope zero at infinity is excluded")
-        return SolidTorusClass(None, classify(e))
-    factored = solid_torus_factor(e)
-    return SolidTorusClass(factored.realized_start, classify(factored.end))
+    s_of_r, rest = complementary_end(e)
+    return SolidTorusClass(s_of_r, classify(rest))
 
 
 # ---------------------------------------------------------------------------
 # open toric annuli
 
 
-def _rotative_sign_and_counts(a: OpenToricAnnulus):
-    """Shared rotativity sign plus per-side layer data; mixed signs anywhere
-    are an error because both models cannot embed in one tight structure."""
-    sides = (a.plus.rotative, a.minus.rotative)
-    signs = set()
-    infinite = None
-    total = 0
-    for layers in sides:
-        if isinstance(layers, InfiniteRotativity):
-            signs.add(layers.sign)
-            infinite = layers.sign if infinite is None or infinite == layers.sign else "conflict"
-        else:
-            signs.update(layers)
-            total += len(layers)
-    if len(signs) > 1 or infinite == "conflict":
-        raise MixedSignRotativityError("rotative layers of both signs cannot coexist")
-    sign = signs.pop() if signs else POSITIVE
-    return sign, infinite is not None, total
-
-
 def normalize_rotativity(a: OpenToricAnnulus) -> OpenToricAnnulus:
     """Canonical form with every rotative layer shifted to the plus side.
-    Idempotent, and the total rotativity is conserved."""
-    sign, has_infinite, total = _rotative_sign_and_counts(a)
+    Idempotent, and the total rotativity is conserved.  Layers of both signs
+    are an error, because both models cannot embed in one tight structure."""
+    sides = (a.plus.rotative, a.minus.rotative)
+    signs = {layers.sign for layers in sides if layers.n != 0}
+    if len(signs) > 1:
+        raise MixedSignRotativityError("rotative layers of both signs cannot coexist")
+    sign = signs.pop() if signs else POSITIVE
+    counts = [layers.n for layers in sides]
     p, m = a.plus, a.minus
-    rotative = InfiniteRotativity(sign) if has_infinite else (sign,) * total
+    rotative = InfiniteRotativity(sign) if None in counts else RotativeLayers(sign, sum(counts))
     return OpenToricAnnulus(EndDescription(p.boundary, p.target, p.signs, p.division_tail, rotative),
                             EndDescription(m.boundary, m.target, m.signs, m.division_tail), a.middle)
 

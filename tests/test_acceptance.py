@@ -24,6 +24,7 @@ from toric_ends import (
     PosFinite,
     QuadraticTarget,
     RationalTarget,
+    RotativeLayers,
     SignData,
     Slope,
     TorusRecord,
@@ -330,12 +331,13 @@ def test_criterion_09_reductions():
         sign = rng.choice((P, N))
         np_, nm = rng.randint(0, 8), rng.randint(0, 8)
         annulus = OpenToricAnnulus(
-            base.__class__(base.boundary, base.target, base.signs, base.division_tail, (sign,) * np_),
+            base.__class__(base.boundary, base.target, base.signs, base.division_tail,
+                           RotativeLayers(sign, np_)),
             base.__class__(reflected.boundary, reflected.target, reflected.signs,
-                           reflected.division_tail, (sign,) * nm),
+                           reflected.division_tail, RotativeLayers(sign, nm)),
             TorusRecord(S("-1"), 1))
         norm = normalize_rotativity(annulus)
-        assert len(norm.plus.rotative) + len(norm.minus.rotative) == np_ + nm
+        assert norm.plus.rotative.n + norm.minus.rotative.n == np_ + nm
         assert normalize_rotativity(norm) == norm
 
     targets = [

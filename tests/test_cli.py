@@ -2,9 +2,11 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from toric_ends import reduce as reduce_mod
 from toric_ends.cli import main, parse_invariant_document, run_command
 from toric_ends.errors import SchemaError
 
@@ -117,6 +119,105 @@ def test_reduce_t2xr_command():
     doc = json.loads(out)
     assert doc["plus"]["rotative"] == {"n": 3, "sign": "+"}
     assert doc["minus"]["rotative"] == {"n": 0, "sign": "+"}
+
+
+def test_reduce_solid_torus_factors_the_end_once(monkeypatch):
+    calls = []
+    factor = reduce_mod.solid_torus_factor
+    monkeypatch.setattr(reduce_mod, "solid_torus_factor", lambda e: calls.append(e) or factor(e))
+    code, out = invoke("reduce-solid-torus", {"end": end_doc(SQRT2, tail={"type": "all-positive"})})
+    assert code == 0 and json.loads(out)["s"] == "-1/1"
+    assert len(calls) == 1
+
+
+def test_rotative_layers_are_a_count():
+    # 10^12 layers are one count, not 10^12 stored signs
+    end = end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "-", "n": 10 ** 12})
+    started = time.perf_counter()
+    code, out = invoke("classify", {"end": end})
+    assert time.perf_counter() - started < 0.5
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["kind"], doc["rotativity"], doc["sign"]) == ("nonminimal", 10 ** 12, "-")
+    plus = end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "-", "n": 10 ** 12})
+    minus = dict(end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "-", "n": 10 ** 12}),
+                 boundary={"slope": "1/1", "div": 1})
+    code, out = invoke("reduce-t2xr", {"plus": plus, "minus": minus, "middle": {"slope": "-1/1", "div": 1}})
+    assert code == 0
+    assert json.loads(out)["plus"]["rotative"] == {"n": 2 * 10 ** 12, "sign": "-"}
+
+
+def test_zero_rotative_layers_carry_no_sign():
+    plus = end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "-", "n": 0})
+    minus = dict(end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "-", "n": 0}),
+                 boundary={"slope": "1/1", "div": 1})
+    code, out = invoke("reduce-t2xr", {"plus": plus, "minus": minus, "middle": {"slope": "-1/1", "div": 1}})
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["plus"]["rotative"] == doc["minus"]["rotative"] == {"n": 0, "sign": "+"}
+
+
+def test_rotative_layers_of_both_signs_are_a_violation():
+    plus = end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "+", "n": 1})
+    minus = dict(end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "-", "infinite": True}),
+                 boundary={"slope": "1/1", "div": 1})
+    code, out = invoke("reduce-t2xr", {"plus": plus, "minus": minus, "middle": {"slope": "-1/1", "div": 1}})
+    assert code == 1
+    assert json.loads(out)["error"] == "rotative layers of both signs cannot coexist"
+
+
+@pytest.mark.parametrize("rule", ["none", "all-positive", "all-negative"])
+@pytest.mark.parametrize("stray,value", [("sign", "+"), ("after", 1), ("first", "-"), ("pattern", ["+"])])
+def test_constant_sign_tails_reject_stray_fields(rule, stray, value):
+    code, out = invoke("classify", {"end": end_doc(SQRT2, tail={"type": rule, stray: value})})
+    assert code == 2
+    assert json.loads(out)["error"] == f"end.signs.tail has unknown fields: ['{stray}']"
+
+
+@pytest.mark.parametrize("flag", ["no", "yes", 1, 0, None])
+def test_rotative_infinite_must_be_a_boolean(flag):
+    end = end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "+", "infinite": flag})
+    code, out = invoke("classify", {"end": end})
+    assert code == 2
+    assert json.loads(out)["error"] == "end.rotative.infinite must be a boolean"
+
+
+def irrational(tail):
+    return {"kind": "irrational", "f": [], "tail": tail}
+
+
+def rational(form):
+    return {"kind": "rational", "f": [], "infinite": form}
+
+
+@pytest.mark.parametrize("doc,error", [
+    (irrational({"type": "pattern", "pattern": "+-", "anchor": 0}), "invariant.tail.pattern must be a nonempty list"),
+    (irrational({"type": "pattern", "pattern": [], "anchor": 0}), "invariant.tail.pattern must be a nonempty list"),
+    (irrational({"type": "pattern", "pattern": None, "anchor": 0}), "invariant.tail.pattern must be a nonempty list"),
+    (irrational({"type": "pattern", "pattern": ["+", "-"], "anchor": "0"}), "invariant.tail.anchor must be an integer"),
+    (irrational({"type": "pattern", "pattern": ["+", "-"], "anchor": 1.5}), "invariant.tail.anchor must be an integer"),
+    (irrational({"type": "saturated", "pattern": ["+"]}), "invariant.tail has unknown fields: ['pattern']"),
+    (irrational({"type": "zero", "anchor": 0}), "invariant.tail has unknown fields: ['anchor']"),
+    (rational({"form": "both", "p": 1}), "invariant.infinite is missing fields: ['n']"),
+    (rational({"form": "both", "n": 1}), "invariant.infinite is missing fields: ['p']"),
+    (rational({"form": "both", "p": "1", "n": 1}), "invariant.infinite.p must be an integer"),
+    (rational({"form": "both", "p": 1, "n": -1}), "invariant.infinite.n must be >= 0"),
+    (rational({"form": "alt", "m": 1}), "invariant.infinite has unknown fields: ['m']"),
+    (rational({"form": "pos", "m": 1, "p": 1}), "invariant.infinite has unknown fields: ['p']"),
+    (rational({"form": "pos"}), "invariant.infinite is missing fields: ['m']"),
+    (rational({"form": "neg", "m": "2"}), "invariant.infinite.m must be an integer"),
+    (rational({"form": "neg", "m": -2}), "invariant.infinite.m must be >= 0"),
+    ({"kind": "infinite-division", "annuli": {"tb_start": "-1", "tb_step": 1}},
+     "invariant.annuli.tb_start must be an integer"),
+    ({"kind": "infinite-division", "annuli": {"tb_start": -1, "tb_step": None}},
+     "invariant.annuli.tb_step must be an integer"),
+], ids=["string-pattern", "empty-pattern", "null-pattern", "string-anchor", "float-anchor", "saturated-pattern",
+        "zero-anchor", "both-without-n", "both-without-p", "string-p", "negative-n", "alt-with-m", "pos-with-p",
+        "pos-without-m", "string-m", "negative-m", "string-tb-start", "null-tb-step"])
+def test_invariant_documents_are_strict(doc, error):
+    with pytest.raises(SchemaError) as info:
+        parse_invariant_document(doc)
+    assert str(info.value) == error
 
 
 def test_exit_code_validation_violation():

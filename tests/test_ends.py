@@ -23,6 +23,7 @@ from toric_ends import (
     PosFinite,
     QuadraticTarget,
     RationalTarget,
+    RotativeLayers,
     SignData,
     TorusRecord,
     Unknown,
@@ -57,7 +58,7 @@ def S(text):
     return parse_slope(text)
 
 
-def end(target, signs, boundary="-1", division_tail=None, rotative=()):
+def end(target, signs, boundary="-1", division_tail=None, rotative=RotativeLayers(1, 0)):
     return EndDescription(
         TorusRecord(S(boundary), 1), target, signs,
         division_tail or ConstantDivision(1), rotative)
@@ -92,7 +93,7 @@ def test_division_at_infinity_rules():
 def test_is_minimally_twisting():
     assert is_minimally_twisting(end(MINUS_SQRT2, SignData((), AllPositive())))
     assert not is_minimally_twisting(
-        end(MINUS_SQRT2, SignData((), AllPositive()), rotative=(P, P)))
+        end(MINUS_SQRT2, SignData((), AllPositive()), rotative=RotativeLayers(P, 2)))
     assert not is_minimally_twisting(
         end(MINUS_SQRT2, SignData((), AllPositive()), rotative=InfiniteRotativity(P)))
 
@@ -103,11 +104,6 @@ def test_is_minimally_twisting():
 
 def test_validate_legal_description():
     assert validate(end(MINUS_SQRT2, SignData((), AllPositive()))) == []
-
-
-def test_validate_mixed_rotative_signs():
-    bad = end(MINUS_SQRT2, SignData((), AllPositive()), rotative=(P, N))
-    assert any("sign conflict" in v for v in validate(bad))
 
 
 def test_validate_attained_with_tail():
@@ -161,7 +157,7 @@ def test_classify_alternating_toward_infinity():
 
 def test_classify_rotative_layers():
     attained = RationalTarget(S("-3"), True)
-    inv = classify(end(attained, SignData((P, P)), rotative=(P, P, P)))
+    inv = classify(end(attained, SignData((P, P)), rotative=RotativeLayers(P, 3)))
     assert isinstance(inv, NonMinimallyTwisting)
     assert inv.rotativity == 3
     assert inv.sign == P

@@ -18,6 +18,7 @@ from toric_ends.ends import (
     NestedAnnuli,
     NonMinimallyTwisting,
     NoTightExtension,
+    RotativeLayers,
     TorusRecord,
     Unknown,
 )
@@ -63,6 +64,7 @@ def test_equality_is_by_class_and_fields():
     assert RationalTarget(Slope(-2, 1)) != RationalTarget(Slope(-2, 1), True)
     assert SignData([1, -1], Alternating()) == SignData((1, -1), Alternating(1))
     assert TorusRecord(Slope(-1, 1)) == TorusRecord(Slope(-1, 1), 1)
+    assert RotativeLayers(-1, 0) == RotativeLayers(1, 0) != RotativeLayers(-1, 1)  # zero layers have no sign
 
 
 def test_context_is_left_out_of_invariant_equality():
@@ -150,8 +152,9 @@ def test_construction_checks_and_normalizes():
                 lambda: Alternating(2), lambda: TorusRecord(Slope(1, 1), 0), lambda: ConstantDivision(0)):
         with pytest.raises(ValueError):
             bad()
-    with pytest.raises(ValueError, match="rotative"):
-        EndDescription(TorusRecord(Slope(-1, 1)), SQRT2, rotative=(1, 0))
+    for bad in (lambda: RotativeLayers(0, 1), lambda: RotativeLayers(1, -1)):
+        with pytest.raises(ValueError, match="rotative"):
+            bad()
     c, _ = contexts(SQRT2)
     with pytest.raises(ValueError, match="attained"):
         AttainedInvariant((), 1, c)
@@ -159,7 +162,7 @@ def test_construction_checks_and_normalizes():
 
 def test_defaults():
     e = EndDescription(TorusRecord(Slope(-1, 1)), SQRT2)
-    assert (e.signs, e.division_tail, e.rotative) == (SignData(), ConstantDivision(1), ())
+    assert (e.signs, e.division_tail, e.rotative) == (SignData(), ConstantDivision(1), RotativeLayers(1, 0))
     assert e.boundary.division == 1 and Alternating().first == 1 and NestedAnnuli() == NestedAnnuli(-1, 1)
 
 

@@ -14,6 +14,7 @@ from toric_ends import (
     OpenToricAnnulus,
     QuadraticTarget,
     RationalTarget,
+    RotativeLayers,
     SignData,
     Slope,
     SolidTorusEnd,
@@ -47,8 +48,8 @@ def S(text):
     return parse_slope(text)
 
 
-def end(target, signs, boundary="-1", rotative=()):
-    return EndDescription(TorusRecord(S(boundary), 1), target, signs, rotative=rotative)
+def end(target, signs, boundary="-1"):
+    return EndDescription(TorusRecord(S(boundary), 1), target, signs)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +122,8 @@ def test_zero_slope_cases():
 
 
 def test_factor_rejects_infinite_rotativity():
-    e = end(MINUS_SQRT2, SignData((), AllPositive()), rotative=InfiniteRotativity(P))
+    e = EndDescription(TorusRecord(S("-1"), 1), MINUS_SQRT2, SignData((), AllPositive()),
+                       rotative=InfiniteRotativity(P))
     with pytest.raises(NoRealizedPointError):
         solid_torus_factor(e)
 
@@ -247,7 +249,10 @@ def test_factor_census_against_reference_scan(boundary):
 # open toric annuli
 
 
-def make_annulus(plus_rot=(), minus_rot=(), middle="-1"):
+NONE = RotativeLayers(P, 0)
+
+
+def make_annulus(plus_rot=NONE, minus_rot=NONE, middle="-1"):
     plus = EndDescription(TorusRecord(S(middle), 1), MINUS_SQRT2,
                           SignData((), AllPositive()), rotative=plus_rot)
     reflected = Slope(-S(middle).p, S(middle).q)
@@ -257,37 +262,42 @@ def make_annulus(plus_rot=(), minus_rot=(), middle="-1"):
 
 
 def test_normalize_rotativity_shifts_to_plus_side():
-    a = make_annulus(plus_rot=(P,), minus_rot=(P, P))
+    a = make_annulus(plus_rot=RotativeLayers(P, 1), minus_rot=RotativeLayers(P, 2))
     norm = normalize_rotativity(a)
-    assert norm.plus.rotative == (P, P, P)
-    assert norm.minus.rotative == ()
+    assert norm.plus.rotative == RotativeLayers(P, 3)
+    assert norm.minus.rotative == NONE
 
 
 def test_normalize_rotativity_idempotent_and_conserving():
-    a = make_annulus(plus_rot=(N, N), minus_rot=(N,))
+    a = make_annulus(plus_rot=RotativeLayers(N, 2), minus_rot=RotativeLayers(N, 1))
     once = normalize_rotativity(a)
     assert normalize_rotativity(once) == once
-    assert len(once.plus.rotative) == 3
+    assert once.plus.rotative == RotativeLayers(N, 3)
 
 
 def test_normalize_rotativity_zero_case():
     a = make_annulus()
     norm = normalize_rotativity(a)
-    assert norm.plus.rotative == ()
-    assert norm.minus.rotative == ()
+    assert norm.plus.rotative == NONE
+    assert norm.minus.rotative == NONE
 
 
 def test_normalize_rotativity_infinite():
-    a = make_annulus(plus_rot=InfiniteRotativity(P), minus_rot=(P,))
+    a = make_annulus(plus_rot=InfiniteRotativity(P), minus_rot=RotativeLayers(P, 1))
     norm = normalize_rotativity(a)
     assert norm.plus.rotative == InfiniteRotativity(P)
-    assert norm.minus.rotative == ()
+    assert norm.minus.rotative == NONE
 
 
 def test_mixed_sign_rotativity_rejected():
-    a = make_annulus(plus_rot=(P,), minus_rot=(N,))
-    with pytest.raises(MixedSignRotativityError):
-        normalize_rotativity(a)
+    for plus, minus in ((RotativeLayers(P, 1), RotativeLayers(N, 1)),
+                        (InfiniteRotativity(P), RotativeLayers(N, 2)),
+                        (InfiniteRotativity(N), InfiniteRotativity(P))):
+        with pytest.raises(MixedSignRotativityError):
+            normalize_rotativity(make_annulus(plus_rot=plus, minus_rot=minus))
+    # zero layers carry no sign, so they never conflict
+    norm = normalize_rotativity(make_annulus(plus_rot=RotativeLayers(N, 0), minus_rot=RotativeLayers(N, 2)))
+    assert norm.plus.rotative == RotativeLayers(N, 2)
 
 
 def test_middle_torus_division_must_be_one():
@@ -297,10 +307,10 @@ def test_middle_torus_division_must_be_one():
 
 
 def test_t2xr_equivalence_respects_rotativity_shifting():
-    a = make_annulus(plus_rot=(P,), minus_rot=(P, P))
-    b = make_annulus(plus_rot=(P, P, P), minus_rot=())
+    a = make_annulus(plus_rot=RotativeLayers(P, 1), minus_rot=RotativeLayers(P, 2))
+    b = make_annulus(plus_rot=RotativeLayers(P, 3))
     assert t2xr_equivalent(a, b) is True
-    c = make_annulus(plus_rot=(P,), minus_rot=())
+    c = make_annulus(plus_rot=RotativeLayers(P, 1))
     assert t2xr_equivalent(a, c) is False
 
 
@@ -316,7 +326,7 @@ def test_t2xr_distinguishes_sides():
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 6), st.integers(0, 6), st.sampled_from([P, N]))
 def test_rotativity_conservation_randomized(npl, nmi, sign):
-    a = make_annulus(plus_rot=(sign,) * npl, minus_rot=(sign,) * nmi)
+    a = make_annulus(plus_rot=RotativeLayers(sign, npl), minus_rot=RotativeLayers(sign, nmi))
     norm = normalize_rotativity(a)
-    assert len(norm.plus.rotative) + len(norm.minus.rotative) == npl + nmi
+    assert norm.plus.rotative.n + norm.minus.rotative.n == npl + nmi
     assert normalize_rotativity(norm) == norm
