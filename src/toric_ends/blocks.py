@@ -39,9 +39,23 @@ class Block(Record):
         setfield(self, "run", run)
 
     @property
+    def witness_entries(self) -> tuple[int, int, int, int]:
+        """The entries of the witness, read off the run.  The lifts (p, q)
+        and (p + dp, q + dq) of its first edge have determinant
+        p*dq - q*dp = 1, so (q - dq, dp - p, dq, -dp) sends them to -1 and
+        -2; it is the matrix witness_for_edge finds, sign-normalized here
+        by its first entry that is not 0 (one of the first two, or the
+        determinant would be 0)."""
+        _, p, q, dp, dq, _ = self.run
+        if (q - dq or dp - p) > 0:
+            return (q - dq, dp - p, dq, -dp)
+        return (dq - q, p - dp, -dq, dp)
+
+    @property
     def witness(self) -> GL2Z:
-        """Built when read, from the first edge of the run."""
-        return witness_for_edge(self.run.vertex(0), self.run.vertex(1))
+        """Built when read, from the first edge of the run, with no
+        determinant multiplied out."""
+        return GL2Z._unimodular(*self.witness_entries)
 
     @property
     def length(self) -> int | None:
@@ -60,7 +74,9 @@ class Block(Record):
 
 
 def witness_for_edge(a: Slope, b: Slope) -> GL2Z:
-    """The SL2(Z) element sending the edge (a, b) to (-1, -2), sign-normalized."""
+    """The SL2(Z) element sending the edge (a, b) to (-1, -2), sign-normalized,
+    for an edge given by its slopes; a block reads the same matrix off its
+    run (Block.witness_entries)."""
     eps = det(a, b)
     if abs(eps) != 1:
         raise MalformedPathError(f"{a}, {b} is not a Farey edge")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from operator import attrgetter
 from typing import Any
 
@@ -23,7 +24,6 @@ from .farey import (
     QuadraticTarget,
     RationalTarget,
     Slope,
-    farey_sequence,
     parse_slope,
 )
 from .invariants import NEGATIVE, POSITIVE
@@ -109,6 +109,18 @@ def _pattern(texts: Any, where: str, key: str) -> tuple[int, ...]:
     return _signs(texts, where, key)
 
 
+def _count_pattern(texts: Any, where: str, key: str) -> tuple[int, ...]:
+    """A count tail's pattern, as invariant_doc writes it: mixed and
+    primitive (single-sign and repeated patterns normalize to other tails)."""
+    pattern = _pattern(texts, where, key)
+    if len(set(pattern)) == 1:
+        raise SchemaError(f"{where}.{key} must hold both signs")
+    word = "".join(texts)
+    if (word + word).find(word, 1) < len(word):  # a word is a repeat iff it occurs in its square early
+        raise SchemaError(f"{where}.{key} must be primitive, not a repeat of a shorter pattern")
+    return pattern
+
+
 def _ints(values: Any, where: str, key: str) -> tuple[int, ...]:
     if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in values):
         raise SchemaError(f"{where}.{key} must be a list of integers")
@@ -150,6 +162,7 @@ SLOPE = (_slope, str)
 SIGN = (_sign, _SIGN_TEXT.__getitem__)
 SIGNS = (_signs, _sign_texts)
 PATTERN = (_pattern, _sign_texts)
+COUNT_PATTERN = (_count_pattern, _sign_texts)
 INTS = (_ints, lambda values: list(values) if values else _MISSING)
 COUNTS = (_counts, list)
 ROTATIVITY = (_rotativity, lambda n: "inf" if n is None else n)
@@ -285,7 +298,7 @@ END = Document({None: Variant(
 COUNT_TAIL = Document({
     "saturated": Variant(inv_mod.SaturatedCounts),
     "zero": Variant(inv_mod.ZeroCounts),
-    "pattern": Variant(inv_mod.PatternCounts, field("pattern", PATTERN), field("anchor", INT)),
+    "pattern": Variant(inv_mod.PatternCounts, field("pattern", COUNT_PATTERN), field("anchor", INT)),
 }, "type", "is unknown")
 
 INFINITE_BLOCK = Document({
@@ -328,7 +341,7 @@ def block_doc(b: blocks_mod.Block) -> dict:
         "start": b.start_index,
         "end": b.end_index,
         "length": b.length,
-        "witness": list(b.witness.entries()),
+        "witness": list(b.witness_entries),
         "infinite": b.infinite,
     }
 
@@ -350,26 +363,33 @@ def _digits_error(what: str) -> ToricEndError:
                          "digits, the limit of int-to-text conversion")
 
 
+@lru_cache(maxsize=1)
+def _text_bound(limit: int) -> int:
+    """The least integer that str() and json.dumps refuse to write for
+    limit = sys.get_int_max_str_digits(), a limit that guards against
+    quadratic-time conversion: 10 ** limit (0 when there is no limit)."""
+    return 10 ** limit if limit else 0
+
+
 def _check_digits(values, what: str):
-    """Refuse an answer holding an integer that json.dumps cannot write:
-    one with more decimal digits than sys.get_int_max_str_digits(), a
-    limit that guards against quadratic-time conversion.  An integer of at
-    most 3 * limit bits is within it, so only longer ones are compared."""
-    limit = sys.get_int_max_str_digits()
-    if limit and any(v.bit_length() > 3 * limit and abs(v) >= 10 ** limit for v in values):
+    """Refuse an answer holding an integer past the _text_bound."""
+    bound = _text_bound(sys.get_int_max_str_digits())
+    if bound and max(map(abs, values)) >= bound:
         raise _digits_error(what)
 
 
 def _cmd_path(doc: dict, options: dict) -> dict:
     _check_keys(doc, {"start", "target", "n"}, set(), "input")
-    n = _positive(doc["n"], "input", "n")
-    path = farey_sequence(_slope(doc["start"], "input", "start"), TARGET.decode(doc["target"], "target"),
-                          min(n, OUTPUT_BUDGET + 1))
-    _check_output_budget(len(path), "vertices")
-    try:
-        return {"vertices": path.prefix_text(len(path))}
-    except ValueError:  # str() of an entry past sys.get_int_max_str_digits()
-        raise _digits_error("a vertex entry") from None
+    n = min(_positive(doc["n"], "input", "n"), OUTPUT_BUDGET + 1)
+    path = FareyPath(_slope(doc["start"], "input", "start"), TARGET.decode(doc["target"], "target"))
+    # the walk stops at the first run end past the bound, so that no
+    # vertex past it is walked; the start and every vertex before the last
+    # are then within the bound, and only the last one is checked
+    size = path.extend_to(n, _text_bound(sys.get_int_max_str_digits()))
+    _check_output_budget(size, "vertices")
+    last = path.vertex(size - 1)
+    _check_digits((last.p, last.q), "a vertex entry")
+    return {"vertices": path.prefix_text(size)}
 
 
 def _cmd_blocks(doc: dict, options: dict) -> dict:
@@ -377,10 +397,13 @@ def _cmd_blocks(doc: dict, options: dict) -> dict:
     count = _positive(doc["count"], "input", "count") if "count" in doc else options["horizon"]
     path = FareyPath(_slope(doc["start"], "input", "start"), TARGET.decode(doc["target"], "target"))
     decomp = blocks_mod.decompose(path)
-    blocks = decomp.blocks_up_to(min(count, OUTPUT_BUDGET + 1))
-    _check_output_budget(len(blocks), "blocks")
-    docs = [block_doc(b) for b in blocks]
-    _check_digits((x for d in docs for x in d["witness"]), "a witness entry")
+    size = min(count, OUTPUT_BUDGET + 1)
+    docs = []
+    # block by block, so that the walk stops at the first over-long witness
+    while len(docs) < size and decomp.has_block(len(docs) + 1):
+        docs.append(block_doc(decomp.block(len(docs) + 1)))
+        _check_digits(docs[-1]["witness"], "a witness entry")
+    _check_output_budget(len(docs), "blocks")
     return {"blocks": docs, "complete": decomp.finished}
 
 

@@ -137,6 +137,17 @@ class GL2Z(Record):
         setfield(self, "c", c)
         setfield(self, "d", d)
 
+    @classmethod
+    def _unimodular(cls, a: int, b: int, c: int, d: int) -> "GL2Z":
+        """The matrix for entries known to have determinant +-1, such as a
+        block witness read off a run: the determinant is not multiplied out."""
+        m = object.__new__(cls)
+        setfield(m, "a", a)
+        setfield(m, "b", b)
+        setfield(m, "c", c)
+        setfield(m, "d", d)
+        return m
+
     @property
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
@@ -631,8 +642,8 @@ class _Walk:
     def __init__(self, u: tuple[int, int], s: tuple[int, int], target: SlopeTarget):
         (up, uq), (sp, sq) = u, s
         self.u, self.s = u, s
-        # x = (up - uq*t) / (sq*t - sp)
-        self.x = target.image(GL2Z(-uq, up, sq, -sp))
+        # x = (up - uq*t) / (sq*t - sp), by a matrix of determinant -det(u, s) = 1
+        self.x = target.image(GL2Z._unimodular(-uq, up, sq, -sp))
         self.attained = target.attained
         self.rational = target.rational
         self._k = None
@@ -750,19 +761,27 @@ class FareyPath:
     def __len__(self) -> int:
         return self._length
 
-    def _reach(self, i: int) -> bool:
-        """Walk until vertex i exists; False when the path ends before it."""
+    def _reach(self, i: int, bound: int) -> bool:
+        """Walk until vertex i exists; False when the path ends before it,
+        or when a run ends before it on a vertex with an entry of absolute
+        value at least `bound` (if not 0)."""
         while self._size is not None and self._size <= i:
             if self._complete:
                 return False
             self._advance()
+            if bound and self._size is not None and self._size <= i and max(map(abs, self._walk.s)) >= bound:
+                return False
         return True
 
-    def extend_to(self, n: int) -> int:
+    def extend_to(self, n: int, bound: int = 0) -> int:
         """Make the first n vertices available (fewer when the path ends
-        sooner); returns the length."""
+        sooner); returns the length.  With a bound the walk also stops at
+        the first vertex before vertex n - 1 that ends a run and has an
+        entry of absolute value at least `bound`, which is then the last;
+        entries are linear along a run, so when the start is within the
+        bound, so is every vertex before that one."""
         if n > self._length:
-            self._length = n if self._reach(n - 1) else self._size
+            self._length = n if self._reach(n - 1, bound) else self._size
         return self._length
 
     def walk_to_end(self) -> int:
@@ -808,11 +827,11 @@ class FareyPath:
     def has_vertex(self, i: int) -> bool:
         return self.extend_to(i + 1) > i
 
-    def _pieces(self, n: int) -> Iterator[tuple[int, int, int, int, int, int]]:
+    def _pieces(self, n: int) -> Iterator[tuple[int, int, int, int, int]]:
         """Vertices 1 .. n - 1 of a path walked that far, as pieces
-        (p, q, dp, dq, lo, hi): (p + j*dp)/(q + j*dq) for lo <= j < hi, with
-        the sign already normalized.  The lifts of a run change sign at most
-        once, where q + j*dq does, so a run gives one or two pieces."""
+        (p, q, dp, dq, count): (p + j*dp)/(q + j*dq) for 0 <= j < count,
+        with the sign already normalized.  The lifts of a run change sign at
+        most once, where q + j*dq does, so a run gives one or two pieces."""
         for start, p, q, dp, dq, edges in self._runs:
             hi = n - start  # vertices start + 1 .. n - 1 of this run
             if hi <= 1:
@@ -829,27 +848,43 @@ class FareyPath:
             if e < 0:
                 p, q, dp, dq = -p, -q, -dp, -dq
             if 1 < c:
-                yield -p, -q, -dp, -dq, 1, c
+                yield -p - dp, -q - dq, -dp, -dq, c - 1
             if c < hi:
-                yield p, q, dp, dq, c, hi
+                yield p + c * dp, q + c * dq, dp, dq, hi - c
 
     def prefix(self, n: int) -> tuple[Slope, ...]:
+        """The first n vertices, stepped along each piece: one addition per
+        entry and vertex, no product."""
         if n < 1:
             return ()
         n = min(n, self.extend_to(n))
         out = [self.start]
-        for p, q, dp, dq, lo, hi in self._pieces(n):
-            out += [Slope._primitive(p + j * dp, q + j * dq) for j in range(lo, hi)]
+        add, slope = out.append, Slope._primitive
+        for p, q, dp, dq, count in self._pieces(n):
+            for _ in range(count):
+                add(slope(p, q))
+                p += dp
+                q += dq
         return tuple(out)
 
     def prefix_text(self, n: int) -> list[str]:
-        """[str(v) for v in prefix(n)], rendered straight from the runs."""
+        """[str(v) for v in prefix(n)], rendered straight from the pieces,
+        stepped as in prefix; a piece with one denominator (dq = 0) steps
+        only its numerators, before one constant suffix."""
         if n < 1:
             return []
         n = min(n, self.extend_to(n))
         out = [str(self.start)]
-        for p, q, dp, dq, lo, hi in self._pieces(n):
-            out += [f"{p + j * dp}/{q + j * dq}" for j in range(lo, hi)]
+        add = out.append
+        for p, q, dp, dq, count in self._pieces(n):
+            if dq:
+                for _ in range(count):
+                    add(f"{p}/{q}")
+                    p += dp
+                    q += dq
+            else:
+                suffix = f"/{q}"
+                out += [f"{x}{suffix}" for x in range(p, p + count * dp, dp)]
         return out
 
     @classmethod

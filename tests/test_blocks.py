@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_ends import (
@@ -15,10 +15,12 @@ from toric_ends import (
     parse_slope,
     quadratic_cf_target,
 )
-from toric_ends.blocks import witness_for_edge
+from toric_ends.blocks import Block, witness_for_edge
 from toric_ends.errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
+from toric_ends.farey import Run
 
 from oracles import oracle_witness_search, synthetic_path_vertices
+from test_cf_targets import GL2Z_WORDS
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 
@@ -170,3 +172,13 @@ def test_witness_normalizes_first_edge_random_runs(m, extra):
     assert w.apply(vertices[0]) == Slope(-1, 1)
     assert w.apply(vertices[1]) == Slope(-2, 1)
     assert w.det == 1
+
+
+@settings(max_examples=80, deadline=None)
+@example(GL2Z(-2, -3, -1, -2))  # lifts (-2, -1), (-3, -2): the witness (0, 1, -1, -2) is led by 0
+@example(GL2Z(2, 3, 1, 2))
+@given(GL2Z_WORDS.filter(lambda m: m.det == 1))
+def test_run_witness_is_the_witness_of_its_first_edge(m):
+    # the columns of m are coherent lifts (p, q), (p + dp, q + dq) of an edge
+    run = Run(0, m.a, m.c, m.b - m.a, m.d - m.c, 3)
+    assert Block(run).witness == witness_for_edge(run.vertex(0), run.vertex(1))

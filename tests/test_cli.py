@@ -3,12 +3,15 @@ import json
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
+from toric_ends import GL2Z, FareyPath, QuadraticTarget, Slope, decompose
+from toric_ends import blocks as blocks_mod
 from toric_ends import reduce as reduce_mod
 from toric_ends.cli import main, parse_invariant_document, run_command
-from toric_ends.errors import SchemaError
+from toric_ends.errors import SchemaError, ToricEndError
 
 SQRT2 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 2}
 INF_NA = {"kind": "rational", "slope": "1/0", "attained": False}
@@ -196,6 +199,10 @@ def rational(form):
     (irrational({"type": "pattern", "pattern": None, "anchor": 0}), "invariant.tail.pattern must be a nonempty list"),
     (irrational({"type": "pattern", "pattern": ["+", "-"], "anchor": "0"}), "invariant.tail.anchor must be an integer"),
     (irrational({"type": "pattern", "pattern": ["+", "-"], "anchor": 1.5}), "invariant.tail.anchor must be an integer"),
+    (irrational({"type": "pattern", "pattern": ["+"], "anchor": 3}), "invariant.tail.pattern must hold both signs"),
+    (irrational({"type": "pattern", "pattern": ["-", "-"], "anchor": 0}), "invariant.tail.pattern must hold both signs"),
+    (irrational({"type": "pattern", "pattern": ["+", "-", "+", "-"], "anchor": 0}),
+     "invariant.tail.pattern must be primitive, not a repeat of a shorter pattern"),
     (irrational({"type": "saturated", "pattern": ["+"]}), "invariant.tail has unknown fields: ['pattern']"),
     (irrational({"type": "zero", "anchor": 0}), "invariant.tail has unknown fields: ['anchor']"),
     (rational({"form": "both", "p": 1}), "invariant.infinite is missing fields: ['n']"),
@@ -211,7 +218,8 @@ def rational(form):
      "invariant.annuli.tb_start must be an integer"),
     ({"kind": "infinite-division", "annuli": {"tb_start": -1, "tb_step": None}},
      "invariant.annuli.tb_step must be an integer"),
-], ids=["string-pattern", "empty-pattern", "null-pattern", "string-anchor", "float-anchor", "saturated-pattern",
+], ids=["string-pattern", "empty-pattern", "null-pattern", "string-anchor", "float-anchor", "one-sign-pattern",
+        "one-sign-pair", "repeated-pattern", "saturated-pattern",
         "zero-anchor", "both-without-n", "both-without-p", "string-p", "negative-n", "alt-with-m", "pos-with-p",
         "pos-without-m", "string-m", "negative-m", "string-tb-start", "null-tb-step"])
 def test_invariant_documents_are_strict(doc, error):
@@ -330,6 +338,64 @@ def test_entries_past_the_int_to_text_limit_are_a_violation_and_the_batch_goes_o
         {"status": "violation",
          "error": f"the answer would hold {what} of more than {limit} digits, the limit of int-to-text conversion"},
         {"status": "ok", "output": {"count": 2}}]
+
+
+@pytest.mark.parametrize("command,size,value,what", [
+    ("path", "n", 24000, "a vertex entry"),
+    ("blocks", "count", 12000, "a witness entry"),
+])
+def test_entries_past_the_int_to_text_limit_are_refused_at_walk_cost(command, size, value, what):
+    # the walk stops at the first run past the limit (vertex 11234, block
+    # 5618), so neither the rest of the walk nor any text is paid for
+    jobs = [{"command": command, "input": {"start": "-1/1", "target": SQRT2, size: value}},
+            {"command": "count", "input": {"lengths": [2]}}]
+    started = time.perf_counter()
+    code, out = invoke("run", jobs)
+    elapsed = time.perf_counter() - started  # timed without tracemalloc, which slows allocation
+    results = json.loads(out)
+    assert code == 1 and elapsed < 0.5
+    assert results[0]["status"] == "violation" and what in results[0]["error"]
+    assert results[1] == {"status": "ok", "output": {"count": 2}}
+    tracemalloc.start()
+    try:
+        invoke("run", jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+
+
+@pytest.mark.parametrize("command,size,listed,what", [
+    ("path", "n", "vertices", "a vertex entry"),
+    ("blocks", "count", "blocks", "a witness entry"),
+])
+def test_the_int_to_text_limit_is_pinned_on_both_sides(command, size, listed, what):
+    # toward -sqrt(2) entries first pass 4300 digits at vertex 11234 and in
+    # the witness of block 5618
+    last = {"path": 11234, "blocks": 5617}[command]
+    options = {"horizon": 64}
+    answer = run_command(command, {"start": "-1/1", "target": SQRT2, size: last}, options)
+    assert len(answer[listed]) == last
+    with pytest.raises(ToricEndError, match=what):
+        run_command(command, {"start": "-1/1", "target": SQRT2, size: last + 1}, options)
+
+
+def test_block_witnesses_multiply_out_no_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a determinant was multiplied out")
+
+    monkeypatch.setattr(GL2Z, "__init__", refuse)
+    monkeypatch.setattr(blocks_mod, "witness_for_edge", refuse)
+    doc = {"start": "-1/1", "target": SQRT2, "count": 5000}
+    times = []
+    for _ in range(2):  # the better of two runs, on a shared machine
+        started = time.perf_counter()
+        answer = run_command("blocks", doc, {"horizon": 64})
+        times.append(time.perf_counter() - started)
+    assert min(times) < 0.3
+    assert len(answer["blocks"]) == 5000 and answer["blocks"][0]["witness"] == [1, 2, -2, -3]
+    blocks = decompose(FareyPath(Slope(-1, 1), QuadraticTarget.of(0, -1, 1, 2))).blocks_up_to(3)
+    assert [b.witness.entries() for b in blocks] == [tuple(d["witness"]) for d in answer["blocks"][:3]]
 
 
 def test_euler_entries_past_the_int_to_text_limit_are_a_violation():

@@ -23,11 +23,11 @@ from toric_ends.invariants import (
     InvariantContext,
     IrrationalInvariant,
     NegFinite,
-    PatternCounts,
     PosFinite,
     RationalNonAttainedInvariant,
     SaturatedCounts,
     ZeroCounts,
+    _normalize_count_tail,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -149,8 +149,9 @@ MINIMAL = st.one_of(
     st.builds(lambda f, form: RationalNonAttainedInvariant(f, form, context()), COUNTS, st.one_of(
         st.builds(PosFinite, st.integers(0, 9)), st.builds(NegFinite, st.integers(0, 9)),
         st.just(AlternatingForm()), st.builds(BothFinite, st.integers(0, 9), st.integers(0, 9)))),
+    # a pattern tail as the library makes one: primitive and mixed
     st.builds(lambda f, tail: IrrationalInvariant(f, tail, context()), COUNTS, st.one_of(
-        st.just(SaturatedCounts()), st.just(ZeroCounts()), st.builds(PatternCounts, SIGNS, st.integers(-9, 9)))),
+        st.just(SaturatedCounts()), st.just(ZeroCounts()), st.builds(_normalize_count_tail, SIGNS, st.integers(-9, 9)))),
 ).map(MinimallyTwisting)
 INVARIANTS = st.one_of(
     MINIMAL,

@@ -22,6 +22,7 @@ from toric_ends import (
     next_toward,
     quadratic_cf_target,
 )
+from toric_ends.blocks import witness_for_edge
 from toric_ends.errors import MalformedPathError
 from toric_ends.farey import cw
 
@@ -226,3 +227,73 @@ def test_block_walk_stores_one_run_per_block():
     assert path.vertex(5 * 10 ** 11) == Slope(-(5 * 10 ** 11 + 1), 1)
     assert path.prefix(3) == (Slope(-1, 1), Slope(-2, 1), Slope(-3, 1))
     assert len(path._runs) == 1
+
+
+# ---------------------------------------------------------------------------
+# answers read off the runs against the vertex-by-vertex slow path
+
+
+PATH_TARGETS = st.one_of(
+    st.builds(RationalTarget, SLOPES, st.booleans()),
+    st.builds(QuadraticTarget.of, st.integers(-20, 20), st.integers(-4, 4).filter(bool),
+              st.integers(-10, 10).filter(bool), NON_SQUARES),
+    st.builds(lambda t: quadratic_cf_target(t.value),
+              st.builds(QuadraticTarget.of, st.integers(-20, 20), st.integers(-4, 4).filter(bool),
+                        st.integers(-10, 10).filter(bool), st.integers(2, 200).filter(lambda d: isqrt(d) ** 2 != d))),
+)
+
+# pieces with a constant numerator (dp = 0), a constant denominator (dq = 0)
+# and lifts whose denominator changes sign inside a run (through 1/0)
+RUN_SHAPES = [
+    (Slope(1, 1), RationalTarget(Slope(0, 1), False), 30, "dp = 0"),
+    (Slope(-1, 1), RationalTarget(Slope(-40, 1), True), 50, "dq = 0"),
+    (Slope(-5, 2), RationalTarget(Slope(1, 0), True), 20, "sign change"),
+    (Slope(-5, 2), RationalTarget(Slope(-4, 3), False), 40, "sign change"),
+]
+
+
+def check_answers_off_runs(path, n):
+    n = path.extend_to(n)
+    vertices = tuple(path.vertex(i) for i in range(n))
+    assert path.prefix(n) == vertices
+    assert path.prefix_text(n) == [str(v) for v in vertices]
+    blocks = decompose(path)
+    i = 1
+    while blocks.has_block(i) and blocks.block(i).start_index + 1 < n:
+        b = blocks.block(i)
+        first = b.start_index
+        assert b.witness == witness_for_edge(path.vertex(first), path.vertex(first + 1))
+        assert b.witness.det == 1 and list(b.witness_entries) == list(b.witness.entries())
+        last = n - 1 if b.infinite else min(b.end_index, n - 1)
+        assert [b.witness.apply(path.vertex(j)) for j in range(first, last + 1)] == [
+            Slope(-(j - first + 1), 1) for j in range(first, last + 1)]
+        i += 1
+
+
+@pytest.mark.parametrize("start,target,n,shape", RUN_SHAPES, ids=[s[3] for s in RUN_SHAPES])
+def test_run_shapes_are_read_off_as_the_slow_path_reads_them(start, target, n, shape):
+    path = FareyPath(start, target)
+    path.extend_to(n)
+    pieces = list(path._pieces(n))
+    if shape == "dp = 0":
+        assert any(dp == 0 for _, _, dp, _, _ in pieces)
+    elif shape == "dq = 0":
+        assert any(dq == 0 for _, _, _, dq, _ in pieces)
+    else:
+        assert len(pieces) > len(path._runs)  # a run split where its lifts change sign
+    check_answers_off_runs(path, n)
+
+
+@settings(max_examples=100, deadline=None)
+@example(RationalTarget(Slope(1, 0), False), GL2Z(1, 0, 0, 1), 12)
+@example(RationalTarget(Slope(3, 1), True), GL2Z(0, 1, 1, 0), 20)
+@given(PATH_TARGETS, GL2Z_WORDS, st.integers(1, 60))
+def test_prefix_text_and_witnesses_match_the_slow_path(target, m, n):
+    start = m.apply(Slope(-1, 1))
+    if target.rational:
+        target = RationalTarget(m.apply(target.slope), target.attained)
+        if target.slope == start:
+            return
+    else:
+        target = target.transform(m)
+    check_answers_off_runs(FareyPath(start, target), n)
