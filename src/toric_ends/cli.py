@@ -115,8 +115,7 @@ def _count_pattern(texts: Any, where: str, key: str) -> tuple[int, ...]:
     pattern = _pattern(texts, where, key)
     if len(set(pattern)) == 1:
         raise SchemaError(f"{where}.{key} must hold both signs")
-    word = "".join(texts)
-    if (word + word).find(word, 1) < len(word):  # a word is a repeat iff it occurs in its square early
+    if len(inv_mod._primitive_pattern(pattern)) < len(pattern):
         raise SchemaError(f"{where}.{key} must be primitive, not a repeat of a shorter pattern")
     return pattern
 

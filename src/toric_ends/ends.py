@@ -38,11 +38,10 @@ from .invariants import (
     InvariantContext,
     IrrationalInvariant,
     MinimalInvariant,
+    PatternCounts,
     PosFinite,
     RationalNonAttainedInvariant,
-    SaturatedCounts,
     SignData,
-    ZeroCounts,
     _periodic_span,
     invariant_from_signs,
 )
@@ -346,10 +345,10 @@ ObstructionResult = Union[NoTightExtension, ExtendsByConstruction, Unknown]
 def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> ObstructionResult:
     decomp = inv.context.decomposition()
     tail = inv.tail
-    if isinstance(tail, (SaturatedCounts, ZeroCounts)):
-        extreme = (lambda i, c: c == decomp.block(i).length - 1) if isinstance(tail, SaturatedCounts) \
-            else (lambda i, c: c == 0)
-        if all(extreme(i, c) for i, c in enumerate(inv.counts, start=1)):
+    if not isinstance(tail, PatternCounts):
+        # a constant tail extends when every prefix block is as extreme as it
+        if all(c == tail.count_positive(*decomp.block(i).slice_range)
+               for i, c in enumerate(inv.counts, start=1)):
             return ExtendsByConstruction()
         return Unknown(horizon)
     # every block of the span is a tail block, so its count is the tail's

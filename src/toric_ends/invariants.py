@@ -3,9 +3,15 @@
 The complete invariant of a minimally twisting toric end is, per maximal
 continued fraction block, the number of positive basic slices it contains.
 Signs may be shuffled freely inside a block without changing the invariant,
-so everything here is phrased in terms of per-block counts.  Infinite sign
-tails are kept in a small closed rule class (constant, eventually constant,
-alternating, periodic) for which per-block counts stay exactly computable.
+so everything here is phrased in terms of per-block counts.
+
+Every infinite sign tail has one shape: `after` opening slices of one sign,
+then a fixed `pattern` repeated forever.  The rules (constant, eventually
+constant, alternating, periodic) each name only that pair, and one base
+class counts positive slices over any range in time independent of the
+range's length.  An irrational invariant's count tail is saturated (every
+tail slice positive), zero, or a primitive mixed pattern anchored at a
+slice; normalizing a pattern to its primitive root is linear in its length.
 """
 
 from __future__ import annotations
@@ -36,41 +42,50 @@ DEFAULT_HORIZON = 64
 
 
 def _count_periodic(pattern: tuple[int, ...], lo: int, hi: int) -> int:
-    """Positive entries of pattern[j % len(pattern)] for lo <= j < hi."""
+    """Positive entries of pattern[j % len(pattern)] for lo <= j < hi: the
+    difference of the counts before hi and before lo, each whole periods
+    plus a head of the pattern (floor division makes this hold below 0)."""
     if hi <= lo:
         return 0
-    n = len(pattern)
-    cycles, rem = divmod(hi - lo, n)
-    start = lo % n
-    rest = pattern[start:start + rem] + pattern[:max(0, start + rem - n)]  # wraps past the end
-    return cycles * pattern.count(POSITIVE) + rest.count(POSITIVE)
+    (q, r), (q0, r0) = divmod(hi, len(pattern)), divmod(lo, len(pattern))
+    return (q - q0) * pattern.count(POSITIVE) + pattern[:r].count(POSITIVE) - pattern[:r0].count(POSITIVE)
 
 
-# Each tail rule answers sign_at(j) and count_positive(lo, hi), the number
-# of positive slices j with lo <= j < hi, in time independent of hi - lo.
+class SignTail(Record):
+    """A sign rule for the slices of an infinite factorization: `after`
+    opening slices of the sign opposite to pattern[0], then `pattern`
+    repeated forever.  sign_at(j) and count_positive(lo, hi), the number of
+    positive slices j with lo <= j < hi, take time independent of hi - lo."""
 
-
-class AllPositive(Record):
     __slots__ = ()
+    after = 0
 
     def sign_at(self, j: int) -> int:
-        return POSITIVE
+        if j < self.after:
+            return -self.pattern[0]
+        return self.pattern[(j - self.after) % len(self.pattern)]
 
     def count_positive(self, lo: int, hi: int) -> int:
-        return hi - lo
+        after, pattern = self.after, self.pattern
+        opening = max(0, min(hi, after) - lo) if pattern[0] == NEGATIVE else 0
+        return opening + _count_periodic(pattern, max(lo, after) - after, hi - after)
+
+    def shifted(self, k: int) -> "SignTail":
+        """The rule with its first k slices dropped."""
+        return self
 
 
-class AllNegative(Record):
+class AllPositive(SignTail):
     __slots__ = ()
-
-    def sign_at(self, j: int) -> int:
-        return NEGATIVE
-
-    def count_positive(self, lo: int, hi: int) -> int:
-        return 0
+    pattern = (POSITIVE,)
 
 
-class EventuallySign(Record):
+class AllNegative(SignTail):
+    __slots__ = ()
+    pattern = (NEGATIVE,)
+
+
+class EventuallySign(SignTail):
     """`after` slices of the opposite sign, then `sign` forever.
 
     With sign=-1 and after=m this is the m-positives-then-all-negatives tail
@@ -86,16 +101,15 @@ class EventuallySign(Record):
         setfield(self, "sign", sign)
         setfield(self, "after", after)
 
-    def sign_at(self, j: int) -> int:
-        return -self.sign if j < self.after else self.sign
+    @property
+    def pattern(self) -> tuple[int, ...]:
+        return (self.sign,)
 
-    def count_positive(self, lo: int, hi: int) -> int:
-        if self.sign == POSITIVE:
-            return max(0, hi - max(lo, self.after))
-        return max(0, min(hi, self.after) - lo)
+    def shifted(self, k: int) -> "EventuallySign":
+        return EventuallySign(self.sign, max(0, self.after - k))
 
 
-class Alternating(Record):
+class Alternating(SignTail):
     __slots__ = ("first",)
 
     def __init__(self, first: int = POSITIVE):
@@ -103,15 +117,15 @@ class Alternating(Record):
             raise ValueError("first must be +1 or -1")
         setfield(self, "first", first)
 
-    def sign_at(self, j: int) -> int:
-        return self.first if j % 2 == 0 else -self.first
+    @property
+    def pattern(self) -> tuple[int, ...]:
+        return (self.first, -self.first)
 
-    def count_positive(self, lo: int, hi: int) -> int:
-        evens = (hi + 1) // 2 - (lo + 1) // 2
-        return evens if self.first == POSITIVE else hi - lo - evens
+    def shifted(self, k: int) -> "Alternating":
+        return Alternating(self.first if k % 2 == 0 else -self.first)
 
 
-class Periodic(Record):
+class Periodic(SignTail):
     __slots__ = ("pattern",)
 
     def __init__(self, pattern: tuple[int, ...]):
@@ -121,14 +135,9 @@ class Periodic(Record):
             raise ValueError("pattern entries must be +1 or -1")
         setfield(self, "pattern", tuple(pattern))
 
-    def sign_at(self, j: int) -> int:
-        return self.pattern[j % len(self.pattern)]
-
-    def count_positive(self, lo: int, hi: int) -> int:
-        return _count_periodic(self.pattern, lo, hi)
-
-
-SignTail = AllPositive | AllNegative | EventuallySign | Alternating | Periodic
+    def shifted(self, k: int) -> "Periodic":
+        rot = k % len(self.pattern)
+        return Periodic(self.pattern[rot:] + self.pattern[:rot])
 
 
 class SignData(Record):
@@ -171,33 +180,16 @@ class SignData(Record):
         """The same sign sequence with the first k slices dropped."""
         if k <= len(self.prefix):
             return SignData(self.prefix[k:], self.tail)
-        extra = k - len(self.prefix)
-        t = self.tail
-        if t is None:
+        if self.tail is None:
             raise CoverageMismatchError("cannot drop slices beyond a finite sign sequence")
-        if isinstance(t, (AllPositive, AllNegative)):
-            return SignData((), t)
-        if isinstance(t, EventuallySign):
-            return SignData((), EventuallySign(t.sign, max(0, t.after - extra)))
-        if isinstance(t, Alternating):
-            return SignData((), Alternating(t.first if extra % 2 == 0 else -t.first))
-        rot = extra % len(t.pattern)
-        return SignData((), Periodic(t.pattern[rot:] + t.pattern[:rot]))
-
-    def _recurring_signs(self) -> set[int]:
-        """The signs that the tail rule repeats forever."""
-        t = self.tail
-        if isinstance(t, (AllPositive, AllNegative)):
-            return {t.sign_at(0)}
-        if isinstance(t, EventuallySign):
-            return {t.sign}
-        if isinstance(t, Alternating):
-            return {POSITIVE, NEGATIVE}
-        return set(t.pattern)
+        return SignData((), self.tail.shifted(k - len(self.prefix)))
 
 
 def signs_from_chars(prefix: Iterable[str], tail: SignTail | None = None) -> SignData:
-    return SignData(tuple(POSITIVE if c == "+" else NEGATIVE for c in prefix), tail)
+    chars = tuple(prefix)
+    if chars.count("+") + chars.count("-") != len(chars):
+        raise ValueError('sign characters must be "+" or "-"')
+    return SignData(tuple(POSITIVE if c == "+" else NEGATIVE for c in chars), tail)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +233,17 @@ class SaturatedCounts(Record):
 
     __slots__ = ()
 
+    def count_positive(self, lo: int, hi: int) -> int:
+        return hi - lo
+
 
 class ZeroCounts(Record):
     """f(i) = 0 for every tail block (all slices negative)."""
 
     __slots__ = ()
+
+    def count_positive(self, lo: int, hi: int) -> int:
+        return 0
 
 
 class PatternCounts(Record):
@@ -270,21 +268,19 @@ CountTail = SaturatedCounts | ZeroCounts | PatternCounts
 
 
 def _primitive_pattern(pattern: tuple[int, ...]) -> tuple[int, ...]:
-    n = len(pattern)
-    for p in range(1, n + 1):
-        if n % p == 0 and all(pattern[i] == pattern[i % p] for i in range(n)):
-            return pattern[:p]
-    return pattern
+    """The shortest pattern that `pattern` repeats.  A word repeats its first
+    p letters iff it occurs in its own square at offset p, so one substring
+    search finds the root, in time linear in the pattern's length."""
+    word = bytes([s + 1 for s in pattern])  # -1, +1 as the bytes 0, 2
+    return pattern[:(word + word).find(word, 1)]
 
 
 def _normalize_count_tail(pattern: tuple[int, ...], anchor: int) -> CountTail:
-    pattern = _primitive_pattern(pattern)
-    values = set(pattern)
-    if values == {POSITIVE}:
+    if NEGATIVE not in pattern:
         return SaturatedCounts()
-    if values == {NEGATIVE}:
+    if POSITIVE not in pattern:
         return ZeroCounts()
-    return PatternCounts(pattern, anchor)
+    return PatternCounts(_primitive_pattern(pattern), anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -341,13 +337,7 @@ class IrrationalInvariant(Record):
             raise IndexError("block indices are 1-based")
         if i <= len(self.counts):
             return self.counts[i - 1]
-        block = self.context.decomposition().block(i)
-        lo, hi = block.slice_range
-        if isinstance(self.tail, SaturatedCounts):
-            return hi - lo
-        if isinstance(self.tail, ZeroCounts):
-            return 0
-        return self.tail.count_positive(lo, hi)
+        return self.tail.count_positive(*self.context.decomposition().block(i).slice_range)
 
 
 class RationalNonAttainedInvariant(Record):
@@ -410,53 +400,31 @@ def _build_rational_non_attained(decomp: BlockDecomposition, signs: SignData,
     assert infinite.infinite
     counts = tuple(signs.count_positive(b.start_index, b.end_index) for b in finite)
     lo = infinite.start_index
-    recurring = signs._recurring_signs()
+    recurring = set(signs.tail.pattern)
     if len(recurring) == 2:
         form: InfiniteBlockForm = AlternatingForm()
     else:
         # the other sign occurs finitely often: in the prefix, and in the
-        # opening run of an eventually-constant tail
+        # tail's opening slices
         rare = -recurring.pop()
-        m = signs.prefix[lo:].count(rare)
-        if isinstance(signs.tail, EventuallySign):
-            m += max(0, signs.tail.after - max(0, lo - len(signs.prefix)))
+        m = signs.prefix[lo:].count(rare) + max(0, signs.tail.after - max(0, lo - len(signs.prefix)))
         form = PosFinite(m) if rare == POSITIVE else NegFinite(m)
     return RationalNonAttainedInvariant(counts, form, context)
 
 
-def _tail_pure_start(signs: SignData) -> int:
-    """First slice index from which the tail rule is a pure constant or a
-    pure periodic pattern."""
-    base = len(signs.prefix)
-    if isinstance(signs.tail, EventuallySign):
-        return base + signs.tail.after
-    return base
-
-
 def _tail_pattern_at(signs: SignData, anchor: int) -> CountTail:
     """The count tail induced by the sign tail, anchored at slice `anchor`
-    (which must lie in the pure regime)."""
-    t = signs.tail
-    base = len(signs.prefix)
-    if isinstance(t, AllPositive):
-        return SaturatedCounts()
-    if isinstance(t, AllNegative):
-        return ZeroCounts()
-    if isinstance(t, EventuallySign):
-        return SaturatedCounts() if t.sign == POSITIVE else ZeroCounts()
-    if isinstance(t, Alternating):
-        # (first, -first) is primitive and mixed, so it needs no normalizing
-        first = t.first if (anchor - base) % 2 == 0 else -t.first
-        return PatternCounts((first, -first), anchor)
-    rot = (anchor - base) % len(t.pattern)
-    return _normalize_count_tail(t.pattern[rot:] + t.pattern[:rot], anchor)
+    (which must lie past the tail's opening slices)."""
+    pattern = signs.tail.pattern
+    rot = (anchor - len(signs.prefix) - signs.tail.after) % len(pattern)
+    return _normalize_count_tail(pattern[rot:] + pattern[:rot], anchor)
 
 
 def _build_irrational(decomp: BlockDecomposition, signs: SignData,
                       context: InvariantContext) -> IrrationalInvariant:
     if signs.tail is None:
         raise IllegalTailError("infinite path requires a sign tail")
-    pure = _tail_pure_start(signs)
+    pure = len(signs.prefix) + signs.tail.after  # the first slice past the opening ones
     counts = []
     while (block := decomp.block(len(counts) + 1)).start_index < pure:
         counts.append(signs.count_positive(block.start_index, block.end_index))

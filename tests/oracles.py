@@ -17,8 +17,10 @@ from toric_ends import (
     AllPositive,
     Alternating,
     EndDescription,
+    EventuallySign,
     FareyPath,
     NoTightExtension,
+    Periodic,
     SignData,
     Unknown,
     Slope,
@@ -287,6 +289,22 @@ def reference_blocks(path, count: int) -> list[tuple]:
 def reference_count_positive(signs, lo: int, hi: int) -> int:
     """Positive slices among lo <= j < hi, one sign_at call per slice."""
     return sum(1 for j in range(lo, hi) if signs.sign_at(j) > 0)
+
+
+def reference_tail_sign(tail, j: int) -> int:
+    """Sign of slice j (j >= 0) of a sign tail, written from each rule's own
+    definition rather than from a shared opening-slices-then-pattern model."""
+    if isinstance(tail, AllPositive):
+        return 1
+    if isinstance(tail, AllNegative):
+        return -1
+    if isinstance(tail, EventuallySign):  # `after` slices of the opposite sign
+        return -tail.sign if j < tail.after else tail.sign
+    if isinstance(tail, Alternating):
+        return tail.first if j % 2 == 0 else -tail.first
+    if isinstance(tail, Periodic):
+        return tail.pattern[j % len(tail.pattern)]
+    raise TypeError(f"not a sign tail: {tail!r}")
 
 
 def reference_euler_class(vertices, signs, slices: int) -> tuple[int, int]:

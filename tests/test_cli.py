@@ -528,3 +528,17 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"vertices": ["-1/1", "-4/3", "-7/5"]}
+
+
+def test_classify_normalizes_a_long_periodic_tail_in_linear_time():
+    # a primitive pattern of 720,720 = 2^4 * 3^2 * 5 * 7 * 11 * 13 slices,
+    # a length with 240 divisors: trying each as the period is quadratic
+    n = 720_720
+    pattern = ["+"] * (n - 1) + ["-"]
+    end = {"boundary": {"slope": "-1", "div": 1}, "target": SQRT2,
+           "signs": {"prefix": [], "tail": {"type": "periodic", "pattern": pattern}},
+           "division_tail": {"type": "constant", "value": 1}}
+    start = time.perf_counter()
+    answer = run_command("classify", {"end": end}, {"horizon": 64})
+    assert time.perf_counter() - start < 2
+    assert answer == {"kind": "irrational", "f": [], "tail": {"type": "pattern", "pattern": pattern, "anchor": 0}}

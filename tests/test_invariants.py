@@ -43,6 +43,7 @@ from toric_ends.invariants import (
     ZeroCounts,
     _count_periodic,
     _normalize_count_tail,
+    _primitive_pattern,
     _tail_pattern_at,
     signs_from_chars,
 )
@@ -53,6 +54,7 @@ from oracles import (
     reference_count_positive,
     reference_euler_class,
     reference_path,
+    reference_tail_sign,
     synthetic_path_vertices,
 )
 
@@ -90,6 +92,12 @@ def test_attained_invariant_counts_positive_slices():
 def test_signs_from_chars_matches_sign_data():
     assert signs_from_chars("+-") == SignData((P, N))
     assert signs_from_chars([], AllPositive()) == SignData((), AllPositive())
+
+
+@pytest.mark.parametrize("text", ["+x", "0", "+ -", "-+P", ["+", 1]])
+def test_signs_from_chars_rejects_other_characters(text):
+    with pytest.raises(ValueError, match='sign characters must be "\\+" or "-"'):
+        signs_from_chars(text)
 
 
 def test_attained_coverage_must_match():
@@ -542,3 +550,48 @@ def test_attained_equivalence_sensitive_to_division_at_infinity():
     b = invariant_from_signs(d, SignData((P, P)), boundary_division=2)
     assert a.finite_f == b.finite_f
     assert equivalent(a, b) is False
+
+
+TAILS_BY_KIND = {
+    "all-positive": st.just(AllPositive()),
+    "all-negative": st.just(AllNegative()),
+    "eventually": st.builds(EventuallySign, SIGNS, st.integers(0, 20)),
+    "alternating": st.builds(Alternating, SIGNS),
+    "periodic": st.builds(Periodic, st.lists(SIGNS, min_size=1, max_size=7).map(tuple)),
+}
+
+
+@pytest.mark.parametrize("kind", TAILS_BY_KIND)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sign_tails_match_their_definitions(kind, data):
+    tail = data.draw(TAILS_BY_KIND[kind])
+    lo, hi = data.draw(st.integers(0, 60)), data.draw(st.integers(0, 60))
+    assert [tail.sign_at(j) for j in range(80)] == [reference_tail_sign(tail, j) for j in range(80)]
+    assert tail.count_positive(lo, hi) == sum(1 for j in range(lo, hi) if reference_tail_sign(tail, j) > 0)
+
+
+@pytest.mark.parametrize("kind", TAILS_BY_KIND)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shifted_sign_data_matches_the_definitions(kind, data):
+    tail = data.draw(TAILS_BY_KIND[kind])
+    prefix = data.draw(PREFIXES)
+    k, lo, hi = (data.draw(st.integers(0, 60)) for _ in range(3))
+    shifted = SignData(prefix, tail).shifted(k)
+    assert type(shifted.tail) is type(tail)
+    assert shifted.prefix == prefix[k:]
+
+    def sign(j):  # slice j of the unshifted signs
+        return prefix[j] if j < len(prefix) else reference_tail_sign(tail, j - len(prefix))
+
+    assert [shifted.sign_at(j) for j in range(80)] == [sign(k + j) for j in range(80)]
+    assert shifted.count_positive(lo, hi) == sum(1 for j in range(lo, hi) if sign(k + j) > 0)
+
+
+def test_primitive_pattern_matches_the_divisor_loop():
+    for n in range(1, 13):
+        for pattern in product((P, N), repeat=n):
+            root = next(pattern[:p] for p in range(1, n + 1)
+                        if n % p == 0 and all(pattern[i] == pattern[i % p] for i in range(n)))
+            assert _primitive_pattern(pattern) == root, pattern
