@@ -42,9 +42,9 @@ def main():
     e = EndDescription(TorusRecord(start, 1), TARGET, signs)
     inv = classify(e)
     print("\ninvariant of the alternating-sign end:")
-    print(f"  counts prefix: {inv.invariant.counts}")
-    print(f"  count tail:    {inv.invariant.tail}")
-    print(f"  f(1..6) = {[inv.invariant.f(i) for i in range(1, 7)]}")
+    print(f"  counts prefix: {inv.counts}")
+    print(f"  count tail:    {inv.tail}")
+    print(f"  f(1..6) = {[inv.f(i) for i in range(1, 7)]}")
 
     cls = euler_class(decomp, signs, horizon=10)
     print(f"\nrelative Euler class of the first 10 slices: {cls.as_pair()}")

@@ -12,7 +12,6 @@ import json
 import sys
 from functools import lru_cache
 from operator import attrgetter
-from typing import Any
 
 from . import blocks as blocks_mod
 from . import ends as ends_mod
@@ -42,7 +41,7 @@ OUTPUT_BUDGET = 10**6
 # as it is; a result of _MISSING leaves the key out).
 
 
-def _check_keys(doc: Any, required: set[str], optional: set[str] = frozenset(), where: str = "document") -> dict:
+def _check_keys(doc: object, required: set[str], optional: set[str] = frozenset(), where: str = "document") -> dict:
     if not isinstance(doc, dict):
         raise SchemaError(f"{where} must be an object")
     if optional.issuperset(doc) and doc.keys() >= required:  # the common case, with no sets built
@@ -56,14 +55,14 @@ def _check_keys(doc: Any, required: set[str], optional: set[str] = frozenset(), 
     return doc
 
 
-def _int(value: Any, where: str, key: str) -> int:
+def _int(value: object, where: str, key: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SchemaError(f"{where}.{key} must be an integer")
     return value
 
 
 def _at_least(low: int):
-    def decode(value: Any, where: str, key: str) -> int:
+    def decode(value: object, where: str, key: str) -> int:
         if _int(value, where, key) < low:
             raise SchemaError(f"{where}.{key} must be >= {low}")
         return value
@@ -74,13 +73,13 @@ _nonnegative = _at_least(0)
 _positive = _at_least(1)
 
 
-def _bool(value: Any, where: str, key: str) -> bool:
+def _bool(value: object, where: str, key: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(f"{where}.{key} must be a boolean")
     return value
 
 
-def _slope(text: Any, where: str, key: str) -> Slope:
+def _slope(text: object, where: str, key: str) -> Slope:
     if not isinstance(text, str):
         raise SchemaError(f"{where}.{key} must be a slope string like \"-1/1\"")
     try:
@@ -89,7 +88,7 @@ def _slope(text: Any, where: str, key: str) -> Slope:
         raise SchemaError(f"{where}.{key}: {exc}") from None
 
 
-def _sign(text: Any, where: str, key: str) -> int:
+def _sign(text: object, where: str, key: str) -> int:
     if text == "+":
         return POSITIVE
     if text == "-":
@@ -97,19 +96,19 @@ def _sign(text: Any, where: str, key: str) -> int:
     raise SchemaError(f"{where}.{key} must be \"+\" or \"-\"")
 
 
-def _signs(texts: Any, where: str, key: str) -> tuple[int, ...]:
+def _signs(texts: object, where: str, key: str) -> tuple[int, ...]:
     if not isinstance(texts, list):
         raise SchemaError(f"{where}.{key} must be a list")
     return tuple([_sign(s, where, key) for s in texts])
 
 
-def _pattern(texts: Any, where: str, key: str) -> tuple[int, ...]:
+def _pattern(texts: object, where: str, key: str) -> tuple[int, ...]:
     if not isinstance(texts, list) or not texts:
         raise SchemaError(f"{where}.{key} must be a nonempty list")
     return _signs(texts, where, key)
 
 
-def _count_pattern(texts: Any, where: str, key: str) -> tuple[int, ...]:
+def _count_pattern(texts: object, where: str, key: str) -> tuple[int, ...]:
     """A count tail's pattern, as invariant_doc writes it: mixed and
     primitive (single-sign and repeated patterns normalize to other tails)."""
     pattern = _pattern(texts, where, key)
@@ -120,20 +119,20 @@ def _count_pattern(texts: Any, where: str, key: str) -> tuple[int, ...]:
     return pattern
 
 
-def _ints(values: Any, where: str, key: str) -> tuple[int, ...]:
+def _ints(values: object, where: str, key: str) -> tuple[int, ...]:
     if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, int) for v in values):
         raise SchemaError(f"{where}.{key} must be a list of integers")
     return tuple(values)
 
 
-def _counts(values: Any, where: str, key: str) -> tuple[int, ...]:
+def _counts(values: object, where: str, key: str) -> tuple[int, ...]:
     if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, int) or v < 0
                                            for v in values):
         raise SchemaError(f"{where}.{key} must be a list of non-negative integers")
     return tuple(values)
 
 
-def _rotativity(value: Any, where: str, key: str) -> int | None:
+def _rotativity(value: object, where: str, key: str) -> int | None:
     if value == "inf":  # infinitely many layers
         return None
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -141,7 +140,7 @@ def _rotativity(value: Any, where: str, key: str) -> int | None:
     return value
 
 
-def _residual(value: Any, where: str, key: str):
+def _residual(value: object, where: str, key: str):
     return None if value is None else INVARIANT.decode(value, f"{where}.{key}")
 
 
@@ -168,7 +167,7 @@ ROTATIVITY = (_rotativity, lambda n: "inf" if n is None else n)
 RESIDUAL = (_residual, lambda inv: None if inv is None else invariant_doc(inv))
 
 
-def field(key: str, codec: tuple, attr: str | None = None, default: Any = _MISSING) -> tuple:
+def field(key: str, codec: tuple, attr: str | None = None, default: object = _MISSING) -> tuple:
     """A document key as (key, decode, encode, get, default): its codec, the
     getter of the record attribute it holds (the key unless named; a dotted
     name reaches into the record) and its default when it may be left out."""
@@ -193,7 +192,7 @@ class Document:
     the key `tag` (`default_tag` when the key is left out).  `bad_tag` is the
     phrase that refuses an unknown value."""
 
-    def __init__(self, variants: dict, tag: str | None = None, bad_tag: str = "", default_tag: Any = None):
+    def __init__(self, variants: dict, tag: str | None = None, bad_tag: str = "", default_tag: object = None):
         self.variants = variants
         self.tag = tag
         self.bad_tag = bad_tag
@@ -210,7 +209,7 @@ class Document:
         self.required = frozenset.intersection(*(v.required for v in variants.values()))
         self.codec = (self.decode_field, self.encode)
 
-    def decode(self, doc: Any, where: str):
+    def decode(self, doc: object, where: str):
         """The record of the document at `where`, or a SchemaError naming its
         first fault: keys that no variant allows or that all require, the
         tag, the keys of the tag's variant, then each field in order."""
@@ -231,7 +230,7 @@ class Document:
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaError(f"{where}: {exc}") from None
 
-    def decode_field(self, doc: Any, where: str, key: str):
+    def decode_field(self, doc: object, where: str, key: str):
         return self.decode(doc, f"{where}.{key}")
 
     def encode(self, record) -> dict:
@@ -307,7 +306,7 @@ INFINITE_BLOCK = Document({
     "both": Variant(inv_mod.BothFinite, field("p", NONNEGATIVE, "positive"), field("n", NONNEGATIVE, "negative")),
 }, "form", "is unknown")
 
-ANNULI = Document({None: Variant(ends_mod.NestedAnnuli, field("tb_start", INT), field("tb_step", INT))})
+ANNULI = Document({None: Variant(inv_mod.NestedAnnuli, field("tb_start", INT), field("tb_step", INT))})
 
 INVARIANT = Document({
     "attained": Variant(inv_mod.AttainedInvariant, field("f", COUNTS, "finite_f"),
@@ -316,20 +315,17 @@ INVARIANT = Document({
                         field("infinite", INFINITE_BLOCK.codec, "infinite_block"), make=_checked_only),
     "irrational": Variant(inv_mod.IrrationalInvariant, field("f", COUNTS, "counts"),
                           field("tail", COUNT_TAIL.codec), make=_checked_only),
-    "nonminimal": Variant(ends_mod.NonMinimallyTwisting, field("rotativity", ROTATIVITY), field("sign", SIGN),
+    "nonminimal": Variant(inv_mod.NonMinimallyTwisting, field("rotativity", ROTATIVITY), field("sign", SIGN),
                           field("residual", RESIDUAL), make=_checked_only),
-    "infinite-division": Variant(ends_mod.InfiniteDivision, field("annuli", ANNULI.codec, "descriptor"),
+    "infinite-division": Variant(inv_mod.InfiniteDivision, field("annuli", ANNULI.codec, "descriptor"),
                                  make=_checked_only),
 }, "kind", "is unknown")
 
 
-def invariant_doc(inv) -> dict:
-    if isinstance(inv, ends_mod.MinimallyTwisting):
-        inv = inv.invariant
-    return INVARIANT.encode(inv)
+invariant_doc = INVARIANT.encode
 
 
-def parse_invariant_document(doc: Any, where: str = "invariant") -> dict:
+def parse_invariant_document(doc: object, where: str = "invariant") -> dict:
     """Check an invariant document against its table; returns the doc."""
     INVARIANT.decode(doc, where)
     return doc
@@ -514,13 +510,13 @@ COMMANDS = tuple(_RUNNERS)
 # driver
 
 
-def run_command(command: str, doc: Any, options: dict) -> dict:
+def run_command(command: str, doc: object, options: dict) -> dict:
     if command not in _RUNNERS:
         raise SchemaError(f"unknown command {command!r}")
     return _RUNNERS[command](doc, options)
 
 
-def _render_human(doc: Any, indent: int = 0) -> str:
+def _render_human(doc: object, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(doc, dict):
         lines = []
@@ -541,14 +537,14 @@ def _render_human(doc: Any, indent: int = 0) -> str:
     return f"{pad}{json.dumps(doc)}"
 
 
-def _emit(doc: Any, fmt: str, out) -> None:
+def _emit(doc: object, fmt: str, out) -> None:
     if fmt == "human":
         out.write(_render_human(doc) + "\n")
     else:
         out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _load_input(args) -> Any:
+def _load_input(args) -> object:
     if args.input and args.input != "-":
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -560,7 +556,7 @@ def _load_input(args) -> Any:
         raise SchemaError(f"input is not valid JSON: {exc}") from None
 
 
-def _run_batch(jobs: Any, options: dict) -> tuple[list, int]:
+def _run_batch(jobs: object, options: dict) -> tuple[list, int]:
     if not isinstance(jobs, list):
         raise SchemaError("batch input must be a list of job objects")
     results = []

@@ -10,8 +10,8 @@ the target kind.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from itertools import islice, product
-from typing import Callable, Union
 
 from .blocks import decompose
 from .errors import (
@@ -34,11 +34,14 @@ from .invariants import (
     AlternatingForm,
     AttainedInvariant,
     BothFinite,
+    EndInvariant,
     EventuallySign,
+    InfiniteDivision,
     InvariantContext,
     IrrationalInvariant,
-    MinimalInvariant,
-    PatternCounts,
+    MinimallyTwisting,
+    NestedAnnuli,
+    NonMinimallyTwisting,
     PosFinite,
     RationalNonAttainedInvariant,
     SignData,
@@ -93,7 +96,7 @@ class StrictlyIncreasingDivision(Record):
     value = None  # no eventual division number
 
 
-DivisionTail = Union[ConstantDivision, EventuallyConstantDivision, StrictlyIncreasingDivision]
+DivisionTail = ConstantDivision | EventuallyConstantDivision | StrictlyIncreasingDivision
 
 
 class RotativeLayers(Record):
@@ -136,50 +139,6 @@ class EndDescription(Record):
         setfield(self, "signs", signs)
         setfield(self, "division_tail", division_tail)
         setfield(self, "rotative", rotative)
-
-
-# ---------------------------------------------------------------------------
-# invariant wrappers
-
-
-class NestedAnnuli(Record):
-    """Descriptor of the nested convex-annuli family attached to an end with
-    infinite division number at infinity: Legendrian boundary twisting starts
-    at tb = -1 and climbs by one per annulus."""
-
-    __slots__ = ("tb_start", "tb_step")
-
-    def __init__(self, tb_start: int = -1, tb_step: int = 1):
-        setfield(self, "tb_start", tb_start)
-        setfield(self, "tb_step", tb_step)
-
-
-class MinimallyTwisting(Record):
-    __slots__ = ("invariant",)
-
-    def __init__(self, invariant: MinimalInvariant):
-        setfield(self, "invariant", invariant)
-
-    @property
-    def context(self) -> InvariantContext:
-        return self.invariant.context
-
-
-class NonMinimallyTwisting(Record):
-    """Rotative layers over a residual end; rotativity None means infinitely
-    many layers."""
-
-    __slots__ = ("rotativity", "sign", "residual", "context")
-
-
-class InfiniteDivision(Record):
-    """Terminal marker: the classification beyond the nested-annuli data is
-    an open question, so no equivalence is ever claimed between two of these."""
-
-    __slots__ = ("descriptor", "context")
-
-
-EndInvariant = Union[MinimallyTwisting, NonMinimallyTwisting, InfiniteDivision]
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +258,7 @@ def classify(e: EndDescription) -> EndInvariant:
     target = normalized_target(e)
     if target.attained and target.slope == BASE_SLOPE:
         # vertically invariant collar: no blocks, empty invariant
-        return MinimallyTwisting(AttainedInvariant((), d_inf, base_context))
+        return AttainedInvariant((), d_inf, base_context)
     return _classify_minimal(e, _decomposition_context(e, target), d_inf)
 
 
@@ -317,7 +276,7 @@ def _classify_minimal(e: EndDescription, context: InvariantContext,
     comes from _decomposition_context."""
     decomp = context.decomposition()
     division = d_inf if decomp.path.target.attained else 1
-    return MinimallyTwisting(invariant_from_signs(decomp, e.signs, division, context))
+    return invariant_from_signs(decomp, e.signs, division, context)
 
 
 # ---------------------------------------------------------------------------
@@ -339,13 +298,13 @@ class Unknown(Record):
     __slots__ = ("horizon",)
 
 
-ObstructionResult = Union[NoTightExtension, ExtendsByConstruction, Unknown]
+ObstructionResult = NoTightExtension | ExtendsByConstruction | Unknown
 
 
 def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> ObstructionResult:
     decomp = inv.context.decomposition()
     tail = inv.tail
-    if not isinstance(tail, PatternCounts):
+    if len(tail.pattern) == 1:
         # a constant tail extends when every prefix block is as extreme as it
         if all(c == tail.count_positive(*decomp.block(i).slice_range)
                for i, c in enumerate(inv.counts, start=1)):
@@ -353,9 +312,7 @@ def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> Obstructi
         return Unknown(horizon)
     # every block of the span is a tail block, so its count is the tail's
     span = _periodic_span(decomp, inv.first_tail_block(), len(tail.pattern))
-    if span is not None and any(
-            0 < tail.count_positive(b.start_index, b.end_index) < b.end_index - b.start_index
-            for b in map(decomp.block, span)):
+    if span is not None and any(0 < tail.count_positive(lo, hi) < hi - lo for lo, hi in span[1]):
         return NoTightExtension(
             "per-block count is neither maximal nor minimal for infinitely many blocks")
     return Unknown(horizon)
@@ -364,8 +321,6 @@ def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> Obstructi
 def extension_obstruction(inv, horizon: int = DEFAULT_HORIZON) -> ObstructionResult:
     """Decide whether the classified end can sit inside a tight toric end on
     the full half-open cylinder, where the theory decides it."""
-    if isinstance(inv, MinimallyTwisting):
-        inv = inv.invariant
     if isinstance(inv, (NonMinimallyTwisting, InfiniteDivision)):
         raise ToricEndError("extension obstructions apply to minimally twisting invariants")
 

@@ -11,9 +11,10 @@ exact integer sign test.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from math import gcd, isqrt
 from operator import attrgetter
-from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DegenerateTargetError, MalformedPathError, ToricEndError
 from .records import Record, setfield
@@ -715,22 +716,18 @@ def next_toward(current: Slope, target: SlopeTarget) -> Slope:
 # paths
 
 
-class Run(NamedTuple):
+class Run(namedtuple("Run", "start p q dp dq edges")):
     """A maximal run of path vertices whose coherent lifts advance by one
     constant vector: vertex start + j is (p + j*dp)/(q + j*dq) for
-    0 <= j <= edges, with edges None for a run that never ends.
+    0 <= j <= edges, with edges None for a run that never ends (all six
+    fields are integers but that one).
 
     A run is one step of the walk followed by all the steps with k = 2
     after it, which makes it a maximal continued fraction block: a witness
     sending its first two vertices to -1 and -2 sends vertex start + j to
     -(j + 1).  Consecutive runs share their boundary vertex."""
 
-    start: int
-    p: int
-    q: int
-    dp: int
-    dq: int
-    edges: int | None
+    __slots__ = ()
 
     def vertex(self, j: int) -> Slope:
         return Slope._primitive(self.p + j * self.dp, self.q + j * self.dq)

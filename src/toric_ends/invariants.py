@@ -9,15 +9,19 @@ Every infinite sign tail has one shape: `after` opening slices of one sign,
 then a fixed `pattern` repeated forever.  The rules (constant, eventually
 constant, alternating, periodic) each name only that pair, and one base
 class counts positive slices over any range in time independent of the
-range's length.  An irrational invariant's count tail is saturated (every
-tail slice positive), zero, or a primitive mixed pattern anchored at a
-slice; normalizing a pattern to its primitive root is linear in its length.
+range's length.  An irrational invariant's count tail is a pattern too,
+anchored at a slice: saturated (+), zero (-) or a primitive mixed pattern;
+normalizing a pattern to its primitive root is linear in its length.
+
+The invariant of an end is one of these records: a minimally twisting one
+of three kinds, by its slope at infinity; rotative layers over a residual
+end; or the marker of an end with infinite division number at infinity.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable
 
 from .blocks import BlockDecomposition
 from .errors import (
@@ -25,6 +29,7 @@ from .errors import (
     IllegalTailError,
     IncomparableTargetsError,
     InfiniteBlockError,
+    ToricEndError,
     UndecidableAtHorizonError,
     UndecidableError,
 )
@@ -35,6 +40,9 @@ POSITIVE = 1
 NEGATIVE = -1
 
 DEFAULT_HORIZON = 64
+
+# most blocks a periodic span of per-block counts may cover
+SPAN_BUDGET = 10**5
 
 
 # ---------------------------------------------------------------------------
@@ -228,34 +236,13 @@ InfiniteBlockForm = PosFinite | NegFinite | AlternatingForm | BothFinite
 # per-block count tails (irrational case)
 
 
-class SaturatedCounts(Record):
-    """f(i) = length(B_i) - 1 for every tail block (all slices positive)."""
+class CountTail(Record):
+    """Slice signs of every tail block follow `pattern` with period
+    len(pattern), phase-anchored so that slice index `anchor` reads
+    pattern[0]; a one-sign pattern needs no anchor."""
 
     __slots__ = ()
-
-    def count_positive(self, lo: int, hi: int) -> int:
-        return hi - lo
-
-
-class ZeroCounts(Record):
-    """f(i) = 0 for every tail block (all slices negative)."""
-
-    __slots__ = ()
-
-    def count_positive(self, lo: int, hi: int) -> int:
-        return 0
-
-
-class PatternCounts(Record):
-    """Slice signs follow `pattern` with period len(pattern), phase-anchored
-    so that slice index `anchor` reads pattern[0].  The pattern is primitive
-    and genuinely mixed (single-sign patterns normalize to the forms above)."""
-
-    __slots__ = ("pattern", "anchor")
-
-    def __init__(self, pattern: tuple[int, ...], anchor: int):
-        setfield(self, "pattern", pattern)
-        setfield(self, "anchor", anchor)
+    anchor = 0
 
     def sign_at(self, j: int) -> int:
         return self.pattern[(j - self.anchor) % len(self.pattern)]
@@ -264,7 +251,29 @@ class PatternCounts(Record):
         return _count_periodic(self.pattern, lo - self.anchor, hi - self.anchor)
 
 
-CountTail = SaturatedCounts | ZeroCounts | PatternCounts
+class SaturatedCounts(CountTail):
+    """f(i) = length(B_i) - 1 for every tail block (all slices positive)."""
+
+    __slots__ = ()
+    pattern = (POSITIVE,)
+
+
+class ZeroCounts(CountTail):
+    """f(i) = 0 for every tail block (all slices negative)."""
+
+    __slots__ = ()
+    pattern = (NEGATIVE,)
+
+
+class PatternCounts(CountTail):
+    """A primitive and genuinely mixed pattern (single-sign patterns
+    normalize to the tails above)."""
+
+    __slots__ = ("pattern", "anchor")
+
+    def __init__(self, pattern: tuple[int, ...], anchor: int):
+        setfield(self, "pattern", pattern)
+        setfield(self, "anchor", anchor)
 
 
 def _primitive_pattern(pattern: tuple[int, ...]) -> tuple[int, ...]:
@@ -317,7 +326,19 @@ class InvariantContext(Record):
 # the invariants
 
 
-class IrrationalInvariant(Record):
+class MinimallyTwisting(Record):
+    """The invariant of a minimally twisting end, one kind per slope at
+    infinity: irrational, rational and not attained, or attained."""
+
+    __slots__ = ()
+
+    @property
+    def invariant(self) -> "MinimallyTwisting":
+        """The record itself."""
+        return self
+
+
+class IrrationalInvariant(MinimallyTwisting):
     """Per-block positive-slice counts for an irrational slope at infinity:
     an explicit prefix plus a count tail covering every later block."""
 
@@ -340,7 +361,7 @@ class IrrationalInvariant(Record):
         return self.tail.count_positive(*self.context.decomposition().block(i).slice_range)
 
 
-class RationalNonAttainedInvariant(Record):
+class RationalNonAttainedInvariant(MinimallyTwisting):
     """Counts on the n-1 finite blocks plus the infinite block normal form."""
 
     __slots__ = ("finite_f", "infinite_block", "context")
@@ -351,12 +372,8 @@ class RationalNonAttainedInvariant(Record):
         setfield(self, "infinite_block", infinite_block)
         setfield(self, "context", context)
 
-    @property
-    def n(self) -> int:
-        return len(self.finite_f) + 1
 
-
-class AttainedInvariant(Record):
+class AttainedInvariant(MinimallyTwisting):
     """Counts on every block of the finite path, with the division number of
     the boundary torus at infinity."""
 
@@ -372,7 +389,33 @@ class AttainedInvariant(Record):
         setfield(self, "context", context)
 
 
-MinimalInvariant = IrrationalInvariant | RationalNonAttainedInvariant | AttainedInvariant
+class NestedAnnuli(Record):
+    """Descriptor of the nested convex-annuli family attached to an end with
+    infinite division number at infinity: Legendrian boundary twisting starts
+    at tb = -1 and climbs by one per annulus."""
+
+    __slots__ = ("tb_start", "tb_step")
+
+    def __init__(self, tb_start: int = -1, tb_step: int = 1):
+        setfield(self, "tb_start", tb_start)
+        setfield(self, "tb_step", tb_step)
+
+
+class NonMinimallyTwisting(Record):
+    """Rotative layers over a residual end; rotativity None means infinitely
+    many layers."""
+
+    __slots__ = ("rotativity", "sign", "residual", "context")
+
+
+class InfiniteDivision(Record):
+    """Terminal marker: the classification beyond the nested-annuli data is
+    an open question, so no equivalence is ever claimed between two of these."""
+
+    __slots__ = ("descriptor", "context")
+
+
+EndInvariant = MinimallyTwisting | NonMinimallyTwisting | InfiniteDivision
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +476,7 @@ def _build_irrational(decomp: BlockDecomposition, signs: SignData,
 
 def invariant_from_signs(decomp: BlockDecomposition, signs: SignData,
                          boundary_division: int = 1,
-                         context: InvariantContext | None = None) -> MinimalInvariant:
+                         context: InvariantContext | None = None) -> MinimallyTwisting:
     """Per-block positive-slice counts of the decomposition under the given
     sign assignment, reduced to the appropriate normal form."""
     if context is None:
@@ -457,17 +500,26 @@ def _require_comparable(a_ctx: InvariantContext, b_ctx: InvariantContext):
             f"{a_ctx} vs {b_ctx}")
 
 
-def _periodic_span(decomp: BlockDecomposition, k: int, m: int) -> range | None:
+def _periodic_span(decomp: BlockDecomposition, k: int, m: int):
     """The blocks, from block k on, over which the per-block counts under a
-    sign pattern of length m run through one period: blocks repeat every
-    `blocks` blocks, and the pattern phase after m / gcd(slices, m) such
-    periods.  None when the target's blocks need not repeat (a stream)."""
+    sign pattern of length m run through one period, as (lo, ranges): the
+    first of them, block max(k, i0), and the slice ranges of all of them.
+    From block i0 on, block i + blocks has the length of block i and starts
+    `slices` slices later, so only one block period is walked, and the
+    pattern phase repeats after m / gcd(slices, m) such periods.  None when
+    the target's blocks need not repeat (a stream); a ToricEndError past
+    SPAN_BUDGET blocks."""
     period = decomp.period()
     if period is None:
         return None
     i0, blocks, slices = period
+    repeats = m // math.gcd(slices, m)
+    if blocks * repeats > SPAN_BUDGET:
+        raise ToricEndError(f"a periodic span of {blocks * repeats} blocks is past the budget of "
+                            f"SPAN_BUDGET = {SPAN_BUDGET} blocks")
     lo = max(k, i0)
-    return range(lo, lo + blocks * m // math.gcd(slices, m))
+    return lo, ((b.start_index + t * slices, b.end_index + t * slices)
+                for t in range(repeats) for b in map(decomp.block, range(lo, lo + blocks)))
 
 
 def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,
@@ -476,23 +528,23 @@ def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,
     if any(a.f(i) != b.f(i) for i in range(1, k)):
         return False
     ta, tb = a.tail, b.tail
-    # two constant tails agree when they are alike; a mixed pattern
-    # disagrees with a constant tail somewhere: the blocks partition the
-    # slices, so every pattern residue is eventually hit
-    if not isinstance(ta, PatternCounts) or not isinstance(tb, PatternCounts):
-        return ta == tb
     decomp = a.context.decomposition()
     anchor = decomp.block(k).start_index
-    m = math.lcm(len(ta.pattern), len(tb.pattern))
-    if all(ta.sign_at(j) == tb.sign_at(j) for j in range(anchor, anchor + m)):
+    lcm = math.lcm(len(ta.pattern), len(tb.pattern))
+    if all(ta.sign_at(j) == tb.sign_at(j) for j in range(anchor, anchor + lcm)):
         return True  # the patterns agree on every slice from block k on
-    # a block whose counts differ answers False at once; only True needs
-    # the whole periodic span, and so the block period
+    # every block has a slice, so the first m blocks cover a whole period of
+    # each pattern, and a constant tail differs there from any other tail.
+    # A block whose counts differ answers False at once; only True needs the
+    # whole periodic span, and so the block period
+    m = max(len(ta.pattern), len(tb.pattern))
     if any(a.f(i) != b.f(i) for i in range(k, k + m)):
         return False
-    span = _periodic_span(decomp, k, m)
+    span = _periodic_span(decomp, k, lcm)
     if span is not None:
-        return all(a.f(i) == b.f(i) for i in range(k + m, span.stop))
+        lo, ranges = span
+        return (all(a.f(i) == b.f(i) for i in range(k + m, lo))
+                and all(ta.count_positive(*r) == tb.count_positive(*r) for r in ranges))
     if any(a.f(i) != b.f(i) for i in range(k + m, k + horizon)):
         return False
     raise UndecidableAtHorizonError(
@@ -502,12 +554,6 @@ def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,
 def equivalent(a, b, horizon: int = DEFAULT_HORIZON) -> bool:
     """Equality of classification invariants, the proper-isotopy-rel-boundary
     classification for ends sharing the same boundary data and target."""
-    from .ends import InfiniteDivision, MinimallyTwisting, NonMinimallyTwisting
-
-    if isinstance(a, MinimallyTwisting):
-        a = a.invariant
-    if isinstance(b, MinimallyTwisting):
-        b = b.invariant
     if isinstance(a, NonMinimallyTwisting) or isinstance(b, NonMinimallyTwisting):
         _require_comparable(a.context, b.context)
         if type(a) is not type(b) or (a.rotativity, a.sign) != (b.rotativity, b.sign):
@@ -520,13 +566,9 @@ def equivalent(a, b, horizon: int = DEFAULT_HORIZON) -> bool:
             "equivalence of infinite-division-at-infinity ends is an open question")
 
     _require_comparable(a.context, b.context)
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, AttainedInvariant):
-        return a.finite_f == b.finite_f and a.boundary_division == b.boundary_division
-    if isinstance(a, RationalNonAttainedInvariant):
-        return a.finite_f == b.finite_f and a.infinite_block == b.infinite_block
-    return _equivalent_irrational(a, b, horizon)
+    if isinstance(a, IrrationalInvariant) and isinstance(b, IrrationalInvariant):
+        return _equivalent_irrational(a, b, horizon)
+    return a == b  # records compare their class and every field but the context
 
 
 # ---------------------------------------------------------------------------
@@ -536,29 +578,23 @@ def equivalent(a, b, horizon: int = DEFAULT_HORIZON) -> bool:
 def admissible(inv, decomp: BlockDecomposition) -> bool:
     """True iff the invariant satisfies every per-block constraint of the
     decomposition; every admissible invariant is realized by a tight end."""
-    from .ends import InfiniteDivision, MinimallyTwisting, NonMinimallyTwisting
-
-    if isinstance(inv, MinimallyTwisting):
-        inv = inv.invariant
     if isinstance(inv, NonMinimallyTwisting):
         return inv.residual is None or admissible(inv.residual, decomp)
     if isinstance(inv, InfiniteDivision):
         return True
 
     if isinstance(inv, IrrationalInvariant):
-        blocks = map(decomp.block, range(1, len(inv.counts) + 1))
-        return all(not b.infinite and 0 <= c <= b.length - 1 for c, b in zip(inv.counts, blocks))
+        counts, blocks = inv.counts, decomp.blocks_up_to(len(inv.counts))
+    else:
+        counts, blocks = inv.finite_f, decomp.all_blocks()
     if isinstance(inv, RationalNonAttainedInvariant):
-        *finite, last = decomp.all_blocks()
         form = inv.infinite_block
-        return (last.infinite and len(finite) == len(inv.finite_f)
-                and all(0 <= c <= b.length - 1 for c, b in zip(inv.finite_f, finite))
-                and not isinstance(form, BothFinite)
-                and not (isinstance(form, (PosFinite, NegFinite)) and form.m < 0))
-    blocks = decomp.all_blocks()
-    if any(b.infinite for b in blocks) or len(blocks) != len(inv.finite_f):
-        return False
-    return all(0 <= c <= b.length - 1 for c, b in zip(inv.finite_f, blocks))
+        if (not blocks.pop().infinite or isinstance(form, BothFinite)
+                or (isinstance(form, (PosFinite, NegFinite)) and form.m < 0)):
+            return False
+    # one count per block, each block finite and each count in 0..length-1
+    return len(blocks) == len(counts) and all(
+        not b.infinite and 0 <= c <= b.length - 1 for c, b in zip(counts, blocks))
 
 
 # ---------------------------------------------------------------------------

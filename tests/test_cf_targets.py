@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_ends import (
+    AllPositive,
     Alternating,
     CFTarget,
     EndDescription,
@@ -165,6 +166,33 @@ def test_cf_equivalence_undecidable_at_horizon():
     b = invariant_from_signs(d, SignData((), Periodic((N, P))))
     with pytest.raises(UndecidableAtHorizonError):
         equivalent(a, b, horizon=12)
+
+
+def test_cf_equivalence_finds_a_differing_block_inside_the_horizon():
+    # blocks 1-3 have two slices each and every later block three, so
+    # (+,-) and (-,+) first differ on block 4
+    cf = CFTarget(itertools.chain([-2, 1, 1, 2, 2, 2, 2, 2, 2], itertools.repeat(3)))
+    d = decompose(FareyPath(S("-1"), cf))
+    a = invariant_from_signs(d, SignData((), Periodic((P, N))))
+    b = invariant_from_signs(d, SignData((), Periodic((N, P))))
+    assert [a.f(i) for i in range(1, 5)] == [1, 1, 1, 2]
+    assert [b.f(i) for i in range(1, 5)] == [1, 1, 1, 1]
+    assert equivalent(a, b, horizon=8) is False
+    with pytest.raises(UndecidableAtHorizonError):
+        equivalent(a, b, horizon=3)
+
+
+def test_cf_constant_and_mixed_tails_differ_inside_the_early_scan():
+    # every block of -sqrt(2) has two slices, so the mixed pattern's only
+    # negative slice, slice 9, first shows in block 5: a scan of as many
+    # blocks as the pattern has slices finds it at any horizon
+    cf = quadratic_cf_target(MINUS_SQRT2.value)
+    d = decompose(FareyPath(S("-1"), cf))
+    a = invariant_from_signs(d, SignData((), AllPositive()))
+    b = invariant_from_signs(d, SignData((), Periodic((P,) * 9 + (N,))))
+    assert [b.f(i) for i in range(1, 6)] == [2, 2, 2, 2, 1]
+    assert equivalent(a, b, horizon=1) is False
+    assert equivalent(b, a, horizon=1) is False
 
 
 def test_cf_obstruction_reports_unknown():

@@ -78,11 +78,32 @@ def test_count_command():
     assert "note" in json.loads(out)
 
 
+@pytest.mark.parametrize("lengths", [3, "3", {"0": 3}, [], [True], [2, False], [2, 1.5], [None]])
+def test_count_lengths_must_be_a_nonempty_list_of_integers(lengths):
+    code, out = invoke("count", {"lengths": lengths})
+    assert code == 2
+    assert json.loads(out) == {"error": "input.lengths must be a nonempty list of integers"}
+
+
+@pytest.mark.parametrize("lengths", [[0], [3, -1]])
+def test_count_lengths_below_one_are_malformed(lengths):
+    code, out = invoke("count", {"lengths": lengths})
+    assert code == 2
+    assert json.loads(out) == {"error": "block lengths must be >= 1"}
+
+
 def test_euler_command():
     attained = {"kind": "rational", "slope": "-2/1", "attained": True}
     code, out = invoke("euler", {"end": end_doc(attained, prefix=["+"])})
     assert code == 0
     assert json.loads(out) == {"euler": [0, -1], "slices": 1}
+
+
+def test_euler_of_a_collar_is_zero():
+    collar = end_doc({"kind": "rational", "slope": "-1/1", "attained": True})
+    code, out = invoke("euler", {"end": collar})
+    assert code == 0
+    assert json.loads(out) == {"euler": [0, 0], "slices": 0}
 
 
 def test_extend_check_command():
@@ -283,6 +304,42 @@ def test_period_budget_is_a_violation(monkeypatch):
     code, out = invoke("extend-check", {"end": periodic_pair(target)["a"]})
     assert code == 1
     assert "PERIOD_BUDGET = 3 blocks" in json.loads(out)["error"]
+
+
+def equal_count_pair(p):
+    # per-block counts toward -sqrt(2), whose blocks all have two slices, are
+    # all 1 under both patterns; their lengths 2p and 2p + 2 have an lcm of
+    # 2p(p + 1), so one period of the pair spans p(p + 1) blocks
+    def tail(pairs):
+        return {"type": "periodic", "pattern": ["-", "+"] + ["+", "-"] * pairs}
+    return {"a": end_doc(SQRT2, tail=tail(p - 1)), "b": end_doc(SQRT2, tail=tail(p))}
+
+
+def test_equal_count_patterns_walk_one_block_period():
+    doc = equal_count_pair(100)
+    started = time.perf_counter()
+    code, out = invoke("compare", doc)
+    elapsed = time.perf_counter() - started
+    assert code == 0 and json.loads(out) == {"equivalent": True}
+    assert elapsed < 0.5
+    tracemalloc.start()
+    try:
+        invoke("compare", doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+
+
+def test_span_budget_is_a_violation_and_the_batch_goes_on():
+    jobs = [{"command": "compare", "input": equal_count_pair(400)},
+            {"command": "count", "input": {"lengths": [2]}}]
+    code, out = invoke("run", jobs)
+    assert code == 1
+    assert json.loads(out) == [
+        {"status": "violation",
+         "error": "a periodic span of 160400 blocks is past the budget of SPAN_BUDGET = 100000 blocks"},
+        {"status": "ok", "output": {"count": 2}}]
 
 
 def test_output_budget_refuses_a_long_path_and_the_batch_goes_on():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_ends.cli import END, invariant_doc, main, parse_invariant_document
-from toric_ends.ends import InfiniteDivision, MinimallyTwisting, NestedAnnuli, NonMinimallyTwisting
+from toric_ends.ends import InfiniteDivision, NestedAnnuli, NonMinimallyTwisting
 from toric_ends.errors import SchemaError
 from toric_ends.farey import RationalTarget, Slope
 from toric_ends.invariants import (
@@ -152,7 +152,7 @@ MINIMAL = st.one_of(
     # a pattern tail as the library makes one: primitive and mixed
     st.builds(lambda f, tail: IrrationalInvariant(f, tail, context()), COUNTS, st.one_of(
         st.just(SaturatedCounts()), st.just(ZeroCounts()), st.builds(_normalize_count_tail, SIGNS, st.integers(-9, 9)))),
-).map(MinimallyTwisting)
+)
 INVARIANTS = st.one_of(
     MINIMAL,
     st.builds(lambda n, s, residual: NonMinimallyTwisting(n, s, residual, context()),

@@ -30,6 +30,7 @@ from toric_ends import (
     invariant_from_signs,
     parse_slope,
 )
+from toric_ends.ends import InfiniteDivision, NestedAnnuli, NonMinimallyTwisting
 from toric_ends.errors import (
     CoverageMismatchError,
     IllegalTailError,
@@ -225,6 +226,23 @@ def test_saturated_vs_mixed_pattern_differ():
     assert equivalent(a, b) is False
 
 
+def test_equivalent_non_minimal_with_one_residual_none():
+    d = sqrt2_decomp()
+    residual = invariant_from_signs(d, SignData((), AllNegative()))
+    ctx = residual.context
+    assert equivalent(NonMinimallyTwisting(2, P, None, ctx), NonMinimallyTwisting(2, P, residual, ctx)) is False
+    assert equivalent(NonMinimallyTwisting(2, P, residual, ctx), NonMinimallyTwisting(2, P, None, ctx)) is False
+    assert equivalent(NonMinimallyTwisting(None, P, None, ctx), NonMinimallyTwisting(None, P, None, ctx)) is True
+
+
+def test_equivalent_two_minimal_kinds_in_one_context():
+    d = attained_decomp()
+    attained = invariant_from_signs(d, SignData((P, P)))
+    other = RationalNonAttainedInvariant(attained.finite_f, AlternatingForm(), attained.context)
+    assert equivalent(attained, other) is False
+    assert equivalent(other, attained) is False
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.sampled_from([P, N]), min_size=0, max_size=4),
        st.lists(st.sampled_from([P, N]), min_size=0, max_size=4),
@@ -261,6 +279,39 @@ def test_admissible_rejects_both_finite_infinite_block():
     ctx = invariant_from_signs(d, SignData((), Alternating())).context
     bad = RationalNonAttainedInvariant((), BothFinite(5, 7), ctx)
     assert admissible(bad, d) is False
+
+
+def test_admissible_attained_invariants():
+    d = attained_decomp()  # one block of length 3
+    ctx = invariant_from_signs(d, SignData((P, P))).context
+    assert admissible(AttainedInvariant((2,), 1, ctx), d) is True
+    assert admissible(AttainedInvariant((0,), 2, ctx), d) is True
+    assert admissible(AttainedInvariant((3,), 1, ctx), d) is False  # above length - 1
+    assert admissible(AttainedInvariant((1, 1), 1, ctx), d) is False  # one block, two counts
+    assert admissible(AttainedInvariant((), 1, ctx), d) is False
+
+
+def test_admissible_rational_invariants():
+    d = decompose(FareyPath(S("-1"), RationalTarget(S("-5/2"), False)))
+    ctx = invariant_from_signs(d, SignData((P,), Alternating())).context
+    assert [b.length for b in d.all_blocks()[:-1]] == [2]
+    assert admissible(RationalNonAttainedInvariant((1,), AlternatingForm(), ctx), d) is True
+    assert admissible(RationalNonAttainedInvariant((0,), PosFinite(2), ctx), d) is True
+    assert admissible(RationalNonAttainedInvariant((2,), AlternatingForm(), ctx), d) is False
+    assert admissible(RationalNonAttainedInvariant((), AlternatingForm(), ctx), d) is False
+    # the last block of an attained path is finite
+    assert admissible(RationalNonAttainedInvariant((), AlternatingForm(), ctx), attained_decomp()) is False
+
+
+def test_admissible_non_minimal_and_infinite_division():
+    d = sqrt2_decomp()
+    good = invariant_from_signs(d, SignData((), AllNegative()))
+    bad = IrrationalInvariant((3,), ZeroCounts(), good.context)
+    ctx = good.context
+    assert admissible(NonMinimallyTwisting(2, P, None, ctx), d) is True
+    assert admissible(NonMinimallyTwisting(2, P, good, ctx), d) is True
+    assert admissible(NonMinimallyTwisting(2, P, bad, ctx), d) is False
+    assert admissible(InfiniteDivision(NestedAnnuli(), ctx), d) is True
 
 
 def test_attained_invariant_requires_attained_rational_context():

@@ -2,7 +2,7 @@
 the reference scan of witness images in tests/oracles.py: every quadratic
 compare and extension check is decided by the period, whatever the horizon."""
 
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,7 +27,8 @@ from toric_ends import (
 )
 from toric_ends import farey
 from toric_ends.errors import ToricEndError, UndecidableAtHorizonError
-from toric_ends.invariants import PatternCounts
+from toric_ends import invariants
+from toric_ends.invariants import PatternCounts, _periodic_span
 
 from oracles import (
     reference_quadratic_equivalent,
@@ -83,6 +84,9 @@ def test_block_period_matches_reference_scan(target, start):
 @example(QuadraticTarget.of(-1, 2, 2, 3), Slope(-2, 1), [], [P, P, N, P], [], [N, P, P, P], None)
 @example(QuadraticTarget.of(3, 1, 2, 77), Slope(8, 3), [], [P, N, N, N], [], [P], None)
 @example(QuadraticTarget.of(0, -1, 1, 5), Slope(-9, 4), [], [N, N, P, P], [], [N, N, N, P], None)
+# blocks of 4, 2, 1, 4, 4, ... slices repeat from block 5: (+,-) and (-,+)
+# differ only on block 3, before the period and past the early scan
+@example(QuadraticTarget.of(13, -1, 1, 5), Slope(-43, 30), [], [P, N], [], [N, P], None)
 @given(SURDS, STARTS, SIGNS, PATTERNS, SIGNS, PATTERNS, st.none() | st.integers(1, 3))
 def test_quadratic_decisions_ignore_the_horizon(target, start, pre_a, pat_a, pre_b, pat_b, rotate):
     if rotate is not None:  # a rotated pattern often gives equal per-block counts
@@ -123,6 +127,30 @@ def test_count_equal_patterns_are_equivalent_at_horizon_one():
     a = classify(periodic_end(target, (), (P, N))).invariant
     b = classify(periodic_end(target, (), (N, P))).invariant
     assert equivalent(a, b, 1) is True
+
+
+@settings(max_examples=100, deadline=None)
+@given(SURDS, STARTS, st.integers(1, 12), st.integers(1, 8))
+def test_periodic_span_reads_the_walked_blocks(target, start, k, m):
+    decomp = decompose(FareyPath(start, target))
+    i0, blocks, slices = decomp.period()
+    lo, ranges = _periodic_span(decomp, k, m)
+    ranges = list(ranges)
+    assert lo == max(k, i0)
+    assert len(ranges) == blocks * m // gcd(slices, m)
+    assert ranges == [decomp.block(i).slice_range for i in range(lo, lo + len(ranges))]
+
+
+def test_span_budget_is_named(monkeypatch):
+    # (+,-) and (-,+) agree on every block of -sqrt(2), over a span of one block
+    monkeypatch.setattr(invariants, "SPAN_BUDGET", 0)
+    target = QuadraticTarget.of(0, -1, 1, 2)
+    a = classify(periodic_end(target, (), (P, N))).invariant
+    b = classify(periodic_end(target, (), (N, P))).invariant
+    with pytest.raises(ToricEndError, match="SPAN_BUDGET = 0 blocks"):
+        equivalent(a, b)
+    with pytest.raises(ToricEndError, match="SPAN_BUDGET = 0 blocks"):
+        extension_obstruction(a)
 
 
 def test_stream_targets_have_no_period():

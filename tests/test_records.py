@@ -194,7 +194,7 @@ def test_repr_text():
 def test_cold_import_leaves_dataclasses_out():
     # -S keeps the .pth imports of site-packages out of the check
     code = ("import sys; sys.path.insert(0, 'src'); import toric_ends.cli; "
-            "assert 'dataclasses' not in sys.modules")
+            "assert 'dataclasses' not in sys.modules; assert 'typing' not in sys.modules")
     proc = subprocess.run([sys.executable, "-S", "-c", code], cwd=Path(__file__).resolve().parent.parent,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
