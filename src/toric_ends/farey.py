@@ -59,19 +59,22 @@ class Slope(Record):
     def __hash__(self):
         return hash((self.p, self.q))
 
-    # a rational walk value x (see _Walk): its floor and its updates
-    def floor(self) -> int:
-        return self.p // self.q
-
-    def _step(self, k: int) -> "Slope":  # 1/(k - x)
-        return Slope._primitive(self.q, k * self.q - self.p)
-
-    def _recip(self, n: int) -> "Slope":  # 1/(x - n)
-        return Slope._primitive(self.q, self.p - n * self.q)
-
-    def _after_run(self, j: int) -> "Slope":  # 1 + 1/(x - j)
-        p, q = self.p - j * self.q, self.q
-        return Slope._primitive(p + q, p)
+    def _run(self, attained: bool):
+        """A rational walk value x read as one run (see _Walk): (a0, a1,
+        x').  An integer x is the target itself toward an attained target
+        (a0 = x - 1, z = 1), and otherwise makes z = oo, the run that never
+        ends (a1 = x' = None).  An integer z ends the run on the target
+        when it is attained and one edge short of it otherwise."""
+        a0, r = divmod(self.p, self.q)  # z = q/r
+        if r == 0:
+            if not attained:
+                return a0, None, None
+            a0, r = a0 - 1, self.q
+        a1, r2 = divmod(self.q, r)  # z - a1 = r2/r
+        if r2 == 0 and not attained:
+            a1, r2 = a1 - 1, r
+        # x' = (r2 + r)/r2, primitive since gcd(r, r2) = gcd(p, q) = 1
+        return a0, a1, Slope._primitive(r2 + r, r2)
 
     def __str__(self) -> str:
         return f"{self.p}/{self.q}"
@@ -342,23 +345,32 @@ class _Surd:
         return cls(P, Q, D, isqrt(D))
 
     def floor(self) -> int:
-        # P + sqrt(D) lies strictly between P + r and P + r + 1
-        if self.Q > 0:
-            return (self.P + self.r) // self.Q
-        return (self.P + self.r + 1) // self.Q
-
-    def _step(self, k: int) -> "_Surd":  # 1/(k - x)
-        P = k * self.Q - self.P
-        return _Surd(P, (P * P - self.D) // self.Q, self.D, self.r)
+        return _pqa_floor(self.P, self.Q, self.r)
 
     def _recip(self, n: int) -> "_Surd":  # 1/(x - n)
         P = n * self.Q - self.P
         return _Surd(P, (self.D - P * P) // self.Q, self.D, self.r)
 
-    def _after_run(self, j: int) -> "_Surd":  # 1 + 1/(x - j)
-        P = j * self.Q - self.P
-        Q = (self.D - P * P) // self.Q
-        return _Surd(P + Q, Q, self.D, self.r)
+    def _run(self, attained: bool):
+        """x read as one run (see _Walk): (a0, a1, x'), with z = 1/(x - a0)
+        as the pair (P, Q) only.  An irrational x has no integer digit to
+        round, so `attained` is not read."""
+        P, Q, D, r = self.P, self.Q, self.D, self.r
+        a0 = _pqa_floor(P, Q, r)
+        P = a0 * Q - P
+        Q = (D - P * P) // Q
+        a1 = _pqa_floor(P, Q, r)
+        P = a1 * Q - P
+        Q = (D - P * P) // Q  # z - a1 = Q / (P + sqrt(D))
+        return a0, a1, _Surd(P + Q, Q, D, r)
+
+
+def _pqa_floor(P: int, Q: int, r: int) -> int:
+    """floor((P + sqrt(D))/Q) for r = isqrt(D), D not a square: P + sqrt(D)
+    lies strictly between P + r and P + r + 1."""
+    if Q > 0:
+        return (P + r) // Q
+    return (P + r + 1) // Q
 
 
 def _cf_coefficients(x) -> Iterator[int]:
@@ -434,17 +446,18 @@ class _StreamImage:
         self.a, self.b, self.c, self.d, self.i = a, b, c, d, i
         return n
 
-    def _step(self, k: int) -> "_StreamImage":  # 1/(k - x)
-        a, b, c, d = self.a, self.b, self.c, self.d
-        return _StreamImage(self.stream, self.i, c, d, k * c - a, k * d - b)
-
     def _recip(self, n: int) -> "_StreamImage":  # 1/(x - n)
         a, b, c, d = self.a, self.b, self.c, self.d
         return _StreamImage(self.stream, self.i, c, d, a - n * c, b - n * d)
 
-    def _after_run(self, j: int) -> "_StreamImage":  # 1 + 1/(x - j)
-        a, b, c, d = self.a - j * self.c, self.b - j * self.d, self.c, self.d
-        return _StreamImage(self.stream, self.i, a + c, b + d, a, b)
+    def _run(self, attained: bool):
+        """x read as one run (see _Walk): (a0, a1, x'), through the cursor
+        z = 1/(x - a0); `attained` is not read, as for a _Surd."""
+        a0 = self.floor()
+        z = self._recip(a0)
+        a1 = z.floor()
+        a, b, c, d = z.a - a1 * z.c, z.b - a1 * z.d, z.c, z.d  # z - a1
+        return a0, a1, _StreamImage(self.stream, z.i, a + c, b + d, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +540,9 @@ class QuadraticTarget(IrrationalTarget, Record):
         """At a block start the walk value x fixes every later block, and
         by Lagrange x is soon one of the finitely many reduced surds of
         discriminant D, so the first repeat of x gives the period.  Only x
-        is walked, as in _Walk without the vertices: one step, then the
-        run of k = 2 steps after it.  Stops with a ToricEndError past
-        PERIOD_BUDGET blocks."""
+        is walked, as in _Walk without the vertices: one run per block,
+        a1 slices long.  Stops with a ToricEndError past PERIOD_BUDGET
+        blocks."""
         x = _Walk.at(start, self).x
         seen: dict[tuple[int, int], tuple[int, int]] = {}
         block = slices = 0
@@ -544,13 +557,8 @@ class QuadraticTarget(IrrationalTarget, Record):
                     f"PERIOD_BUDGET = {PERIOD_BUDGET} blocks")
             block += 1
             seen[key] = (block, slices)
-            x = x._step(x.floor() + 1)
-            slices += 1
-            if x.floor() == 1:  # k = 2: floor(y) steps, y = 1/(x - 1)
-                y = x._recip(1)
-                j = y.floor()
-                x = y._after_run(j)
-                slices += j
+            _, a1, x = x._run(False)
+            slices += a1
 
     def __str__(self) -> str:
         return str(self.value)
@@ -606,7 +614,7 @@ def on_arc(start: Slope, target: SlopeTarget, x: Slope, include_target: bool = F
 
 
 class _Walk:
-    """The minimal clockwise walk toward a target.
+    """The minimal clockwise walk toward a target, one run at a time.
 
     The state is the current vertex s as an integer vector, a partner u with
     det(u, s) = -1, and the image x = det(u, t) / det(t, s) of the target t
@@ -615,30 +623,28 @@ class _Walk:
     circle as k grows, approaching s from the clockwise side, so the closest
     one inside the clockwise arc from s to the target is k = floor(x) + 1;
     when x is an integer, k = x is the target itself, taken only when it is
-    attained.  Ties cannot occur; x determines k uniquely.
+    attained.  The step to s' = u + k*s with partner u' = -s sends the
+    target to 1/(k - x).
 
-    The step to s' = u + k*s with partner u' = -s sends the target to
-    x' = 1/(k - x), so only the vertex grows with depth: x is the image of a
-    rational target (bounded by the target, as in Euclid's algorithm), a
-    quadratic surd (reduced after a few steps, so bounded by Lagrange), or a
-    stream image that reads about one coefficient per step.  Consecutive
-    vertices have determinant +1, so the vectors s are coherent lifts.
+    A run is that step followed by every step with k = 2 after it, read off
+    two continued fraction digits of x: a0 = floor(x), z = 1/(x - a0) and
+    a1 = floor(z).  Every step of the run moves s by the same vector
+    d = u + a0*s, the run has a1 edges, and it leaves the partner d - s'
+    and the value x' = 1 + 1/(z - a1).  Toward a rational target an
+    integer x or z rounds as the single steps would: see Slope._run.
 
-    A step with k = 2 moves s by the constant vector s + u, and it changes
-    y = 1/(x - 1) to y - 1.  A run of such steps is therefore read off y and
-    taken in one jump: j steps send s to s + j*(s + u) and y to y - j.  A
-    step with k = 2 is taken while 1 <= x < 2 (1 < x <= 2 for an attained
-    target), that is while y > 1 (y >= 1), so the run has ceil(y) - 1 steps
-    toward a rational target that is not attained (infinitely many at x = 1)
-    and floor(y) steps otherwise; toward an attained target the last of them
-    hits it when y is an integer.
-
-    Each kind of x does these updates itself in integers: a Slope for a
-    rational target, a _Surd in PQa form for a quadratic one and a
-    _StreamImage for a stream.  No GL2Z is built after the first x.
+    So only the vertex grows with depth: x is a rational target's image
+    (bounded by the target, as in Euclid's algorithm), a quadratic surd
+    (reduced after a few runs, so bounded by Lagrange), or a stream image
+    that reads about two coefficients per run.  Consecutive vertices have
+    determinant +1, so the vectors s are coherent lifts.  Each kind of x
+    reads its run itself in integers, a Slope for a rational target, a
+    _Surd in PQa form for a quadratic one and a _StreamImage for a stream,
+    and builds one new x per run (a stream also builds its cursor z).  No
+    GL2Z is built after the first x.
     """
 
-    __slots__ = ("u", "s", "x", "attained", "rational", "_k")
+    __slots__ = ("u", "s", "x", "attained")
 
     def __init__(self, u: tuple[int, int], s: tuple[int, int], target: SlopeTarget):
         (up, uq), (sp, sq) = u, s
@@ -646,9 +652,7 @@ class _Walk:
         # x = (up - uq*t) / (sq*t - sp), by a matrix of determinant -det(u, s) = 1
         self.x = target.image(GL2Z._unimodular(-uq, up, sq, -sp))
         self.attained = target.attained
-        self.rational = target.rational
-        self._k = None
-        if self.rational and self.x.q == 0:
+        if target.rational and self.x.q == 0:
             if target.attained:
                 raise ValueError("attained target equals the current slope")
             raise DegenerateTargetError("non-attained rational target equals the current slope")
@@ -658,58 +662,24 @@ class _Walk:
         """A walk standing at `current`, with a Bezout partner."""
         return cls(_bezout_partner(current), (current.p, current.q), target)
 
-    @property
-    def hit(self) -> bool:
-        """True once the walk stands on an attained target (x = oo)."""
-        return self.attained and self.x.q == 0
-
-    def k(self) -> int:
-        """The k of the next step."""
-        if self._k is None:
-            x = self.x
-            self._k = x.floor() + 1
-            if self.attained and x.q == 1:
-                self._k -= 1  # only rational targets are attained, so x is a Slope
-        return self._k
-
-    def step(self):
-        k = self.k()
+    def next_run(self) -> tuple[int | None, int, int]:
+        """Walk one run; returns (edges, dp, dq), the edge count and the
+        vector (dp, dq) each edge adds to s.  edges is None for a run that
+        never ends, and then the walk stops at the run's start."""
+        a0, a1, x = self.x._run(self.attained)
         (up, uq), (sp, sq) = self.u, self.s
-        self.u, self.s = (-sp, -sq), (up + k * sp, uq + k * sq)
-        self.x = self.x._step(k)
-        self._k = None
-
-    def run(self) -> int | None:
-        """Take every step with k = 2 from here; returns how many, None for
-        infinitely many (then the walk stops inside the run).  The first is
-        an ordinary step, and only a run that goes on past it is jumped, so
-        a run of one step costs no more than the step."""
-        if self.k() != 2:
-            return 0
-        self.step()
-        if self.hit or self.k() != 2:
-            return 1
-        y = self.x._recip(1)
-        if self.rational and y.q == 0:
-            return None
-        j = y.floor()
-        if self.rational and not self.attained and y.q == 1:
-            j -= 1
-        (up, uq), (sp, sq) = self.u, self.s
-        dp, dq = sp + up, sq + uq
-        sp, sq = sp + j * dp, sq + j * dq
-        self.u, self.s = (dp - sp, dq - sq), (sp, sq)
-        self.x = y._after_run(j)
-        self._k = None
-        return j + 1
+        dp, dq = up + a0 * sp, uq + a0 * sq
+        if a1 is not None:
+            sp, sq = sp + a1 * dp, sq + a1 * dq
+            self.u, self.s, self.x = (dp - sp, dq - sq), (sp, sq), x
+        return a1, dp, dq
 
 
 def next_toward(current: Slope, target: SlopeTarget) -> Slope:
     """The neighbor of `current` closest to `target` on the clockwise arc:
-    one step of a walk started at `current`."""
-    walk = _Walk.at(current, target)
-    walk.step()
-    return Slope._primitive(*walk.s)  # det(u, s) = -1 makes s primitive
+    the first vertex of the walk's first run."""
+    _, dp, dq = _Walk.at(current, target).next_run()
+    return Slope._primitive(current.p + dp, current.q + dq)  # det(s, s + d) = 1
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +693,7 @@ class Run(namedtuple("Run", "start p q dp dq edges")):
     fields are integers but that one).
 
     A run is one step of the walk followed by all the steps with k = 2
-    after it, which makes it a maximal continued fraction block: a witness
+    after it (see _Walk), which makes it a maximal continued fraction block: a witness
     sending its first two vertices to -1 and -2 sends vertex start + j to
     -(j + 1).  Consecutive runs share their boundary vertex."""
 
@@ -805,13 +775,10 @@ class FareyPath:
             self._walk = _Walk.at(self.start, self.target)
         walk = self._walk
         start, (p, q) = self._size - 1, walk.s
-        walk.step()
-        dp, dq = walk.s[0] - p, walk.s[1] - q
-        more = 0 if walk.hit else walk.run()
-        edges = None if more is None else 1 + more
+        edges, dp, dq = walk.next_run()
         self._runs.append(Run(start, p, q, dp, dq, edges))
         self._size = None if edges is None else start + edges + 1
-        self._complete = walk.hit
+        self._complete = walk.attained and walk.x.q == 0  # on the target: x = oo
 
     def vertex(self, i: int) -> Slope:
         if self.extend_to(i + 1) <= i:

@@ -9,9 +9,10 @@ Every infinite sign tail has one shape: `after` opening slices of one sign,
 then a fixed `pattern` repeated forever.  The rules (constant, eventually
 constant, alternating, periodic) each name only that pair, and one base
 class counts positive slices over any range in time independent of the
-range's length.  An irrational invariant's count tail is a pattern too,
-anchored at a slice: saturated (+), zero (-) or a primitive mixed pattern;
-normalizing a pattern to its primitive root is linear in its length.
+range's length and of the pattern's.  An irrational invariant's count
+tail is a pattern too, anchored at a slice: saturated (+), zero (-) or a
+primitive mixed pattern; normalizing a pattern to its primitive root is
+linear in its length.
 
 The invariant of an end is one of these records: a minimally twisting one
 of three kinds, by its slope at infinity; rotative layers over a residual
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import accumulate
 
 from .blocks import BlockDecomposition
 from .errors import (
@@ -49,21 +51,35 @@ SPAN_BUDGET = 10**5
 # sign data
 
 
-def _count_periodic(pattern: tuple[int, ...], lo: int, hi: int) -> int:
-    """Positive entries of pattern[j % len(pattern)] for lo <= j < hi: the
-    difference of the counts before hi and before lo, each whole periods
-    plus a head of the pattern (floor division makes this hold below 0)."""
+# prefix counts of the two-sign patterns, the tails of most families, whose
+# members would otherwise each build the same table
+_PAIR_COUNTS = {(POSITIVE, NEGATIVE): (0, 1, 1), (NEGATIVE, POSITIVE): (0, 0, 1)}
+
+
+def _positive_counts(pattern: tuple[int, ...]) -> tuple[int, ...]:
+    """The prefix counts of a pattern: entry i is the number of positive
+    entries of pattern[:i], for 0 <= i <= len(pattern)."""
+    return _PAIR_COUNTS.get(pattern) or tuple(accumulate((s == POSITIVE for s in pattern), initial=0))
+
+
+def _count_periodic(counts: tuple[int, ...], lo: int, hi: int) -> int:
+    """Positive entries of pattern[j % n] for lo <= j < hi, read off the
+    pattern's prefix counts (n = len(counts) - 1): whole periods plus a head
+    before hi, less the same before lo (floor division holds below 0 too)."""
     if hi <= lo:
         return 0
-    (q, r), (q0, r0) = divmod(hi, len(pattern)), divmod(lo, len(pattern))
-    return (q - q0) * pattern.count(POSITIVE) + pattern[:r].count(POSITIVE) - pattern[:r0].count(POSITIVE)
+    n = len(counts) - 1
+    (q, r), (q0, r0) = divmod(hi, n), divmod(lo, n)
+    return (q - q0) * counts[n] + counts[r] - counts[r0]
 
 
 class SignTail(Record):
     """A sign rule for the slices of an infinite factorization: `after`
     opening slices of the sign opposite to pattern[0], then `pattern`
     repeated forever.  sign_at(j) and count_positive(lo, hi), the number of
-    positive slices j with lo <= j < hi, take time independent of hi - lo."""
+    positive slices j with lo <= j < hi, take time independent of hi - lo
+    and of len(pattern): each rule also names `_counts`, the prefix counts
+    of its pattern (see _positive_counts)."""
 
     __slots__ = ()
     after = 0
@@ -76,7 +92,7 @@ class SignTail(Record):
     def count_positive(self, lo: int, hi: int) -> int:
         after, pattern = self.after, self.pattern
         opening = max(0, min(hi, after) - lo) if pattern[0] == NEGATIVE else 0
-        return opening + _count_periodic(pattern, max(lo, after) - after, hi - after)
+        return opening + _count_periodic(self._counts, max(lo, after) - after, hi - after)
 
     def shifted(self, k: int) -> "SignTail":
         """The rule with its first k slices dropped."""
@@ -85,12 +101,12 @@ class SignTail(Record):
 
 class AllPositive(SignTail):
     __slots__ = ()
-    pattern = (POSITIVE,)
+    pattern, _counts = (POSITIVE,), (0, 1)
 
 
 class AllNegative(SignTail):
     __slots__ = ()
-    pattern = (NEGATIVE,)
+    pattern, _counts = (NEGATIVE,), (0, 0)
 
 
 class EventuallySign(SignTail):
@@ -113,6 +129,10 @@ class EventuallySign(SignTail):
     def pattern(self) -> tuple[int, ...]:
         return (self.sign,)
 
+    @property
+    def _counts(self) -> tuple[int, ...]:
+        return (0, 1) if self.sign == POSITIVE else (0, 0)
+
     def shifted(self, k: int) -> "EventuallySign":
         return EventuallySign(self.sign, max(0, self.after - k))
 
@@ -129,12 +149,17 @@ class Alternating(SignTail):
     def pattern(self) -> tuple[int, ...]:
         return (self.first, -self.first)
 
+    @property
+    def _counts(self) -> tuple[int, ...]:
+        return (0, 1, 1) if self.first == POSITIVE else (0, 0, 1)
+
     def shifted(self, k: int) -> "Alternating":
         return Alternating(self.first if k % 2 == 0 else -self.first)
 
 
 class Periodic(SignTail):
-    __slots__ = ("pattern",)
+    __slots__ = ("pattern", "_counts")
+    _fields = ("pattern",)
 
     def __init__(self, pattern: tuple[int, ...]):
         if not pattern:
@@ -142,6 +167,7 @@ class Periodic(SignTail):
         if any(s not in (POSITIVE, NEGATIVE) for s in pattern):
             raise ValueError("pattern entries must be +1 or -1")
         setfield(self, "pattern", tuple(pattern))
+        setfield(self, "_counts", _positive_counts(self.pattern))
 
     def shifted(self, k: int) -> "Periodic":
         rot = k % len(self.pattern)
@@ -239,7 +265,8 @@ InfiniteBlockForm = PosFinite | NegFinite | AlternatingForm | BothFinite
 class CountTail(Record):
     """Slice signs of every tail block follow `pattern` with period
     len(pattern), phase-anchored so that slice index `anchor` reads
-    pattern[0]; a one-sign pattern needs no anchor."""
+    pattern[0]; a one-sign pattern needs no anchor.  Each kind names
+    `_counts`, as a SignTail does."""
 
     __slots__ = ()
     anchor = 0
@@ -248,32 +275,34 @@ class CountTail(Record):
         return self.pattern[(j - self.anchor) % len(self.pattern)]
 
     def count_positive(self, lo: int, hi: int) -> int:
-        return _count_periodic(self.pattern, lo - self.anchor, hi - self.anchor)
+        return _count_periodic(self._counts, lo - self.anchor, hi - self.anchor)
 
 
 class SaturatedCounts(CountTail):
     """f(i) = length(B_i) - 1 for every tail block (all slices positive)."""
 
     __slots__ = ()
-    pattern = (POSITIVE,)
+    pattern, _counts = (POSITIVE,), (0, 1)
 
 
 class ZeroCounts(CountTail):
     """f(i) = 0 for every tail block (all slices negative)."""
 
     __slots__ = ()
-    pattern = (NEGATIVE,)
+    pattern, _counts = (NEGATIVE,), (0, 0)
 
 
 class PatternCounts(CountTail):
     """A primitive and genuinely mixed pattern (single-sign patterns
     normalize to the tails above)."""
 
-    __slots__ = ("pattern", "anchor")
+    __slots__ = ("pattern", "anchor", "_counts")
+    _fields = ("pattern", "anchor")
 
     def __init__(self, pattern: tuple[int, ...], anchor: int):
         setfield(self, "pattern", pattern)
         setfield(self, "anchor", anchor)
+        setfield(self, "_counts", _positive_counts(pattern))
 
 
 def _primitive_pattern(pattern: tuple[int, ...]) -> tuple[int, ...]:

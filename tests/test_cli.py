@@ -331,6 +331,17 @@ def test_equal_count_patterns_walk_one_block_period():
     assert peak < 50 * 2 ** 20
 
 
+def test_a_long_pattern_counts_each_block_without_reading_the_pattern():
+    # a pattern of 20,001 slices: the obstruction counts block after block
+    # of it, and each count reads the pattern's prefix counts in constant time
+    tail = {"type": "periodic", "pattern": ["+", "-"] + ["+"] * 19999}
+    started = time.perf_counter()
+    code, out = invoke("extend-check", {"end": end_doc(SQRT2, tail=tail)})
+    elapsed = time.perf_counter() - started
+    assert code == 0 and json.loads(out)["result"] == "no-tight-extension"
+    assert elapsed < 0.5
+
+
 def test_span_budget_is_a_violation_and_the_batch_goes_on():
     jobs = [{"command": "compare", "input": equal_count_pair(400)},
             {"command": "count", "input": {"lengths": [2]}}]

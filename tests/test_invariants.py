@@ -44,6 +44,7 @@ from toric_ends.invariants import (
     ZeroCounts,
     _count_periodic,
     _normalize_count_tail,
+    _positive_counts,
     _primitive_pattern,
     _tail_pattern_at,
     signs_from_chars,
@@ -487,8 +488,9 @@ def test_count_periodic_matches_the_per_slice_sum():
             for lo in range(-n, 2 * n):
                 for hi in range(lo + 1, 2 * n + 1):
                     naive = sum(1 for j in range(lo, hi) if pattern[j % n] == P)
-                    assert _count_periodic(pattern, lo, hi) == naive, (pattern, lo, hi)
-    assert _count_periodic((P, N), 5, 5) == _count_periodic((P, N), 5, 2) == 0
+                    assert _count_periodic(_positive_counts(pattern), lo, hi) == naive, (pattern, lo, hi)
+    counts = _positive_counts((P, N))
+    assert _count_periodic(counts, 5, 5) == _count_periodic(counts, 5, 2) == 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,8 +1,10 @@
 """The integer walk kernel against slow paths: the PQa surd state
-(P + sqrt(D))/Q and the per-kind walk updates against the reference
-stepper and the reference period scan, the vertex text read off the runs
-against str() of each vertex, and work counts: a walk step builds no GL2Z,
-and a differing block answers a compare without the block period."""
+(P + sqrt(D))/Q and the per-kind runs against the reference stepper and
+the reference period scan, the rounding of a rational run against the
+reference stepper and block finder on every small target, the vertex text
+read off the runs against str() of each vertex, and work counts: a walk
+builds no GL2Z and one walk value per run, and a differing block answers a
+compare without the block period."""
 
 from math import isqrt
 
@@ -19,12 +21,19 @@ from toric_ends import (
     classify,
     decompose,
     equivalent,
+    next_toward,
     quadratic_cf_target,
 )
 from toric_ends.errors import MalformedPathError
-from toric_ends.farey import _Walk
+from toric_ends.farey import _Surd, _Walk
 
-from oracles import reference_cf_coefficients, reference_path, reference_quadratic_period
+from oracles import (
+    reference_blocks,
+    reference_cf_coefficients,
+    reference_next_toward,
+    reference_path,
+    reference_quadratic_period,
+)
 from test_period import N, P, periodic_end
 
 # negative b, |c| > 1 and d with square factors (12 = 2^2*3, 50 = 5^2*2)
@@ -72,6 +81,47 @@ def test_cf_coefficients_match_the_mobius_recurrence(target):
 def test_block_period_of_a_long_period():
     target = QuadraticTarget.of(0, -1, 1, 10 ** 10 + 19)
     assert target.block_period(Slope(-1, 1)) == (2, 62067, 1095612)
+
+
+# ---------------------------------------------------------------------------
+# rational rounding: an integer x or z
+
+
+def all_block_tuples(path):
+    return [(b.start_index, b.end_index, b.witness.entries(), b.infinite)
+            for b in decompose(path).all_blocks()]
+
+
+def check_rational_walk(start, target):
+    assert next_toward(start, target) == reference_next_toward(start, target)
+    assert all_block_tuples(FareyPath(start, target)) == reference_blocks(FareyPath(start, target), 10 ** 9)
+    assert FareyPath(start, target).prefix(40) == reference_path(start, target, 40)
+
+
+def test_rational_walks_round_every_small_target():
+    # every p/q with |p|, q <= 12, attained or not, from four starts; the
+    # walk reads x and z off each run where the reference steps one vertex
+    slopes = {Slope(p, q) for p in range(-12, 13) for q in range(13) if p or q}
+    for start in (Slope(-1, 1), Slope(0, 1), Slope(1, 0), Slope(5, 2)):
+        for slope in slopes - {start}:
+            for attained in (True, False):
+                check_rational_walk(start, RationalTarget(slope, attained))
+
+
+@pytest.mark.parametrize("start,target,edges", [
+    (Slope(-1, 1), RationalTarget(Slope(-2, 1), True), [1]),  # integer x: a hit on the first step
+    (Slope(1, 0), RationalTarget(Slope(3, 1), True), [1]),
+    (Slope(-1, 1), RationalTarget(Slope(-2, 1), False), [None]),  # integer x: z = oo, the infinite run
+    (Slope(1, 0), RationalTarget(Slope(7, 2), False), [1, None]),  # integer z: a1 = z - 1, then x' = 2
+    (Slope(1, 0), RationalTarget(Slope(7, 2), True), [2]),  # integer z: a1 = z, a hit
+], ids=["hit-first-step", "hit-first-step-from-oo", "integer-x-infinite-run", "integer-z-short",
+        "integer-z-hit"])
+def test_rational_rounding_cases(start, target, edges):
+    check_rational_walk(start, target)
+    path = FareyPath(start, target)
+    path.extend_to(40)
+    assert [run.edges for run in path._runs] == edges
+    assert path.complete is target.attained
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +190,49 @@ def test_walk_steps_build_no_gl2z(monkeypatch):
     monkeypatch.setattr(GL2Z, "__init__", counted)
     steps = 0
     while steps < 2000:
-        walk.step()
-        steps += 1 + walk.run()
+        edges, _, _ = walk.next_run()
+        steps += edges
     assert built == 0
     GL2Z(0, 1, 1, 0)
     assert built == 1  # the count does see a GL2Z
+
+
+def test_a_surd_walk_builds_one_value_per_run(monkeypatch):
+    path = FareyPath(Slope(-1, 1), QuadraticTarget.of(0, -1, 1, 2))
+    built = 0
+    init = _Surd.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+
+    monkeypatch.setattr(_Surd, "__init__", counted)
+    assert path.run(1999) is not None
+    assert built <= 2001  # the first x, then one x' per run
+
+
+def test_a_rational_walk_builds_one_slope_per_run(monkeypatch):
+    # -P/Q for consecutive Pell numbers is -[2; 2, 2, ...]: every run but
+    # the last has an integer z, the case that rounds a1 = z - 1
+    pell = [0, 1]
+    while len(pell) < 1002:
+        pell.append(2 * pell[-1] + pell[-2])
+    path = FareyPath(Slope(-1, 1), RationalTarget(Slope(-pell[-1], pell[-2]), False))
+    calls = 0
+    primitive = Slope._primitive.__func__
+
+    def counted(cls, p, q):
+        nonlocal calls
+        calls += 1
+        return primitive(cls, p, q)
+
+    monkeypatch.setattr(Slope, "_primitive", classmethod(counted))
+    i = 0
+    while path.run(i).edges is not None:
+        i += 1
+    assert i + 1 == len(path._runs) == 501
+    assert calls <= len(path._runs)  # the first x is one of them
 
 
 def test_differing_block_answers_without_the_period(monkeypatch):
