@@ -106,6 +106,11 @@ class BlockDecomposition:
         self._blocks: list[Block] = []
         self._done = False
         self._period: list = []  # [target.block_period(start)] once computed
+        self._bounds = [0]  # see bounds()
+        # normalized count tails by (sign pattern, rotation, anchor), interned
+        # by invariants._tail_pattern_at so that ends sharing the
+        # decomposition share them (count tails are immutable records)
+        self.count_tails: dict = {}
 
     def _emit_next(self) -> bool:
         """Compute one more block; returns False when the list is finished."""
@@ -116,7 +121,10 @@ class BlockDecomposition:
         if run is None:
             self._done = True
             return False
-        self._blocks.append(Block(run))
+        block = Block(run)
+        self._blocks.append(block)
+        if not block.infinite:
+            self._bounds.append(block.end_index)
         # an infinite run (normalized: -1, -2, -3, ... forever) ends the list
         self._done = run.edges is None or (self.path.complete and self.path.run(i + 1) is None)
         return True
@@ -147,6 +155,22 @@ class BlockDecomposition:
         while self._emit_next():
             pass
         return list(self._blocks)
+
+    def bounds(self, blocks: int | None = 0, reach: int = 0) -> list[int]:
+        """The slice bounds of the blocks walked so far, one entry appended
+        per block as it is walked.  Entry 0 is slice 0, where block 1
+        starts, and entry i is the end of block i, where block i + 1 starts;
+        an infinite block has no end, so its start is the last entry.  The
+        blocks are walked until the table bounds `blocks` blocks (every
+        block when None, legal only for a finite list) and its last entry
+        reaches slice `reach`, or until the list ends.  Every caller reads
+        the same list, which grows in place, so none may change it."""
+        if blocks is None and not self.path.target.rational:
+            raise InfiniteBlockError("irrational targets have infinitely many blocks")
+        bounds = self._bounds
+        while (blocks is None or len(bounds) <= blocks or bounds[-1] < reach) and self._emit_next():
+            pass
+        return bounds
 
     @property
     def finished(self) -> bool:

@@ -424,6 +424,7 @@ def _cmd_count(doc: dict, options: dict) -> dict:
         total = inv_mod.count_invariants(lengths)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
+    _check_digits((total,), "a count")
     out = {"count": total}
     if any(m == 1 for m in lengths):
         out["note"] = "length-1 blocks carry no basic slices and contribute factor 1"
@@ -511,6 +512,8 @@ COMMANDS = tuple(_RUNNERS)
 
 
 def run_command(command: str, doc: object, options: dict) -> dict:
+    if not isinstance(command, str):
+        raise SchemaError(f"command must be a string, not {type(command).__name__}")
     if command not in _RUNNERS:
         raise SchemaError(f"unknown command {command!r}")
     return _RUNNERS[command](doc, options)
@@ -601,6 +604,9 @@ def main(argv=None) -> int:
 
     if args.horizon < 1:
         print("horizon must be >= 1", file=sys.stderr)
+        return 2
+    if args.max_family < 0:
+        print("max-family must be >= 0", file=sys.stderr)
         return 2
     options = {"horizon": args.horizon, "max_family": args.max_family}
 

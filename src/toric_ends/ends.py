@@ -11,7 +11,7 @@ the target kind.
 from __future__ import annotations
 
 from collections.abc import Callable
-from itertools import islice, product
+from itertools import chain, islice, pairwise, product
 
 from .blocks import decompose
 from .errors import (
@@ -43,7 +43,6 @@ from .invariants import (
     NestedAnnuli,
     NonMinimallyTwisting,
     PosFinite,
-    RationalNonAttainedInvariant,
     SignData,
     _periodic_span,
     invariant_from_signs,
@@ -306,13 +305,15 @@ def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> Obstructi
     tail = inv.tail
     if len(tail.pattern) == 1:
         # a constant tail extends when every prefix block is as extreme as it
-        if all(c == tail.count_positive(*decomp.block(i).slice_range)
-               for i, c in enumerate(inv.counts, start=1)):
+        bounds = decomp.bounds(len(inv.counts))
+        if all(c == tail.count_positive(lo, hi) for c, (lo, hi) in zip(inv.counts, pairwise(bounds))):
             return ExtendsByConstruction()
         return Unknown(horizon)
-    # every block of the span is a tail block, so its count is the tail's
+    # every block of the span is a tail block, so its count is the tail's;
+    # a block of one slice is never mixed, and is passed without a count
     span = _periodic_span(decomp, inv.first_tail_block(), len(tail.pattern))
-    if span is not None and any(0 < tail.count_positive(lo, hi) < hi - lo for lo, hi in span[1]):
+    if span is not None and any(hi - lo > 1 and 0 < tail.count_positive(lo, hi) < hi - lo
+                                for lo, hi in span[1]):
         return NoTightExtension(
             "per-block count is neither maximal nor minimal for infinitely many blocks")
     return Unknown(horizon)
@@ -321,23 +322,23 @@ def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> Obstructi
 def extension_obstruction(inv, horizon: int = DEFAULT_HORIZON) -> ObstructionResult:
     """Decide whether the classified end can sit inside a tight toric end on
     the full half-open cylinder, where the theory decides it."""
+    if isinstance(inv, IrrationalInvariant):
+        return _irrational_obstruction(inv, horizon)
     if isinstance(inv, (NonMinimallyTwisting, InfiniteDivision)):
         raise ToricEndError("extension obstructions apply to minimally twisting invariants")
 
     if isinstance(inv, AttainedInvariant):
         return ExtendsByConstruction()
-    if isinstance(inv, RationalNonAttainedInvariant):
-        form = inv.infinite_block
-        if isinstance(form, AlternatingForm):
-            return NoTightExtension("both infinite-block slice counts are infinite")
-        if isinstance(form, BothFinite):
-            raise ToricEndError("inadmissible invariant: both infinite-block counts finite")
-        if form.m >= 1:
-            kind = "positive" if isinstance(form, PosFinite) else "negative"
-            return NoTightExtension(
-                f"infinite block has {form.m} {kind} slices and infinitely many of the other sign")
-        return ExtendsByConstruction()
-    return _irrational_obstruction(inv, horizon)
+    form = inv.infinite_block  # the rational non-attained invariant
+    if isinstance(form, AlternatingForm):
+        return NoTightExtension("both infinite-block slice counts are infinite")
+    if isinstance(form, BothFinite):
+        raise ToricEndError("inadmissible invariant: both infinite-block counts finite")
+    if form.m >= 1:
+        kind = "positive" if isinstance(form, PosFinite) else "negative"
+        return NoTightExtension(
+            f"infinite block has {form.m} {kind} slices and infinitely many of the other sign")
+    return ExtendsByConstruction()
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +358,12 @@ def _rational_family_signs(base: tuple[int, ...], member: int) -> SignData:
 _ALTERNATING = Alternating()
 
 
-def _alternating_family_signs(lengths: list[int], counts: tuple[int, ...]) -> SignData:
-    """counts[i] positive slices, then negative ones, on block i + 1 of the
-    given lengths; alternating signs after them."""
-    prefix: tuple[int, ...] = ()
-    for c, length in zip(counts, lengths):
-        prefix += (POSITIVE,) * c + (NEGATIVE,) * (length - 1 - c)
-    return SignData(prefix, _ALTERNATING)
+def _alternating_family_signs(blocks: tuple[tuple[int, ...], ...]) -> SignData:
+    """The signs of each leading block in turn, then alternating signs.  The
+    prefix goes through a list, so that SignData builds its tuple at its
+    final size: a tuple grown from an iterator is resized, and each one then
+    waits, freed, on the interpreter's free list for its size."""
+    return SignData(list(chain.from_iterable(blocks)), _ALTERNATING)
 
 
 def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE,
@@ -371,8 +371,12 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
     """k pairwise non-equivalent invariants, each certified NoTightExtension.
 
     The members differ only in their signs, so they are classified against
-    one shared decomposition of the path toward the target; each member is
-    still validated and certified on its own."""
+    one shared decomposition of the path toward the target, and what they
+    share is read off it: the walked blocks and their slice bounds, the
+    block period and, toward an irrational target, one count tail, interned
+    there by the first member.  Each member still builds its own sign data,
+    is validated, has its prefix blocks counted from its own signs and is
+    certified by its own extension_obstruction scan."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -393,7 +397,7 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
         return inv
 
     if target.rational:
-        finite_slices = decomp.all_blocks()[-1].slice_range[0]
+        finite_slices = decomp.bounds(None)[-1]
         base = (NEGATIVE,) * finite_slices
         return [certified(_rational_family_signs(base, member),
                           lambda: f"family member {member} failed certification")
@@ -407,7 +411,11 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
                 f"cannot distinguish {k} invariants within {horizon} blocks")
         lengths.append(decomp.block(len(lengths) + 1).length)
         distinct *= lengths[-1]
-    # the first k count vectors in lexicographic order
-    return [certified(_alternating_family_signs(lengths, counts),
+    # entry c of row i: c positive slices, then negative ones, on block i + 1;
+    # the first k products of the rows are the first k count vectors in
+    # lexicographic order
+    rows = [[(POSITIVE,) * c + (NEGATIVE,) * (length - 1 - c) for c in range(length)]
+            for length in lengths]
+    return [certified(_alternating_family_signs(blocks),
                       lambda: f"alternating-tail members toward {target} are not certifiable")
-            for counts in islice(product(*map(range, lengths)), k)]
+            for blocks in islice(product(*rows), k)]

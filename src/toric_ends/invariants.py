@@ -22,8 +22,9 @@ end; or the marker of an end with infinite division number at infinity.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from itertools import accumulate
+from itertools import accumulate, chain, islice, pairwise
 
 from .blocks import BlockDecomposition
 from .errors import (
@@ -51,8 +52,8 @@ SPAN_BUDGET = 10**5
 # sign data
 
 
-# prefix counts of the two-sign patterns, the tails of most families, whose
-# members would otherwise each build the same table
+# prefix counts of the two-sign patterns, the most common tails, so that no
+# classification of one end builds a table for them
 _PAIR_COUNTS = {(POSITIVE, NEGATIVE): (0, 1, 1), (NEGATIVE, POSITIVE): (0, 0, 1)}
 
 
@@ -235,11 +236,17 @@ class PosFinite(Record):
 
     __slots__ = ("m",)
 
+    def __init__(self, m: int):
+        setfield(self, "m", m)
+
 
 class NegFinite(Record):
     """Finitely many negative slices (m of them) in the infinite block."""
 
     __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        setfield(self, "m", m)
 
 
 class AlternatingForm(Record):
@@ -387,7 +394,8 @@ class IrrationalInvariant(MinimallyTwisting):
             raise IndexError("block indices are 1-based")
         if i <= len(self.counts):
             return self.counts[i - 1]
-        return self.tail.count_positive(*self.context.decomposition().block(i).slice_range)
+        bounds = self.context.decomposition().bounds(i)
+        return self.tail.count_positive(bounds[i - 1], bounds[i])
 
 
 class RationalNonAttainedInvariant(MinimallyTwisting):
@@ -451,6 +459,18 @@ EndInvariant = MinimallyTwisting | NonMinimallyTwisting | InfiniteDivision
 # construction from sign data
 
 
+def _block_counts(signs: SignData, bounds: list[int], n: int) -> tuple[int, ...]:
+    """The positive slices of each of the first n blocks, bounded by
+    bounds[:n + 1]: a count over a slice of the prefix for each block that
+    ends within it, the sign rule for the rest."""
+    prefix = signs.prefix
+    inside = bisect_right(bounds, len(prefix), 0, n + 1) - 1
+    counts = [prefix[lo:hi].count(POSITIVE) for lo, hi in pairwise(bounds[:inside + 1])]
+    if inside < n:
+        counts += [signs.count_positive(lo, hi) for lo, hi in pairwise(bounds[inside:n + 1])]
+    return tuple(counts)
+
+
 def _build_attained(decomp: BlockDecomposition, signs: SignData, division: int,
                     context: InvariantContext) -> AttainedInvariant:
     slices = decomp.path.walk_to_end() - 1
@@ -459,19 +479,17 @@ def _build_attained(decomp: BlockDecomposition, signs: SignData, division: int,
     if len(signs.prefix) != slices:
         raise CoverageMismatchError(
             f"prefix covers {len(signs.prefix)} slices but the path has {slices}")
-    blocks = decomp.all_blocks()
-    counts = tuple(signs.count_positive(*b.slice_range) for b in blocks)
-    return AttainedInvariant(counts, division, context)
+    bounds = decomp.bounds(None)
+    return AttainedInvariant(_block_counts(signs, bounds, len(bounds) - 1), division, context)
 
 
 def _build_rational_non_attained(decomp: BlockDecomposition, signs: SignData,
                                  context: InvariantContext) -> RationalNonAttainedInvariant:
     if signs.tail is None:
         raise IllegalTailError("infinite path requires a sign tail")
-    *finite, infinite = decomp.all_blocks()
-    assert infinite.infinite
-    counts = tuple(signs.count_positive(b.start_index, b.end_index) for b in finite)
-    lo = infinite.start_index
+    bounds = decomp.bounds(None)
+    counts = _block_counts(signs, bounds, len(bounds) - 1)
+    lo = bounds[-1]  # where the infinite block starts
     recurring = set(signs.tail.pattern)
     if len(recurring) == 2:
         form: InfiniteBlockForm = AlternatingForm()
@@ -484,12 +502,17 @@ def _build_rational_non_attained(decomp: BlockDecomposition, signs: SignData,
     return RationalNonAttainedInvariant(counts, form, context)
 
 
-def _tail_pattern_at(signs: SignData, anchor: int) -> CountTail:
+def _tail_pattern_at(signs: SignData, anchor: int, interned: dict) -> CountTail:
     """The count tail induced by the sign tail, anchored at slice `anchor`
-    (which must lie past the tail's opening slices)."""
+    (which must lie past the tail's opening slices); normalized once per
+    pattern rotation and anchor, and kept in `interned`."""
     pattern = signs.tail.pattern
     rot = (anchor - len(signs.prefix) - signs.tail.after) % len(pattern)
-    return _normalize_count_tail(pattern[rot:] + pattern[:rot], anchor)
+    key = (pattern, rot, anchor)
+    tail = interned.get(key)
+    if tail is None:
+        tail = interned[key] = _normalize_count_tail(pattern[rot:] + pattern[:rot], anchor)
+    return tail
 
 
 def _build_irrational(decomp: BlockDecomposition, signs: SignData,
@@ -497,10 +520,10 @@ def _build_irrational(decomp: BlockDecomposition, signs: SignData,
     if signs.tail is None:
         raise IllegalTailError("infinite path requires a sign tail")
     pure = len(signs.prefix) + signs.tail.after  # the first slice past the opening ones
-    counts = []
-    while (block := decomp.block(len(counts) + 1)).start_index < pure:
-        counts.append(signs.count_positive(block.start_index, block.end_index))
-    return IrrationalInvariant(tuple(counts), _tail_pattern_at(signs, block.start_index), context)
+    bounds = decomp.bounds(reach=pure)
+    n = bisect_left(bounds, pure)  # the blocks that start before slice `pure`
+    return IrrationalInvariant(_block_counts(signs, bounds, n),
+                               _tail_pattern_at(signs, bounds[n], decomp.count_tails), context)
 
 
 def invariant_from_signs(decomp: BlockDecomposition, signs: SignData,
@@ -537,7 +560,12 @@ def _periodic_span(decomp: BlockDecomposition, k: int, m: int):
     `slices` slices later, so only one block period is walked, and the
     pattern phase repeats after m / gcd(slices, m) such periods.  None when
     the target's blocks need not repeat (a stream); a ToricEndError past
-    SPAN_BUDGET blocks."""
+    SPAN_BUDGET blocks.
+
+    The ranges are read off the decomposition's bounds table, one per block
+    as it is asked for, and never built whole: the blocks of the first
+    period already walked come straight from the table, the rest of it is
+    walked as it is read, and each later period is the first one shifted."""
     period = decomp.period()
     if period is None:
         return None
@@ -547,8 +575,17 @@ def _periodic_span(decomp: BlockDecomposition, k: int, m: int):
         raise ToricEndError(f"a periodic span of {blocks * repeats} blocks is past the budget of "
                             f"SPAN_BUDGET = {SPAN_BUDGET} blocks")
     lo = max(k, i0)
-    return lo, ((b.start_index + t * slices, b.end_index + t * slices)
-                for t in range(repeats) for b in map(decomp.block, range(lo, lo + blocks)))
+    end = lo + blocks - 1  # the last block of the first period
+    bounds = decomp.bounds()
+    walked = max(lo - 1, min(len(bounds) - 1, end))  # blocks lo .. walked are in the table
+
+    def rest():
+        for i in range(walked, end):  # the rest of the first period, walked as it is read
+            decomp.bounds(i + 1)
+            yield bounds[i], bounds[i + 1]
+        for offset in range(slices, repeats * slices, slices):
+            yield from ((a + offset, b + offset) for a, b in pairwise(islice(bounds, lo - 1, end + 1)))
+    return lo, chain(pairwise(islice(bounds, lo - 1, walked + 1)), rest())
 
 
 def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,
@@ -558,7 +595,7 @@ def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,
         return False
     ta, tb = a.tail, b.tail
     decomp = a.context.decomposition()
-    anchor = decomp.block(k).start_index
+    anchor = decomp.bounds(k - 1)[k - 1]
     lcm = math.lcm(len(ta.pattern), len(tb.pattern))
     if all(ta.sign_at(j) == tb.sign_at(j) for j in range(anchor, anchor + lcm)):
         return True  # the patterns agree on every slice from block k on

@@ -124,6 +124,14 @@ def test_family_cap():
     assert code == 2
 
 
+def test_family_cap_below_zero_is_refused(capsys):
+    code, out = invoke("family", {"target": INF_NA, "k": 3}, "--max-family", "-5")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "max-family must be >= 0\n"
+    code, out = invoke("family", {"target": INF_NA, "k": 0}, "--max-family", "0")
+    assert code == 0 and json.loads(out) == {"invariants": []}
+
+
 def test_reduce_solid_torus_command():
     code, out = invoke("reduce-solid-torus", {"end": end_doc(SQRT2, tail={"type": "all-positive"})})
     assert code == 0
@@ -466,6 +474,22 @@ def test_block_witnesses_multiply_out_no_determinant(monkeypatch):
     assert [b.witness.entries() for b in blocks] == [tuple(d["witness"]) for d in answer["blocks"][:3]]
 
 
+def test_a_count_past_the_int_to_text_limit_is_a_violation_and_the_batch_goes_on():
+    limit = sys.get_int_max_str_digits()
+    jobs = [{"command": "count", "input": {"lengths": [10 ** 6] * 800}},
+            {"command": "count", "input": {"lengths": [2]}}]
+    code, out = invoke("run", jobs)
+    assert code == 1
+    assert json.loads(out) == [
+        {"status": "violation",
+         "error": f"the answer would hold a count of more than {limit} digits, the limit of int-to-text conversion"},
+        {"status": "ok", "output": {"count": 2}}]
+    # 10^(limit - 1) has limit digits and is answered; 10^limit is refused
+    assert run_command("count", {"lengths": [10] * (limit - 1)}, {"horizon": 64})["count"] == 10 ** (limit - 1)
+    code, out = invoke("count", {"lengths": [10] * limit})
+    assert code == 1 and "a count of more than" in json.loads(out)["error"]
+
+
 def test_euler_entries_past_the_int_to_text_limit_are_a_violation():
     end = end_doc(SQRT2, tail={"type": "all-positive"})
     code, out = invoke("euler", {"end": end, "horizon": 12000})
@@ -544,6 +568,17 @@ def test_batch_run_statuses():
     assert code == 1
     results = json.loads(out)
     assert [r["status"] for r in results] == ["ok", "violation", "violation", "ok"]
+
+
+@pytest.mark.parametrize("command", [["count"], {"name": "count"}, 7, None])
+def test_a_command_that_is_not_a_string_is_malformed_and_the_batch_goes_on(command):
+    jobs = [{"command": command, "input": {"lengths": [2]}},
+            {"command": "count", "input": {"lengths": [2]}}]
+    code, out = invoke("run", jobs)
+    assert code == 2
+    assert json.loads(out) == [
+        {"status": "malformed", "error": f"command must be a string, not {type(command).__name__}"},
+        {"status": "ok", "output": {"count": 2}}]
 
 
 def test_batch_job_options_are_strict():

@@ -18,7 +18,7 @@ from toric_ends import (
     non_extendable_family,
     quadratic_cf_target,
 )
-from toric_ends import ends
+from toric_ends import blocks, ends, invariants
 from toric_ends.cli import invariant_doc
 from toric_ends.errors import ToricEndError
 
@@ -64,6 +64,16 @@ def test_surd_family_matches_reference(surd, start, k):
     same_family(QuadraticTarget.of(*surd), k, start)
 
 
+@settings(max_examples=25, deadline=None)
+@example(40, Slope(-1, 1), 60)
+@example(41, Slope(2, 5), 120)
+@given(st.integers(40, 300), SLOPES, st.integers(1, 120))
+def test_family_toward_surds_with_long_blocks_matches_reference(n, start, k):
+    # -sqrt(n^2 + 1) has blocks of about 2n vertices, so a member's counts
+    # sit on one or two long blocks and its certificate on long tail blocks
+    same_family(QuadraticTarget.of(0, -1, 1, n * n + 1), k, start)
+
+
 @settings(max_examples=30, deadline=None)
 @example((0, -1, 1, 3), Slope(-3, 2), 4)
 @given(SURDS, SLOPES, st.integers(1, 20))
@@ -78,16 +88,16 @@ def test_attained_and_empty_families_match_reference():
     same_family(RationalTarget(Slope(-5, 2), False), -1, Slope(-1, 1))
 
 
-def counting(monkeypatch, name):
-    """Replace ends.<name> by a wrapper recording its first argument."""
+def counting(monkeypatch, name, owner=ends):
+    """Replace owner.<name> by a wrapper recording its first argument."""
     seen = []
-    real = getattr(ends, name)
+    real = getattr(owner, name)
 
     def wrapper(arg, *rest):
         seen.append(arg)
         return real(arg, *rest)
 
-    monkeypatch.setattr(ends, name, wrapper)
+    monkeypatch.setattr(owner, name, wrapper)
     return seen
 
 
@@ -119,3 +129,20 @@ def test_rational_members_carry_constant_size_signs(monkeypatch):
     assert len(validated) == 10 ** 4
     assert {len(e.signs.prefix) for e in validated} == {finite_slices}
     assert family[-1].invariant.infinite_block == PosFinite(5000)
+
+
+def test_family_members_share_one_count_tail_and_one_bounds_table(monkeypatch):
+    # every block toward -sqrt(3) from -1 has 3 vertices, so 244 and 250
+    # members both take the first 3^5 < k <= 3^6 count vectors over 6 blocks
+    normalized = counting(monkeypatch, "_normalize_count_tail", invariants)
+    walked = counting(monkeypatch, "_emit_next", blocks.BlockDecomposition)
+    work = []
+    for k in (244, 250):
+        normalized.clear()
+        walked.clear()
+        family = non_extendable_family(QuadraticTarget.of(0, -1, 1, 3), k)
+        assert len({id(m.tail) for m in family}) == 1
+        work.append((len(normalized), len(walked)))
+    # one count tail per family, and the members' block counts and
+    # certificates read the bounds the first of them walked
+    assert work[0] == work[1] and work[0][0] == 1

@@ -456,7 +456,10 @@ def test_alternating_count_tail_is_already_normal(prefix, first, offset):
     signs = SignData(prefix, Alternating(first))
     anchor = len(prefix) + offset
     pattern = (signs.sign_at(anchor), signs.sign_at(anchor + 1))
-    assert _tail_pattern_at(signs, anchor) == _normalize_count_tail(pattern, anchor)
+    interned = {}
+    tail = _tail_pattern_at(signs, anchor, interned)
+    assert tail == _normalize_count_tail(pattern, anchor)
+    assert _tail_pattern_at(signs, anchor, interned) is tail
 
 
 @settings(max_examples=300, deadline=None)

@@ -130,12 +130,16 @@ def test_count_equal_patterns_are_equivalent_at_horizon_one():
 
 
 @settings(max_examples=100, deadline=None)
-@given(SURDS, STARTS, st.integers(1, 12), st.integers(1, 8))
-def test_periodic_span_reads_the_walked_blocks(target, start, k, m):
+@given(SURDS, STARTS, st.integers(1, 12), st.integers(1, 8), st.integers(0, 40))
+def test_periodic_span_reads_the_walked_blocks(target, start, k, m, walked):
     decomp = decompose(FareyPath(start, target))
     i0, blocks, slices = decomp.period()
+    decomp.bounds(walked)  # none, some or all of the span's first period walked before
     lo, ranges = _periodic_span(decomp, k, m)
-    ranges = list(ranges)
+    first = next(ranges)
+    # reading the first range walks no block past the first of the span
+    assert len(decomp.bounds()) - 1 <= max(walked, lo)
+    ranges = [first, *ranges]
     assert lo == max(k, i0)
     assert len(ranges) == blocks * m // gcd(slices, m)
     assert ranges == [decomp.block(i).slice_range for i in range(lo, lo + len(ranges))]
