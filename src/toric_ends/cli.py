@@ -420,11 +420,16 @@ def _cmd_count(doc: dict, options: dict) -> dict:
     if (not isinstance(lengths, list) or not lengths
             or any(isinstance(v, bool) or not isinstance(v, int) for v in lengths)):
         raise SchemaError("input.lengths must be a nonempty list of integers")
-    try:
-        total = inv_mod.count_invariants(lengths)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
-    _check_digits((total,), "a count")
+    if any(m < 1 for m in lengths):
+        raise SchemaError("block lengths must be >= 1")
+    # the lengths are at least 1, so the partial products never shrink, and
+    # the first one past the _text_bound is refused before the rest is multiplied
+    bound = _text_bound(sys.get_int_max_str_digits())
+    total = 1
+    for m in lengths:
+        total *= m
+        if bound and total >= bound:
+            raise _digits_error("a count")
     out = {"count": total}
     if any(m == 1 for m in lengths):
         out["note"] = "length-1 blocks carry no basic slices and contribute factor 1"

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, islice, pairwise
 
 from .blocks import BlockDecomposition
 from .errors import (
@@ -52,15 +52,10 @@ SPAN_BUDGET = 10**5
 # sign data
 
 
-# prefix counts of the two-sign patterns, the most common tails, so that no
-# classification of one end builds a table for them
-_PAIR_COUNTS = {(POSITIVE, NEGATIVE): (0, 1, 1), (NEGATIVE, POSITIVE): (0, 0, 1)}
-
-
 def _positive_counts(pattern: tuple[int, ...]) -> tuple[int, ...]:
     """The prefix counts of a pattern: entry i is the number of positive
     entries of pattern[:i], for 0 <= i <= len(pattern)."""
-    return _PAIR_COUNTS.get(pattern) or tuple(accumulate((s == POSITIVE for s in pattern), initial=0))
+    return tuple(accumulate((s == POSITIVE for s in pattern), initial=0))
 
 
 def _count_periodic(counts: tuple[int, ...], lo: int, hi: int) -> int:
@@ -236,17 +231,11 @@ class PosFinite(Record):
 
     __slots__ = ("m",)
 
-    def __init__(self, m: int):
-        setfield(self, "m", m)
-
 
 class NegFinite(Record):
     """Finitely many negative slices (m of them) in the infinite block."""
 
     __slots__ = ("m",)
-
-    def __init__(self, m: int):
-        setfield(self, "m", m)
 
 
 class AlternatingForm(Record):
@@ -563,9 +552,8 @@ def _periodic_span(decomp: BlockDecomposition, k: int, m: int):
     SPAN_BUDGET blocks.
 
     The ranges are read off the decomposition's bounds table, one per block
-    as it is asked for, and never built whole: the blocks of the first
-    period already walked come straight from the table, the rest of it is
-    walked as it is read, and each later period is the first one shifted."""
+    as it is asked for, and never built whole: the first period is walked
+    as it is read, and each later period is the first one shifted."""
     period = decomp.period()
     if period is None:
         return None
@@ -575,17 +563,15 @@ def _periodic_span(decomp: BlockDecomposition, k: int, m: int):
         raise ToricEndError(f"a periodic span of {blocks * repeats} blocks is past the budget of "
                             f"SPAN_BUDGET = {SPAN_BUDGET} blocks")
     lo = max(k, i0)
-    end = lo + blocks - 1  # the last block of the first period
     bounds = decomp.bounds()
-    walked = max(lo - 1, min(len(bounds) - 1, end))  # blocks lo .. walked are in the table
 
-    def rest():
-        for i in range(walked, end):  # the rest of the first period, walked as it is read
-            decomp.bounds(i + 1)
-            yield bounds[i], bounds[i + 1]
+    def ranges():
+        for i in range(lo, lo + blocks):  # the first period, walked as it is read
+            decomp.bounds(i)
+            yield bounds[i - 1], bounds[i]
         for offset in range(slices, repeats * slices, slices):
-            yield from ((a + offset, b + offset) for a, b in pairwise(islice(bounds, lo - 1, end + 1)))
-    return lo, chain(pairwise(islice(bounds, lo - 1, walked + 1)), rest())
+            yield from ((a + offset, b + offset) for a, b in pairwise(islice(bounds, lo - 1, lo + blocks)))
+    return lo, ranges()
 
 
 def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,

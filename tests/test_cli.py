@@ -490,6 +490,22 @@ def test_a_count_past_the_int_to_text_limit_is_a_violation_and_the_batch_goes_on
     assert code == 1 and "a count of more than" in json.loads(out)["error"]
 
 
+def test_a_count_past_the_int_to_text_limit_is_refused_before_it_is_multiplied_out():
+    # multiplied out, a thousand lengths of 4001 digits take over a minute;
+    # the second partial product is past the limit, and the rest is never paid for
+    jobs = [{"command": "count", "input": {"lengths": [10 ** 4000 + 1] * 1000}},
+            {"command": "count", "input": {"lengths": [0, 10 ** 4000 + 1]}},
+            {"command": "count", "input": {"lengths": [2]}}]
+    started = time.perf_counter()
+    code, out = invoke("run", jobs)
+    elapsed = time.perf_counter() - started
+    results = json.loads(out)
+    assert code == 2 and elapsed < 0.5
+    assert results[0]["status"] == "violation" and "a count of more than" in results[0]["error"]
+    assert results[1] == {"status": "malformed", "error": "block lengths must be >= 1"}
+    assert results[2] == {"status": "ok", "output": {"count": 2}}
+
+
 def test_euler_entries_past_the_int_to_text_limit_are_a_violation():
     end = end_doc(SQRT2, tail={"type": "all-positive"})
     code, out = invoke("euler", {"end": end, "horizon": 12000})
