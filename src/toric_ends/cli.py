@@ -167,11 +167,12 @@ ROTATIVITY = (_rotativity, lambda n: "inf" if n is None else n)
 RESIDUAL = (_residual, lambda inv: None if inv is None else invariant_doc(inv))
 
 
-def field(key: str, codec: tuple, attr: str | None = None, default: object = _MISSING) -> tuple:
+def field(key: str, codec: tuple, attr=None, default: object = _MISSING) -> tuple:
     """A document key as (key, decode, encode, get, default): its codec, the
     getter of the record attribute it holds (the key unless named; a dotted
-    name reaches into the record) and its default when it may be left out."""
-    return (key, *codec, attrgetter(attr or key), default)
+    name reaches into the record, and a function is the getter itself) and
+    its default when it may be left out."""
+    return (key, *codec, attr if callable(attr) else attrgetter(attr or key), default)
 
 
 class Variant:
@@ -253,7 +254,8 @@ def _checked_only(*values):
 
 TARGET = Document({
     "rational": Variant(RationalTarget, field("slope", SLOPE), field("attained", BOOL)),
-    "quadratic": Variant(QuadraticTarget, *(field(k, INT, f"value.{k}") for k in "abcd"),
+    "quadratic": Variant(QuadraticTarget,
+                         *(field(k, INT, lambda t, i=i: t.written()[i]) for i, k in enumerate("abcd")),
                          make=QuadraticTarget.of),
 }, "kind", "must be \"rational\" or \"quadratic\"")
 

@@ -214,7 +214,8 @@ def _bezout_partner(s: Slope) -> tuple[int, int]:
 # exact quadratic irrationals
 
 
-# largest trial divisor of the square-free split: enough for every d <= 10^18
+# largest trial divisor of the square-free split that writes a target as
+# text: enough for every D <= 10^18
 SQUAREFREE_TRIAL_BUDGET = 10**6
 
 # blocks QuadraticTarget.block_period walks in search of a repeat; periods
@@ -229,13 +230,12 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     What remains then has no prime factor below its cube root: it is 1, a
     prime, a product of two distinct primes or a prime square, and one
     isqrt tells the square apart.  Past SQUAREFREE_TRIAL_BUDGET trial
-    divisors the split stops with a ToricEndError."""
+    divisors the split stops there: d0 is then the cofactor, which need not
+    be squarefree, and f*f * d0 is still d."""
     f, odd, rest, k = 1, 1, d, 2
     while k * k * k <= rest:
         if k > SQUAREFREE_TRIAL_BUDGET:
-            raise ToricEndError(
-                f"square-free split of d = {d} needs trial divisors beyond the budget "
-                f"of {SQUAREFREE_TRIAL_BUDGET}")
+            return f, odd * rest
         while rest % k == 0:
             rest //= k
             if rest % k == 0:
@@ -250,102 +250,54 @@ def _squarefree_split(d: int) -> tuple[int, int]:
     return f, odd * rest
 
 
-def _surd_sign(a: int, b: int, d: int) -> int:
-    """Exact sign of a + b*sqrt(d), d > 1 squarefree (so it is never 0
-    unless a = b = 0)."""
-    if a >= 0 and b >= 0:
-        return 1 if (a or b) else 0
-    if a <= 0 and b <= 0:
-        return -1 if (a or b) else 0
-    lhs, rhs = a * a, b * b * d
-    if a > 0:
-        return 1 if lhs > rhs else -1
-    return -1 if lhs > rhs else 1
-
-
-class QuadraticValue(Record):
-    """The exact irrational (a + b*sqrt(d)) / c with b != 0, c > 0, d squarefree."""
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        if d <= 0:
-            raise ValueError("d must be positive")
-        if b == 0:
-            raise ValueError("b = 0 would make the value rational")
-        if c == 0:
-            raise ValueError("c must be nonzero")
-        f, d0 = _squarefree_split(d)
-        if d0 == 1:
-            raise ValueError("sqrt(d) is an integer; value is rational")
-        self._store(a, b * f, c, d0)
-
-    @classmethod
-    def _reduced(cls, a: int, b: int, c: int, d: int) -> "QuadraticValue":
-        """The value for a d that is already squarefree, as every result of
-        arithmetic on existing values is: no validation, no trial division."""
-        value = object.__new__(cls)
-        value._store(a, b, c, d)
-        return value
-
-    def _store(self, a: int, b: int, c: int, d: int):
-        if c < 0:
-            a, b, c = -a, -b, -c
-        g = gcd(gcd(abs(a), abs(b)), c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        setfield(self, "a", a)
-        setfield(self, "b", b)
-        setfield(self, "c", c)
-        setfield(self, "d", d)
-
-    def cmp_fraction(self, p: int, q: int) -> int:
-        """Exact sign of (value - p/q), q > 0."""
-        return _surd_sign(self.a * q - p * self.c, self.b * q, self.d)
-
-    def mobius(self, m: GL2Z) -> "QuadraticValue":
-        """(A*t + B) / (C*t + D), exactly, for t = this value."""
-        num_a = m.a * self.a + m.b * self.c
-        num_b = m.a * self.b
-        den_a = m.c * self.a + m.d * self.c
-        den_b = m.c * self.b
-        # multiply by the conjugate of the denominator
-        norm = den_a * den_a - den_b * den_b * self.d
-        if norm == 0:
-            raise ZeroDivisionError("Mobius image of an irrational cannot have zero denominator")
-        out_a = num_a * den_a - num_b * den_b * self.d
-        out_b = num_b * den_a - num_a * den_b
-        return QuadraticValue._reduced(out_a, out_b, norm, self.d)
-
-    def __str__(self) -> str:
-        return f"({self.a} + {self.b}*sqrt({self.d}))/{self.c}"
-
-    def cf_coefficients(self) -> Iterator[int]:
-        """Simple continued fraction coefficients, generated forever."""
-        return _cf_coefficients(_Surd.of(self))
-
-
 class _Surd:
-    """A quadratic irrational walk value x = (P + sqrt(D))/Q in PQa form:
-    D is a non-square fixed for the whole walk and Q divides D - P^2, so
-    each update below is integer arithmetic with one exact division and no
-    gcd.  The pair (P, Q) determines x."""
+    """A quadratic irrational x = (P + sqrt(D))/Q in PQa form: D is the
+    discriminant B^2 - 4AC of the primitive minimal polynomial At^2 + Bt + C
+    of x, and Q = +-2A, so Q divides D - P^2.  GL2(Z) keeps D, and with D
+    fixed the pair (P, Q) determines x, so the triple is the value's
+    identity and each update below is integer arithmetic with exact
+    divisions and no gcd."""
 
     __slots__ = ("P", "Q", "D", "r")
 
     def __init__(self, P: int, Q: int, D: int, r: int):
         self.P, self.Q, self.D, self.r = P, Q, D, r  # r = isqrt(D)
 
-    @classmethod
-    def of(cls, v: QuadraticValue) -> "_Surd":
-        sign = 1 if v.b > 0 else -1
-        P, Q, D = sign * v.a, sign * v.c, v.b * v.b * v.d
-        if (D - P * P) % Q:
-            P, Q, D = P * abs(Q), Q * abs(Q), D * Q * Q
-        return cls(P, Q, D, isqrt(D))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.P == other.P and self.Q == other.Q and self.D == other.D
+
+    def __hash__(self):
+        return hash((self.P, self.Q, self.D))
+
+    def __repr__(self) -> str:
+        return f"_Surd({self.P}, {self.Q}, {self.D}, {self.r})"
 
     def floor(self) -> int:
         return _pqa_floor(self.P, self.Q, self.r)
+
+    def cmp_fraction(self, p: int, q: int) -> int:
+        """Exact sign of (x - p/q), q > 0: the sign of Q times the sign of
+        n + q*sqrt(D) with n = q*P - p*Q, which is never 0."""
+        n = q * self.P - p * self.Q
+        sign = 1 if n >= 0 or n * n < q * q * self.D else -1
+        return sign if self.Q > 0 else -sign
+
+    def mobius(self, m: GL2Z) -> "_Surd":
+        """(a*x + b)/(c*x + d), exactly.  With u = a*P + b*Q and
+        v = c*P + d*Q the image is (u + a*sqrt(D))/(v + c*sqrt(D)); times the
+        conjugate of the denominator it is
+        ((u*v - a*c*D)/(det*Q) + sqrt(D)) / ((v^2 - c^2*D)/(det*Q)), and both
+        divisions are exact: the image has discriminant D too, and its PQa
+        pair for that D is unique."""
+        P, Q, D, a, c = self.P, self.Q, self.D, m.a, m.c
+        u, v, e = a * P + m.b * Q, c * P + m.d * Q, m.det * Q
+        return _Surd((u * v - a * c * D) // e, (v * v - c * c * D) // e, D, self.r)
+
+    def cf_coefficients(self) -> Iterator[int]:
+        """Simple continued fraction coefficients, generated forever."""
+        return _cf_coefficients(self)
 
     def _recip(self, n: int) -> "_Surd":  # 1/(x - n)
         P = n * self.Q - self.P
@@ -519,22 +471,57 @@ class IrrationalTarget:
 
 
 class QuadraticTarget(IrrationalTarget, Record):
-    """An exact quadratic irrational limit slope."""
+    """An exact quadratic irrational limit slope, held as its PQa triple
+    (see _Surd): two targets are equal exactly when their values are."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_split")
+    _fields = ("value",)
+
+    def __init__(self, value: _Surd, split: tuple[int, int] | None = None):
+        setfield(self, "value", value)
+        setfield(self, "_split", split)  # _squarefree_split(value.D), once text is written
 
     @classmethod
     def of(cls, a: int, b: int, c: int, d: int) -> "QuadraticTarget":
-        return cls(QuadraticValue(a, b, c, d))
+        """(a + b*sqrt(d))/c, a root of the primitive form of
+        c^2 t^2 - 2ac t + (a^2 - b^2 d): the larger root when b*c > 0."""
+        if d <= 0:
+            raise ValueError("d must be positive")
+        if b == 0:
+            raise ValueError("b = 0 would make the value rational")
+        if c == 0:
+            raise ValueError("c must be nonzero")
+        if isqrt(d) ** 2 == d:
+            raise ValueError("sqrt(d) is an integer; value is rational")
+        A, B, C = c * c, -2 * a * c, a * a - b * b * d
+        g = gcd(gcd(A, B), C)
+        A, B, C = A // g, B // g, C // g
+        D = B * B - 4 * A * C
+        P, Q = (-B, 2 * A) if b * c > 0 else (B, -2 * A)
+        return cls(_Surd(P, Q, D, isqrt(D)))
+
+    def written(self) -> tuple[int, int, int, int]:
+        """(a, b, c, d) with the target (a + b*sqrt(d))/c, c > 0,
+        gcd(a, b, c) = 1 and d squarefree, as far as the split of D reaches
+        within SQUAREFREE_TRIAL_BUDGET: past it d keeps the unsplit cofactor,
+        and the text still reads back to this target."""
+        if self._split is None:
+            setfield(self, "_split", _squarefree_split(self.value.D))
+        f, d = self._split
+        P, Q = self.value.P, self.value.Q
+        if Q < 0:
+            P, f, Q = -P, -f, -Q
+        g = gcd(gcd(P, f), Q)
+        return P // g, f // g, Q // g, d
 
     def cmp_fraction(self, p: int, q: int) -> int:
         return self.value.cmp_fraction(p, q)
 
     def transform(self, m: GL2Z) -> "QuadraticTarget":
-        return QuadraticTarget(self.value.mobius(m))
+        return QuadraticTarget(self.value.mobius(m), self._split)  # D, so its split, is kept
 
     def image(self, m: GL2Z) -> _Surd:
-        return _Surd.of(self.value.mobius(m))
+        return self.value.mobius(m)
 
     def block_period(self, start: Slope) -> tuple[int, int, int]:
         """At a block start the walk value x fixes every later block, and
@@ -561,7 +548,8 @@ class QuadraticTarget(IrrationalTarget, Record):
             slices += a1
 
     def __str__(self) -> str:
-        return str(self.value)
+        a, b, c, d = self.written()
+        return f"({a} + {b}*sqrt({d}))/{c}"
 
 
 class CFTarget(IrrationalTarget):
@@ -882,6 +870,6 @@ def farey_sequence(start: Slope, target: SlopeTarget, n: int) -> FareyPath:
     return path
 
 
-def quadratic_cf_target(value: QuadraticValue) -> CFTarget:
+def quadratic_cf_target(value: _Surd) -> CFTarget:
     """The same limit slope, re-expressed as a coefficient stream."""
     return CFTarget(value.cf_coefficients())

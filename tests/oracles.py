@@ -2,8 +2,11 @@
 
 Arc membership here is decided by linearizing the clockwise order at the
 current slope with Fraction arithmetic (plus a standalone surd comparator),
-not by the library's determinant products.  Witness existence is decided by
-sweeping matrix entries and solving the remaining linear system exactly.
+not by the library's determinant products.  A quadratic target is read off
+its PQa triple once (oracle_surd), and its images are taken by the
+reference conjugate-product mobius, not by the library's surd arithmetic.
+Witness existence is decided by sweeping matrix entries and solving the
+remaining linear system exactly.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _bezout_part
 
 
 def _surd_cmp_fraction(a: int, b: int, c: int, d: int, x: Fraction) -> int:
-    """sign((a + b*sqrt(d))/c - x) with c > 0, d squarefree > 1."""
+    """sign((a + b*sqrt(d))/c - x) with c > 0, d > 1 not a square."""
     # sign(a*xq - x_p*c + b*xq*sqrt(d))
     lhs = a * x.denominator - x.numerator * c
     rhs = b * x.denominator
@@ -71,6 +74,40 @@ def _surd_floor(a: int, b: int, c: int, d: int) -> int:
     return n
 
 
+def _normalized_surd(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """(a, b, c, d) for the same (a + b*sqrt(d))/c with c > 0 and
+    gcd(a, b, c) = 1; d is kept."""
+    if c < 0:
+        a, b, c = -a, -b, -c
+    g = gcd(gcd(a, b), c)
+    return a // g, b // g, c // g, d
+
+
+def reference_written(a: int, b: int, c: int, d: int) -> tuple[int, int, int, int]:
+    """The written form of the input surd (a + b*sqrt(d))/c: the squares
+    of d moved into b by the reference split, then c > 0 and
+    gcd(a, b, c) = 1."""
+    f, d0 = reference_squarefree_split(d)
+    return _normalized_surd(a, b * f, c, d0)
+
+
+def oracle_surd(value) -> tuple[int, int, int, int]:
+    """A library surd (P + sqrt(D))/Q read as (a, b, c, d) = (P, 1, Q, D),
+    sign-normalized: the comparator and the floor above need D only to be
+    non-square."""
+    return _normalized_surd(value.P, 1, value.Q, value.D)
+
+
+def reference_mobius(surd: tuple[int, int, int, int], m: GL2Z) -> tuple[int, int, int, int]:
+    """(A*t + B) / (C*t + D) for t = (a + b*sqrt(d))/c, exactly: times the
+    conjugate of the denominator, then normalized by a gcd; d is kept."""
+    a, b, c, d = surd
+    num_a, num_b = m.a * a + m.b * c, m.a * b
+    den_a, den_b = m.c * a + m.d * c, m.c * b
+    norm = den_a * den_a - den_b * den_b * d
+    return _normalized_surd(num_a * den_a - num_b * den_b * d, num_b * den_a - num_a * den_b, norm, d)
+
+
 class OracleTarget:
     """Target wrapper exposing comparisons against Fractions and oo."""
 
@@ -82,12 +119,11 @@ class OracleTarget:
             self.attained = target.attained
             self.surd = None
         elif isinstance(target, QuadraticTarget):
-            v = target.value
             self.infinite = False
             self.value = None
             self.rational_slope = None
             self.attained = False
-            self.surd = (v.a, v.b, v.c, v.d)
+            self.surd = oracle_surd(target.value)
         else:
             raise TypeError("oracle handles rational and quadratic targets")
 
@@ -231,20 +267,19 @@ def reference_next_toward(current: Slope, target) -> Slope:
         else:
             k = ratio.numerator // ratio.denominator + 1
     elif isinstance(target, QuadraticTarget):
-        v = target.value.mobius(GL2Z(-uq, up, s.q, -s.p))
-        k = _surd_floor(v.a, v.b, v.c, v.d) + 1
+        k = _surd_floor(*reference_mobius(oracle_surd(target.value), GL2Z(-uq, up, s.q, -s.p))) + 1
     else:
         k = target.mobius_floor(GL2Z(-uq, up, s.q, -s.p)) + 1
     return Slope(up + k * s.p, uq + k * s.q)
 
 
 def reference_cf_coefficients(value, n: int) -> list[int]:
-    """The first n continued fraction coefficients of a QuadraticValue by
+    """The first n continued fraction coefficients of a library surd by
     the oracle's own floor and a gcd-normalized mobius per coefficient."""
-    out = []
+    surd, out = oracle_surd(value), []
     for _ in range(n):
-        out.append(_surd_floor(value.a, value.b, value.c, value.d))
-        value = value.mobius(GL2Z(0, 1, 1, -out[-1]))  # 1 / (x - floor(x))
+        out.append(_surd_floor(*surd))
+        surd = reference_mobius(surd, GL2Z(0, 1, 1, -out[-1]))  # 1 / (x - floor(x))
     return out
 
 
@@ -535,14 +570,15 @@ def reference_quadratic_period(decomp, value, from_block: int, phase_mod: int,
                                horizon: int) -> tuple[int, int]:
     """Indices (i0, i1) with identical block state, so blocks repeat with
     period i1 - i0 from i0 on.  The state is the image of the target value
-    under the block witness together with the slice phase; the scan starts
-    at from_block and gives up after 4 * max(horizon, 8) blocks."""
+    (a library surd, read by oracle_surd) under the block witness, by the
+    reference mobius, together with the slice phase; the scan starts at
+    from_block and gives up after 4 * max(horizon, 8) blocks."""
     seen: dict = {}
+    surd = oracle_surd(value)
     i = from_block
     while i <= from_block + max(horizon, 8) * 4:
         b = decomp.block(i)
-        image = value.mobius(b.witness)
-        key = ((image.a, image.b, image.c, image.d), b.slice_range[0] % phase_mod)
+        key = (reference_mobius(surd, b.witness), b.slice_range[0] % phase_mod)
         if key in seen:
             return seen[key], i
         seen[key] = i

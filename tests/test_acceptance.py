@@ -52,6 +52,7 @@ from oracles import (
     _surd_cmp_fraction,
     oracle_next_toward,
     oracle_orbit_count,
+    oracle_surd,
     oracle_witness_search,
     synthetic_path_vertices,
 )
@@ -296,8 +297,7 @@ def _one_over_n_oracle_scan(target, attained, limit=10 ** 6):
     (-2, -1): straight enumeration with exact integer comparisons."""
     best = None
     if isinstance(target, QuadraticTarget):
-        v = target.value
-        surd = (v.a, v.b, v.c, v.d)
+        surd = oracle_surd(target.value)
 
         def ge_target(p, q):  # 1/n = p/q >= target
             return _surd_cmp_fraction(*surd, Fraction(p, q)) <= 0

@@ -7,11 +7,13 @@ import tracemalloc
 
 import pytest
 
-from toric_ends import GL2Z, FareyPath, QuadraticTarget, Slope, decompose
+from toric_ends import GL2Z, FareyPath, QuadraticTarget, Slope, classify, decompose
 from toric_ends import blocks as blocks_mod
 from toric_ends import reduce as reduce_mod
-from toric_ends.cli import main, parse_invariant_document, run_command
+from toric_ends.cli import END, TARGET, main, parse_invariant_document, run_command
 from toric_ends.errors import SchemaError, ToricEndError
+
+from oracles import reference_path
 
 SQRT2 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 2}
 INF_NA = {"kind": "rational", "slope": "1/0", "attained": False}
@@ -284,11 +286,44 @@ def test_blocks_toward_a_far_non_attained_rational():
     assert doc["complete"] is True
 
 
-def test_surd_beyond_the_trial_division_budget_is_a_violation():
+def test_surd_beyond_the_trial_division_budget_answers():
+    # reading a target splits nothing; writing it splits D only as far as
+    # the budget reaches, and the partial split reads back to the same target
     huge = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 10 ** 33 + 1}
     code, out = invoke("path", {"start": "-1/1", "target": huge, "n": 3})
-    assert code == 1
-    assert "trial divisors beyond the budget of 1000000" in json.loads(out)["error"]
+    assert code == 0
+    target = TARGET.decode(huge, "target")
+    assert json.loads(out) == {"vertices": [str(v) for v in reference_path(Slope(-1, 1), target, 3)]}
+    assert TARGET.decode(TARGET.encode(target), "target") == target
+
+
+def test_a_square_in_d_or_in_b_is_one_target(monkeypatch):
+    # d = p^2 r is past the trial-division budget, and no split is needed to
+    # read it: (0 + sqrt(p^2 r))/1 and (0 + p*sqrt(r))/1 are one PQa triple
+    p, r = 10 ** 6 + 3, 10 ** 6 + 33
+    spellings = [{"kind": "quadratic", "a": 0, "b": 1, "c": 1, "d": p * p * r},
+                 {"kind": "quadratic", "a": 0, "b": p, "c": 1, "d": r}]
+    first, second = (TARGET.decode(t, "target") for t in spellings)
+    assert first == second and hash(first) == hash(second)
+    ends = [END.decode(end_doc(t, ["+"], {"type": "alternating"}), "end") for t in spellings]
+    contexts = [classify(e).context for e in ends]
+    assert contexts[0] == contexts[1] and hash(contexts[0]) == hash(contexts[1])
+    options = {"horizon": 64, "max_family": 10}
+    answers = [run_command("classify", {"end": END.encode(e)}, options) for e in ends]
+    assert answers[0] == answers[1] and answers[0]["kind"] == "irrational"
+    assert run_command("compare", {"a": END.encode(ends[0]), "b": END.encode(ends[1])}, options) == \
+        {"equivalent": True}
+    assert run_command("family", {"target": spellings[0], "k": 0}, options) == {"invariants": []}
+    # a member is certified over the block period, far past PERIOD_BUDGET
+    # for a discriminant near 4 * 10^18: both spellings are refused alike,
+    # with one written target
+    monkeypatch.setattr("toric_ends.farey.PERIOD_BUDGET", 50)
+    refusals = []
+    for target in spellings:
+        with pytest.raises(ToricEndError) as info:
+            run_command("family", {"target": target, "k": 2}, options)
+        refusals.append(str(info.value))
+    assert refusals[0] == refusals[1] and f"sqrt({p * p * r})" in refusals[0]
 
 
 def periodic_pair(target):

@@ -1,21 +1,23 @@
 """The CLI document tables: pinned batch output, round trips, exact messages."""
 
+import functools
 import hashlib
 import importlib.util
 import io
 import json
+import operator
 import sys
-from math import gcd
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toric_ends.cli import END, invariant_doc, main, parse_invariant_document
+from toric_ends.cli import END, TARGET, invariant_doc, main, parse_invariant_document
 from toric_ends.ends import InfiniteDivision, NestedAnnuli, NonMinimallyTwisting
 from toric_ends.errors import SchemaError
-from toric_ends.farey import RationalTarget, Slope
+from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, Slope
 from toric_ends.invariants import (
     AlternatingForm,
     AttainedInvariant,
@@ -29,6 +31,8 @@ from toric_ends.invariants import (
     ZeroCounts,
     _normalize_count_tail,
 )
+
+from oracles import reference_mobius, reference_written
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -136,6 +140,40 @@ END_DOCS = st.fixed_dictionaries({
 @given(END_DOCS)
 def test_end_documents_round_trip(doc):
     assert END.encode(END.decode(doc, "end")) == doc
+
+
+# written quadratic targets against the reference normalization: square
+# factors in d, negative c and common factors of (a, b, c), then images
+# under GL2(Z) words of translations and the swap
+SURD_INPUTS = st.tuples(
+    st.integers(-60, 60), st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool),
+    st.one_of(st.integers(2, 10 ** 4),
+              st.tuples(st.integers(2, 20), st.integers(2, 25)).map(lambda t: t[0] ** 2 * t[1]))
+    .filter(lambda d: isqrt(d) ** 2 != d),
+    st.integers(1, 6),
+).map(lambda t: (t[0] * t[4], t[1] * t[4], t[2] * t[4], t[3]))
+GL2Z_WORDS = st.lists(
+    st.one_of(st.integers(-4, 4).map(lambda k: GL2Z(1, k, 0, 1)), st.just(GL2Z(0, 1, 1, 0))),
+    max_size=8,
+).map(lambda ms: functools.reduce(operator.matmul, ms, GL2Z.identity()))
+
+
+def written(surd):
+    a, b, c, d = surd
+    return {"kind": "quadratic", "a": a, "b": b, "c": c, "d": d}, f"({a} + {b}*sqrt({d}))/{c}"
+
+
+@settings(max_examples=300, deadline=None)
+@example((2, 2, -2, 12), GL2Z(0, 1, 1, 0))
+@example((-4, 6, 2, 72), GL2Z(2, 1, 1, 1))
+@given(SURD_INPUTS, GL2Z_WORDS)
+def test_written_targets_match_the_reference_normalization(surd, m):
+    target = QuadraticTarget.of(*surd)
+    expected = reference_written(*surd)
+    assert (TARGET.encode(target), str(target)) == written(expected)
+    image = target.transform(m)
+    assert (TARGET.encode(image), str(image)) == written(reference_mobius(expected, m))
+    assert TARGET.decode(TARGET.encode(image), "target") == image
 
 
 def context(attained=False):

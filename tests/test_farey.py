@@ -21,7 +21,9 @@ from toric_ends import (
     parse_slope,
     quadratic_cf_target,
 )
-from toric_ends.errors import DegenerateTargetError, ToricEndError
+from toric_ends import farey
+from toric_ends.cli import TARGET
+from toric_ends.errors import DegenerateTargetError
 from toric_ends.farey import SQUAREFREE_TRIAL_BUDGET, _squarefree_split
 
 from oracles import (
@@ -304,9 +306,15 @@ def test_squarefree_split_of_two_large_primes_is_exact():
     assert _squarefree_split(p * p * 6) == (p, 6)
     assert _squarefree_split(p * p) == (p, 1)
     target = QuadraticTarget.of(0, -1, 1, p * q)
-    assert target.value.d == p * q and target.mobius_floor(GL2Z.identity()) == -isqrt(p * q) - 1
+    assert TARGET.encode(target)["d"] == p * q and target.mobius_floor(GL2Z.identity()) == -isqrt(p * q) - 1
 
 
-def test_squarefree_split_stops_at_its_budget():
-    with pytest.raises(ToricEndError, match=f"budget of {SQUAREFREE_TRIAL_BUDGET}"):
-        QuadraticTarget.of(0, -1, 1, 10 ** 33 + 1)
+def test_squarefree_split_stops_at_its_budget(monkeypatch):
+    # past the budget the split is partial: the cofactor is kept, and f*f*d0 is still d
+    d = 10 ** 33 + 1
+    f, d0 = _squarefree_split(d)
+    assert f * f * d0 == d and d0 > SQUAREFREE_TRIAL_BUDGET ** 3
+    # the trial divisors stop at the budget: a smaller one leaves a smaller split
+    monkeypatch.setattr(farey, "SQUAREFREE_TRIAL_BUDGET", 10)
+    f, d0 = _squarefree_split(2 ** 2 * 11 ** 2 * 10007 * 10009)
+    assert (f, d0) == (2, 11 ** 2 * 10007 * 10009)

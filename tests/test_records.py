@@ -22,7 +22,7 @@ from toric_ends.ends import (
     TorusRecord,
     Unknown,
 )
-from toric_ends.farey import GL2Z, FareyPath, QuadraticTarget, QuadraticValue, RationalTarget, Slope
+from toric_ends.farey import GL2Z, FareyPath, QuadraticTarget, RationalTarget, Slope
 from toric_ends.invariants import (
     AllNegative,
     AllPositive,
@@ -111,7 +111,7 @@ def some_records():
     return [
         (Slope(1, 2), "p"),
         (GL2Z(1, 0, 0, 1), "a"),
-        (QuadraticValue(0, 1, 1, 2), "d"),
+        (QuadraticTarget.of(2, 2, -2, 12), "value"),
         (RationalTarget(Slope(1, 2)), "attained"),
         (SQRT2, "value"),
         (block, "start_index"),
@@ -140,10 +140,10 @@ def test_construction_checks_and_normalizes():
         Slope(0, 0)
     with pytest.raises(ValueError, match="determinant must be"):
         GL2Z(1, 1, 1, 1)
-    v = QuadraticValue(2, 2, -2, 12)  # (2 + 2*sqrt(12))/(-2) = -1 - 2*sqrt(3)
-    assert (v.a, v.b, v.c, v.d) == (-1, -2, 1, 3)
+    # (2 + 2*sqrt(12))/(-2) = -1 - 2*sqrt(3)
+    assert str(QuadraticTarget.of(2, 2, -2, 12)) == "(-1 + -2*sqrt(3))/1"
     with pytest.raises(ValueError):
-        QuadraticValue(0, 1, 1, 4)
+        QuadraticTarget.of(0, 1, 1, 4)
     assert SignData([1, -1]).prefix == (1, -1)
     with pytest.raises(ValueError):
         SignData((1, 0))
