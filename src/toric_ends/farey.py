@@ -215,7 +215,7 @@ def _bezout_partner(s: Slope) -> tuple[int, int]:
 
 
 # largest trial divisor of the square-free split that writes a target as
-# text: enough for every D <= 10^18
+# text: enough for every d <= 10^18
 SQUAREFREE_TRIAL_BUDGET = 10**6
 
 # blocks QuadraticTarget.block_period walks in search of a repeat; periods
@@ -474,17 +474,19 @@ class QuadraticTarget(IrrationalTarget, Record):
     """An exact quadratic irrational limit slope, held as its PQa triple
     (see _Surd): two targets are equal exactly when their values are."""
 
-    __slots__ = ("value", "_split")
+    __slots__ = ("value", "_root")
     _fields = ("value",)
 
-    def __init__(self, value: _Surd, split: tuple[int, int] | None = None):
+    def __init__(self, value: _Surd, root: tuple[int, int, bool] | None = None):
         setfield(self, "value", value)
-        setfield(self, "_split", split)  # _squarefree_split(value.D), once text is written
+        # (f, d, split) with f*f*d = value.D, split once the squares are out of d
+        setfield(self, "_root", root or (1, value.D, False))
 
     @classmethod
     def of(cls, a: int, b: int, c: int, d: int) -> "QuadraticTarget":
-        """(a + b*sqrt(d))/c, a root of the primitive form of
-        c^2 t^2 - 2ac t + (a^2 - b^2 d): the larger root when b*c > 0."""
+        """(a + b*sqrt(d))/c, a root of the primitive form (A, B, C) of
+        c^2 t^2 - 2ac t + (a^2 - b^2 d), the larger root when b*c > 0; its
+        discriminant is D = B^2 - 4AC = (2bc/g)^2 d for the content g."""
         if d <= 0:
             raise ValueError("d must be positive")
         if b == 0:
@@ -493,21 +495,23 @@ class QuadraticTarget(IrrationalTarget, Record):
             raise ValueError("c must be nonzero")
         if isqrt(d) ** 2 == d:
             raise ValueError("sqrt(d) is an integer; value is rational")
-        A, B, C = c * c, -2 * a * c, a * a - b * b * d
-        g = gcd(gcd(A, B), C)
-        A, B, C = A // g, B // g, C // g
-        D = B * B - 4 * A * C
+        g = gcd(gcd(c * c, 2 * a * c), a * a - b * b * d)
+        A, B, D = c * c // g, -2 * a * c // g, (2 * b * c) ** 2 * d // (g * g)
         P, Q = (-B, 2 * A) if b * c > 0 else (B, -2 * A)
-        return cls(_Surd(P, Q, D, isqrt(D)))
+        h = gcd(2 * b * c, g)  # (g/h)^2 divides d: the text splits the input's d, not D
+        return cls(_Surd(P, Q, D, isqrt(D)), (2 * abs(b * c) // h, d // (g // h) ** 2, False))
 
     def written(self) -> tuple[int, int, int, int]:
         """(a, b, c, d) with the target (a + b*sqrt(d))/c, c > 0,
-        gcd(a, b, c) = 1 and d squarefree, as far as the split of D reaches
+        gcd(a, b, c) = 1 and d squarefree, as far as the split reaches
         within SQUAREFREE_TRIAL_BUDGET: past it d keeps the unsplit cofactor,
-        and the text still reads back to this target."""
-        if self._split is None:
-            setfield(self, "_split", _squarefree_split(self.value.D))
-        f, d = self._split
+        and the text still reads back to this target.  The split runs once
+        per target."""
+        f, d, split = self._root
+        if not split:
+            k, d = _squarefree_split(d)
+            f *= k
+            setfield(self, "_root", (f, d, True))
         P, Q = self.value.P, self.value.Q
         if Q < 0:
             P, f, Q = -P, -f, -Q
@@ -518,7 +522,7 @@ class QuadraticTarget(IrrationalTarget, Record):
         return self.value.cmp_fraction(p, q)
 
     def transform(self, m: GL2Z) -> "QuadraticTarget":
-        return QuadraticTarget(self.value.mobius(m), self._split)  # D, so its split, is kept
+        return QuadraticTarget(self.value.mobius(m), self._root)  # D, so its root, is kept
 
     def image(self, m: GL2Z) -> _Surd:
         return self.value.mobius(m)

@@ -315,15 +315,15 @@ def test_a_square_in_d_or_in_b_is_one_target(monkeypatch):
         {"equivalent": True}
     assert run_command("family", {"target": spellings[0], "k": 0}, options) == {"invariants": []}
     # a member is certified over the block period, far past PERIOD_BUDGET
-    # for a discriminant near 4 * 10^18: both spellings are refused alike,
-    # with one written target
+    # for a discriminant near 4 * 10^18: both spellings are refused alike.
+    # Each message writes its input's split: d = r splits, d = p^2 r stops
+    # at the trial-division budget and is written unsplit
+    assert (str(first), str(second)) == (f"(0 + 1*sqrt({p * p * r}))/1", f"(0 + {p}*sqrt({r}))/1")
     monkeypatch.setattr("toric_ends.farey.PERIOD_BUDGET", 50)
-    refusals = []
-    for target in spellings:
-        with pytest.raises(ToricEndError) as info:
+    for target, text in zip(spellings, (str(first), str(second))):
+        with pytest.raises(ToricEndError, match="PERIOD_BUDGET = 50") as info:
             run_command("family", {"target": target, "k": 2}, options)
-        refusals.append(str(info.value))
-    assert refusals[0] == refusals[1] and f"sqrt({p * p * r})" in refusals[0]
+        assert text in str(info.value)
 
 
 def periodic_pair(target):

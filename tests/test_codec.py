@@ -166,6 +166,7 @@ def written(surd):
 @settings(max_examples=300, deadline=None)
 @example((2, 2, -2, 12), GL2Z(0, 1, 1, 0))
 @example((-4, 6, 2, 72), GL2Z(2, 1, 1, 1))
+@example((3, 1, 3, 18), GL2Z(1, 0, 0, 1))  # the content 9 of the form does not divide 2bc = 6
 @given(SURD_INPUTS, GL2Z_WORDS)
 def test_written_targets_match_the_reference_normalization(surd, m):
     target = QuadraticTarget.of(*surd)
