@@ -287,7 +287,7 @@ def test_blocks_toward_a_far_non_attained_rational():
 
 
 def test_surd_beyond_the_trial_division_budget_answers():
-    # reading a target splits nothing; writing it splits D only as far as
+    # reading a target splits nothing; writing it splits d only as far as
     # the budget reaches, and the partial split reads back to the same target
     huge = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 10 ** 33 + 1}
     code, out = invoke("path", {"start": "-1/1", "target": huge, "n": 3})
@@ -305,14 +305,13 @@ def test_a_square_in_d_or_in_b_is_one_target(monkeypatch):
                  {"kind": "quadratic", "a": 0, "b": p, "c": 1, "d": r}]
     first, second = (TARGET.decode(t, "target") for t in spellings)
     assert first == second and hash(first) == hash(second)
-    ends = [END.decode(end_doc(t, ["+"], {"type": "alternating"}), "end") for t in spellings]
-    contexts = [classify(e).context for e in ends]
+    docs = [end_doc(t, ["+"], {"type": "alternating"}) for t in spellings]
+    contexts = [classify(END.decode(doc, "end")).context for doc in docs]
     assert contexts[0] == contexts[1] and hash(contexts[0]) == hash(contexts[1])
     options = {"horizon": 64, "max_family": 10}
-    answers = [run_command("classify", {"end": END.encode(e)}, options) for e in ends]
+    answers = [run_command("classify", {"end": doc}, options) for doc in docs]
     assert answers[0] == answers[1] and answers[0]["kind"] == "irrational"
-    assert run_command("compare", {"a": END.encode(ends[0]), "b": END.encode(ends[1])}, options) == \
-        {"equivalent": True}
+    assert run_command("compare", {"a": docs[0], "b": docs[1]}, options) == {"equivalent": True}
     assert run_command("family", {"target": spellings[0], "k": 0}, options) == {"invariants": []}
     # a member is certified over the block period, far past PERIOD_BUDGET
     # for a discriminant near 4 * 10^18: both spellings are refused alike.

@@ -1,11 +1,9 @@
 """The CLI document tables: pinned batch output, round trips, exact messages."""
 
-import functools
 import hashlib
 import importlib.util
 import io
 import json
-import operator
 import sys
 from math import gcd, isqrt
 from pathlib import Path
@@ -33,6 +31,7 @@ from toric_ends.invariants import (
 )
 
 from oracles import reference_mobius, reference_written
+from test_cf_targets import GL2Z_WORDS
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).resolve().parent / "data"
@@ -144,7 +143,7 @@ def test_end_documents_round_trip(doc):
 
 # written quadratic targets against the reference normalization: square
 # factors in d, negative c and common factors of (a, b, c), then images
-# under GL2(Z) words of translations and the swap
+# under GL2(Z) words
 SURD_INPUTS = st.tuples(
     st.integers(-60, 60), st.integers(-12, 12).filter(bool), st.integers(-12, 12).filter(bool),
     st.one_of(st.integers(2, 10 ** 4),
@@ -152,10 +151,6 @@ SURD_INPUTS = st.tuples(
     .filter(lambda d: isqrt(d) ** 2 != d),
     st.integers(1, 6),
 ).map(lambda t: (t[0] * t[4], t[1] * t[4], t[2] * t[4], t[3]))
-GL2Z_WORDS = st.lists(
-    st.one_of(st.integers(-4, 4).map(lambda k: GL2Z(1, k, 0, 1)), st.just(GL2Z(0, 1, 1, 0))),
-    max_size=8,
-).map(lambda ms: functools.reduce(operator.matmul, ms, GL2Z.identity()))
 
 
 def written(surd):
