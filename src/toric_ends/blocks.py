@@ -176,13 +176,27 @@ class BlockDecomposition:
     def finished(self) -> bool:
         return self._done
 
-    def period(self) -> tuple[int, int, int] | None:
+    def period(self, budget: int | None = None) -> tuple[int, int, int] | None:
         """The block period (i0, blocks, slices) of an irrational target,
         None when its blocks need not repeat; found once per decomposition
-        (see IrrationalTarget.block_period)."""
+        (see IrrationalTarget.block_period, which reads `budget`)."""
         if not self._period:
-            self._period.append(self.path.target.block_period(self.path.start))
+            self._period.append(self.path.target.block_period(self.path.start, budget))
         return self._period[0]
+
+    def period_matrix(self) -> tuple[int, int, int, int]:
+        """The entries (a, b, c, d) of the N in SL2(Z) that carries the walk
+        frame at block i0 of the period to the frame at block i0 + blocks.
+        A frame is the first vertex lift s of a run and its step d, with
+        det(s, d) = 1; the walk value, equal at the two blocks, fixes every
+        later step in its frame, so from block i0 on the step of block
+        i + blocks is N times the step of block i.  Read off the two runs,
+        with no second walk."""
+        i0, blocks, _ = self.period()
+        _, p, q, dp, dq, _ = self.path.run(i0 - 1)
+        _, p1, q1, dp1, dq1, _ = self.path.run(i0 + blocks - 1)
+        # N = (s' d') (s d)^-1, and (s d)^-1 = ((dq, -dp), (-q, p))
+        return p1 * dq - dp1 * q, dp1 * p - p1 * dp, q1 * dq - dq1 * q, dq1 * p - q1 * dp
 
 
 def decompose(path: FareyPath) -> BlockDecomposition:

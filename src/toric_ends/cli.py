@@ -88,18 +88,20 @@ def _slope(text: object, where: str, key: str) -> Slope:
         raise SchemaError(f"{where}.{key}: {exc}") from None
 
 
-def _sign(text: object, where: str, key: str) -> int:
-    if text == "+":
-        return POSITIVE
-    if text == "-":
-        return NEGATIVE
-    raise SchemaError(f"{where}.{key} must be \"+\" or \"-\"")
+_SIGN_OF_TEXT = {"+": POSITIVE, "-": NEGATIVE}
 
 
 def _signs(texts: object, where: str, key: str) -> tuple[int, ...]:
     if not isinstance(texts, list):
         raise SchemaError(f"{where}.{key} must be a list")
-    return tuple([_sign(s, where, key) for s in texts])
+    try:  # an entry that is not a key, or not even hashable, is no sign
+        return tuple([_SIGN_OF_TEXT[s] for s in texts])
+    except (KeyError, TypeError):
+        raise SchemaError(f"{where}.{key} must be \"+\" or \"-\"") from None
+
+
+def _sign(text: object, where: str, key: str) -> int:
+    return _signs([text], where, key)[0]
 
 
 def _pattern(texts: object, where: str, key: str) -> tuple[int, ...]:
@@ -448,8 +450,9 @@ def _cmd_euler(doc: dict, options: dict) -> dict:
         return {"euler": [0, 0], "slices": 0}
     path = FareyPath(ends_mod.BASE_SLOPE, target)
     decomp = blocks_mod.decompose(path)
-    cls = inv_mod.euler_class(decomp, e.signs, horizon)
-    _check_digits(cls.as_pair(), "an euler entry")
+    cls = inv_mod.euler_class(decomp, e.signs, horizon, _text_bound(sys.get_int_max_str_digits()))
+    if cls is None:
+        raise _digits_error("an euler entry")
     slices = len(path) - 1 if path.complete else horizon
     return {"euler": [cls.x, cls.y], "slices": slices}
 

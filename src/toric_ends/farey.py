@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
+from functools import lru_cache
 from math import gcd, isqrt
 from operator import attrgetter
 
@@ -223,8 +224,10 @@ SQUAREFREE_TRIAL_BUDGET = 10**6
 PERIOD_BUDGET = 10**5
 
 
+@lru_cache(maxsize=256)
 def _squarefree_split(d: int) -> tuple[int, int]:
-    """d = f*f * d0 with d0 squarefree; returns (f, d0).
+    """d = f*f * d0 with d0 squarefree; returns (f, d0), kept per d for
+    the targets of later jobs.
 
     Trial division strips each factor k only while k^3 <= the cofactor.
     What remains then has no prime factor below its cube root: it is 1, a
@@ -296,12 +299,15 @@ class _Surd:
         return _Surd((u * v - a * c * D) // e, (v * v - c * c * D) // e, D, self.r)
 
     def cf_coefficients(self) -> Iterator[int]:
-        """Simple continued fraction coefficients, generated forever."""
-        return _cf_coefficients(self)
-
-    def _recip(self, n: int) -> "_Surd":  # 1/(x - n)
-        P = n * self.Q - self.P
-        return _Surd(P, (self.D - P * P) // self.Q, self.D, self.r)
+        """Simple continued fraction coefficients, generated forever: emit
+        n = floor(x), then continue with x <- 1/(x - n), stepped as the
+        pair (P, Q)."""
+        P, Q, D, r = self.P, self.Q, self.D, self.r
+        while True:
+            n = _pqa_floor(P, Q, r)
+            yield n
+            P = n * Q - P
+            Q = (D - P * P) // Q
 
     def _run(self, attained: bool):
         """x read as one run (see _Walk): (a0, a1, x'), with z = 1/(x - a0)
@@ -325,9 +331,9 @@ def _pqa_floor(P: int, Q: int, r: int) -> int:
     return (P + r + 1) // Q
 
 
-def _cf_coefficients(x) -> Iterator[int]:
-    """Coefficients of an irrational walk value x: emit n = floor(x), then
-    continue with x <- 1 / (x - n)."""
+def _cf_coefficients(x: "_StreamImage") -> Iterator[int]:
+    """Coefficients of a stream image x: emit n = floor(x), then continue
+    with x <- 1 / (x - n)."""
     while True:
         n = x.floor()
         yield n
@@ -403,13 +409,27 @@ class _StreamImage:
         return _StreamImage(self.stream, self.i, c, d, a - n * c, b - n * d)
 
     def _run(self, attained: bool):
-        """x read as one run (see _Walk): (a0, a1, x'), through the cursor
-        z = 1/(x - a0); `attained` is not read, as for a _Surd."""
-        a0 = self.floor()
-        z = self._recip(a0)
-        a1 = z.floor()
-        a, b, c, d = z.a - a1 * z.c, z.b - a1 * z.d, z.c, z.d  # z - a1
-        return a0, a1, _StreamImage(self.stream, z.i, a + c, b + d, a, b)
+        """x read as one run (see _Walk): (a0, a1, x'), both digits in one
+        loop of floor's test and update, which turns the matrix into the
+        cursor z = 1/(x - a0) once a0 is decided; `attained` is not read, as
+        for a _Surd.  The memo is read directly, and the stream's own reader
+        only past it."""
+        stream, i, a, b, c, d = self.stream, self.i, self.a, self.b, self.c, self.d
+        coeffs, a0 = stream._coeffs, None
+        while True:
+            if i and c != 0 and c + d != 0 and (c > 0) == (c + d > 0):
+                n = a // c
+                if n == (a + b) // (c + d):
+                    if a0 is not None:
+                        break
+                    a0, a, b, c, d = n, c, d, a - n * c, b - n * d
+                    continue
+            e = coeffs[i] if i < len(coeffs) else stream.coefficient(i)
+            a, b = a * e + b, a
+            c, d = c * e + d, c
+            i += 1
+        a, b = a - n * c, b - n * d  # z - a1
+        return a0, n, _StreamImage(stream, i, a + c, b + d, a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +482,7 @@ class IrrationalTarget:
     def mobius_floor(self, m: GL2Z) -> int:
         return self.image(m).floor()
 
-    def block_period(self, start: Slope) -> tuple[int, int, int] | None:
+    def block_period(self, start: Slope, budget: int | None = None) -> tuple[int, int, int] | None:
         """The period of the continued fraction blocks of the path from
         start, as (i0, blocks, slices): from block i0 (1-based) on, block
         i + blocks is as long as block i and begins `slices` slices later.
@@ -527,13 +547,14 @@ class QuadraticTarget(IrrationalTarget, Record):
     def image(self, m: GL2Z) -> _Surd:
         return self.value.mobius(m)
 
-    def block_period(self, start: Slope) -> tuple[int, int, int]:
+    def block_period(self, start: Slope, budget: int | None = None) -> tuple[int, int, int]:
         """At a block start the walk value x fixes every later block, and
         by Lagrange x is soon one of the finitely many reduced surds of
         discriminant D, so the first repeat of x gives the period.  Only x
         is walked, as in _Walk without the vertices: one run per block,
         a1 slices long.  Stops with a ToricEndError past PERIOD_BUDGET
-        blocks."""
+        blocks, or past `budget` blocks if that is less (then
+        i0 + blocks > budget + 1)."""
         x = _Walk.at(start, self).x
         seen: dict[tuple[int, int], tuple[int, int]] = {}
         block = slices = 0
@@ -542,7 +563,7 @@ class QuadraticTarget(IrrationalTarget, Record):
             if key in seen:
                 i0, s0 = seen[key]
                 return i0, block + 1 - i0, slices - s0
-            if block == PERIOD_BUDGET:
+            if block == PERIOD_BUDGET or block == budget:
                 raise ToricEndError(
                     f"the blocks toward {self} do not repeat within the budget of "
                     f"PERIOD_BUDGET = {PERIOD_BUDGET} blocks")

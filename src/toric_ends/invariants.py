@@ -690,22 +690,140 @@ class EulerClass(Record):
 
 
 def euler_class(decomp: BlockDecomposition, signs: SignData,
-                horizon: int = DEFAULT_HORIZON) -> EulerClass:
+                horizon: int = DEFAULT_HORIZON, bound: int = 0) -> EulerClass | None:
     """Sum over basic slices of sign * (v(s_next) - v(s_prev)) with
-    v(p/q) = (q, p), truncated at `horizon` slices for infinite paths.
+    v(p/q) = (q, p), truncated at `horizon` slices for infinite paths;
+    with a bound, None when an entry's absolute value would reach it.
 
     The lifts are coherent (consecutive determinant +1), which is what
     makes the class invariant under within-block sign shuffles: their
     difference is constant on a block, the step of the path's run, so a
-    block adds that step times (positives - negatives) among its slices."""
+    block adds that step times (positives - negatives) among its slices.
+    Toward a quadratic target a horizon past the first whole span of the
+    block period is summed in closed form (see _periodic_steps)."""
     path = decomp.path
     slices = path.walk_to_end() - 1 if path.target.attained else horizon
-    x = y = 0
-    i = 0
-    while (run := path.run(i)) is not None and run.start < slices:
-        hi = slices if run.edges is None else min(run.start + run.edges, slices)
-        weight = 2 * signs.count_positive(run.start, hi) - (hi - run.start)
-        x += weight * run.dq
-        y += weight * run.dp
+    steps = None if path.target.rational else _periodic_steps(decomp, signs, horizon, bound)
+    p, q = steps or _weighted_steps(path, signs, 0, 0, slices)[:2]
+    if bound and max(abs(p), abs(q)) >= bound:
+        return None
+    return EulerClass(q, p)
+
+
+def _weighted_steps(path, signs: SignData, i: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """The sum of sign * step over the slices lo <= j < hi, from run i on,
+    which must hold slice lo: (p, q, i'), where run i' holds slice hi."""
+    p = q = 0
+    while (run := path.run(i)) is not None and run.start < hi:
+        a = max(lo, run.start)
+        end = hi if run.edges is None else min(run.start + run.edges, hi)
+        weight = 2 * signs.count_positive(a, end) - (end - a)
+        p += weight * run.dp
+        q += weight * run.dq
+        if end == hi:
+            break
         i += 1
-    return EulerClass(x, y)
+    return p, q, i
+
+
+def _mul(m, n):
+    return (m[0] * n[0] + m[1] * n[2], m[0] * n[1] + m[1] * n[3],
+            m[2] * n[0] + m[3] * n[2], m[2] * n[1] + m[3] * n[3])
+
+
+def _apply(m, v):
+    return m[0] * v[0] + m[1] * v[1], m[2] * v[0] + m[3] * v[1]
+
+
+def _power(m, n: int, cap: int = 0):
+    """m^n for m = (a, b, c, d) by repeated squaring; None as soon as a
+    power m^j with j <= n met on the way has |entry b| >= cap (if not 0)."""
+    out = (1, 0, 0, 1)
+    while True:
+        if n & 1:
+            out = _mul(out, m)
+            if cap and abs(out[1]) >= cap:
+                return None
+        n >>= 1
+        if not n:
+            return out
+        m = _mul(m, m)
+        if cap and abs(m[1]) >= cap:
+            return None
+
+
+def _periodic_steps(decomp: BlockDecomposition, signs: SignData, horizon: int, bound: int):
+    """The (p, q) sum of _weighted_steps over the first `horizon` slices,
+    in closed form over the block period (i0, blocks, slices); None where
+    the walk sums them instead: for a stream, a period or span past its
+    budget, or a horizon short of the end of the first whole span, so that
+    a small horizon never needs the period.  Past `bound` (if not 0) it is
+    (bound, 0), a stand-in with an entry at the bound.
+
+    A span is `blocks * m / gcd(slices, m)` blocks for a sign pattern of
+    length m, and the first starts at the first block from i0 on that
+    starts in the pattern.  The signs repeat from span to span and, by the
+    period matrix N, so do the steps up to M = N^(span / blocks): so after
+    the head h, k whole spans add sum_{j<k} M^j v = (M^k - I) c, with v one
+    span's sum and c = (M - I)^-1 v, and the rest of the horizon adds M^k w
+    for the sum w over the first span's same slices.  The class is
+    h + M^k u - c with u = c + w; in integers, with e = det(M - I),
+    e * class = e*h - C + M^k U for C = adj(M - I) v and U = C + e*w.  The
+    run's lifts turn one way and converge to one ray, so N, and M, is
+    hyperbolic with a positive eigenvalue: tr M >= 3 and e < 0."""
+    tail = signs.tail
+    if tail is None or len(signs.prefix) + tail.after >= horizon:
+        return None
+    pure = len(signs.prefix) + tail.after  # the first slice in the pattern
+    try:
+        # past `horizon` blocks the first span ends past the horizon, since
+        # every block has a slice
+        period = decomp.period(horizon)
+    except ToricEndError:
+        return None
+    if period is None:
+        return None
+    i0, blocks, period_slices = period
+    repeats = len(tail.pattern) // math.gcd(period_slices, len(tail.pattern))
+    if blocks * repeats > SPAN_BUDGET:
+        return None
+    bounds = decomp.bounds(i0 - 1, reach=pure)
+    i = max(i0 - 1, bisect_left(bounds, pure))  # the first span's first run
+    start, span = bounds[i], period_slices * repeats
+    if start + span > horizon:
+        return None
+    path = decomp.path
+    hp, hq, _ = _weighted_steps(path, signs, 0, 0, start)
+    k, rem = divmod(horizon - start, span)
+    wp, wq, i = _weighted_steps(path, signs, i, start, start + rem)
+    vp, vq, _ = _weighted_steps(path, signs, i, start + rem, start + span)
+    a, b, c, d = m = _power(decomp.period_matrix(), repeats)
+    e = 2 - a - d  # det(M - I), as det M = 1
+    C = (d - 1) * (vp + wp) - b * (vq + wq), (a - 1) * (vq + wq) - c * (vp + wp)
+    limit = -e * bound + max(abs(e * hp - C[0]), abs(e * hq - C[1])) if bound else 0
+    y = _grown(m, (C[0] + e * wp, C[1] + e * wq), k, limit)  # M^k U
+    if y is None:  # |e * class| >= limit - max |e*h - C| = |e| * bound
+        return bound, 0
+    return (e * hp - C[0] + y[0]) // e, (e * hq - C[1] + y[1]) // e
+
+
+def _grown(m, y, k: int, limit: int):
+    """m^k y for m = (a, b, c, d) in SL2(Z) with trace t >= 3, or None when
+    an entry of it is proven to reach `limit` (if not 0): the powers of m
+    stop at the first whose entry b reaches limit * |b|.
+
+    Each entry x_j of m^j y follows x_(j+1) = t x_j - x_(j-1) (Cayley-
+    Hamilton).  Once |x_j| > |x_(j-1)|, |x_(j+1)| > (t - 1)|x_j|, so the
+    entry grows for good; an entry that has not turned at least halves, so
+    the stepping below ends within the bits of y.  After a turn at j, with
+    m^n = s_n m - s_(n-1) I (s_0 = 0, s_1 = 1, s_(n+1) = t s_n - s_(n-1),
+    increasing), x_(j+n) = s_(n+1) x_j - s_n x_(j-1), so |x_(j+n)| >=
+    (s_(n+1) - s_n)|x_j| >= s_n.  Entry b of m^n is s_n * b, so a power m^i
+    with i <= n and |entry b| >= limit * |b| proves |x_(j+n)| >= limit."""
+    if y == (0, 0) or not k:
+        return y
+    y0, y, j = y, _apply(m, y), 1
+    while j < k and abs(y[0]) <= abs(y0[0]) and abs(y[1]) <= abs(y0[1]):
+        y0, y, j = y, _apply(m, y), j + 1
+    power = _power(m, k - j, limit * abs(m[1]))
+    return None if power is None else _apply(power, y)

@@ -41,7 +41,7 @@ from toric_ends.errors import (
     UndecidableAtHorizonError,
 )
 from toric_ends.invariants import PatternCounts
-from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _bezout_partner, on_arc
+from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _StreamImage, _bezout_partner, on_arc
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +360,37 @@ def reference_euler_class(vertices, signs, slices: int) -> tuple[int, int]:
         x += sign * (q1 - q0)
         y += sign * (p1 - p0)
     return x, y
+
+
+def reference_euler_walk(decomp, signs, horizon: int) -> tuple[int, int]:
+    """The Euler class summed run by run up to `horizon` slices (the whole
+    path toward an attained target), as the library did before its closed
+    form over the block period: each run adds its step times
+    (positives - negatives) among its slices up to the horizon."""
+    path = decomp.path
+    slices = path.walk_to_end() - 1 if path.target.attained else horizon
+    x = y = i = 0
+    while (run := path.run(i)) is not None and run.start < slices:
+        hi = slices if run.edges is None else min(run.start + run.edges, slices)
+        weight = 2 * signs.count_positive(run.start, hi) - (hi - run.start)
+        x += weight * run.dq
+        y += weight * run.dp
+        i += 1
+    return x, y
+
+
+def reference_stream_run(x):
+    """The run (a0, a1, x') of a stream image read as two separate floors,
+    the composition the walk used before it read both digits in one loop:
+    a0 = floor(x), the cursor z = 1/(x - a0), a1 = floor(z) and
+    x' = 1 + 1/(z - a1); x' as its (i, a, b, c, d).  x is copied first,
+    since floor() advances a cursor."""
+    x = _StreamImage(x.stream, x.i, x.a, x.b, x.c, x.d)
+    a0 = x.floor()
+    z = x._recip(a0)
+    a1 = z.floor()
+    a, b, c, d = z.a - a1 * z.c, z.b - a1 * z.d, z.c, z.d  # z - a1
+    return a0, a1, (z.i, a + c, b + d, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ from toric_ends import (
 )
 from toric_ends.ends import Unknown, basis_change
 from toric_ends.errors import ToricEndError, UndecidableAtHorizonError
-from toric_ends.farey import CFStream, GL2Z
+from toric_ends.farey import CFStream, GL2Z, _StreamImage
+
+from oracles import reference_stream_run
 
 P, N = 1, -1
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
@@ -106,6 +108,43 @@ def test_stream_mobius_floor_matches_surd(d, a, b, c, m):
     image = twin.stream.mobius(m)
     exact = quad.value.mobius(m).cf_coefficients()
     assert [image.coefficient(i) for i in range(8)] == [next(exact) for _ in range(8)]
+
+
+@settings(max_examples=100, deadline=None)
+@example(2, 0, -1, 1, GL2Z(1, 0, 0, 1))
+@example(3, 1, 1, 2, GL2Z(0, 1, 1, 0))
+@given(st.integers(2, 10 ** 4).filter(lambda d: isqrt(d) ** 2 != d),
+       st.integers(-20, 20), st.integers(-5, 5).filter(bool), st.integers(-10, 10).filter(bool),
+       GL2Z_WORDS)
+def test_stream_run_reads_both_digits_as_two_floors_do(d, a, b, c, m):
+    # the walk's one-loop run against the two-floor composition, run after
+    # run, and its digits against the exact surd's run of the same image;
+    # the two share one stream and take turns to read first, so the loop
+    # reads coefficients both from the memo and past it
+    quad = QuadraticTarget.of(a, b, c, d)
+    stream = quadratic_cf_target(quad.value).stream
+    fused = twin = _StreamImage(stream, 0, *m.entries())
+    exact = quad.value.mobius(m)
+    for run in range(12):
+        if run % 2:
+            r0, r1, state = reference_stream_run(twin)
+            a0, a1, fused = fused._run(False)
+        else:
+            a0, a1, fused = fused._run(False)
+            r0, r1, state = reference_stream_run(twin)
+        assert (a0, a1, (fused.i, fused.a, fused.b, fused.c, fused.d)) == (r0, r1, state)
+        twin = _StreamImage(twin.stream, *state)
+        e0, e1, exact = exact._run(False)
+        assert (a0, a1) == (e0, e1)
+
+
+@pytest.mark.parametrize("coefficients,message", [
+    ([1, 2, 3], "cf-stream must be infinite"),
+    (itertools.chain([1, 2], itertools.repeat(0)), "coefficients after the first must be >= 1"),
+], ids=["finite", "zero-coefficient"])
+def test_stream_walk_keeps_the_stream_checks(coefficients, message):
+    with pytest.raises(ToricEndError, match=message):
+        FareyPath(S("-1"), CFTarget(iter(coefficients))).extend_to(20)
 
 
 def test_stream_mobius_emits_image_cf():

@@ -9,6 +9,7 @@ import pytest
 
 from toric_ends import GL2Z, FareyPath, QuadraticTarget, Slope, classify, decompose
 from toric_ends import blocks as blocks_mod
+from toric_ends import farey
 from toric_ends import reduce as reduce_mod
 from toric_ends.cli import END, TARGET, main, parse_invariant_document, run_command
 from toric_ends.errors import SchemaError, ToricEndError
@@ -29,9 +30,13 @@ def end_doc(target, prefix=(), tail=None, **extra):
 
 
 def invoke(command, doc, *args):
+    return invoke_text(command, json.dumps(doc), *args)
+
+
+def invoke_text(command, text, *args):
     stdin = sys.stdin
     stdout = sys.stdout
-    sys.stdin = io.StringIO(json.dumps(doc))
+    sys.stdin = io.StringIO(text)
     sys.stdout = io.StringIO()
     try:
         code = main([command, *args])
@@ -325,6 +330,18 @@ def test_a_square_in_d_or_in_b_is_one_target(monkeypatch):
         assert text in str(info.value)
 
 
+def test_a_batch_toward_an_unsplit_radicand_splits_it_once():
+    # (0 + sqrt(p^2 r))/1 runs the trial division to its budget when it is
+    # written; five jobs toward it, each with its own target, split it once
+    p, r = 10 ** 6 + 3, 10 ** 6 + 33
+    target = {"kind": "quadratic", "a": 0, "b": 1, "c": 1, "d": p * p * r}
+    job = {"command": "reduce-solid-torus", "input": {"end": end_doc(target, ["+"], {"type": "alternating"})}}
+    farey._squarefree_split.cache_clear()
+    code, out = invoke("run", [job] * 5)
+    assert code == 0 and len({json.dumps(result) for result in json.loads(out)}) == 1
+    assert farey._squarefree_split.cache_info().misses == 1
+
+
 def periodic_pair(target):
     return {"a": end_doc(target, tail={"type": "periodic", "pattern": ["+", "+", "-"]}),
             "b": end_doc(target, tail={"type": "periodic", "pattern": ["+", "-", "-"]})}
@@ -530,8 +547,9 @@ def test_a_count_past_the_int_to_text_limit_is_refused_before_it_is_multiplied_o
     jobs = [{"command": "count", "input": {"lengths": [10 ** 4000 + 1] * 1000}},
             {"command": "count", "input": {"lengths": [0, 10 ** 4000 + 1]}},
             {"command": "count", "input": {"lengths": [2]}}]
+    text = json.dumps(jobs)  # about 4 MB: written before the clock starts, read by the CLI within it
     started = time.perf_counter()
-    code, out = invoke("run", jobs)
+    code, out = invoke_text("run", text)
     elapsed = time.perf_counter() - started
     results = json.loads(out)
     assert code == 2 and elapsed < 0.5
@@ -546,6 +564,47 @@ def test_euler_entries_past_the_int_to_text_limit_are_a_violation():
     assert code == 1 and "an euler entry of more than" in json.loads(out)["error"]
     code, out = invoke("euler", {"end": end, "horizon": 100})
     assert code == 0 and json.loads(out)["slices"] == 100
+
+
+def test_euler_at_a_far_horizon_answers_from_the_block_period():
+    end = end_doc(SQRT2, tail={"type": "alternating"})
+    started = time.perf_counter()
+    code, out = invoke("euler", {"end": end, "horizon": 10 ** 6})
+    elapsed = time.perf_counter() - started
+    assert code == 0 and json.loads(out) == {"euler": [0, 0], "slices": 10 ** 6}
+    assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("horizon", [12000, 10 ** 6])
+def test_euler_past_the_int_to_text_limit_is_refused_without_walking_to_the_horizon(horizon):
+    jobs = [{"command": "euler", "input": {"end": end_doc(SQRT2, tail={"type": "all-positive"}),
+                                           "horizon": horizon}},
+            {"command": "count", "input": {"lengths": [2]}}]
+    started = time.perf_counter()
+    code, out = invoke("run", jobs)
+    elapsed = time.perf_counter() - started  # timed without tracemalloc, which slows allocation
+    results = json.loads(out)
+    assert code == 1 and elapsed < 0.5
+    assert results[0]["status"] == "violation" and "an euler entry of more than" in results[0]["error"]
+    assert results[1] == {"status": "ok", "output": {"count": 2}}
+    tracemalloc.start()
+    try:
+        invoke("run", jobs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2 ** 20
+
+
+def test_euler_toward_a_long_period_at_a_small_horizon_answers():
+    # -sqrt(10^10 + 19) has a period of 62,067 blocks: horizon 64 is walked
+    end = end_doc({"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 10 ** 10 + 19},
+                  tail={"type": "alternating"})
+    started = time.perf_counter()
+    code, out = invoke("euler", {"end": end, "horizon": 64})
+    elapsed = time.perf_counter() - started
+    assert code == 0 and json.loads(out)["slices"] == 64
+    assert elapsed < 0.5
 
 
 def test_solid_torus_with_a_one_point_arc_has_no_realized_point():
@@ -659,6 +718,21 @@ def test_batch_reports_out_of_range_numbers_as_malformed(job, field):
     results = json.loads(out)
     assert [r["status"] for r in results] == ["malformed", "ok"]
     assert results[0]["error"].startswith(field)
+
+
+@pytest.mark.parametrize("entry", [["+"], {"sign": "+"}, 1, True, None, "+-"],
+                         ids=["list", "object", "one", "true", "null", "two-signs"])
+def test_a_sign_that_is_not_plus_or_minus_is_malformed(entry):
+    # an entry that is not hashable is no sign either, and the batch goes on
+    ends = [end_doc(SQRT2, prefix=["+", entry], tail={"type": "alternating"}),
+            end_doc(SQRT2, tail={"type": "periodic", "pattern": ["-", entry]})]
+    code, out = invoke("run", [{"command": "classify", "input": {"end": e}} for e in ends]
+                       + [{"command": "count", "input": {"lengths": [2]}}])
+    assert code == 2
+    assert json.loads(out) == [
+        {"status": "malformed", "error": 'end.signs.prefix must be "+" or "-"'},
+        {"status": "malformed", "error": 'end.signs.tail.pattern must be "+" or "-"'},
+        {"status": "ok", "output": {"count": 2}}]
 
 
 def test_determinism_byte_identical():

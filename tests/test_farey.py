@@ -310,11 +310,18 @@ def test_squarefree_split_of_two_large_primes_is_exact():
 
 
 def test_squarefree_split_stops_at_its_budget(monkeypatch):
+    # the split is kept per radicand, so each split below is made afresh,
+    # and none made under the patched budget outlives the test
+    _squarefree_split.cache_clear()
     # past the budget the split is partial: the cofactor is kept, and f*f*d0 is still d
     d = 10 ** 33 + 1
     f, d0 = _squarefree_split(d)
     assert f * f * d0 == d and d0 > SQUAREFREE_TRIAL_BUDGET ** 3
     # the trial divisors stop at the budget: a smaller one leaves a smaller split
     monkeypatch.setattr(farey, "SQUAREFREE_TRIAL_BUDGET", 10)
-    f, d0 = _squarefree_split(2 ** 2 * 11 ** 2 * 10007 * 10009)
+    _squarefree_split.cache_clear()
+    try:
+        f, d0 = _squarefree_split(2 ** 2 * 11 ** 2 * 10007 * 10009)
+    finally:
+        _squarefree_split.cache_clear()
     assert (f, d0) == (2, 11 ** 2 * 10007 * 10009)

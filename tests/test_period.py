@@ -1,6 +1,8 @@
 """The block period of a quadratic target, read off the walk state, against
 the reference scan of witness images in tests/oracles.py: every quadratic
-compare and extension check is decided by the period, whatever the horizon."""
+compare and extension check is decided by the period, whatever the horizon,
+and the Euler class toward it is summed in closed form over the period,
+against the run-by-run walk."""
 
 from math import gcd, isqrt
 
@@ -9,7 +11,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_ends import (
+    GL2Z,
+    AllNegative,
+    AllPositive,
+    Alternating,
     EndDescription,
+    EventuallySign,
     FareyPath,
     NoTightExtension,
     Periodic,
@@ -21,6 +28,7 @@ from toric_ends import (
     classify,
     decompose,
     equivalent,
+    euler_class,
     extension_obstruction,
     non_extendable_family,
     quadratic_cf_target,
@@ -28,9 +36,12 @@ from toric_ends import (
 from toric_ends import farey
 from toric_ends.errors import ToricEndError, UndecidableAtHorizonError
 from toric_ends import invariants
-from toric_ends.invariants import PatternCounts, _periodic_span
+from toric_ends.invariants import PatternCounts, _grown, _periodic_span
+
+from test_cf_targets import GL2Z_WORDS
 
 from oracles import (
+    reference_euler_walk,
     reference_quadratic_equivalent,
     reference_quadratic_obstruction,
     reference_quadratic_period,
@@ -176,11 +187,122 @@ def test_family_finds_the_period_once(monkeypatch):
     calls = []
     find = QuadraticTarget.block_period
 
-    def counted(self, start):
+    def counted(self, start, budget=None):
         calls.append(start)
-        return find(self, start)
+        return find(self, start, budget)
 
     monkeypatch.setattr(QuadraticTarget, "block_period", counted)
     members = non_extendable_family(QuadraticTarget.of(0, -1, 1, 3), 250)
     assert len(members) == 250
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# the Euler class over the block period
+
+TAIL_RULES = st.one_of(
+    st.just(AllPositive()), st.just(AllNegative()),
+    st.builds(EventuallySign, st.sampled_from((P, N)), st.integers(0, 20)),
+    st.builds(Alternating, st.sampled_from((P, N))),
+    st.builds(Periodic, st.lists(st.sampled_from((P, N)), min_size=1, max_size=7).map(tuple)),
+)
+EULER_SURDS = st.builds(
+    QuadraticTarget.of,
+    st.integers(-20, 20),
+    st.sampled_from((-2, -1, 1, 2)),
+    st.integers(-6, 6).filter(bool),
+    st.integers(2, 10 ** 4).filter(lambda d: isqrt(d) ** 2 != d),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@example(QuadraticTarget.of(0, -1, 1, 2), (), Alternating(), 2000)  # u = 0: the class stays [0, 0]
+@example(QuadraticTarget.of(0, -1, 1, 2), (), AllPositive(), 1)  # before i0
+@example(QuadraticTarget.of(-1, -1, 1, 421), (P, N, N), Periodic((P, P, N)), 1999)  # a partial span
+@given(EULER_SURDS, st.lists(st.sampled_from((P, N)), max_size=30).map(tuple), TAIL_RULES,
+       st.integers(1, 2000))
+def test_euler_class_in_closed_form_matches_the_walk(target, prefix, tail, horizon):
+    signs = SignData(prefix, tail)
+    expected = reference_euler_walk(decompose(FareyPath(Slope(-1, 1), target)), signs, horizon)
+    assert euler_class(decompose(FareyPath(Slope(-1, 1), target)), signs, horizon).as_pair() == expected
+    # a bound is decided on exact values: None exactly when an entry reaches it
+    largest = max(map(abs, expected))
+    for bound in (10, 10 ** 40, 10 ** 300, max(largest, 1), largest + 1):  # a bound of 0 is none
+        got = euler_class(decompose(FareyPath(Slope(-1, 1), target)), signs, horizon, bound)
+        if max(map(abs, expected)) >= bound:
+            assert got is None
+        else:
+            assert got.as_pair() == expected
+
+
+@settings(max_examples=200, deadline=None)
+# (F_30, -F_31) lies near the contracting line of ((2, 1), (1, 1)): its
+# images shrink for about 14 steps before they grow
+@example([(1, 1)], GL2Z(1, 0, 0, 1), (832040, -1346269), 12)
+@given(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3), GL2Z_WORDS,
+       st.tuples(st.integers(-10 ** 6, 10 ** 6), st.integers(-10 ** 6, 10 ** 6)), st.integers(0, 40))
+def test_a_capped_power_is_refused_only_past_its_limit(pairs, w, y, k):
+    # a product of ((1, a), (0, 1)) ((1, 0), (b, 1)) with a, b >= 1 has trace
+    # at least 3, and so has its conjugate
+    m = w
+    for a, b in pairs:
+        m = m @ GL2Z(1 + a * b, a, b, 1)
+    m = m @ w.inverse()
+    exact = y
+    for _ in range(k):
+        exact = (m.a * exact[0] + m.b * exact[1], m.c * exact[0] + m.d * exact[1])
+    largest = max(map(abs, exact))
+    assert _grown(m.entries(), y, k, 0) == exact
+    assert _grown(m.entries(), y, k, largest + 1) == exact
+    for limit in (1, 2, max(largest, 1)):
+        got = _grown(m.entries(), y, k, limit)
+        assert got == exact or (got is None and largest >= limit)
+
+
+def test_the_period_matrix_carries_each_step_a_period_on():
+    decomp = decompose(FareyPath(Slope(-1, 1), QuadraticTarget.of(0, -1, 1, 2)))
+    assert decomp.period_matrix() == (3, -4, -2, 3)
+    for target in (QuadraticTarget.of(-3, 1, 4, 13), QuadraticTarget.of(-1, -1, 1, 421)):
+        decomp = decompose(FareyPath(Slope(-1, 1), target))
+        (i0, blocks, _), (a, b, c, d) = decomp.period(), decomp.period_matrix()
+        assert a * d - b * c == 1 and a + d >= 3
+        for i in range(i0 - 1, i0 + 2 * blocks):
+            run, later = decomp.path.run(i), decomp.path.run(i + blocks)
+            assert (later.dp, later.dq) == (a * run.dp + b * run.dq, c * run.dp + d * run.dq)
+
+
+def test_a_horizon_short_of_the_first_span_is_walked_without_the_period(monkeypatch):
+    # -sqrt(10^10 + 19) has a period of 62,067 blocks, which horizon 64 must
+    # not need: the search stops after 64 blocks and the walk answers
+    searched = []
+    find = QuadraticTarget.block_period
+
+    def counted(self, start, budget=None):
+        try:
+            return find(self, start, budget)
+        except ToricEndError:
+            searched.append(budget)
+            raise
+
+    monkeypatch.setattr(QuadraticTarget, "block_period", counted)
+    target, signs = QuadraticTarget.of(0, -1, 1, 10 ** 10 + 19), SignData((), Alternating())
+    expected = reference_euler_walk(decompose(FareyPath(Slope(-1, 1), target)), signs, 64)
+    assert euler_class(decompose(FareyPath(Slope(-1, 1), target)), signs, 64).as_pair() == expected
+    assert searched == [64]
+
+
+@pytest.mark.parametrize("budget", ["PERIOD_BUDGET", "SPAN_BUDGET"])
+def test_euler_walks_past_a_period_or_span_budget(monkeypatch, budget):
+    monkeypatch.setattr(farey if budget == "PERIOD_BUDGET" else invariants, budget, 3)
+    target, signs = QuadraticTarget.of(-1, -1, 1, 421), SignData((P,), Periodic((P, P, N)))
+    decomp = decompose(FareyPath(Slope(-1, 1), target))
+    expected = reference_euler_walk(decompose(FareyPath(Slope(-1, 1), target)), signs, 3000)
+    assert euler_class(decomp, signs, 3000).as_pair() == expected
+    assert len(decomp.path._runs) > 500  # walked: the closed form walks about 115
+
+
+def test_euler_at_a_far_horizon_walks_one_span():
+    decomp = decompose(FareyPath(Slope(-1, 1), QuadraticTarget.of(0, -1, 1, 2)))
+    assert euler_class(decomp, SignData((), Alternating()), 10 ** 6).as_pair() == (0, 0)
+    assert len(decomp.path._runs) <= 4
+    assert euler_class(decomp, SignData((), AllPositive()), 10 ** 30, 10 ** 4300) is None
