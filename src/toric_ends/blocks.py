@@ -178,10 +178,14 @@ class BlockDecomposition:
 
     def period(self, budget: int | None = None) -> tuple[int, int, int] | None:
         """The block period (i0, blocks, slices) of an irrational target,
-        None when its blocks need not repeat; found once per decomposition
-        (see IrrationalTarget.block_period, which reads `budget`)."""
+        None when its blocks need not repeat, or when a `budget` of blocks
+        is searched without a repeat; found once per decomposition (see
+        IrrationalTarget.block_period)."""
         if not self._period:
-            self._period.append(self.path.target.block_period(self.path.start, budget))
+            found = self.path.target.block_period(self.path.start, budget)
+            if found is None and budget is not None:
+                return None  # maybe searched only in part: not kept
+            self._period.append(found)
         return self._period[0]
 
     def period_matrix(self) -> tuple[int, int, int, int]:

@@ -485,8 +485,9 @@ class IrrationalTarget:
     def block_period(self, start: Slope, budget: int | None = None) -> tuple[int, int, int] | None:
         """The period of the continued fraction blocks of the path from
         start, as (i0, blocks, slices): from block i0 (1-based) on, block
-        i + blocks is as long as block i and begins `slices` slices later.
-        None here: the blocks of a general stream need not repeat."""
+        i + blocks is as long as block i and begins `slices` slices later;
+        None when no period is found within a `budget` of blocks.  None
+        here: the blocks of a general stream need not repeat."""
         return None
 
 
@@ -553,8 +554,8 @@ class QuadraticTarget(IrrationalTarget, Record):
         discriminant D, so the first repeat of x gives the period.  Only x
         is walked, as in _Walk without the vertices: one run per block,
         a1 slices long.  Stops with a ToricEndError past PERIOD_BUDGET
-        blocks, or past `budget` blocks if that is less (then
-        i0 + blocks > budget + 1)."""
+        blocks; given a `budget`, it answers None instead, also past
+        `budget` blocks if that is less (then i0 + blocks > budget + 1)."""
         x = _Walk.at(start, self).x
         seen: dict[tuple[int, int], tuple[int, int]] = {}
         block = slices = 0
@@ -564,6 +565,8 @@ class QuadraticTarget(IrrationalTarget, Record):
                 i0, s0 = seen[key]
                 return i0, block + 1 - i0, slices - s0
             if block == PERIOD_BUDGET or block == budget:
+                if budget is not None:
+                    return None
                 raise ToricEndError(
                     f"the blocks toward {self} do not repeat within the budget of "
                     f"PERIOD_BUDGET = {PERIOD_BUDGET} blocks")
@@ -653,8 +656,7 @@ class _Walk:
     determinant +1, so the vectors s are coherent lifts.  Each kind of x
     reads its run itself in integers, a Slope for a rational target, a
     _Surd in PQa form for a quadratic one and a _StreamImage for a stream,
-    and builds one new x per run (a stream also builds its cursor z).  No
-    GL2Z is built after the first x.
+    and builds one new x per run.  No GL2Z is built after the first x.
     """
 
     __slots__ = ("u", "s", "x", "attained")

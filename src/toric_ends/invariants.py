@@ -775,12 +775,9 @@ def _periodic_steps(decomp: BlockDecomposition, signs: SignData, horizon: int, b
     if tail is None or len(signs.prefix) + tail.after >= horizon:
         return None
     pure = len(signs.prefix) + tail.after  # the first slice in the pattern
-    try:
-        # past `horizon` blocks the first span ends past the horizon, since
-        # every block has a slice
-        period = decomp.period(horizon)
-    except ToricEndError:
-        return None
+    # past `horizon` blocks the first span ends past the horizon, since
+    # every block has a slice
+    period = decomp.period(horizon)
     if period is None:
         return None
     i0, blocks, period_slices = period

@@ -342,6 +342,17 @@ def test_a_batch_toward_an_unsplit_radicand_splits_it_once():
     assert farey._squarefree_split.cache_info().misses == 1
 
 
+def test_euler_short_of_the_first_span_writes_no_target():
+    # the period search stops after `horizon` blocks with no message, so the
+    # radicand that only a trial division to its budget splits is not split
+    p, r = 10 ** 6 + 3, 10 ** 6 + 33
+    target = {"kind": "quadratic", "a": 0, "b": 1, "c": 1, "d": p * p * r}
+    farey._squarefree_split.cache_clear()
+    code, out = invoke("euler", {"end": end_doc(target, ["+"], {"type": "alternating"}), "horizon": 64})
+    assert code == 0 and json.loads(out)["slices"] == 64
+    assert farey._squarefree_split.cache_info().misses == 0
+
+
 def periodic_pair(target):
     return {"a": end_doc(target, tail={"type": "periodic", "pattern": ["+", "+", "-"]}),
             "b": end_doc(target, tail={"type": "periodic", "pattern": ["+", "-", "-"]})}
