@@ -548,7 +548,7 @@ class QuadraticTarget(IrrationalTarget, Record):
     def image(self, m: GL2Z) -> _Surd:
         return self.value.mobius(m)
 
-    def block_period(self, start: Slope, budget: int | None = None) -> tuple[int, int, int]:
+    def block_period(self, start: Slope, budget: int | None = None) -> tuple[int, int, int] | None:
         """At a block start the walk value x fixes every later block, and
         by Lagrange x is soon one of the finitely many reduced surds of
         discriminant D, so the first repeat of x gives the period.  Only x
