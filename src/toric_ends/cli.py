@@ -32,6 +32,10 @@ DEFAULT_MAX_FAMILY = 10_000
 # most vertices a path answer and most blocks a blocks answer may list
 OUTPUT_BUDGET = 10**6
 
+# most digits of an answer's integers with no int-to-text limit: Python's
+# default limit, as the walks it bounds store entries quadratic in it
+DIGITS_BUDGET = 4300
+
 
 # ---------------------------------------------------------------------------
 # document tables: each document kind is one Document, read both to decode a
@@ -358,22 +362,24 @@ def _check_output_budget(size: int, what: str):
 
 
 def _digits_error(what: str) -> ToricEndError:
-    return ToricEndError(f"the answer would hold {what} of more than {sys.get_int_max_str_digits()} "
-                         "digits, the limit of int-to-text conversion")
+    limit = sys.get_int_max_str_digits()
+    return ToricEndError(f"the answer would hold {what} of more than " + (
+        f"{limit} digits, the limit of int-to-text conversion" if limit
+        else f"DIGITS_BUDGET = {DIGITS_BUDGET} digits, with no limit on int-to-text conversion"))
 
 
 @lru_cache(maxsize=1)
 def _text_bound(limit: int) -> int:
     """The least integer that str() and json.dumps refuse to write for
     limit = sys.get_int_max_str_digits(), a limit that guards against
-    quadratic-time conversion: 10 ** limit (0 when there is no limit)."""
-    return 10 ** limit if limit else 0
+    quadratic-time conversion: 10 ** limit, or 10 ** DIGITS_BUDGET when
+    there is no limit."""
+    return 10 ** (limit or DIGITS_BUDGET)
 
 
 def _check_digits(values, what: str):
     """Refuse an answer holding an integer past the _text_bound."""
-    bound = _text_bound(sys.get_int_max_str_digits())
-    if bound and max(map(abs, values)) >= bound:
+    if max(map(abs, values)) >= _text_bound(sys.get_int_max_str_digits()):
         raise _digits_error(what)
 
 
@@ -432,7 +438,7 @@ def _cmd_count(doc: dict, options: dict) -> dict:
     total = 1
     for m in lengths:
         total *= m
-        if bound and total >= bound:
+        if total >= bound:
             raise _digits_error("a count")
     out = {"count": total}
     if any(m == 1 for m in lengths):

@@ -10,8 +10,7 @@ the target kind.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from itertools import chain, islice, pairwise, product
+from itertools import islice, pairwise, product
 
 from .blocks import decompose
 from .errors import (
@@ -35,14 +34,15 @@ from .invariants import (
     AttainedInvariant,
     BothFinite,
     EndInvariant,
-    EventuallySign,
     InfiniteDivision,
     InvariantContext,
     IrrationalInvariant,
     MinimallyTwisting,
+    NegFinite,
     NestedAnnuli,
     NonMinimallyTwisting,
     PosFinite,
+    RationalNonAttainedInvariant,
     SignData,
     _periodic_span,
     invariant_from_signs,
@@ -345,38 +345,18 @@ def extension_obstruction(inv, horizon: int = DEFAULT_HORIZON) -> ObstructionRes
 # non-extendable families
 
 
-def _rational_family_signs(base: tuple[int, ...], member: int) -> SignData:
-    """Members enumerate AlternatingForm, PosFinite(1), NegFinite(1),
-    PosFinite(2), ... with zero counts on the finite blocks, whose slices
-    are the negative signs of `base`."""
-    if member == 0:
-        return SignData(base, Alternating())
-    m = (member + 1) // 2
-    return SignData(base, EventuallySign(NEGATIVE if member % 2 == 1 else POSITIVE, m))
-
-
-_ALTERNATING = Alternating()
-
-
-def _alternating_family_signs(blocks: tuple[tuple[int, ...], ...]) -> SignData:
-    """The signs of each leading block in turn, then alternating signs.  The
-    prefix goes through a list, so that SignData builds its tuple at its
-    final size: a tuple grown from an iterator is resized, and each one then
-    waits, freed, on the interpreter's free list for its size."""
-    return SignData(list(chain.from_iterable(blocks)), _ALTERNATING)
-
-
 def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE,
                           horizon: int = DEFAULT_HORIZON) -> list[EndInvariant]:
     """k pairwise non-equivalent invariants, each certified NoTightExtension.
 
-    The members differ only in their signs, so they are classified against
-    one shared decomposition of the path toward the target, and what they
-    share is read off it: the walked blocks and their slice bounds, the
-    block period and, toward an irrational target, one count tail, interned
-    there by the first member.  Each member still builds its own sign data,
-    is validated, has its prefix blocks counted from its own signs and is
-    certified by its own extension_obstruction scan."""
+    Members differ only in their counts: on the leading blocks toward an
+    irrational target, on the infinite block toward a rational one.  The
+    first, with zero counts and an alternating tail, is validated and
+    classified against the one decomposition toward the target; the rest
+    share its boundary, target, division and rotative data, so its
+    validation holds for each, and are built from their own counts.  Each
+    rational member is certified in constant time; toward an irrational
+    target the first member's certificate is every member's."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if k == 0:
@@ -386,36 +366,39 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
     frame = EndDescription(TorusRecord(start, 1), target)
     context = _decomposition_context(frame, normalized_target(frame))
     decomp = context.decomposition()
-
-    def certified(signs: SignData, failure: Callable[[], str]) -> EndInvariant:
-        e = EndDescription(frame.boundary, frame.target, signs)
-        require_valid(e)
-        inv = _classify_minimal(e, context, 1)
+    if target.rational:
+        slices = decomp.bounds(None)[-1]
+    else:
+        lengths: list[int] = []
+        distinct = 1  # count vectors over the blocks so far
+        while distinct < k:
+            if len(lengths) >= horizon:
+                raise InsufficientBlocksError(
+                    f"cannot distinguish {k} invariants within {horizon} blocks")
+            lengths.append(decomp.block(len(lengths) + 1).length)
+            distinct *= lengths[-1]
+        slices = sum(lengths) - len(lengths)  # a block of n vertices has n - 1 slices
+    e = EndDescription(frame.boundary, target, SignData((NEGATIVE,) * slices, Alternating()))
+    require_valid(e)
+    first = _classify_minimal(e, context, 1)
+    if target.rational:
+        # members 1, 2, 3, 4, ... have PosFinite(1), NegFinite(1),
+        # PosFinite(2), ... on the infinite block
+        members = [first, *(RationalNonAttainedInvariant(
+            first.finite_f, (PosFinite if member % 2 else NegFinite)((member + 1) // 2), context)
+            for member in range(1, k))]
+    else:
+        # the next k - 1 count vectors in lexicographic order, each with the
+        # first member's interned count tail and first tail block (the last
+        # leading block has a slice).  An alternating tail normalizes to a
+        # mixed PatternCounts, so the certificate scans the periodic span,
+        # which reads only those two and the decomposition: it is every member's
+        members = [first, *(IrrationalInvariant(counts, first.tail, context)
+                            for counts in islice(product(*map(range, lengths)), 1, k))]
+    for member, inv in enumerate(members if target.rational else members[:1]):
         result = extension_obstruction(inv, horizon)
         if not isinstance(result, NoTightExtension):
-            raise InsufficientBlocksError(f"{failure()}: {result}")
-        return inv
-
-    if target.rational:
-        finite_slices = decomp.bounds(None)[-1]
-        base = (NEGATIVE,) * finite_slices
-        return [certified(_rational_family_signs(base, member),
-                          lambda: f"family member {member} failed certification")
-                for member in range(k)]
-
-    lengths: list[int] = []
-    distinct = 1  # count vectors over the blocks so far
-    while distinct < k:
-        if len(lengths) >= horizon:
-            raise InsufficientBlocksError(
-                f"cannot distinguish {k} invariants within {horizon} blocks")
-        lengths.append(decomp.block(len(lengths) + 1).length)
-        distinct *= lengths[-1]
-    # entry c of row i: c positive slices, then negative ones, on block i + 1;
-    # the first k products of the rows are the first k count vectors in
-    # lexicographic order
-    rows = [[(POSITIVE,) * c + (NEGATIVE,) * (length - 1 - c) for c in range(length)]
-            for length in lengths]
-    return [certified(_alternating_family_signs(blocks),
-                      lambda: f"alternating-tail members toward {target} are not certifiable")
-            for blocks in islice(product(*rows), k)]
+            failure = (f"family member {member} failed certification" if target.rational
+                       else f"alternating-tail members toward {target} are not certifiable")
+            raise InsufficientBlocksError(f"{failure}: {result}")
+    return members

@@ -11,7 +11,7 @@ from toric_ends import GL2Z, FareyPath, QuadraticTarget, Slope, classify, decomp
 from toric_ends import blocks as blocks_mod
 from toric_ends import farey
 from toric_ends import reduce as reduce_mod
-from toric_ends.cli import END, TARGET, main, parse_invariant_document, run_command
+from toric_ends.cli import DIGITS_BUDGET, END, TARGET, main, parse_invariant_document, run_command
 from toric_ends.errors import SchemaError, ToricEndError
 
 from oracles import reference_path
@@ -605,6 +605,27 @@ def test_euler_past_the_int_to_text_limit_is_refused_without_walking_to_the_hori
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2 ** 20
+
+
+@pytest.mark.parametrize("command,doc,what", [
+    ("euler", {"end": end_doc(SQRT2, tail={"type": "all-positive"}), "horizon": 10 ** 12}, "an euler entry"),
+    ("count", {"lengths": [10 ** 4000 + 1] * 1000}, "a count"),
+])
+def test_answers_are_bounded_by_the_digits_budget_with_no_int_to_text_limit(command, doc, what):
+    # with the limit switched off, entries stop at DIGITS_BUDGET digits;
+    # unbounded, the euler class toward -sqrt(2) is multiplied out to 10^12 slices
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        started = time.perf_counter()
+        with pytest.raises(ToricEndError) as raised:
+            run_command(command, doc, {"horizon": 64})
+        elapsed = time.perf_counter() - started
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert str(raised.value) == (f"the answer would hold {what} of more than DIGITS_BUDGET = {DIGITS_BUDGET} "
+                                 "digits, with no limit on int-to-text conversion")
+    assert elapsed < 0.5
 
 
 def test_euler_toward_a_long_period_at_a_small_horizon_answers():

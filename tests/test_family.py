@@ -5,22 +5,21 @@ data (counts, not timings)."""
 
 from math import isqrt
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toric_ends import (
-    FareyPath,
     PosFinite,
     QuadraticTarget,
     RationalTarget,
     Slope,
-    decompose,
     non_extendable_family,
     quadratic_cf_target,
 )
 from toric_ends import blocks, ends, invariants
 from toric_ends.cli import invariant_doc
-from toric_ends.errors import ToricEndError
+from toric_ends.errors import InsufficientBlocksError, ToricEndError
 
 from oracles import reference_family
 
@@ -82,6 +81,29 @@ def test_stream_family_matches_reference(surd, start, k):
     same_family(quadratic_cf_target(value), k, start, lambda: quadratic_cf_target(value))
 
 
+# the surds and the largest k of the family benchmark workload, and a
+# rational family as long as the CLI's default cap allows
+BENCHMARK_SURDS = ((0, -1, 1, 3), (1, -1, 1, 13), (-1, -1, 1, 23))
+
+
+@pytest.mark.parametrize("surd", BENCHMARK_SURDS)
+def test_surd_family_at_benchmark_size_matches_reference(surd):
+    same_family(QuadraticTarget.of(*surd), 250, Slope(-1, 1))
+
+
+def test_rational_family_at_benchmark_size_matches_reference():
+    same_family(RationalTarget(Slope(-19, 2), False), 10 ** 4, Slope(-1, 1))
+
+
+def test_stream_family_without_a_period_fails_as_the_reference():
+    # a stream has no block period, so no member is certified, and the
+    # family fails with the reference's message
+    value = QuadraticTarget.of(0, -1, 1, 3).value
+    same_family(quadratic_cf_target(value), 250, Slope(2, 5), lambda: quadratic_cf_target(value))
+    kind, message = outcome(lambda: non_extendable_family(quadratic_cf_target(value), 250, Slope(2, 5)))
+    assert kind is InsufficientBlocksError and "not certifiable" in message
+
+
 def test_attained_and_empty_families_match_reference():
     same_family(RationalTarget(Slope(-5, 2), True), 3, Slope(-1, 1))
     same_family(RationalTarget(Slope(-5, 2), True), 0, Slope(-1, 1))
@@ -114,21 +136,26 @@ def test_family_shares_one_decomposition(monkeypatch):
         assert len(decompositions) == 1
         shared = family[0].context.decomposition()
         assert all(m.context.decomposition() is shared for m in family)
-        # every member is still validated, classified from its own signs
-        # and certified on its own
-        assert len(validated) == 250
+        # only the first member is validated and classified from its signs
+        assert len(validated) == 1
         assert [id(e) for e in classified] == [id(e) for e in validated]
-        assert [id(inv) for inv in certified] == [id(m) for m in family]
+        if target.rational:
+            # each rational member keeps its own constant-time certificate
+            assert [id(inv) for inv in certified] == [id(m) for m in family]
+        else:
+            # the first member's certificate reads only what all share
+            assert [id(inv) for inv in certified] == [id(family[0])]
 
 
-def test_rational_members_carry_constant_size_signs(monkeypatch):
+def test_rational_members_are_built_from_their_forms(monkeypatch):
     target = RationalTarget(Slope(-19, 2), False)
-    finite_slices = decompose(FareyPath(Slope(-1, 1), target)).all_blocks()[-1].slice_range[0]
     validated = counting(monkeypatch, "validate")
+    classified = counting(monkeypatch, "_classify_minimal")
     family = non_extendable_family(target, 10 ** 4)
-    assert len(validated) == 10 ** 4
-    assert {len(e.signs.prefix) for e in validated} == {finite_slices}
-    assert family[-1].invariant.infinite_block == PosFinite(5000)
+    assert len(family) == 10 ** 4
+    assert len(validated) == len(classified) == 1
+    assert {m.finite_f for m in family} == {family[0].finite_f}
+    assert family[-1].infinite_block == PosFinite(5000)
 
 
 def test_family_members_share_one_count_tail_and_one_bounds_table(monkeypatch):
