@@ -610,6 +610,7 @@ def test_euler_past_the_int_to_text_limit_is_refused_without_walking_to_the_hori
 @pytest.mark.parametrize("command,doc,what", [
     ("euler", {"end": end_doc(SQRT2, tail={"type": "all-positive"}), "horizon": 10 ** 12}, "an euler entry"),
     ("count", {"lengths": [10 ** 4000 + 1] * 1000}, "a count"),
+    ("path", {"start": "-1/1", "target": SQRT2, "n": 24000}, "a vertex entry"),
 ])
 def test_answers_are_bounded_by_the_digits_budget_with_no_int_to_text_limit(command, doc, what):
     # with the limit switched off, entries stop at DIGITS_BUDGET digits;
