@@ -1,7 +1,7 @@
 """Non-extendable families against the reference loop, which classifies
-every member from scratch through the public classify, plus work counts
-that show one decomposition per family and constant-size rational sign
-data (counts, not timings)."""
+and certifies every member from scratch through the public classify, plus
+work counts that show one decomposition, one validation and one
+classification from signs per family (counts, not timings)."""
 
 from math import isqrt
 
