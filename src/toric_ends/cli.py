@@ -32,8 +32,9 @@ DEFAULT_MAX_FAMILY = 10_000
 # most vertices a path answer and most blocks a blocks answer may list
 OUTPUT_BUDGET = 10**6
 
-# most digits of an answer's integers with no int-to-text limit: Python's
-# default limit, as the walks it bounds store entries quadratic in it
+# most digits of an answer's integer when int-to-text conversion has no
+# limit: Python's default limit, as a walk stopped by it stores entries
+# whose total size grows quadratically with it
 DIGITS_BUDGET = 4300
 
 
