@@ -74,10 +74,6 @@ def _at_least(low: int):
     return decode
 
 
-_nonnegative = _at_least(0)
-_positive = _at_least(1)
-
-
 def _bool(value: object, where: str, key: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(f"{where}.{key} must be a boolean")
@@ -139,6 +135,15 @@ def _counts(values: object, where: str, key: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _lengths(values: object, where: str, key: str) -> list[int]:
+    if (not isinstance(values, list) or not values
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in values)):
+        raise SchemaError(f"{where}.{key} must be a nonempty list of integers")
+    if any(m < 1 for m in values):
+        raise SchemaError("block lengths must be >= 1")
+    return values
+
+
 def _rotativity(value: object, where: str, key: str) -> int | None:
     if value == "inf":  # infinitely many layers
         return None
@@ -160,8 +165,8 @@ def _sign_texts(signs: tuple[int, ...]) -> list[str]:
 
 _MISSING = object()
 INT = (_int, None)
-NONNEGATIVE = (_nonnegative, None)
-POSITIVE_INT = (_positive, None)
+NONNEGATIVE = (_at_least(0), None)
+POSITIVE_INT = (_at_least(1), None)
 BOOL = (_bool, None)
 SLOPE = (_slope, str)
 SIGN = (_sign, _SIGN_TEXT.__getitem__)
@@ -170,6 +175,8 @@ PATTERN = (_pattern, _sign_texts)
 COUNT_PATTERN = (_count_pattern, _sign_texts)
 INTS = (_ints, lambda values: list(values) if values else _MISSING)
 COUNTS = (_counts, list)
+LENGTHS = (_lengths, None)
+ANY = (lambda value, where, key: value, None)
 ROTATIVITY = (_rotativity, lambda n: "inf" if n is None else n)
 RESIDUAL = (_residual, lambda inv: None if inv is None else invariant_doc(inv))
 
@@ -219,14 +226,16 @@ class Document:
 
     def decode(self, doc: object, where: str):
         """The record of the document at `where`, or a SchemaError naming its
-        first fault: keys that no variant allows or that all require, the
-        tag, the keys of the tag's variant, then each field in order."""
+        first fault.  The tag is looked up first: its variant checks the keys
+        once (those it does not allow, then those it requires), then each
+        field in order.  A non-object or an unknown tag is checked against
+        every variant (keys that none allows or that all require), then refused."""
         variant = self.only
         if variant is None:
-            _check_keys(doc, self.required, self.keys, where)
-            tag = doc.get(self.tag, self.default_tag)
+            tag = doc.get(self.tag, self.default_tag) if isinstance(doc, dict) else None
             variant = self.variants.get(tag) if tag.__class__ is self.tag_class else None
             if variant is None:
+                _check_keys(doc, self.required, self.keys, where)
                 raise SchemaError(f"{where}.{self.tag} {self.bad_tag}")
         _check_keys(doc, variant.required, variant.keys, where)
         values = []
@@ -254,8 +263,9 @@ class Document:
         return doc
 
 
-def _checked_only(*values):
-    """Invariant documents are only checked: no document holds a decomposition."""
+def _values(*values):
+    """The decoded fields as they are: invariant documents are only checked (no
+    document holds a decomposition), and command inputs and jobs are tuples."""
     return values
 
 
@@ -319,16 +329,24 @@ ANNULI = Document({None: Variant(inv_mod.NestedAnnuli, field("tb_start", INT), f
 
 INVARIANT = Document({
     "attained": Variant(inv_mod.AttainedInvariant, field("f", COUNTS, "finite_f"),
-                        field("d", POSITIVE_INT, "boundary_division"), make=_checked_only),
+                        field("d", POSITIVE_INT, "boundary_division"), make=_values),
     "rational": Variant(inv_mod.RationalNonAttainedInvariant, field("f", COUNTS, "finite_f"),
-                        field("infinite", INFINITE_BLOCK.codec, "infinite_block"), make=_checked_only),
+                        field("infinite", INFINITE_BLOCK.codec, "infinite_block"), make=_values),
     "irrational": Variant(inv_mod.IrrationalInvariant, field("f", COUNTS, "counts"),
-                          field("tail", COUNT_TAIL.codec), make=_checked_only),
+                          field("tail", COUNT_TAIL.codec), make=_values),
     "nonminimal": Variant(inv_mod.NonMinimallyTwisting, field("rotativity", ROTATIVITY), field("sign", SIGN),
-                          field("residual", RESIDUAL), make=_checked_only),
+                          field("residual", RESIDUAL), make=_values),
     "infinite-division": Variant(inv_mod.InfiniteDivision, field("annuli", ANNULI.codec, "descriptor"),
-                                 make=_checked_only),
+                                 make=_values),
 }, "kind", "is unknown")
+
+# a `run` job: its command, its input (decoded by run_command) and the
+# options it overrides of the command line's
+JOB_OPTIONS = Document({None: Variant(dict, field("horizon", POSITIVE_INT, default=None),
+                                      make=lambda horizon: {} if horizon is None else {"horizon": horizon})})
+
+JOB = Document({None: Variant(tuple, field("command", ANY), field("input", ANY),
+                              field("options", JOB_OPTIONS.codec, default={}), make=_values)})
 
 
 invariant_doc = INVARIANT.encode
@@ -384,26 +402,39 @@ def _check_digits(values, what: str):
         raise _digits_error(what)
 
 
-def _cmd_path(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"start", "target", "n"}, set(), "input")
-    n = min(_positive(doc["n"], "input", "n"), OUTPUT_BUDGET + 1)
-    path = FareyPath(_slope(doc["start"], "input", "start"), TARGET.decode(doc["target"], "target"))
+_RUNNERS = {}
+
+
+def _command(name: str, *fields: tuple):
+    """Register the function below as the command `name`: its input is one
+    table of `fields`, decoded in order and whole before any domain work,
+    and the function is called with the decoded values and the options."""
+    table = Document({None: Variant(tuple, *fields, make=_values)})
+
+    def register(run):
+        _RUNNERS[name] = (table, run)
+        return run
+    return register
+
+
+@_command("path", field("n", POSITIVE_INT), field("start", SLOPE), field("target", TARGET.codec))
+def _cmd_path(n: int, start: Slope, target, options: dict) -> dict:
+    path = FareyPath(start, target)
     # the walk stops at the first run end past the bound, so that no
     # vertex past it is walked; the start and every vertex before the last
     # are then within the bound, and only the last one is checked
-    size = path.extend_to(n, _text_bound(sys.get_int_max_str_digits()))
+    size = path.extend_to(min(n, OUTPUT_BUDGET + 1), _text_bound(sys.get_int_max_str_digits()))
     _check_output_budget(size, "vertices")
     last = path.vertex(size - 1)
     _check_digits((last.p, last.q), "a vertex entry")
     return {"vertices": path.prefix_text(size)}
 
 
-def _cmd_blocks(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"start", "target"}, {"count"}, "input")
-    count = _positive(doc["count"], "input", "count") if "count" in doc else options["horizon"]
-    path = FareyPath(_slope(doc["start"], "input", "start"), TARGET.decode(doc["target"], "target"))
-    decomp = blocks_mod.decompose(path)
-    size = min(count, OUTPUT_BUDGET + 1)
+@_command("blocks", field("count", POSITIVE_INT, default=None), field("start", SLOPE),
+          field("target", TARGET.codec))
+def _cmd_blocks(count: int | None, start: Slope, target, options: dict) -> dict:
+    decomp = blocks_mod.decompose(FareyPath(start, target))
+    size = min(count or options["horizon"], OUTPUT_BUDGET + 1)
     docs = []
     # block by block, so that the walk stops at the first over-long witness
     while len(docs) < size and decomp.has_block(len(docs) + 1):
@@ -413,26 +444,18 @@ def _cmd_blocks(doc: dict, options: dict) -> dict:
     return {"blocks": docs, "complete": decomp.finished}
 
 
-def _cmd_classify(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"end"}, set(), "input")
-    return invariant_doc(ends_mod.classify(END.decode(doc["end"], "end")))
+@_command("classify", field("end", END.codec))
+def _cmd_classify(end, options: dict) -> dict:
+    return invariant_doc(ends_mod.classify(end))
 
 
-def _cmd_compare(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"a", "b"}, set(), "input")
-    a = ends_mod.classify(END.decode(doc["a"], "a"))
-    b = ends_mod.classify(END.decode(doc["b"], "b"))
-    return {"equivalent": inv_mod.equivalent(a, b, options["horizon"])}
+@_command("compare", field("a", END.codec), field("b", END.codec))
+def _cmd_compare(a, b, options: dict) -> dict:
+    return {"equivalent": inv_mod.equivalent(ends_mod.classify(a), ends_mod.classify(b), options["horizon"])}
 
 
-def _cmd_count(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"lengths"}, set(), "input")
-    lengths = doc["lengths"]
-    if (not isinstance(lengths, list) or not lengths
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in lengths)):
-        raise SchemaError("input.lengths must be a nonempty list of integers")
-    if any(m < 1 for m in lengths):
-        raise SchemaError("block lengths must be >= 1")
+@_command("count", field("lengths", LENGTHS))
+def _cmd_count(lengths: list, options: dict) -> dict:
     # the lengths are at least 1, so the partial products never shrink, and
     # the first one past the _text_bound is refused before the rest is multiplied
     bound = _text_bound(sys.get_int_max_str_digits())
@@ -442,15 +465,14 @@ def _cmd_count(doc: dict, options: dict) -> dict:
         if total >= bound:
             raise _digits_error("a count")
     out = {"count": total}
-    if any(m == 1 for m in lengths):
+    if 1 in lengths:
         out["note"] = "length-1 blocks carry no basic slices and contribute factor 1"
     return out
 
 
-def _cmd_euler(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"end"}, {"horizon"}, "input")
-    horizon = _positive(doc["horizon"], "input", "horizon") if "horizon" in doc else options["horizon"]
-    e = END.decode(doc["end"], "end")
+@_command("euler", field("horizon", POSITIVE_INT, default=None), field("end", END.codec))
+def _cmd_euler(horizon: int | None, e, options: dict) -> dict:
+    horizon = horizon or options["horizon"]
     ends_mod.require_valid(e)
     target = ends_mod.normalized_target(e)
     if target.attained and target.slope == ends_mod.BASE_SLOPE:
@@ -464,10 +486,9 @@ def _cmd_euler(doc: dict, options: dict) -> dict:
     return {"euler": [cls.x, cls.y], "slices": slices}
 
 
-def _cmd_extend_check(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"end"}, set(), "input")
-    inv = ends_mod.classify(END.decode(doc["end"], "end"))
-    result = ends_mod.extension_obstruction(inv, options["horizon"])
+@_command("extend-check", field("end", END.codec))
+def _cmd_extend_check(end, options: dict) -> dict:
+    result = ends_mod.extension_obstruction(ends_mod.classify(end), options["horizon"])
     if isinstance(result, ends_mod.NoTightExtension):
         return {"result": "no-tight-extension", "reason": result.reason}
     if isinstance(result, ends_mod.ExtendsByConstruction):
@@ -475,30 +496,25 @@ def _cmd_extend_check(doc: dict, options: dict) -> dict:
     return {"result": "unknown", "horizon": result.horizon}
 
 
-def _cmd_family(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"target", "k"}, {"start"}, "input")
-    k = _nonnegative(doc["k"], "input", "k")
+@_command("family", field("k", NONNEGATIVE), field("start", SLOPE, default=ends_mod.BASE_SLOPE),
+          field("target", TARGET.codec))
+def _cmd_family(k: int, start: Slope, target, options: dict) -> dict:
     if k > options["max_family"]:
         raise SchemaError(f"input.k exceeds the family cap {options['max_family']}")
-    start = _slope(doc["start"], "input", "start") if "start" in doc else ends_mod.BASE_SLOPE
-    members = ends_mod.non_extendable_family(TARGET.decode(doc["target"], "target"), k, start,
-                                             options["horizon"])
+    members = ends_mod.non_extendable_family(target, k, start, options["horizon"])
     return {"invariants": [invariant_doc(m) for m in members]}
 
 
-def _cmd_reduce_solid_torus(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"end"}, set(), "input")
-    s_of_r, rest = reduce_mod.complementary_end(END.decode(doc["end"], "end"))
+@_command("reduce-solid-torus", field("end", END.codec))
+def _cmd_reduce_solid_torus(end, options: dict) -> dict:
+    s_of_r, rest = reduce_mod.complementary_end(end)
     return {"s": None if s_of_r is None else str(s_of_r),
             "invariant": invariant_doc(ends_mod.classify(rest)), "end": END.encode(rest)}
 
 
-def _cmd_reduce_t2xr(doc: dict, options: dict) -> dict:
-    _check_keys(doc, {"plus", "minus", "middle"}, set(), "input")
-    middle = TORUS.decode(doc["middle"], "input.middle")
-    annulus = reduce_mod.OpenToricAnnulus(
-        END.decode(doc["plus"], "plus"), END.decode(doc["minus"], "minus"), middle)
-    norm = reduce_mod.normalize_rotativity(annulus)
+@_command("reduce-t2xr", field("middle", TORUS.codec), field("plus", END.codec), field("minus", END.codec))
+def _cmd_reduce_t2xr(middle, plus, minus, options: dict) -> dict:
+    norm = reduce_mod.normalize_rotativity(reduce_mod.OpenToricAnnulus(plus, minus, middle))
     return {
         "plus": END.encode(norm.plus),
         "minus": END.encode(norm.minus),
@@ -509,18 +525,6 @@ def _cmd_reduce_t2xr(doc: dict, options: dict) -> dict:
     }
 
 
-_RUNNERS = {
-    "path": _cmd_path,
-    "blocks": _cmd_blocks,
-    "classify": _cmd_classify,
-    "compare": _cmd_compare,
-    "count": _cmd_count,
-    "euler": _cmd_euler,
-    "extend-check": _cmd_extend_check,
-    "family": _cmd_family,
-    "reduce-solid-torus": _cmd_reduce_solid_torus,
-    "reduce-t2xr": _cmd_reduce_t2xr,
-}
 COMMANDS = tuple(_RUNNERS)
 
 
@@ -533,7 +537,8 @@ def run_command(command: str, doc: object, options: dict) -> dict:
         raise SchemaError(f"command must be a string, not {type(command).__name__}")
     if command not in _RUNNERS:
         raise SchemaError(f"unknown command {command!r}")
-    return _RUNNERS[command](doc, options)
+    table, run = _RUNNERS[command]
+    return run(*table.decode(doc, "input"), options)
 
 
 def _render_human(doc: object, indent: int = 0) -> str:
@@ -565,11 +570,14 @@ def _emit(doc: object, fmt: str, out) -> None:
 
 
 def _load_input(args) -> object:
-    if args.input and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if args.input and args.input != "-":
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SchemaError(f"input cannot be read: {exc}") from None
     try:
         return json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
@@ -582,22 +590,15 @@ def _run_batch(jobs: object, options: dict) -> tuple[list, int]:
     results = []
     status = 0
     for i, job in enumerate(jobs):
-        _check_keys(job, {"command", "input"}, {"options"}, f"job[{i}]")
         try:
-            job_options = dict(options)
-            if "options" in job:
-                odoc = _check_keys(job["options"], set(), {"horizon"}, f"job[{i}].options")
-                if "horizon" in odoc:
-                    job_options["horizon"] = _positive(odoc["horizon"], f"job[{i}].options", "horizon")
-            output = run_command(job["command"], job["input"], job_options)
-            results.append({"status": "ok", "output": output})
+            command, doc, overrides = JOB.decode(job, f"job[{i}]")
+            results.append({"status": "ok", "output": run_command(command, doc, {**options, **overrides})})
         except SchemaError as exc:
             results.append({"status": "malformed", "error": str(exc)})
             status = 2
         except ToricEndError as exc:
             results.append({"status": "violation", "error": str(exc)})
-            if status == 0:
-                status = 1
+            status = status or 1
     return results, status
 
 
@@ -627,7 +628,11 @@ def main(argv=None) -> int:
         return 2
     options = {"horizon": args.horizon, "max_family": args.max_family}
 
-    out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    try:
+        out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        print(f"output cannot be written: {exc}", file=sys.stderr)
+        return 2
     try:
         doc = _load_input(args)
         if args.command == "run":

@@ -131,6 +131,17 @@ def test_family_cap():
     assert code == 2
 
 
+def test_the_whole_input_is_decoded_before_any_domain_work():
+    # `a` is well formed but violates the domain; `b` is malformed
+    a = end_doc({"kind": "rational", "slope": "-3/1", "attained": True}, prefix=["+", "+"],
+                tail={"type": "all-positive"})
+    code, out = invoke("compare", {"a": a, "b": 5})
+    assert (code, json.loads(out)) == (2, {"error": "input.b must be an object"})
+    # the family cap is read after the target is decoded
+    code, out = invoke("family", {"target": {"kind": "x"}, "k": 20000})
+    assert (code, json.loads(out)) == (2, {"error": 'input.target.kind must be "rational" or "quadratic"'})
+
+
 def test_family_cap_below_zero_is_refused(capsys):
     code, out = invoke("family", {"target": INF_NA, "k": 3}, "--max-family", "-5")
     assert code == 2 and out == ""
@@ -210,7 +221,7 @@ def test_rotative_layers_of_both_signs_are_a_violation():
 def test_constant_sign_tails_reject_stray_fields(rule, stray, value):
     code, out = invoke("classify", {"end": end_doc(SQRT2, tail={"type": rule, stray: value})})
     assert code == 2
-    assert json.loads(out)["error"] == f"end.signs.tail has unknown fields: ['{stray}']"
+    assert json.loads(out)["error"] == f"input.end.signs.tail has unknown fields: ['{stray}']"
 
 
 @pytest.mark.parametrize("flag", ["no", "yes", 1, 0, None])
@@ -218,7 +229,7 @@ def test_rotative_infinite_must_be_a_boolean(flag):
     end = end_doc(SQRT2, tail={"type": "all-positive"}, rotative={"sign": "+", "infinite": flag})
     code, out = invoke("classify", {"end": end})
     assert code == 2
-    assert json.loads(out)["error"] == "end.rotative.infinite must be a boolean"
+    assert json.loads(out)["error"] == "input.end.rotative.infinite must be a boolean"
 
 
 def irrational(tail):
@@ -668,6 +679,22 @@ def test_division_tail_schema_is_strict(division_tail):
     assert "division_tail" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_an_unreadable_input_is_malformed(tmp_path, kind):
+    path = {"missing": tmp_path / "missing.json", "directory": tmp_path,
+            "not-utf-8": tmp_path / "latin-1.json"}[kind]
+    (tmp_path / "latin-1.json").write_bytes(b'{"lengths": [3], "\xe9": 1}')
+    code, out = invoke("count", {"lengths": [3, 2]}, "--input", str(path))
+    assert code == 2
+    assert json.loads(out)["error"].startswith("input cannot be read: ")
+
+
+def test_an_unwritable_output_is_refused(tmp_path, capsys):
+    code, out = invoke("count", {"lengths": [3, 2]}, "--output", str(tmp_path / "missing" / "out.json"))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("output cannot be written: ")
+
+
 def test_exit_code_bad_json():
     stdin, stdout = sys.stdin, sys.stdout
     sys.stdin = io.StringIO("{not json")
@@ -712,6 +739,19 @@ def test_batch_run_statuses():
     assert [r["status"] for r in results] == ["ok", "violation", "violation", "ok"]
 
 
+@pytest.mark.parametrize("job,error", [
+    (5, "job[1] must be an object"),
+    ({"command": "count"}, "job[1] is missing fields: ['input']"),
+    ({"command": "count", "input": {"lengths": [2]}, "format": "human"}, "job[1] has unknown fields: ['format']"),
+], ids=["not-an-object", "no-input", "unknown-field"])
+def test_a_malformed_job_fills_its_own_slot_and_the_batch_goes_on(job, error):
+    count = {"command": "count", "input": {"lengths": [2]}}
+    code, out = invoke("run", [count, job, count])
+    assert code == 2
+    assert json.loads(out) == [{"status": "ok", "output": {"count": 2}}, {"status": "malformed", "error": error},
+                               {"status": "ok", "output": {"count": 2}}]
+
+
 @pytest.mark.parametrize("command", [["count"], {"name": "count"}, 7, None])
 def test_a_command_that_is_not_a_string_is_malformed_and_the_batch_goes_on(command):
     jobs = [{"command": command, "input": {"lengths": [2]}},
@@ -735,7 +775,7 @@ def test_batch_job_options_are_strict():
 
 @pytest.mark.parametrize("job,field", [
     ({"command": "classify",
-      "input": {"end": end_doc(SQRT2, tail={"type": "eventually", "sign": "+", "after": -1})}}, "end.signs.tail"),
+      "input": {"end": end_doc(SQRT2, tail={"type": "eventually", "sign": "+", "after": -1})}}, "input.end.signs.tail"),
     ({"command": "reduce-t2xr",
       "input": {"plus": end_doc(SQRT2), "minus": end_doc(SQRT2), "middle": {"slope": "0/1", "div": 0}}},
      "input.middle"),
@@ -763,8 +803,8 @@ def test_a_sign_that_is_not_plus_or_minus_is_malformed(entry):
                        + [{"command": "count", "input": {"lengths": [2]}}])
     assert code == 2
     assert json.loads(out) == [
-        {"status": "malformed", "error": 'end.signs.prefix must be "+" or "-"'},
-        {"status": "malformed", "error": 'end.signs.tail.pattern must be "+" or "-"'},
+        {"status": "malformed", "error": 'input.end.signs.prefix must be "+" or "-"'},
+        {"status": "malformed", "error": 'input.end.signs.tail.pattern must be "+" or "-"'},
         {"status": "ok", "output": {"count": 2}}]
 
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from toric_ends.cli import END, TARGET, invariant_doc, main, parse_invariant_document
+from toric_ends import cli
+from toric_ends.cli import COMMANDS, END, TARGET, invariant_doc, main, parse_invariant_document, run_command
 from toric_ends.ends import InfiniteDivision, NestedAnnuli, NonMinimallyTwisting
 from toric_ends.errors import SchemaError
 from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, Slope
@@ -211,7 +212,9 @@ def test_every_invariant_document_passes_its_check(inv):
 # the object or list it changes, and the key or index it drops (no "value")
 # or sets; "error" is the message, captured from the hand-written codec.  A
 # case whose document that codec accepted or crashed on, or answered with
-# another message, keeps that outcome under "was".
+# another message, keeps that outcome under "was".  A command's base is its
+# input, run through run_command; its cases' "was" is the answer of the
+# hand-written input checks that the command tables replaced.
 SQRT2 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 2}
 ATTAINED = {"kind": "rational", "slope": "-3/1", "attained": True}
 INFINITY = {"kind": "rational", "slope": "1/0", "attained": False}
@@ -251,7 +254,24 @@ BASES = {
         {"kind": "infinite-division", "annuli": {"tb_start": -1, "tb_step": 1}},
     ],
 }
-PARSERS = {"end": lambda doc: END.decode(doc, "end"), "invariant": parse_invariant_document}
+POSITIVE_END = base_end(SQRT2, "", {"type": "all-positive"})
+BASES.update({
+    "path": [{"n": 4, "start": "-1/1", "target": SQRT2}],
+    "blocks": [{"count": 2, "start": "-1/1", "target": SQRT2}],
+    "classify": [{"end": POSITIVE_END}],
+    "compare": [{"a": POSITIVE_END, "b": base_end(SQRT2, "", {"type": "alternating"})}],
+    "count": [{"lengths": [3, 2]}],
+    "euler": [{"horizon": 8, "end": POSITIVE_END}],
+    "extend-check": [{"end": POSITIVE_END}],
+    "family": [{"k": 2, "start": "-1/1", "target": INFINITY}],
+    "reduce-solid-torus": [{"end": POSITIVE_END}],
+    "reduce-t2xr": [{"middle": {"slope": "-1/1", "div": 1},
+                     "plus": dict(POSITIVE_END, rotative={"n": 1, "sign": "+"}),
+                     "minus": dict(POSITIVE_END, boundary={"slope": "1/1", "div": 1})}],
+})
+PARSERS = {"end": lambda doc: END.decode(doc, "end"), "invariant": parse_invariant_document,
+           **{name: lambda doc, name=name: run_command(name, doc, {"horizon": 64, "max_family": 100})
+              for name in COMMANDS}}
 
 
 def broken(case):
@@ -273,6 +293,14 @@ def test_corpus_bases_are_well_formed():
     for kind, bases in BASES.items():
         for doc in bases:
             PARSERS[kind](doc)
+
+
+def test_a_tagged_document_checks_its_keys_once(monkeypatch):
+    calls = []
+    check = cli._check_keys
+    monkeypatch.setattr(cli, "_check_keys", lambda *args: calls.append(args[-1]) or check(*args))
+    TARGET.decode(SQRT2, "target")
+    assert calls == ["target"]
 
 
 def test_malformed_documents_keep_their_messages():
