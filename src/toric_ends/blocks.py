@@ -16,9 +16,13 @@ normalized picture is -1, ..., -m, -m - 1/a with a >= 2, and the triple
 
 from __future__ import annotations
 
-from .errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
-from .farey import GL2Z, FareyPath, RationalTarget, Run, Slope, det
+from .errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError, ToricEndError
+from .farey import GL2Z, FareyPath, RationalTarget, Run, Slope, _Walk, det
 from .records import Record, setfield
+
+# blocks the walk keys in search of a repeat (see BlockDecomposition.period);
+# periods grow like sqrt(d) log d: from -1/1 toward -sqrt(10^10 + 19) it is 62067
+PERIOD_BUDGET = 10**5
 
 
 class Block(Record):
@@ -91,70 +95,80 @@ def witness_for_edge(a: Slope, b: Slope) -> GL2Z:
 
 class BlockDecomposition:
     """Lazily computed maximal blocks of a path, oldest first: one block per
-    run of the path.
+    run of the path, read off the run when asked for.
 
     Blocks partition the path's edges; consecutive blocks share exactly one
     boundary vertex.  For irrational targets the block list is infinite and
     extends on demand; for a rational non-attained target the final block is
-    infinite and ends the list.
+    infinite and ends the list.  The slice bounds and the block period need
+    only the block lengths, so the decomposition walks the value x of _Walk
+    by itself, with none of the vertices, whose entries grow without bound.
     """
 
     def __init__(self, path: FareyPath):
         self.path = path
-        if not path.has_vertex(1):
+        if path.target.attained and path.target.slope == path.start:
             raise MalformedPathError("decomposition needs a path with at least 2 vertices")
-        self._blocks: list[Block] = []
+        self._x = _Walk.at(path.start, path.target).x
+        self._attained = path.target.attained
         self._done = False
-        self._period: list = []  # [target.block_period(start)] once computed
         self._bounds = [0]  # see bounds()
+        self._period = None  # see period()
+        # the first block to start at each PQa pair of x, until the period is found
+        self._seen = {(self._x.P, self._x.Q): 1} if path.target.periodic else None
         # normalized count tails by (sign pattern, rotation, anchor), interned
         # by invariants._tail_pattern_at so that ends sharing the
         # decomposition share them (count tails are immutable records)
         self.count_tails: dict = {}
 
     def _emit_next(self) -> bool:
-        """Compute one more block; returns False when the list is finished."""
+        """Walk x over one more block, append its end to the bounds and key
+        the next block's x; False when the list is finished."""
         if self._done:
             return False
-        i = len(self._blocks)
-        run = self.path.run(i)
-        if run is None:
+        _, a1, x = self._x._run(self._attained)
+        if a1 is None:  # an infinite block (normalized: -1, -2, -3, ... forever) ends the list
             self._done = True
             return False
-        block = Block(run)
-        self._blocks.append(block)
-        if not block.infinite:
-            self._bounds.append(block.end_index)
-        # an infinite run (normalized: -1, -2, -3, ... forever) ends the list
-        self._done = run.edges is None or (self.path.complete and self.path.run(i + 1) is None)
+        bounds = self._bounds
+        bounds.append(bounds[-1] + a1)
+        self._x = x
+        if self._attained:
+            self._done = x.q == 0  # on the target: x = oo
+        elif self._seen is not None:
+            n = len(bounds)  # the block x starts
+            i0 = self._seen.setdefault((x.P, x.Q), n)
+            if i0 != n:
+                self._period = i0, n - i0, bounds[-1] - bounds[i0 - 1]
+                self._seen = None
+            elif n > PERIOD_BUDGET:  # a later repeat is past the budget
+                self._seen = None
         return True
 
     def block(self, i: int) -> Block:
         """The i-th block, 1-based."""
-        while len(self._blocks) < i:
-            if not self._emit_next():
-                raise IndexError(f"decomposition has only {len(self._blocks)} blocks")
-        return self._blocks[i - 1]
+        if i < 1:
+            raise IndexError("block indices are 1-based")
+        run = self.path.run(i - 1)
+        if run is None:
+            raise IndexError(f"decomposition has only {len(self.path._runs)} blocks")
+        return Block(run)
 
     def has_block(self, i: int) -> bool:
-        while len(self._blocks) < i:
-            if not self._emit_next():
-                return False
-        return True
+        return i >= 1 and self.path.run(i - 1) is not None
 
-    def blocks_up_to(self, k: int) -> list[Block]:
-        while len(self._blocks) < k and self._emit_next():
-            pass
-        return self._blocks[:k]
+    def blocks_up_to(self, k: int | None) -> list[Block]:
+        blocks: list[Block] = []
+        while (k is None or len(blocks) < k) and (run := self.path.run(len(blocks))) is not None:
+            blocks.append(Block(run))
+        return blocks
 
     def all_blocks(self) -> list[Block]:
         """Every block; only legal when the list is finite (attained target
         or rational non-attained, whose infinite block ends the list)."""
         if not self.path.target.rational:
             raise InfiniteBlockError("irrational targets have infinitely many blocks")
-        while self._emit_next():
-            pass
-        return list(self._blocks)
+        return self.blocks_up_to(None)
 
     def bounds(self, blocks: int | None = 0, reach: int = 0) -> list[int]:
         """The slice bounds of the blocks walked so far, one entry appended
@@ -174,19 +188,30 @@ class BlockDecomposition:
 
     @property
     def finished(self) -> bool:
-        return self._done
+        """True once either walk has reached the last block."""
+        return self._done or self.path.last_run_walked
 
     def period(self, budget: int | None = None) -> tuple[int, int, int] | None:
-        """The block period (i0, blocks, slices) of an irrational target,
-        None when its blocks need not repeat, or when a `budget` of blocks
-        is searched without a repeat; found once per decomposition (see
-        IrrationalTarget.block_period)."""
-        if not self._period:
-            found = self.path.target.block_period(self.path.start, budget)
-            if found is None and budget is not None:
-                return None  # maybe searched only in part: not kept
-            self._period.append(found)
-        return self._period[0]
+        """The block period (i0, blocks, slices) of a periodic target: from
+        block i0 (1-based) on, block i + blocks is as long as block i and
+        begins `slices` slices later.  The value x at a block start fixes
+        every later block and is soon reduced (Lagrange), so the walk finds
+        the period at the first repeat of x.  None for a stream, and None
+        when a `budget` of blocks shows no period (i0 + blocks > budget + 1;
+        the blocks walked are kept); past PERIOD_BUDGET a ToricEndError."""
+        if not self.path.target.periodic:
+            return None
+        limit = PERIOD_BUDGET if budget is None else min(budget, PERIOD_BUDGET)
+        bounds = self._bounds
+        while self._period is None and len(bounds) <= limit:
+            self._emit_next()
+        found = self._period
+        if found is not None and found[0] + found[1] <= limit + 1:
+            return found
+        if budget is not None:
+            return None
+        raise ToricEndError(f"the blocks toward {self.path.target} do not repeat within the budget of "
+                            f"PERIOD_BUDGET = {PERIOD_BUDGET} blocks")
 
     def period_matrix(self) -> tuple[int, int, int, int]:
         """The entries (a, b, c, d) of the N in SL2(Z) that carries the walk
@@ -213,4 +238,4 @@ def n_of_r(r: Slope, start: Slope) -> int:
     non-attained rational target r: the finite ones plus the infinite one."""
     if r == start:
         raise DegenerateTargetError("target equals the start slope")
-    return len(BlockDecomposition(FareyPath(start, RationalTarget(r, attained=False))).all_blocks())
+    return len(BlockDecomposition(FareyPath(start, RationalTarget(r, attained=False))).bounds(None))

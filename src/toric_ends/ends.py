@@ -369,15 +369,15 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
     if target.rational:
         slices = decomp.bounds(None)[-1]
     else:
-        lengths: list[int] = []
-        distinct = 1  # count vectors over the blocks so far
+        bounds, n, distinct = decomp.bounds(), 0, 1  # distinct count vectors over n blocks
         while distinct < k:
-            if len(lengths) >= horizon:
+            if n >= horizon:
                 raise InsufficientBlocksError(
                     f"cannot distinguish {k} invariants within {horizon} blocks")
-            lengths.append(decomp.block(len(lengths) + 1).length)
-            distinct *= lengths[-1]
-        slices = sum(lengths) - len(lengths)  # a block of n vertices has n - 1 slices
+            n += 1
+            decomp.bounds(n)
+            distinct *= bounds[n] - bounds[n - 1] + 1  # a block of s slices has s + 1 counts
+        slices = bounds[n]
     e = EndDescription(frame.boundary, target, SignData((NEGATIVE,) * slices, Alternating()))
     require_valid(e)
     first = _classify_minimal(e, context, 1)
@@ -393,8 +393,8 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
         # leading block has a slice).  An alternating tail normalizes to a
         # mixed PatternCounts, so the certificate scans the periodic span,
         # which reads only those two and the decomposition: it is every member's
-        members = [first, *(IrrationalInvariant(counts, first.tail, context)
-                            for counts in islice(product(*map(range, lengths)), 1, k))]
+        counts = product(*(range(hi - lo + 1) for lo, hi in pairwise(bounds[:n + 1])))
+        members = [first, *(IrrationalInvariant(c, first.tail, context) for c in islice(counts, 1, k))]
     for member, inv in enumerate(members if target.rational else members[:1]):
         result = extension_obstruction(inv, horizon)
         if not isinstance(result, NoTightExtension):

@@ -219,11 +219,6 @@ def _bezout_partner(s: Slope) -> tuple[int, int]:
 # text: enough for every d <= 10^18
 SQUAREFREE_TRIAL_BUDGET = 10**6
 
-# blocks QuadraticTarget.block_period walks in search of a repeat; periods
-# grow like sqrt(d) log d: from -1/1 toward -sqrt(10^10 + 19) it is 62067
-PERIOD_BUDGET = 10**5
-
-
 @lru_cache(maxsize=256)
 def _squarefree_split(d: int) -> tuple[int, int]:
     """d = f*f * d0 with d0 squarefree; returns (f, d0), kept per d for
@@ -438,10 +433,12 @@ class _StreamImage:
 
 class RationalTarget(Record):
     """A rational limit slope and its attainment flag.  Every target kind
-    says whether it is `rational` and `attained`; no caller tests a class."""
+    says whether it is `rational`, `attained` and `periodic` (its blocks
+    repeat: see BlockDecomposition.period); no caller tests a class."""
 
     __slots__ = ("slope", "attained")
     rational = True
+    periodic = False
 
     def __init__(self, slope: Slope, attained: bool = False):
         setfield(self, "slope", slope)
@@ -473,6 +470,7 @@ class IrrationalTarget:
     __slots__ = ()
     attained = False
     rational = False
+    periodic = False  # the blocks of a general stream need not repeat
 
     def det_sign(self, s: Slope) -> int:
         if s.q == 0:
@@ -482,14 +480,6 @@ class IrrationalTarget:
     def mobius_floor(self, m: GL2Z) -> int:
         return self.image(m).floor()
 
-    def block_period(self, start: Slope, budget: int | None = None) -> tuple[int, int, int] | None:
-        """The period of the continued fraction blocks of the path from
-        start, as (i0, blocks, slices): from block i0 (1-based) on, block
-        i + blocks is as long as block i and begins `slices` slices later;
-        None when no period is found within a `budget` of blocks.  None
-        here: the blocks of a general stream need not repeat."""
-        return None
-
 
 class QuadraticTarget(IrrationalTarget, Record):
     """An exact quadratic irrational limit slope, held as its PQa triple
@@ -497,6 +487,7 @@ class QuadraticTarget(IrrationalTarget, Record):
 
     __slots__ = ("value", "_root")
     _fields = ("value",)
+    periodic = True
 
     def __init__(self, value: _Surd, root: tuple[int, int, bool] | None = None):
         setfield(self, "value", value)
@@ -547,33 +538,6 @@ class QuadraticTarget(IrrationalTarget, Record):
 
     def image(self, m: GL2Z) -> _Surd:
         return self.value.mobius(m)
-
-    def block_period(self, start: Slope, budget: int | None = None) -> tuple[int, int, int] | None:
-        """At a block start the walk value x fixes every later block, and
-        by Lagrange x is soon one of the finitely many reduced surds of
-        discriminant D, so the first repeat of x gives the period.  Only x
-        is walked, as in _Walk without the vertices: one run per block,
-        a1 slices long.  Stops with a ToricEndError past PERIOD_BUDGET
-        blocks; given a `budget`, it answers None instead, also past
-        `budget` blocks if that is less (then i0 + blocks > budget + 1)."""
-        x = _Walk.at(start, self).x
-        seen: dict[tuple[int, int], tuple[int, int]] = {}
-        block = slices = 0
-        while True:
-            key = (x.P, x.Q)
-            if key in seen:
-                i0, s0 = seen[key]
-                return i0, block + 1 - i0, slices - s0
-            if block == PERIOD_BUDGET or block == budget:
-                if budget is not None:
-                    return None
-                raise ToricEndError(
-                    f"the blocks toward {self} do not repeat within the budget of "
-                    f"PERIOD_BUDGET = {PERIOD_BUDGET} blocks")
-            block += 1
-            seen[key] = (block, slices)
-            _, a1, x = x._run(False)
-            slices += a1
 
     def __str__(self) -> str:
         a, b, c, d = self.written()
@@ -740,6 +704,11 @@ class FareyPath:
     def complete(self) -> bool:
         return self._complete
 
+    @property
+    def last_run_walked(self) -> bool:
+        """True once the run that ends the path, if it has one, is walked."""
+        return self._complete or self._size is None
+
     def __len__(self) -> int:
         return self._length
 
@@ -780,7 +749,7 @@ class FareyPath:
         """The i-th run (0-based), walked as far as needed; None when the
         path has fewer runs."""
         runs = self._runs
-        while len(runs) <= i and not self._complete and self._size is not None:
+        while len(runs) <= i and not self.last_run_walked:
             self._advance()
         return runs[i] if i < len(runs) else None
 

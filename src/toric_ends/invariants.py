@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable
-from itertools import accumulate, islice, pairwise
+from itertools import accumulate, pairwise
 
 from .blocks import BlockDecomposition
 from .errors import (
@@ -46,6 +46,9 @@ DEFAULT_HORIZON = 64
 
 # most blocks a periodic span of per-block counts may cover
 SPAN_BUDGET = 10**5
+
+# most blocks an irrational invariant may list before its count tail
+COUNTS_BUDGET = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -462,13 +465,12 @@ def _block_counts(signs: SignData, bounds: list[int], n: int) -> tuple[int, ...]
 
 def _build_attained(decomp: BlockDecomposition, signs: SignData, division: int,
                     context: InvariantContext) -> AttainedInvariant:
-    slices = decomp.path.walk_to_end() - 1
+    bounds = decomp.bounds(None)
     if signs.tail is not None:
         raise IllegalTailError("finite path, infinite tail")
-    if len(signs.prefix) != slices:
+    if len(signs.prefix) != bounds[-1]:
         raise CoverageMismatchError(
-            f"prefix covers {len(signs.prefix)} slices but the path has {slices}")
-    bounds = decomp.bounds(None)
+            f"prefix covers {len(signs.prefix)} slices but the path has {bounds[-1]}")
     return AttainedInvariant(_block_counts(signs, bounds, len(bounds) - 1), division, context)
 
 
@@ -509,7 +511,11 @@ def _build_irrational(decomp: BlockDecomposition, signs: SignData,
     if signs.tail is None:
         raise IllegalTailError("infinite path requires a sign tail")
     pure = len(signs.prefix) + signs.tail.after  # the first slice past the opening ones
-    bounds = decomp.bounds(reach=pure)
+    bounds = decomp.bounds()
+    while bounds[-1] < pure:  # block by block, so that no block past slice `pure` is walked
+        if len(bounds) > COUNTS_BUDGET:
+            raise ToricEndError(f"the sign tail starts past the budget of COUNTS_BUDGET = {COUNTS_BUDGET} blocks")
+        decomp.bounds(len(bounds))
     n = bisect_left(bounds, pure)  # the blocks that start before slice `pure`
     return IrrationalInvariant(_block_counts(signs, bounds, n),
                                _tail_pattern_at(signs, bounds[n], decomp.count_tails), context)
@@ -551,9 +557,9 @@ def _periodic_span(decomp: BlockDecomposition, k: int, m: int):
     the target's blocks need not repeat (a stream); a ToricEndError past
     SPAN_BUDGET blocks.
 
-    The ranges are read off the decomposition's bounds table, one per block
-    as it is asked for, and never built whole: the first period is walked
-    as it is read, and each later period is the first one shifted."""
+    The ranges are read off the decomposition's bounds table, which the
+    period search has walked, and never built whole: each later period is
+    the first one shifted."""
     period = decomp.period()
     if period is None:
         return None
@@ -563,15 +569,9 @@ def _periodic_span(decomp: BlockDecomposition, k: int, m: int):
         raise ToricEndError(f"a periodic span of {blocks * repeats} blocks is past the budget of "
                             f"SPAN_BUDGET = {SPAN_BUDGET} blocks")
     lo = max(k, i0)
-    bounds = decomp.bounds()
-
-    def ranges():
-        for i in range(lo, lo + blocks):  # the first period, walked as it is read
-            decomp.bounds(i)
-            yield bounds[i - 1], bounds[i]
-        for offset in range(slices, repeats * slices, slices):
-            yield from ((a + offset, b + offset) for a, b in pairwise(islice(bounds, lo - 1, lo + blocks)))
-    return lo, ranges()
+    first = decomp.bounds(lo + blocks - 1)[lo - 1:lo + blocks]
+    return lo, ((a + offset, b + offset) for offset in range(0, repeats * slices, slices)
+                for a, b in pairwise(first))
 
 
 def _equivalent_irrational(a: IrrationalInvariant, b: IrrationalInvariant,

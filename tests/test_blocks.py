@@ -1,3 +1,9 @@
+import json
+import resource
+import subprocess
+import sys
+import tracemalloc
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -9,6 +15,7 @@ from toric_ends import (
     QuadraticTarget,
     RationalTarget,
     Slope,
+    classify,
     decompose,
     farey_sequence,
     n_of_r,
@@ -16,11 +23,13 @@ from toric_ends import (
     quadratic_cf_target,
 )
 from toric_ends.blocks import Block, witness_for_edge
+from toric_ends.cli import END, run_command
 from toric_ends.errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
-from toric_ends.farey import Run
+from toric_ends.farey import Run, _Surd, _Walk
 
 from oracles import oracle_witness_search, synthetic_path_vertices
 from test_cf_targets import GL2Z_WORDS
+from test_cli import SQRT2, end_doc
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 
@@ -182,3 +191,99 @@ def test_run_witness_is_the_witness_of_its_first_edge(m):
     # the columns of m are coherent lifts (p, q), (p + dp, q + dq) of an edge
     run = Run(0, m.a, m.c, m.b - m.a, m.d - m.c, 3)
     assert Block(run).witness == witness_for_edge(run.vertex(0), run.vertex(1))
+
+
+def test_block_indices_below_one_are_refused():
+    decomp = decompose(FareyPath(S("-1"), MINUS_SQRT2))
+    decomp.block(3)
+    for i in (0, -1, -5):
+        with pytest.raises(IndexError, match="block indices are 1-based"):
+            decomp.block(i)
+        assert decomp.has_block(i) is False
+    assert decomp.has_block(1) and decomp.block(1).start_index == 0
+
+
+# ---------------------------------------------------------------------------
+# the length walk: block lengths and the period from the walk value alone
+
+SQRT3 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 3}
+OPTIONS = {"horizon": 64, "max_family": 1000}
+
+
+def count_walks(monkeypatch) -> dict:
+    """Counts of vertex runs (_Walk.next_run) and of surd runs (_Surd._run:
+    one per x step, and one inside each vertex run)."""
+    counts = {"vertex runs": 0, "x steps": 0}
+    next_run, run = _Walk.next_run, _Surd._run
+
+    def counted_next_run(self):
+        counts["vertex runs"] += 1
+        return next_run(self)
+
+    def counted_run(self, attained):
+        counts["x steps"] += 1
+        return run(self, attained)
+
+    monkeypatch.setattr(_Walk, "next_run", counted_next_run)
+    monkeypatch.setattr(_Surd, "_run", counted_run)
+    return counts
+
+
+def test_invariant_questions_walk_no_vertex(monkeypatch):
+    # toward -sqrt(3) every block has two slices, so after eight "+" the two
+    # alternating tails give every block one positive slice: the compare is
+    # true, and needs the block period
+    a = end_doc(SQRT3, ["+"] * 8, {"type": "alternating"})
+    b = end_doc(SQRT3, ["+"] * 8, {"type": "periodic", "pattern": ["-", "+"]})
+    walked = count_walks(monkeypatch)
+    assert run_command("compare", {"a": a, "b": b}, OPTIONS) == {"equivalent": True}
+    assert run_command("extend-check", {"end": a}, OPTIONS)["result"] == "no-tight-extension"
+    assert len(run_command("family", {"target": SQRT3, "k": 250}, OPTIONS)["invariants"]) == 250
+    assert run_command("classify", {"end": a}, OPTIONS)["f"] == [2, 2, 2, 2]
+    assert walked["vertex runs"] == 0
+    # classify steps x once per block it bounds, and only so far
+    walked["x steps"] = 0
+    decomp = classify(END.decode(a, "end")).context.decomposition()
+    assert walked["x steps"] == len(decomp.bounds()) - 1 == 4
+
+
+def test_blocks_walk_one_vertex_run_per_block(monkeypatch):
+    walked = count_walks(monkeypatch)
+    out = run_command("blocks", {"start": "-1/1", "target": SQRT3, "count": 100}, OPTIONS)
+    assert len(out["blocks"]) == 100 and out["complete"] is False
+    # each vertex run reads its own x: the decomposition steps no x of its own
+    assert walked == {"vertex runs": 100, "x steps": 100}
+
+
+@pytest.mark.parametrize("n", [5_000, 10_000, 20_000, 40_000])
+def test_classify_memory_is_linear_in_the_sign_prefix(n):
+    # the vertex lifts at slice 40,000 toward -sqrt(2) have about 50,000
+    # bits; storing every run of them took a peak of 266 MiB
+    doc = {"end": end_doc(SQRT2, ["+"] * n, {"type": "alternating"})}
+    tracemalloc.start()
+    try:
+        answer = run_command("classify", doc, OPTIONS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert answer["f"] == [2] * (n // 2)
+    assert peak < 16 * 2 ** 20
+
+
+def _one_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+def test_a_sign_tail_far_down_the_path_is_refused_at_the_counts_budget():
+    # about 5 * 10^14 blocks precede slice 10^15: each command walks at most
+    # COUNTS_BUDGET of them, in a child capped at 1 GiB of address space
+    far = end_doc(SQRT2, tail={"type": "eventually", "sign": "+", "after": 10 ** 15})
+    farther = end_doc(SQRT2, tail={"type": "eventually", "sign": "+", "after": 10 ** 15 + 1})
+    jobs = [{"command": "classify", "input": {"end": far}},
+            {"command": "compare", "input": {"a": far, "b": farther}},
+            {"command": "extend-check", "input": {"end": far}}]
+    proc = subprocess.run([sys.executable, "-m", "toric_ends", "run"], input=json.dumps(jobs),
+                          capture_output=True, text=True, timeout=60, preexec_fn=_one_gib_address_space)
+    refused = {"status": "violation",
+               "error": "the sign tail starts past the budget of COUNTS_BUDGET = 1000000 blocks"}
+    assert (proc.returncode, json.loads(proc.stdout)) == (1, [refused] * 3), proc.stderr

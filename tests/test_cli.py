@@ -334,7 +334,7 @@ def test_a_square_in_d_or_in_b_is_one_target(monkeypatch):
     # Each message writes its input's split: d = r splits, d = p^2 r stops
     # at the trial-division budget and is written unsplit
     assert (str(first), str(second)) == (f"(0 + 1*sqrt({p * p * r}))/1", f"(0 + {p}*sqrt({r}))/1")
-    monkeypatch.setattr("toric_ends.farey.PERIOD_BUDGET", 50)
+    monkeypatch.setattr("toric_ends.blocks.PERIOD_BUDGET", 50)
     for target, text in zip(spellings, (str(first), str(second))):
         with pytest.raises(ToricEndError, match="PERIOD_BUDGET = 50") as info:
             run_command("family", {"target": target, "k": 2}, options)
@@ -377,7 +377,7 @@ def test_quadratic_compare_is_decided_at_horizon_one():
 
 
 def test_period_budget_is_a_violation(monkeypatch):
-    monkeypatch.setattr("toric_ends.farey.PERIOD_BUDGET", 3)
+    monkeypatch.setattr("toric_ends.blocks.PERIOD_BUDGET", 3)
     target = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 421}
     # the compare answers at the first differing block, with no period
     code, out = invoke("compare", periodic_pair(target))

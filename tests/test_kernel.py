@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from toric_ends import (
     GL2Z,
+    BlockDecomposition,
     FareyPath,
     QuadraticTarget,
     RationalTarget,
@@ -65,7 +66,7 @@ def test_surd_walk_matches_reference(target, start, n):
 @example(QuadraticTarget.of(-7, -3, 5, 50), Slope(5, 2))
 @given(KERNEL_SURDS, STARTS)
 def test_surd_block_period_matches_reference_scan(target, start):
-    i0, blocks, slices = target.block_period(start)
+    i0, blocks, slices = decompose(FareyPath(start, target)).period()
     decomp = decompose(FareyPath(start, target))
     assert reference_quadratic_period(decomp, target.value, i0, 1, 4 * blocks) == (i0, i0 + blocks)
     assert decomp.block(i0 + blocks).slice_range[0] - decomp.block(i0).slice_range[0] == slices
@@ -80,7 +81,7 @@ def test_cf_coefficients_match_the_mobius_recurrence(target):
 
 def test_block_period_of_a_long_period():
     target = QuadraticTarget.of(0, -1, 1, 10 ** 10 + 19)
-    assert target.block_period(Slope(-1, 1)) == (2, 62067, 1095612)
+    assert decompose(FareyPath(Slope(-1, 1), target)).period() == (2, 62067, 1095612)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +242,9 @@ def test_differing_block_answers_without_the_period(monkeypatch):
     a = classify(periodic_end(target, (), (P, P, N))).invariant
     b = classify(periodic_end(target, (), (P, N, N))).invariant
 
-    def refuse(self, start):
+    def refuse(self, budget=None):
         raise AssertionError("the block period was asked for")
 
-    monkeypatch.setattr(QuadraticTarget, "block_period", refuse)
+    monkeypatch.setattr(BlockDecomposition, "period", refuse)
     for horizon in (1, 64, 4096):
         assert equivalent(a, b, horizon) is False

@@ -15,6 +15,7 @@ from toric_ends import (
     AllNegative,
     AllPositive,
     Alternating,
+    BlockDecomposition,
     EndDescription,
     EventuallySign,
     FareyPath,
@@ -33,7 +34,7 @@ from toric_ends import (
     non_extendable_family,
     quadratic_cf_target,
 )
-from toric_ends import farey
+from toric_ends import blocks as blocks_mod
 from toric_ends.errors import ToricEndError, UndecidableAtHorizonError
 from toric_ends import invariants
 from toric_ends.invariants import PatternCounts, _grown, _periodic_span
@@ -148,8 +149,8 @@ def test_periodic_span_reads_the_walked_blocks(target, start, k, m, walked):
     decomp.bounds(walked)  # none, some or all of the span's first period walked before
     lo, ranges = _periodic_span(decomp, k, m)
     first = next(ranges)
-    # reading the first range walks no block past the first of the span
-    assert len(decomp.bounds()) - 1 <= max(walked, lo)
+    # the span reads its first period off the bounds, walked to its end and no further
+    assert len(decomp.bounds()) - 1 == max(walked, lo + blocks - 1)
     ranges = [first, *ranges]
     assert lo == max(k, i0)
     assert len(ranges) == blocks * m // gcd(slices, m)
@@ -174,7 +175,7 @@ def test_stream_targets_have_no_period():
 
 
 def test_period_budget_is_named(monkeypatch):
-    monkeypatch.setattr(farey, "PERIOD_BUDGET", 3)
+    monkeypatch.setattr(blocks_mod, "PERIOD_BUDGET", 3)
     target = QuadraticTarget.of(0, -1, 1, 421)
     a = classify(periodic_end(target, (), (P, P, N))).invariant
     b = classify(periodic_end(target, (), (P, N, N))).invariant
@@ -185,13 +186,13 @@ def test_period_budget_is_named(monkeypatch):
 
 def test_family_finds_the_period_once(monkeypatch):
     calls = []
-    find = QuadraticTarget.block_period
+    find = BlockDecomposition.period
 
-    def counted(self, start, budget=None):
-        calls.append(start)
-        return find(self, start, budget)
+    def counted(self, budget=None):
+        calls.append(self.path.start)
+        return find(self, budget)
 
-    monkeypatch.setattr(QuadraticTarget, "block_period", counted)
+    monkeypatch.setattr(BlockDecomposition, "period", counted)
     members = non_extendable_family(QuadraticTarget.of(0, -1, 1, 3), 250)
     assert len(members) == 250
     assert len(calls) == 1
@@ -275,14 +276,14 @@ def test_a_horizon_short_of_the_first_span_is_walked_without_the_period(monkeypa
     # -sqrt(10^10 + 19) has a period of 62,067 blocks, which horizon 64 must
     # not need: the search stops after 64 blocks and the walk answers
     searched = []
-    find = QuadraticTarget.block_period
+    find = BlockDecomposition.period
 
-    def counted(self, start, budget=None):
-        found = find(self, start, budget)
+    def counted(self, budget=None):
+        found = find(self, budget)
         searched.append((budget, found))
         return found
 
-    monkeypatch.setattr(QuadraticTarget, "block_period", counted)
+    monkeypatch.setattr(BlockDecomposition, "period", counted)
     target, signs = QuadraticTarget.of(0, -1, 1, 10 ** 10 + 19), SignData((), Alternating())
     expected = reference_euler_walk(decompose(FareyPath(Slope(-1, 1), target)), signs, 64)
     assert euler_class(decompose(FareyPath(Slope(-1, 1), target)), signs, 64).as_pair() == expected
@@ -291,7 +292,7 @@ def test_a_horizon_short_of_the_first_span_is_walked_without_the_period(monkeypa
 
 @pytest.mark.parametrize("budget", ["PERIOD_BUDGET", "SPAN_BUDGET"])
 def test_euler_walks_past_a_period_or_span_budget(monkeypatch, budget):
-    monkeypatch.setattr(farey if budget == "PERIOD_BUDGET" else invariants, budget, 3)
+    monkeypatch.setattr(blocks_mod if budget == "PERIOD_BUDGET" else invariants, budget, 3)
     target, signs = QuadraticTarget.of(-1, -1, 1, 421), SignData((P,), Periodic((P, P, N)))
     decomp = decompose(FareyPath(Slope(-1, 1), target))
     expected = reference_euler_walk(decompose(FareyPath(Slope(-1, 1), target)), signs, 3000)
