@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from functools import lru_cache
-from operator import attrgetter
 
 from . import blocks as blocks_mod
 from . import ends as ends_mod
@@ -41,9 +40,10 @@ DIGITS_BUDGET = 4300
 # ---------------------------------------------------------------------------
 # document tables: each document kind is one Document, read both to decode a
 # document with every check and to encode a record.  A field's codec is a
-# pair (decode, encode): decode(value, where, key) checks and converts the
-# value under `key` of the document at `where`; encode converts back (None:
-# as it is; a result of _MISSING leaves the key out).
+# pair (decode, encode), or a triple (decode, encode, keep):
+# decode(value, where, key) checks and converts the value under `key` of the
+# document at `where`; encode converts back (None: as it is); a value for
+# which keep is false leaves the key out.
 
 
 def _check_keys(doc: object, required: set[str], optional: set[str] = frozenset(), where: str = "document") -> dict:
@@ -173,7 +173,7 @@ SIGN = (_sign, _SIGN_TEXT.__getitem__)
 SIGNS = (_signs, _sign_texts)
 PATTERN = (_pattern, _sign_texts)
 COUNT_PATTERN = (_count_pattern, _sign_texts)
-INTS = (_ints, lambda values: list(values) if values else _MISSING)
+INTS = (_ints, list, bool)
 COUNTS = (_counts, list)
 LENGTHS = (_lengths, None)
 ANY = (lambda value, where, key: value, None)
@@ -182,11 +182,42 @@ RESIDUAL = (_residual, lambda inv: None if inv is None else invariant_doc(inv))
 
 
 def field(key: str, codec: tuple, attr=None, default: object = _MISSING) -> tuple:
-    """A document key as (key, decode, encode, get, default): its codec, the
-    getter of the record attribute it holds (the key unless named; a dotted
-    name reaches into the record, and a function is the getter itself) and
-    its default when it may be left out."""
-    return (key, *codec, attr if callable(attr) else attrgetter(attr or key), default)
+    """A document key as (key, decode, encode, keep, attr, default): its
+    codec (keep None unless given), the record attribute it holds (the key
+    unless named; a dotted name reaches into the record, and a function is
+    its getter) and its default when it may be left out."""
+    decode, encode, keep = codec if len(codec) == 3 else (*codec, None)
+    return (key, decode, encode, keep, attr or key, default)
+
+
+def _encoders(head: list[str], fields: tuple, name: str) -> tuple:
+    """The encoders of one variant, compiled from its fields: encode(r), the
+    document of the record r as one dict display, and follow(r, p, q), the
+    same document written after the document q of a record p of the same
+    class, which shares q's value of each field whose object is p's.
+    Records are immutable, so a shared value is the one encode would write."""
+    scope, sources = {}, []
+    for follow in (False, True):
+        items, kept = list(head), []
+        for i, (key, _, encode, keep, attr, _) in enumerate(fields):
+            scope[f"e{i}"], scope[f"k{i}"], scope[f"g{i}"] = encode, keep, attr
+            get = f"r.{attr}" if isinstance(attr, str) else f"g{i}(r)"
+            if keep is not None:  # the value is read once, for keep and the encoder
+                kept.append(f"    v = {get}")
+                get = "v"
+            value = get if encode is None else f"e{i}({get})"
+            if follow and encode is not None and isinstance(attr, str):
+                value = f"q[{key!r}] if {get} is p.{attr} else {value}"
+            if keep is None:
+                items.append(f"{key!r}: {value}")
+            else:
+                kept.append(f"    if k{i}(v): d[{key!r}] = {value}")
+        signature = "follow(r, p, q)" if follow else "encode(r)"
+        display = "{" + ", ".join(items) + "}"
+        body = [f"    d = {display}", *kept, "    return d"] if kept else [f"    return {display}"]
+        sources.append("\n".join([f"def {signature}:", *body]))
+    exec(compile("\n".join(sources), f"<{name} document>", "exec"), scope)
+    return scope["encode"], scope["follow"]
 
 
 class Variant:
@@ -219,6 +250,7 @@ class Document:
                 variant.keys |= {tag}
                 variant.required |= set() if value is default_tag else {tag}
         self.by_class = {variant.cls: (value, variant.fields) for value, variant in variants.items()}
+        self.encoders = {}  # by record class, compiled on first use (see _compile)
         # the keys that some variant allows, and the keys that all require
         self.keys = frozenset().union(*(v.keys for v in variants.values()))
         self.required = frozenset.intersection(*(v.required for v in variants.values()))
@@ -239,7 +271,7 @@ class Document:
                 raise SchemaError(f"{where}.{self.tag} {self.bad_tag}")
         _check_keys(doc, variant.required, variant.keys, where)
         values = []
-        for key, decode, _, _, default in variant.fields:
+        for key, decode, _, _, _, default in variant.fields:
             value = doc.get(key, _MISSING)
             values.append(default if value is _MISSING else decode(value, where, key))
         try:
@@ -250,17 +282,33 @@ class Document:
     def decode_field(self, doc: object, where: str, key: str):
         return self.decode(doc, f"{where}.{key}")
 
-    def encode(self, record) -> dict:
-        entry = self.by_class.get(record.__class__)
+    def _compile(self, cls: type) -> tuple:
+        """The (encode, follow) pair of _encoders for records of class cls."""
+        entry = self.by_class.get(cls)
         if entry is None:
-            raise SchemaError(f"{record.__class__.__name__} records have no document form")
+            raise SchemaError(f"{cls.__name__} records have no document form")
         tag, fields = entry
-        doc = {} if tag is self.default_tag else {self.tag: tag}
-        for key, _, encode, get, _ in fields:
-            value = get(record) if encode is None else encode(get(record))
-            if value is not _MISSING:
-                doc[key] = value
-        return doc
+        head = [] if tag is self.default_tag else [f"{self.tag!r}: {tag!r}"]
+        pair = self.encoders[cls] = _encoders(head, fields, cls.__name__)
+        return pair
+
+    def encode(self, record) -> dict:
+        return (self.encoders.get(record.__class__) or self._compile(record.__class__))[0](record)
+
+    def encode_list(self, records) -> list[dict]:
+        """The documents of records, in order.  A field whose object is the
+        previous record's is written once, and the documents share its value."""
+        docs, cls = [], None
+        for record in records:
+            if record.__class__ is cls:
+                doc = follow(record, previous, doc)
+            else:
+                cls = record.__class__
+                encode, follow = self.encoders.get(cls) or self._compile(cls)
+                doc = encode(record)
+            docs.append(doc)
+            previous = record
+        return docs
 
 
 def _values(*values):
@@ -502,7 +550,7 @@ def _cmd_family(k: int, start: Slope, target, options: dict) -> dict:
     if k > options["max_family"]:
         raise SchemaError(f"input.k exceeds the family cap {options['max_family']}")
     members = ends_mod.non_extendable_family(target, k, start, options["horizon"])
-    return {"invariants": [invariant_doc(m) for m in members]}
+    return {"invariants": INVARIANT.encode_list(members)}
 
 
 @_command("reduce-solid-torus", field("end", END.codec))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import islice, pairwise, product
 
-from .blocks import decompose
+from .blocks import BlockDecomposition, decompose
 from .errors import (
     InsufficientBlocksError,
     ToricEndError,
@@ -179,18 +179,23 @@ def is_minimally_twisting(e: EndDescription) -> bool:
     return e.rotative.n == 0
 
 
-def _path_slice_count(e: EndDescription) -> int:
+def _path_slice_count(e: EndDescription, decomp: BlockDecomposition | None = None) -> int:
     """Number of basic slices of the finite factorization of an attained
-    description (0 for the collar whose target equals the boundary)."""
+    description (0 for the collar whose target equals the boundary): the
+    end of its last block, read off the walk of x with no vertex.  `decomp`
+    is the decomposition toward the normalized target, when the caller has it."""
     target = normalized_target(e)
     assert target.attained
     if target.slope == BASE_SLOPE:
         return 0
-    return FareyPath(BASE_SLOPE, target).walk_to_end() - 1
+    if decomp is None:
+        decomp = decompose(FareyPath(BASE_SLOPE, target))
+    return decomp.bounds(None)[-1]
 
 
-def validate(e: EndDescription) -> list[str]:
-    """Structural violations of the description; empty when legal."""
+def validate(e: EndDescription, decomp: BlockDecomposition | None = None) -> list[str]:
+    """Structural violations of the description; empty when legal.  `decomp`,
+    when given, is the decomposition toward the normalized target."""
     violations: list[str] = []
     if e.boundary.division != 1:
         violations.append("boundary division must be 1 (higher starting division is out of scope)")
@@ -202,7 +207,7 @@ def validate(e: EndDescription) -> list[str]:
         if e.signs.tail is not None:
             violations.append("finite path, infinite tail")
         elif e.boundary.division == 1:
-            slices = _path_slice_count(e)
+            slices = _path_slice_count(e, decomp)
             if len(e.signs.prefix) != slices:
                 violations.append(
                     f"sign coverage mismatch: prefix has {len(e.signs.prefix)} signs, "
@@ -221,9 +226,9 @@ def validate(e: EndDescription) -> list[str]:
     return violations
 
 
-def require_valid(e: EndDescription) -> None:
+def require_valid(e: EndDescription, decomp: BlockDecomposition | None = None) -> None:
     """Raise a ValidationError listing the violations of e, if it has any."""
-    violations = validate(e)
+    violations = validate(e, decomp)
     if violations:
         raise ValidationError(violations)
 
@@ -241,7 +246,12 @@ def slope_at_infinity(e: EndDescription) -> SlopeTarget:
 
 def classify(e: EndDescription) -> EndInvariant:
     """Dispatch to the complete invariant of the end."""
-    require_valid(e)
+    # toward an attained target other than the base slope, validation counts
+    # the slices of the decomposition that the invariant is read from
+    target = normalized_target(e)
+    context = (_decomposition_context(e, target)
+               if target.attained and target.slope != BASE_SLOPE else None)
+    require_valid(e, context and context.decomposition())
 
     base_context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, None)
     d_inf = division_at_infinity(e)
@@ -254,11 +264,10 @@ def classify(e: EndDescription) -> EndInvariant:
             EndDescription(e.boundary, e.target, e.signs, e.division_tail))
         return NonMinimallyTwisting(rotative.n, rotative.sign, residual, base_context)
 
-    target = normalized_target(e)
     if target.attained and target.slope == BASE_SLOPE:
         # vertically invariant collar: no blocks, empty invariant
         return AttainedInvariant((), d_inf, base_context)
-    return _classify_minimal(e, _decomposition_context(e, target), d_inf)
+    return _classify_minimal(e, context or _decomposition_context(e, target), d_inf)
 
 
 def _decomposition_context(e: EndDescription, target: SlopeTarget) -> InvariantContext:

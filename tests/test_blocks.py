@@ -22,6 +22,7 @@ from toric_ends import (
     parse_slope,
     quadratic_cf_target,
 )
+from toric_ends import ends
 from toric_ends.blocks import Block, witness_for_edge
 from toric_ends.cli import END, run_command
 from toric_ends.errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
@@ -245,6 +246,18 @@ def test_invariant_questions_walk_no_vertex(monkeypatch):
     walked["x steps"] = 0
     decomp = classify(END.decode(a, "end")).context.decomposition()
     assert walked["x steps"] == len(decomp.bounds()) - 1 == 4
+
+
+def test_classify_toward_an_attained_target_walks_no_vertex(monkeypatch):
+    # -100/7 from -1 has 15 slices in two blocks: validation counts them off
+    # the decomposition that classify then reads the invariant from
+    walked = count_walks(monkeypatch)
+    decomposed = []
+    decompose_path = ends.decompose
+    monkeypatch.setattr(ends, "decompose", lambda path: decomposed.append(path) or decompose_path(path))
+    end = end_doc({"kind": "rational", "slope": "-100/7", "attained": True}, ["+"] * 15)
+    assert run_command("classify", {"end": end}, OPTIONS) == {"kind": "attained", "f": [13, 2], "d": 1}
+    assert walked["vertex runs"] == 0 and len(decomposed) == 1
 
 
 def test_blocks_walk_one_vertex_run_per_block(monkeypatch):

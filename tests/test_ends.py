@@ -41,14 +41,18 @@ from toric_ends import (
     validate,
 )
 from toric_ends.ends import (
+    BASE_SLOPE,
     ConstantDivision,
     EventuallyConstantDivision,
     StrictlyIncreasingDivision,
+    _path_slice_count,
     basis_change,
     normalized_target,
 )
 from toric_ends.errors import UndecidableError, ValidationError
 from toric_ends.farey import FareyPath
+
+from oracles import circular_census
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 P, N = 1, -1
@@ -316,3 +320,19 @@ def test_family_members_always_certified(k):
     assert len(fam) == k
     for member in fam:
         assert isinstance(extension_obstruction(member), NoTightExtension)
+
+
+def test_slice_counts_match_the_vertex_walk_over_a_census():
+    # validation counts an attained end's slices off the walk of x; the
+    # vertex walk of the same path counts them one vertex at a time
+    for boundary in (S("-1/1"), S("0/1"), S("1/0"), S("5/2"), S("-3/7")):
+        for slope in circular_census(4):
+            e = EndDescription(TorusRecord(boundary), RationalTarget(slope, True))
+            target = normalized_target(e)
+            slices = 0 if target.slope == BASE_SLOPE else FareyPath(BASE_SLOPE, target).walk_to_end() - 1
+            assert _path_slice_count(e) == slices
+            signs = SignData((P,) * slices)
+            assert validate(EndDescription(e.boundary, e.target, signs)) == []
+            assert validate(EndDescription(e.boundary, e.target, SignData((P,) * (slices + 1)))) == [
+                f"sign coverage mismatch: prefix has {slices + 1} signs, path has {slices} basic slices"]
+            assert isinstance(classify(EndDescription(e.boundary, e.target, signs)), AttainedInvariant)

@@ -17,8 +17,8 @@ from toric_ends import (
     non_extendable_family,
     quadratic_cf_target,
 )
-from toric_ends import blocks, ends, invariants
-from toric_ends.cli import invariant_doc
+from toric_ends import blocks, cli, ends, invariants
+from toric_ends.cli import TARGET, invariant_doc, run_command
 from toric_ends.errors import InsufficientBlocksError, ToricEndError
 
 from oracles import reference_family
@@ -173,3 +173,53 @@ def test_family_members_share_one_count_tail_and_one_bounds_table(monkeypatch):
     # one count tail per family, and the members' block counts and
     # certificates read the bounds the first of them walked
     assert work[0] == work[1] and work[0][0] == 1
+
+
+# the family command writes its members' documents in one pass, which
+# writes a field that a member shares with the one before it only once
+
+OPTIONS = {"horizon": 64, "max_family": 10_000}
+SQRT3 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 3}
+
+TARGET_DOCS = st.one_of(
+    SLOPES.map(lambda s: {"kind": "rational", "slope": str(s), "attained": False}),
+    SURDS.map(lambda s: dict(zip(("kind", "a", "b", "c", "d"), ("quadratic", *s)))),
+)
+
+
+def command_outcome(doc):
+    try:
+        return run_command("family", doc, OPTIONS)["invariants"]
+    except ToricEndError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@example(SQRT3, Slope(-1, 1), 250)
+@example({"kind": "quadratic", "a": -1, "b": -1, "c": 1, "d": 23}, Slope(2, 5), 300)
+@example({"kind": "rational", "slope": "-19/2", "attained": False}, Slope(-1, 1), 300)
+@example({"kind": "rational", "slope": "-19/2", "attained": False}, Slope(-1, 1), 0)
+@given(TARGET_DOCS, SLOPES, st.integers(0, 300))
+def test_family_command_writes_each_member_as_alone(target, start, k):
+    doc = {"k": k, "start": str(start), "target": target}
+    alone = outcome(lambda: non_extendable_family(TARGET.decode(target, "target"), k, start))
+    assert command_outcome(doc) == alone
+
+
+def test_a_family_writes_its_shared_fields_once(monkeypatch):
+    # the first family compiles the count tail's encoders; the next one
+    # writes its one interned tail once for 250 members
+    run_command("family", {"k": 1, "target": SQRT3}, OPTIONS)
+    written = []
+    encode, follow = cli.COUNT_TAIL.encoders[invariants.PatternCounts]
+    monkeypatch.setitem(cli.COUNT_TAIL.encoders, invariants.PatternCounts,
+                        (lambda tail: written.append(tail) or encode(tail), follow))
+    docs = run_command("family", {"k": 250, "target": SQRT3}, OPTIONS)["invariants"]
+    assert len(docs) == 250 and len(written) == 1
+    assert all(doc["tail"] is docs[0]["tail"] for doc in docs)
+    assert len({id(doc["f"]) for doc in docs}) == 250
+    # toward a rational target the members share their finite counts
+    rational = {"kind": "rational", "slope": "-19/2", "attained": False}
+    docs = run_command("family", {"k": 250, "target": rational}, OPTIONS)["invariants"]
+    assert all(doc["f"] is docs[0]["f"] for doc in docs)
+    assert len({id(doc["infinite"]) for doc in docs}) == 250
