@@ -190,7 +190,7 @@ def field(key: str, codec: tuple, attr=None, default: object = _MISSING) -> tupl
     return (key, decode, encode, keep, attr or key, default)
 
 
-def _encoders(head: list[str], fields: tuple, name: str) -> tuple:
+def _compile_encoders(head: list[str], fields: tuple, name: str) -> tuple:
     """The encoders of one variant, compiled from its fields: encode(r), the
     document of the record r as one dict display, and follow(r, p, q), the
     same document written after the document q of a record p of the same
@@ -283,13 +283,13 @@ class Document:
         return self.decode(doc, f"{where}.{key}")
 
     def _compile(self, cls: type) -> tuple:
-        """The (encode, follow) pair of _encoders for records of class cls."""
+        """The (encode, follow) pair of _compile_encoders for records of class cls."""
         entry = self.by_class.get(cls)
         if entry is None:
             raise SchemaError(f"{cls.__name__} records have no document form")
         tag, fields = entry
         head = [] if tag is self.default_tag else [f"{self.tag!r}: {tag!r}"]
-        pair = self.encoders[cls] = _encoders(head, fields, cls.__name__)
+        pair = self.encoders[cls] = _compile_encoders(head, fields, cls.__name__)
         return pair
 
     def encode(self, record) -> dict:

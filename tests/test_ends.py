@@ -326,7 +326,7 @@ def test_slice_counts_match_the_vertex_walk_over_a_census():
     # validation counts an attained end's slices off the walk of x; the
     # vertex walk of the same path counts them one vertex at a time
     for boundary in (S("-1/1"), S("0/1"), S("1/0"), S("5/2"), S("-3/7")):
-        for slope in circular_census(4):
+        for slope in (*circular_census(4), S("-100/7"), S("355/113"), S("-1000/1")):
             e = EndDescription(TorusRecord(boundary), RationalTarget(slope, True))
             target = normalized_target(e)
             slices = 0 if target.slope == BASE_SLOPE else FareyPath(BASE_SLOPE, target).walk_to_end() - 1
