@@ -363,8 +363,12 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
     first, with zero counts and an alternating tail, is validated and
     classified against the one decomposition toward the target; the rest
     share its boundary, target, division and rotative data, so its
-    validation holds for each, and are built from their own counts.  Each
-    rational member is certified in constant time; toward an irrational
+    validation holds for each, and are built from their own counts.  Toward
+    a rational target a certificate reads only the infinite block's form
+    and, for a finite form, whether m >= 1; every member after the first is
+    PosFinite(m) or NegFinite(m) with m >= 1, so the first member and the
+    first of each finite form are certified, and each later member's
+    certificate is that of the first of its form.  Toward an irrational
     target the first member's certificate is every member's."""
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -404,7 +408,7 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
         # which reads only those two and the decomposition: it is every member's
         counts = product(*(range(hi - lo + 1) for lo, hi in pairwise(bounds[:n + 1])))
         members = [first, *(IrrationalInvariant(c, first.tail, context) for c in islice(counts, 1, k))]
-    for member, inv in enumerate(members if target.rational else members[:1]):
+    for member, inv in enumerate(members[:3] if target.rational else members[:1]):
         result = extension_obstruction(inv, horizon)
         if not isinstance(result, NoTightExtension):
             failure = (f"family member {member} failed certification" if target.rational

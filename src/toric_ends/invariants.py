@@ -234,11 +234,17 @@ class PosFinite(Record):
 
     __slots__ = ("m",)
 
+    def __init__(self, m: int):
+        setfield(self, "m", m)
+
 
 class NegFinite(Record):
     """Finitely many negative slices (m of them) in the infinite block."""
 
     __slots__ = ("m",)
+
+    def __init__(self, m: int):
+        setfield(self, "m", m)
 
 
 class AlternatingForm(Record):

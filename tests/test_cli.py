@@ -9,6 +9,7 @@ import pytest
 
 from toric_ends import GL2Z, FareyPath, QuadraticTarget, Slope, classify, decompose
 from toric_ends import blocks as blocks_mod
+from toric_ends import ends as ends_mod
 from toric_ends import farey
 from toric_ends import reduce as reduce_mod
 from toric_ends.cli import DIGITS_BUDGET, END, TARGET, main, parse_invariant_document, run_command
@@ -111,6 +112,28 @@ def test_euler_of_a_collar_is_zero():
     code, out = invoke("euler", {"end": collar})
     assert code == 0
     assert json.loads(out) == {"euler": [0, 0], "slices": 0}
+
+
+def test_euler_decomposes_an_attained_target_once(monkeypatch):
+    # validation counts the 15 slices toward -100/7 on the command's own
+    # decomposition; each call is counted wherever it is made from
+    calls = []
+    for owner in (blocks_mod, ends_mod):
+        real = owner.decompose
+        monkeypatch.setattr(owner, "decompose", lambda path, real=real: calls.append(path) or real(path))
+    attained = {"kind": "rational", "slope": "-100/7", "attained": True}
+    code, out = invoke("euler", {"end": end_doc(attained, prefix=["+"] * 15)})
+    assert code == 0 and json.loads(out)["slices"] == 15
+    assert len(calls) == 1
+    code, out = invoke("euler", {"end": end_doc(attained, prefix=["+"] * 14)})
+    assert code == 1 and "sign coverage mismatch" in json.loads(out)["error"]
+
+
+def test_euler_names_a_degenerate_target_by_its_violation():
+    degenerate = end_doc({"kind": "rational", "slope": "-1/1", "attained": False},
+                         tail={"type": "alternating"})
+    code, out = invoke("euler", {"end": degenerate})
+    assert code == 1 and "degenerate target equals the boundary slope" in json.loads(out)["error"]
 
 
 def test_extend_check_command():

@@ -6,14 +6,18 @@ classification from signs per family (counts, not timings)."""
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from toric_ends import (
+    AlternatingForm,
+    NegFinite,
+    NoTightExtension,
     PosFinite,
     QuadraticTarget,
     RationalTarget,
     Slope,
+    extension_obstruction,
     non_extendable_family,
     quadratic_cf_target,
 )
@@ -140,11 +144,34 @@ def test_family_shares_one_decomposition(monkeypatch):
         assert len(validated) == 1
         assert [id(e) for e in classified] == [id(e) for e in validated]
         if target.rational:
-            # each rational member keeps its own constant-time certificate
-            assert [id(inv) for inv in certified] == [id(m) for m in family]
+            # the first member and the first of each finite form: a later
+            # member's certificate is that of the first of its form
+            assert [id(inv) for inv in certified] == [id(m) for m in family[:3]]
+            assert [type(inv.infinite_block) for inv in certified] == \
+                [AlternatingForm, PosFinite, NegFinite]
         else:
             # the first member's certificate reads only what all share
             assert [id(inv) for inv in certified] == [id(family[0])]
+
+
+@settings(max_examples=60, deadline=None)
+@example(Slope(-19, 2), Slope(-1, 1), 300)
+@example(Slope(1, 0), Slope(-1, 1), 2)
+@given(SLOPES, SLOPES, st.integers(0, 300))
+def test_every_rational_member_is_certified_by_its_own_call(slope, start, k):
+    # the family certifies the first of each rule; each member's own
+    # certificate agrees
+    assume(slope != start)
+    family = non_extendable_family(RationalTarget(slope, False), k, start)
+    assert len(family) == k
+    assert all(isinstance(extension_obstruction(m), NoTightExtension) for m in family)
+
+
+@pytest.mark.parametrize("k", [250, 500, 1000])
+def test_rational_certificates_do_not_grow_with_k(monkeypatch, k):
+    certified = counting(monkeypatch, "extension_obstruction")
+    family = non_extendable_family(RationalTarget(Slope(-19, 2), False), k)
+    assert len(family) == k and len(certified) == 3
 
 
 def test_rational_members_are_built_from_their_forms(monkeypatch):
