@@ -17,12 +17,8 @@ normalized picture is -1, ..., -m, -m - 1/a with a >= 2, and the triple
 from __future__ import annotations
 
 from .errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError, ToricEndError
-from .farey import GL2Z, FareyPath, RationalTarget, Run, Slope, _Walk, det
+from .farey import GL2Z, PERIOD_BUDGET, FareyPath, RationalTarget, Run, Slope, det
 from .records import Record, setfield
-
-# blocks the walk keys in search of a repeat (see BlockDecomposition.period);
-# periods grow like sqrt(d) log d: from -1/1 toward -sqrt(10^10 + 19) it is 62067
-PERIOD_BUDGET = 10**5
 
 
 class Block(Record):
@@ -101,49 +97,19 @@ class BlockDecomposition:
     boundary vertex.  For irrational targets the block list is infinite and
     extends on demand; for a rational non-attained target the final block is
     infinite and ends the list.  The slice bounds and the block period need
-    only the block lengths, so the decomposition walks the value x of _Walk
-    by itself, with none of the vertices, whose entries grow without bound.
+    only the block lengths, so they are read off the path's walk of x (see
+    _Walk) with none of the vertices, whose entries grow without bound.
     """
 
     def __init__(self, path: FareyPath):
         self.path = path
         if path.target.attained and path.target.slope == path.start:
             raise MalformedPathError("decomposition needs a path with at least 2 vertices")
-        self._x = _Walk.at(path.start, path.target).x
-        self._attained = path.target.attained
-        self._done = False
-        self._bounds = [0]  # see bounds()
-        self._period = None  # see period()
-        # the first block to start at each PQa pair of x, until the period is found
-        self._seen = {(self._x.P, self._x.Q): 1} if path.target.periodic else None
+        self._walk = path._walk
         # normalized count tails by (sign pattern, rotation, anchor), interned
         # by invariants._tail_pattern_at so that ends sharing the
         # decomposition share them (count tails are immutable records)
         self.count_tails: dict = {}
-
-    def _emit_next(self) -> bool:
-        """Walk x over one more block, append its end to the bounds and key
-        the next block's x; False when the list is finished."""
-        if self._done:
-            return False
-        _, a1, x = self._x._run(self._attained)
-        if a1 is None:  # an infinite block (normalized: -1, -2, -3, ... forever) ends the list
-            self._done = True
-            return False
-        bounds = self._bounds
-        bounds.append(bounds[-1] + a1)
-        self._x = x
-        if self._attained:
-            self._done = x.q == 0  # on the target: x = oo
-        elif self._seen is not None:
-            n = len(bounds)  # the block x starts
-            i0 = self._seen.setdefault((x.P, x.Q), n)
-            if i0 != n:
-                self._period = i0, n - i0, bounds[-1] - bounds[i0 - 1]
-                self._seen = None
-            elif n > PERIOD_BUDGET:  # a later repeat is past the budget
-                self._seen = None
-        return True
 
     def block(self, i: int) -> Block:
         """The i-th block, 1-based."""
@@ -171,25 +137,24 @@ class BlockDecomposition:
         return self.blocks_up_to(None)
 
     def bounds(self, blocks: int | None = 0, reach: int = 0) -> list[int]:
-        """The slice bounds of the blocks walked so far, one entry appended
-        per block as it is walked.  Entry 0 is slice 0, where block 1
-        starts, and entry i is the end of block i, where block i + 1 starts;
-        an infinite block has no end, so its start is the last entry.  The
-        blocks are walked until the table bounds `blocks` blocks (every
-        block when None, legal only for a finite list) and its last entry
-        reaches slice `reach`, or until the list ends.  Every caller reads
-        the same list, which grows in place, so none may change it."""
+        """The slice bounds of the blocks x has read so far: entry 0 is slice
+        0, where block 1 starts, and entry i is the end of block i, where
+        block i + 1 starts; an infinite block has no end, so its start is the
+        last entry.  x is stepped until the table bounds `blocks` blocks
+        (every block when None, legal only for a finite list) and its last
+        entry reaches slice `reach`, or until the list ends.  Every caller
+        reads the walk's list, which grows in place, so none may change it."""
         if blocks is None and not self.path.target.rational:
             raise InfiniteBlockError("irrational targets have infinitely many blocks")
-        bounds = self._bounds
-        while (blocks is None or len(bounds) <= blocks or bounds[-1] < reach) and self._emit_next():
+        bounds = self._walk.bounds
+        while (blocks is None or len(bounds) <= blocks or bounds[-1] < reach) and self._walk.step():
             pass
         return bounds
 
     @property
     def finished(self) -> bool:
-        """True once either walk has reached the last block."""
-        return self._done or self.path.last_run_walked
+        """True once the walk has reached the last block."""
+        return self._walk.done
 
     def period(self, budget: int | None = None) -> tuple[int, int, int] | None:
         """The block period (i0, blocks, slices) of a periodic target: from
@@ -202,10 +167,9 @@ class BlockDecomposition:
         if not self.path.target.periodic:
             return None
         limit = PERIOD_BUDGET if budget is None else min(budget, PERIOD_BUDGET)
-        bounds = self._bounds
-        while self._period is None and len(bounds) <= limit:
-            self._emit_next()
-        found = self._period
+        while self._walk.period is None and len(self._walk.bounds) <= limit:
+            self._walk.step()
+        found = self._walk.period
         if found is not None and found[0] + found[1] <= limit + 1:
             return found
         if budget is not None:

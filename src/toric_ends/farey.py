@@ -593,6 +593,11 @@ def on_arc(start: Slope, target: SlopeTarget, x: Slope, include_target: bool = F
 # the clockwise step
 
 
+# runs a walk keys in search of a repeat of x (see BlockDecomposition.period);
+# periods grow like sqrt(d) log d: from -1/1 toward -sqrt(10^10 + 19) it is 62067
+PERIOD_BUDGET = 10**5
+
+
 class _Walk:
     """The minimal clockwise walk toward a target, one run at a time.
 
@@ -621,36 +626,74 @@ class _Walk:
     reads its run itself in integers, a Slope for a rational target, a
     _Surd in PQa form for a quadratic one and a _StreamImage for a stream,
     and builds one new x per run.  No GL2Z is built after the first x.
+
+    x alone reads the target, and may run ahead of the vertex: step() reads
+    one run off x into its records, and next_run() folds (u, s) over the
+    next run recorded.
     """
 
-    __slots__ = ("u", "s", "x", "attained")
+    __slots__ = ("u", "s", "x", "attained", "digits", "bounds", "folded", "done", "seen", "period")
 
     def __init__(self, u: tuple[int, int], s: tuple[int, int], target: SlopeTarget):
         (up, uq), (sp, sq) = u, s
         self.u, self.s = u, s
         # x = (up - uq*t) / (sq*t - sp), by a matrix of determinant -det(u, s) = 1
-        self.x = target.image(GL2Z._unimodular(-uq, up, sq, -sp))
+        self.x = x = target.image(GL2Z._unimodular(-uq, up, sq, -sp))
         self.attained = target.attained
-        if target.rational and self.x.q == 0:
+        if target.rational and x.q == 0:
             if target.attained:
                 raise ValueError("attained target equals the current slope")
             raise DegenerateTargetError("non-attained rational target equals the current slope")
+        self.digits: list[int] = []  # a0 of each run read off x
+        self.bounds = [0]  # slice 0, then the slice where each finite run read ends
+        self.folded = 0  # the finite runs folded into (u, s)
+        self.done = False  # x has read the last run
+        self.period = None  # see BlockDecomposition.period
+        # the first run to start at each PQa pair of x, until the period is found
+        self.seen = {(x.P, x.Q): 1} if target.periodic else None
 
     @classmethod
     def at(cls, current: Slope, target: SlopeTarget) -> "_Walk":
         """A walk standing at `current`, with a Bezout partner."""
         return cls(_bezout_partner(current), (current.p, current.q), target)
 
-    def next_run(self) -> tuple[int | None, int, int]:
-        """Walk one run; returns (edges, dp, dq), the edge count and the
-        vector (dp, dq) each edge adds to s.  edges is None for a run that
-        never ends, and then the walk stops at the run's start."""
+    def step(self) -> bool:
+        """Read one more run off x and key the next; False once x has read
+        the last run, one that never ends or one that ends on the target."""
+        if self.done:
+            return False
         a0, a1, x = self.x._run(self.attained)
+        self.digits.append(a0)
+        if a1 is None:  # x stays at the start of the run that never ends
+            self.done = True
+            return False
+        bounds = self.bounds
+        bounds.append(bounds[-1] + a1)
+        self.x, self.done = x, self.attained and x.q == 0  # on the target: x = oo
+        if self.seen is not None:
+            n = len(bounds)  # the run x starts
+            i0 = self.seen.setdefault((x.P, x.Q), n)
+            if i0 != n:
+                self.period, self.seen = (i0, n - i0, bounds[-1] - bounds[i0 - 1]), None
+            elif n > PERIOD_BUDGET:  # a later repeat is past the budget
+                self.seen = None
+        return True
+
+    def next_run(self) -> tuple[int | None, int, int]:
+        """Fold one run; returns (edges, dp, dq), the edge count and the
+        vector (dp, dq) each edge adds to s.  edges is None for a run that
+        never ends, and then the fold stops at the run's start."""
+        i = self.folded
+        if i == len(self.digits):
+            self.step()
+        a0, bounds = self.digits[i], self.bounds
         (up, uq), (sp, sq) = self.u, self.s
         dp, dq = up + a0 * sp, uq + a0 * sq
-        if a1 is not None:
-            sp, sq = sp + a1 * dp, sq + a1 * dq
-            self.u, self.s, self.x = (dp - sp, dq - sq), (sp, sq), x
+        if i + 1 == len(bounds):
+            return None, dp, dq
+        a1 = bounds[i + 1] - bounds[i]
+        sp, sq = sp + a1 * dp, sq + a1 * dq
+        self.u, self.s, self.folded = (dp - sp, dq - sq), (sp, sq), i + 1
         return a1, dp, dq
 
 
@@ -698,16 +741,11 @@ class FareyPath:
         self._size: int | None = 1  # vertices walked; None inside a run that never ends
         self._length = 1
         self._complete = target.attained and target.slope == start
-        self._walk: _Walk | None = None
+        self._walk = None if self._complete else _Walk.at(start, target)  # its decompositions read it too
 
     @property
     def complete(self) -> bool:
         return self._complete
-
-    @property
-    def last_run_walked(self) -> bool:
-        """True once the run that ends the path, if it has one, is walked."""
-        return self._complete or self._size is None
 
     def __len__(self) -> int:
         return self._length
@@ -749,31 +787,29 @@ class FareyPath:
         """The i-th run (0-based), walked as far as needed; None when the
         path has fewer runs."""
         runs = self._runs
-        while len(runs) <= i and not self.last_run_walked:
+        while len(runs) <= i and not self._complete and self._size is not None:
             self._advance()
         return runs[i] if i < len(runs) else None
 
     def _advance(self):
         """Walk one more run."""
-        if self._walk is None:
-            self._walk = _Walk.at(self.start, self.target)
         walk = self._walk
         start, (p, q) = self._size - 1, walk.s
         edges, dp, dq = walk.next_run()
         self._runs.append(Run(start, p, q, dp, dq, edges))
         self._size = None if edges is None else start + edges + 1
-        self._complete = walk.attained and walk.x.q == 0  # on the target: x = oo
+        self._complete = walk.attained and walk.done and walk.folded == len(walk.digits)
 
     def vertex(self, i: int) -> Slope:
-        if self.extend_to(i + 1) <= i:
-            raise IndexError(f"path is complete with {self._size} vertices")
+        if not self.has_vertex(i):
+            raise IndexError("vertex indices start at 0" if i < 0 else f"path is complete with {self._size} vertices")
         if i == 0:
             return self.start
         run = self._runs[bisect_right(self._runs, i, key=attrgetter("start")) - 1]
         return run.vertex(i - run.start)
 
     def has_vertex(self, i: int) -> bool:
-        return self.extend_to(i + 1) > i
+        return i >= 0 and self.extend_to(i + 1) > i
 
     def _pieces(self, n: int) -> Iterator[tuple[int, int, int, int, int]]:
         """Vertices 1 .. n - 1 of a path walked that far, as pieces

@@ -213,7 +213,7 @@ OPTIONS = {"horizon": 64, "max_family": 1000}
 
 def count_walks(monkeypatch) -> dict:
     """Counts of vertex runs (_Walk.next_run) and of surd runs (_Surd._run:
-    one per x step, and one inside each vertex run)."""
+    one per x step, which the vertex runs and the bounds share)."""
     counts = {"vertex runs": 0, "x steps": 0}
     next_run, run = _Walk.next_run, _Surd._run
 
@@ -266,6 +266,32 @@ def test_blocks_walk_one_vertex_run_per_block(monkeypatch):
     assert len(out["blocks"]) == 100 and out["complete"] is False
     # each vertex run reads its own x: the decomposition steps no x of its own
     assert walked == {"vertex runs": 100, "x steps": 100}
+
+
+def test_euler_steps_x_once_per_vertex_run(monkeypatch):
+    # the class reads the period and the bounds off the walk that gives the
+    # vertex runs, so no run of x is read twice
+    walked = count_walks(monkeypatch)
+    end = end_doc(SQRT3, ["+"] * 30, {"type": "alternating"})
+    assert run_command("euler", {"end": end, "horizon": 1000}, OPTIONS)["slices"] == 1000
+    assert walked == {"vertex runs": 16, "x steps": 16}
+
+
+def test_bounds_then_blocks_step_x_once_per_block(monkeypatch):
+    decomp = decompose(FareyPath(S("-1"), MINUS_SQRT2))
+    walked = count_walks(monkeypatch)
+    decomp.bounds(10)
+    assert walked == {"vertex runs": 0, "x steps": 10}
+    assert len(decomp.blocks_up_to(10)) == 10
+    assert walked == {"vertex runs": 10, "x steps": 10}
+
+
+def test_bounds_alone_finish_a_finite_decomposition():
+    # x reaches the infinite block before any vertex run is folded
+    decomp = decompose(FareyPath(S("-1"), RationalTarget(S("-100/7"), False)))
+    assert not decomp.finished
+    assert decomp.bounds(None) == [0, 13, 14]
+    assert decomp.finished and decomp.path._runs == []
 
 
 @pytest.mark.parametrize("n", [5_000, 10_000, 20_000, 40_000])

@@ -187,6 +187,18 @@ def test_farey_sequence_never_reaches_non_attained_target():
     assert all(v != S("-2") for v in path.prefix(12))
 
 
+def test_negative_vertex_indices_are_refused():
+    # a path has no vertex before its start: a negative index must not
+    # count back from the last run (to 1/1 toward -3/1, -44/31 toward -sqrt(2))
+    for target in (RationalTarget(S("-3"), True), MINUS_SQRT2):
+        path = farey_sequence(S("-1"), target, 6)
+        for i in (-1, -2):
+            with pytest.raises(IndexError, match="vertex indices start at 0"):
+                path.vertex(i)
+            assert path.has_vertex(i) is False
+        assert path.has_vertex(0) and path.vertex(0) == S("-1")
+
+
 @given(st.integers(2, 12), st.integers(1, 8))
 @settings(max_examples=40, deadline=None)
 def test_prefix_stability(n, k):
