@@ -36,6 +36,10 @@ OUTPUT_BUDGET = 10**6
 # whose total size grows quadratically with it
 DIGITS_BUDGET = 4300
 
+# characters of `run` answers gathered before each write: with an
+# unbuffered stdout, one write per answer costs a system call per answer
+WRITE_BLOCK = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # document tables: each document kind is one Document, read both to decode a
@@ -499,7 +503,11 @@ def _cmd_classify(end, options: dict) -> dict:
 
 @_command("compare", field("a", END.codec), field("b", END.codec))
 def _cmd_compare(a, b, options: dict) -> dict:
-    return {"equivalent": inv_mod.equivalent(ends_mod.classify(a), ends_mod.classify(b), options["horizon"])}
+    first = ends_mod.classify(a)
+    # two ends toward one normalized target share its decomposition
+    shared = (ends_mod.decomposition_of(first)
+              if ends_mod.normalized_target(a) == ends_mod.normalized_target(b) else None)
+    return {"equivalent": inv_mod.equivalent(first, ends_mod.classify(b, shared), options["horizon"])}
 
 
 @_command("count", field("lengths", LENGTHS))
@@ -618,10 +626,9 @@ def _render_human(doc: object, indent: int = 0) -> str:
 
 
 def _emit(doc: object, fmt: str, out) -> None:
-    if fmt == "human":
-        out.write(_render_human(doc) + "\n")
-    else:
-        out.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    # the newline is a write of its own, so that a long answer is not copied
+    out.write(_render_human(doc) if fmt == "human" else json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    out.write("\n")
 
 
 def _load_input(args) -> object:
@@ -639,22 +646,40 @@ def _load_input(args) -> object:
         raise SchemaError(f"input is not valid JSON: {exc}") from None
 
 
-def _run_batch(jobs: object, options: dict) -> tuple[list, int]:
+def _run_batch(jobs: object, options: dict, fmt: str, out) -> int:
+    """Run the jobs in order and write each answer as soon as its job
+    returns, so that the batch holds one answer at a time: the bytes are
+    those of _emit on the list of answers.  Returns the exit status."""
     if not isinstance(jobs, list):
         raise SchemaError("batch input must be a list of job objects")
-    results = []
+    if fmt == "human":
+        render, opening, between, closing = _render_human, "", "\n", "\n"
+    else:
+        render = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        opening, between, closing = "[", ",", "]\n"
+    block, size = [opening], 0
     status = 0
     for i, job in enumerate(jobs):
         try:
             command, doc, overrides = JOB.decode(job, f"job[{i}]")
-            results.append({"status": "ok", "output": run_command(command, doc, {**options, **overrides})})
+            answer = {"status": "ok", "output": run_command(command, doc, {**options, **overrides})}
         except SchemaError as exc:
-            results.append({"status": "malformed", "error": str(exc)})
+            answer = {"status": "malformed", "error": str(exc)}
             status = 2
         except ToricEndError as exc:
-            results.append({"status": "violation", "error": str(exc)})
+            answer = {"status": "violation", "error": str(exc)}
             status = status or 1
-    return results, status
+        if i:
+            block.append(between)
+        block.append(render(answer))
+        del answer  # the next job runs with no earlier answer held
+        size += len(block[-1])
+        if size >= WRITE_BLOCK:
+            out.write("".join(block))
+            block, size = [], 0
+    block.append(closing)
+    out.write("".join(block))
+    return status
 
 
 def main(argv=None) -> int:
@@ -691,9 +716,7 @@ def main(argv=None) -> int:
     try:
         doc = _load_input(args)
         if args.command == "run":
-            results, status = _run_batch(doc, options)
-            _emit(results, args.format, out)
-            return status
+            return _run_batch(doc, options, args.format, out)
         output = run_command(args.command, doc, options)
         _emit(output, args.format, out)
         return 0

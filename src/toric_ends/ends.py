@@ -244,14 +244,15 @@ def slope_at_infinity(e: EndDescription) -> SlopeTarget:
 # classification
 
 
-def classify(e: EndDescription) -> EndInvariant:
-    """Dispatch to the complete invariant of the end."""
+def classify(e: EndDescription, decomp: BlockDecomposition | None = None) -> EndInvariant:
+    """Dispatch to the complete invariant of the end.  `decomp`, when given,
+    is the decomposition toward the normalized target."""
     # toward an attained target other than the base slope, validation counts
     # the slices of the decomposition that the invariant is read from
     target = normalized_target(e)
-    context = (_decomposition_context(e, target)
-               if target.attained and target.slope != BASE_SLOPE else None)
-    require_valid(e, context and context.decomposition())
+    if decomp is None and target.attained and target.slope != BASE_SLOPE:
+        decomp = decompose(FareyPath(BASE_SLOPE, target))
+    require_valid(e, decomp)
 
     base_context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, None)
     d_inf = division_at_infinity(e)
@@ -261,20 +262,30 @@ def classify(e: EndDescription) -> EndInvariant:
     rotative = e.rotative
     if rotative.n != 0:  # infinitely many layers (n None) leave no residual end
         residual = None if rotative.n is None else classify(
-            EndDescription(e.boundary, e.target, e.signs, e.division_tail))
+            EndDescription(e.boundary, e.target, e.signs, e.division_tail), decomp)
         return NonMinimallyTwisting(rotative.n, rotative.sign, residual, base_context)
 
     if target.attained and target.slope == BASE_SLOPE:
         # vertically invariant collar: no blocks, empty invariant
         return AttainedInvariant((), d_inf, base_context)
-    return _classify_minimal(e, context or _decomposition_context(e, target), d_inf)
+    return _classify_minimal(e, _decomposition_context(e, target, decomp), d_inf)
 
 
-def _decomposition_context(e: EndDescription, target: SlopeTarget) -> InvariantContext:
+def decomposition_of(inv: EndInvariant) -> BlockDecomposition | None:
+    """The decomposition that classify read inv from, or None when it read
+    none (a collar, infinite division or infinitely many rotative layers)."""
+    if isinstance(inv, NonMinimallyTwisting):
+        inv = inv.residual
+    return None if inv is None else inv.context._decomposition
+
+
+def _decomposition_context(e: EndDescription, target: SlopeTarget,
+                           decomp: BlockDecomposition | None = None) -> InvariantContext:
     """The context of e carrying the block decomposition of the path from
-    the base slope toward the normalized target; every end with the same
-    boundary and target shares it."""
-    decomp = decompose(FareyPath(BASE_SLOPE, target))
+    the base slope toward the normalized target (`decomp`, when given);
+    every end with the same boundary and target shares it."""
+    if decomp is None:
+        decomp = decompose(FareyPath(BASE_SLOPE, target))
     return InvariantContext(e.boundary.slope, e.boundary.division, e.target, decomp)
 
 

@@ -12,10 +12,21 @@ from toric_ends import blocks as blocks_mod
 from toric_ends import ends as ends_mod
 from toric_ends import farey
 from toric_ends import reduce as reduce_mod
-from toric_ends.cli import DIGITS_BUDGET, END, TARGET, main, parse_invariant_document, run_command
+from toric_ends.cli import (
+    DEFAULT_MAX_FAMILY,
+    DIGITS_BUDGET,
+    END,
+    TARGET,
+    WRITE_BLOCK,
+    _render_human,
+    main,
+    parse_invariant_document,
+    run_command,
+)
 from toric_ends.errors import SchemaError, ToricEndError
 
 from oracles import reference_path
+from test_codec import perfbench_workloads
 
 SQRT2 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 2}
 INF_NA = {"kind": "rational", "slope": "1/0", "attained": False}
@@ -77,6 +88,57 @@ def test_compare_command():
     assert json.loads(out) == {"equivalent": True}
 
 
+def count_decompositions(monkeypatch) -> list:
+    """The paths decomposed from now on, wherever the call is made from."""
+    calls = []
+    for owner in (blocks_mod, ends_mod):
+        real = owner.decompose
+        monkeypatch.setattr(owner, "decompose", lambda path, real=real: calls.append(path) or real(path))
+    return calls
+
+
+SQRT3 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 3}
+TO_100_7 = {"kind": "rational", "slope": "-100/7", "attained": True}
+
+
+@pytest.mark.parametrize("a,b,equivalent", [
+    (end_doc(SQRT3, ["+"] * 8, {"type": "alternating"}),
+     end_doc(SQRT3, ["+"] * 8, {"type": "periodic", "pattern": ["-", "+"]}), True),
+    (end_doc(SQRT3, ["+"] * 8, {"type": "alternating"}, rotative={"sign": "+", "n": 2}),
+     end_doc(SQRT3, ["+"] * 9, {"type": "alternating", "first": "-"}, rotative={"sign": "+", "n": 2}), True),
+    (end_doc(TO_100_7, ["+"] * 15), end_doc(TO_100_7, ["+"] * 15, rotative={"sign": "-", "n": 1}), False),
+], ids=["sqrt3", "sqrt3-rotative", "attained-rotative"])
+def test_compare_decomposes_a_shared_target_once(monkeypatch, a, b, equivalent):
+    # the second end, and a residual end under rotative layers, is
+    # classified on the decomposition of the first
+    calls = count_decompositions(monkeypatch)
+    assert invoke("compare", {"a": a, "b": b}) == (0, f'{{"equivalent":{json.dumps(equivalent)}}}\n')
+    assert len(calls) == 1
+
+
+def test_compare_validates_each_end_on_its_own_target(monkeypatch):
+    # -2 has 1 slice and -100/7 has 15: ends toward the two are validated on
+    # two decompositions, and then they are incomparable
+    calls = count_decompositions(monkeypatch)
+    a = end_doc(TO_100_7, ["+"] * 15)
+    b = end_doc({"kind": "rational", "slope": "-2/1", "attained": True}, ["+"])
+    code, out = invoke("compare", {"a": a, "b": b})
+    assert code == 1 and json.loads(out)["error"].startswith("invariants classify different boundary data")
+    assert len(calls) == 2
+
+
+def test_compare_names_the_first_violation_before_sharing():
+    # an invalid second end toward the first's target is refused by its
+    # own validation, and an invalid first end before the second is read
+    good = end_doc(TO_100_7, ["+"] * 15)
+    short = end_doc(TO_100_7, ["+"] * 14)
+    for a, b in ((good, short), (short, good)):
+        code, out = invoke("compare", {"a": a, "b": b})
+        assert code == 1
+        assert json.loads(out) == {"error": "sign coverage mismatch: prefix has 14 signs, path has 15 basic slices",
+                                   "violations": ["sign coverage mismatch: prefix has 14 signs, path has 15 basic slices"]}
+
+
 def test_count_command():
     code, out = invoke("count", {"lengths": [3, 2]})
     assert code == 0
@@ -116,11 +178,8 @@ def test_euler_of_a_collar_is_zero():
 
 def test_euler_decomposes_an_attained_target_once(monkeypatch):
     # validation counts the 15 slices toward -100/7 on the command's own
-    # decomposition; each call is counted wherever it is made from
-    calls = []
-    for owner in (blocks_mod, ends_mod):
-        real = owner.decompose
-        monkeypatch.setattr(owner, "decompose", lambda path, real=real: calls.append(path) or real(path))
+    # decomposition
+    calls = count_decompositions(monkeypatch)
     attained = {"kind": "rational", "slope": "-100/7", "attained": True}
     code, out = invoke("euler", {"end": end_doc(attained, prefix=["+"] * 15)})
     assert code == 0 and json.loads(out)["slices"] == 15
@@ -829,6 +888,99 @@ def test_a_sign_that_is_not_plus_or_minus_is_malformed(entry):
         {"status": "malformed", "error": 'input.end.signs.prefix must be "+" or "-"'},
         {"status": "malformed", "error": 'input.end.signs.tail.pattern must be "+" or "-"'},
         {"status": "ok", "output": {"count": 2}}]
+
+
+# ---------------------------------------------------------------------------
+# `run` writes each answer as its job returns
+
+COUNT = {"command": "count", "input": {"lengths": [3, 2]}}
+MALFORMED = {"command": "count", "input": {"lengths": []}}
+VIOLATION = {"command": "euler", "input": {"end": end_doc(TO_100_7, ["+"] * 14)}}
+LONG_PATH = {"command": "path", "input": {"start": "-1/1", "n": 5000,
+                                          "target": {"kind": "rational", "slope": "-5000/1", "attained": True}}}
+
+
+def batch_answers(jobs: list) -> list:
+    """The answers of a batch of job objects with no options, one
+    run_command at a time."""
+    answers = []
+    for job in jobs:
+        try:
+            output = run_command(job["command"], job["input"], {"horizon": 64, "max_family": DEFAULT_MAX_FAMILY})
+            answers.append({"status": "ok", "output": output})
+        except SchemaError as exc:
+            answers.append({"status": "malformed", "error": str(exc)})
+        except ToricEndError as exc:
+            answers.append({"status": "violation", "error": str(exc)})
+    return answers
+
+
+@pytest.mark.parametrize("jobs,status,blocks", [
+    ([], 0, 0),
+    ([COUNT], 0, 0),
+    ([COUNT, VIOLATION, COUNT], 1, 0),
+    ([MALFORMED, COUNT, VIOLATION], 2, 0),
+    ([VIOLATION, MALFORMED, COUNT], 2, 0),
+    ([LONG_PATH, COUNT] * 20, 0, 10),
+], ids=["empty", "one-job", "ok-violation", "malformed-first", "violation-first", "long"])
+def test_run_writes_the_bytes_of_the_answer_list(tmp_path, jobs, status, blocks):
+    answers = batch_answers(jobs)
+    expected = {"structured": json.dumps(answers, sort_keys=True, separators=(",", ":")) + "\n",
+                "human": _render_human(answers) + "\n"}
+    assert len(expected["structured"]) >= blocks * WRITE_BLOCK
+    for fmt, text in expected.items():
+        assert invoke("run", jobs, "--format", fmt) == (status, text)
+        out = tmp_path / f"{fmt}.txt"
+        assert invoke("run", jobs, "--format", fmt, "--output", str(out)) == (status, "")
+        assert out.read_text(encoding="utf-8") == text
+
+
+class CountingSink:
+    """An unbuffered text stream that keeps only how much was written."""
+
+    def __init__(self):
+        self.writes = self.chars = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        self.chars += len(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["structured", "human"])
+def test_a_census_batch_is_written_in_blocks(monkeypatch, fmt):
+    batch = [{"command": j["command"], "input": j["input"]} for j in perfbench_workloads().generate("census", 1)]
+    sink = CountingSink()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(batch)))
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(["run", "--format", fmt]) == 1
+    assert sink.chars > 4 * WRITE_BLOCK
+    assert sink.writes <= sink.chars // WRITE_BLOCK + 2
+
+
+def test_a_batch_holds_one_answer_at_a_time(monkeypatch):
+    # each job lists the 20,001 vertices from 0 to attained -20000: a batch
+    # of 32 such jobs peaks within one answer of a batch of 4
+    job = {"command": "path", "input": {"start": "0/1", "n": 20001,
+                                        "target": {"kind": "rational", "slope": "-20000/1", "attained": True}}}
+    tracemalloc.start()
+    try:
+        answer = run_command(job["command"], job["input"], {"horizon": 64})
+        one_answer = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(answer["vertices"]) == 20001
+    peaks = []
+    for copies in (4, 32):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps([job] * copies)))
+        monkeypatch.setattr(sys, "stdout", CountingSink())
+        tracemalloc.start()
+        try:
+            assert main(["run"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < one_answer
 
 
 def test_determinism_byte_identical():
