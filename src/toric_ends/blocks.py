@@ -98,14 +98,13 @@ class BlockDecomposition:
     extends on demand; for a rational non-attained target the final block is
     infinite and ends the list.  The slice bounds and the block period need
     only the block lengths, so they are read off the path's walk of x (see
-    _Walk) with none of the vertices, whose entries grow without bound.
+    FareyPath) with none of the vertices, whose entries grow without bound.
     """
 
     def __init__(self, path: FareyPath):
         self.path = path
         if path.target.attained and path.target.slope == path.start:
             raise MalformedPathError("decomposition needs a path with at least 2 vertices")
-        self._walk = path._walk
         # normalized count tails by (sign pattern, rotation, anchor), interned
         # by invariants._tail_pattern_at so that ends sharing the
         # decomposition share them (count tails are immutable records)
@@ -143,18 +142,18 @@ class BlockDecomposition:
         last entry.  x is stepped until the table bounds `blocks` blocks
         (every block when None, legal only for a finite list) and its last
         entry reaches slice `reach`, or until the list ends.  Every caller
-        reads the walk's list, which grows in place, so none may change it."""
+        reads the path's list, which grows in place, so none may change it."""
         if blocks is None and not self.path.target.rational:
             raise InfiniteBlockError("irrational targets have infinitely many blocks")
-        bounds = self._walk.bounds
-        while (blocks is None or len(bounds) <= blocks or bounds[-1] < reach) and self._walk.step():
+        path, bounds = self.path, self.path.bounds
+        while (blocks is None or len(bounds) <= blocks or bounds[-1] < reach) and path.step():
             pass
         return bounds
 
     @property
     def finished(self) -> bool:
         """True once the walk has reached the last block."""
-        return self._walk.done
+        return self.path.done
 
     def period(self, budget: int | None = None) -> tuple[int, int, int] | None:
         """The block period (i0, blocks, slices) of a periodic target: from
@@ -167,9 +166,9 @@ class BlockDecomposition:
         if not self.path.target.periodic:
             return None
         limit = PERIOD_BUDGET if budget is None else min(budget, PERIOD_BUDGET)
-        while self._walk.period is None and len(self._walk.bounds) <= limit:
-            self._walk.step()
-        found = self._walk.period
+        while self.path.period is None and len(self.path.bounds) <= limit:
+            self.path.step()
+        found = self.path.period
         if found is not None and found[0] + found[1] <= limit + 1:
             return found
         if budget is not None:

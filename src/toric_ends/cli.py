@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import blocks as blocks_mod
 from . import ends as ends_mod
@@ -604,6 +605,12 @@ def run_command(command: str, doc: object, options: dict) -> dict:
     return run(*table.decode(doc, "input"), options)
 
 
+# the text json.dumps writes for a scalar, by the scalar's exact class; any
+# other class, an empty list or dict among them, still goes through json.dumps
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, bool: lambda b: "true" if b else "false",
+                type(None): lambda _: "null"}
+
+
 def _render_human(doc: object, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(doc, dict):
@@ -614,15 +621,15 @@ def _render_human(doc: object, indent: int = 0) -> str:
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_human(value, indent + 1))
             else:
-                lines.append(f"{pad}{key}: {json.dumps(value)}")
+                lines.append(f"{pad}{key}: {_SCALAR_TEXT.get(value.__class__, json.dumps)(value)}")
         return "\n".join(lines)
     if isinstance(doc, list):
         return "\n".join(
             _render_human(item, indent) if isinstance(item, (dict, list))
-            else f"{pad}- {json.dumps(item)}"
+            else f"{pad}- {_SCALAR_TEXT.get(item.__class__, json.dumps)(item)}"
             for item in doc
         )
-    return f"{pad}{json.dumps(doc)}"
+    return f"{pad}{_SCALAR_TEXT.get(doc.__class__, json.dumps)(doc)}"
 
 
 def _emit(doc: object, fmt: str, out) -> None:

@@ -61,7 +61,7 @@ class Slope(Record):
         return hash((self.p, self.q))
 
     def _run(self, attained: bool):
-        """A rational walk value x read as one run (see _Walk): (a0, a1,
+        """A rational walk value x read as one run (see FareyPath): (a0, a1,
         x').  An integer x is the target itself toward an attained target
         (a0 = x - 1, z = 1), and otherwise makes z = oo, the run that never
         ends (a1 = x' = None).  An integer z ends the run on the target
@@ -305,7 +305,7 @@ class _Surd:
             Q = (D - P * P) // Q
 
     def _run(self, attained: bool):
-        """x read as one run (see _Walk): (a0, a1, x'), with z = 1/(x - a0)
+        """x read as one run (see FareyPath): (a0, a1, x'), with z = 1/(x - a0)
         as the pair (P, Q) only.  An irrational x has no integer digit to
         round, so `attained` is not read."""
         P, Q, D, r = self.P, self.Q, self.D, self.r
@@ -404,7 +404,7 @@ class _StreamImage:
         return _StreamImage(self.stream, self.i, c, d, a - n * c, b - n * d)
 
     def _run(self, attained: bool):
-        """x read as one run (see _Walk): (a0, a1, x'), both digits in one
+        """x read as one run (see FareyPath): (a0, a1, x'), both digits in one
         loop of floor's test and update, which turns the matrix into the
         cursor z = 1/(x - a0) once a0 is decided; `attained` is not read, as
         for a _Surd.  The memo is read directly, and the stream's own reader
@@ -464,7 +464,7 @@ class IrrationalTarget:
 
     Each kind answers cmp_fraction(p, q), the sign of t - p/q for q > 0,
     exactly.  Like a rational target, each kind also gives the image of t
-    under m in GL2(Z), image(m), as a walk value (see _Walk), and the floor
+    under m in GL2(Z), image(m), as a walk value (see FareyPath), and the floor
     of that image is mobius_floor(m)."""
 
     __slots__ = ()
@@ -590,26 +590,46 @@ def on_arc(start: Slope, target: SlopeTarget, x: Slope, include_target: bool = F
 
 
 # ---------------------------------------------------------------------------
-# the clockwise step
+# paths
 
 
-# runs a walk keys in search of a repeat of x (see BlockDecomposition.period);
+# runs a path keys in search of a repeat of x (see BlockDecomposition.period);
 # periods grow like sqrt(d) log d: from -1/1 toward -sqrt(10^10 + 19) it is 62067
 PERIOD_BUDGET = 10**5
 
 
-class _Walk:
-    """The minimal clockwise walk toward a target, one run at a time.
+class Run(namedtuple("Run", "start p q dp dq edges")):
+    """A maximal run of path vertices whose coherent lifts advance by one
+    constant vector: vertex start + j is (p + j*dp)/(q + j*dq) for
+    0 <= j <= edges, with edges None for a run that never ends (all six
+    fields are integers but that one).
 
-    The state is the current vertex s as an integer vector, a partner u with
-    det(u, s) = -1, and the image x = det(u, t) / det(t, s) of the target t
-    under the element of SL2(Z) sending s to oo and each neighbor [u + k*s]
-    of s to the integer k.  The neighbors move monotonically around the
-    circle as k grows, approaching s from the clockwise side, so the closest
-    one inside the clockwise arc from s to the target is k = floor(x) + 1;
-    when x is an integer, k = x is the target itself, taken only when it is
-    attained.  The step to s' = u + k*s with partner u' = -s sends the
-    target to 1/(k - x).
+    A run is one step of the walk followed by all the steps with k = 2 after
+    it (see FareyPath), which makes it a maximal continued fraction block: a
+    witness sending its first two vertices to -1 and -2 sends vertex
+    start + j to -(j + 1).  Consecutive runs share their boundary vertex."""
+
+    __slots__ = ()
+
+    def vertex(self, j: int) -> Slope:
+        return Slope._primitive(self.p + j * self.dp, self.q + j * self.dq)
+
+
+class FareyPath:
+    """A minimal clockwise vertex sequence from a start slope toward a target,
+    walked lazily one run at a time; a vertex becomes a Slope only when
+    vertex(i) or prefix(n) asks for it.  The length is the number of
+    vertices asked for so far, and `complete` says the path has ended.
+
+    The walk state is the last vertex s as an integer vector, a partner u
+    with det(u, s) = -1, and the image x = det(u, t) / det(t, s) of the
+    target t under the element of SL2(Z) sending s to oo and each neighbor
+    [u + k*s] of s to the integer k.  The neighbors move monotonically around
+    the circle as k grows, approaching s from the clockwise side, so the
+    closest one inside the clockwise arc from s to the target is
+    k = floor(x) + 1; when x is an integer, k = x is the target itself, taken
+    only when it is attained.  The step to s' = u + k*s with partner u' = -s
+    sends the target to 1/(k - x).
 
     A run is that step followed by every step with k = 2 after it, read off
     two continued fraction digits of x: a0 = floor(x), z = 1/(x - a0) and
@@ -627,111 +647,12 @@ class _Walk:
     _Surd in PQa form for a quadratic one and a _StreamImage for a stream,
     and builds one new x per run.  No GL2Z is built after the first x.
 
-    x alone reads the target, and may run ahead of the vertex: step() reads
-    one run off x into its records, and next_run() folds (u, s) over the
-    next run recorded.
-    """
-
-    __slots__ = ("u", "s", "x", "attained", "digits", "bounds", "folded", "done", "seen", "period")
-
-    def __init__(self, u: tuple[int, int], s: tuple[int, int], target: SlopeTarget):
-        (up, uq), (sp, sq) = u, s
-        self.u, self.s = u, s
-        # x = (up - uq*t) / (sq*t - sp), by a matrix of determinant -det(u, s) = 1
-        self.x = x = target.image(GL2Z._unimodular(-uq, up, sq, -sp))
-        self.attained = target.attained
-        if target.rational and x.q == 0:
-            if target.attained:
-                raise ValueError("attained target equals the current slope")
-            raise DegenerateTargetError("non-attained rational target equals the current slope")
-        self.digits: list[int] = []  # a0 of each run read off x
-        self.bounds = [0]  # slice 0, then the slice where each finite run read ends
-        self.folded = 0  # the finite runs folded into (u, s)
-        self.done = False  # x has read the last run
-        self.period = None  # see BlockDecomposition.period
-        # the first run to start at each PQa pair of x, until the period is found
-        self.seen = {(x.P, x.Q): 1} if target.periodic else None
-
-    @classmethod
-    def at(cls, current: Slope, target: SlopeTarget) -> "_Walk":
-        """A walk standing at `current`, with a Bezout partner."""
-        return cls(_bezout_partner(current), (current.p, current.q), target)
-
-    def step(self) -> bool:
-        """Read one more run off x and key the next; False once x has read
-        the last run, one that never ends or one that ends on the target."""
-        if self.done:
-            return False
-        a0, a1, x = self.x._run(self.attained)
-        self.digits.append(a0)
-        if a1 is None:  # x stays at the start of the run that never ends
-            self.done = True
-            return False
-        bounds = self.bounds
-        bounds.append(bounds[-1] + a1)
-        self.x, self.done = x, self.attained and x.q == 0  # on the target: x = oo
-        if self.seen is not None:
-            n = len(bounds)  # the run x starts
-            i0 = self.seen.setdefault((x.P, x.Q), n)
-            if i0 != n:
-                self.period, self.seen = (i0, n - i0, bounds[-1] - bounds[i0 - 1]), None
-            elif n > PERIOD_BUDGET:  # a later repeat is past the budget
-                self.seen = None
-        return True
-
-    def next_run(self) -> tuple[int | None, int, int]:
-        """Fold one run; returns (edges, dp, dq), the edge count and the
-        vector (dp, dq) each edge adds to s.  edges is None for a run that
-        never ends, and then the fold stops at the run's start."""
-        i = self.folded
-        if i == len(self.digits):
-            self.step()
-        a0, bounds = self.digits[i], self.bounds
-        (up, uq), (sp, sq) = self.u, self.s
-        dp, dq = up + a0 * sp, uq + a0 * sq
-        if i + 1 == len(bounds):
-            return None, dp, dq
-        a1 = bounds[i + 1] - bounds[i]
-        sp, sq = sp + a1 * dp, sq + a1 * dq
-        self.u, self.s, self.folded = (dp - sp, dq - sq), (sp, sq), i + 1
-        return a1, dp, dq
-
-
-def next_toward(current: Slope, target: SlopeTarget) -> Slope:
-    """The neighbor of `current` closest to `target` on the clockwise arc:
-    the first vertex of the walk's first run."""
-    _, dp, dq = _Walk.at(current, target).next_run()
-    return Slope._primitive(current.p + dp, current.q + dq)  # det(s, s + d) = 1
-
-
-# ---------------------------------------------------------------------------
-# paths
-
-
-class Run(namedtuple("Run", "start p q dp dq edges")):
-    """A maximal run of path vertices whose coherent lifts advance by one
-    constant vector: vertex start + j is (p + j*dp)/(q + j*dq) for
-    0 <= j <= edges, with edges None for a run that never ends (all six
-    fields are integers but that one).
-
-    A run is one step of the walk followed by all the steps with k = 2
-    after it (see _Walk), which makes it a maximal continued fraction block: a witness
-    sending its first two vertices to -1 and -2 sends vertex start + j to
-    -(j + 1).  Consecutive runs share their boundary vertex."""
-
-    __slots__ = ()
-
-    def vertex(self, j: int) -> Slope:
-        return Slope._primitive(self.p + j * self.dp, self.q + j * self.dq)
-
-
-class FareyPath:
-    """A minimal clockwise vertex sequence from a start slope toward a target.
-
-    The path is stored as its runs, walked lazily one run at a time from
-    the last vertex, so extending a path never changes the runs already
-    walked; a vertex becomes a Slope only when vertex(i) or prefix(n) asks
-    for it.  The length is the number of vertices asked for so far.
+    The walk has two cursors.  The reader of x appends each run's end to the
+    slice bounds (entry 0 is slice 0), keys its start toward a periodic
+    target until a repeat gives `period` (see BlockDecomposition.period) and
+    is `done` at the last run; step() reads ahead for the decompositions.
+    The fold, _advance(), folds (u, s) over the oldest run read ahead, or
+    over the next one off x once it has caught up, into one Run.
     """
 
     def __init__(self, start: Slope, target: SlopeTarget):
@@ -740,12 +661,21 @@ class FareyPath:
         self._runs: list[Run] = []
         self._size: int | None = 1  # vertices walked; None inside a run that never ends
         self._length = 1
-        self._complete = target.attained and target.slope == start
-        self._walk = None if self._complete else _Walk.at(start, target)  # its decompositions read it too
-
-    @property
-    def complete(self) -> bool:
-        return self._complete
+        self.bounds = [0]
+        self.period = None
+        self._held: list[int] = []  # a0 of the runs x has read and the fold has not, from _held[_taken]
+        self._taken = 0
+        self.complete = self.done = target.attained and target.slope == start
+        if self.done:
+            return
+        (up, uq), (sp, sq) = _bezout_partner(start), (start.p, start.q)
+        self._u, self._s = (up, uq), (sp, sq)
+        # x = (up - uq*t) / (sq*t - sp), by a matrix of determinant -det(u, s) = 1
+        self.x = x = target.image(GL2Z._unimodular(-uq, up, sq, -sp))
+        if target.rational and x.q == 0:
+            raise DegenerateTargetError("non-attained rational target equals the current slope")
+        # the first run to start at each PQa pair of x, until the period is found
+        self._seen = {(x.P, x.Q): 1} if target.periodic else None
 
     def __len__(self) -> int:
         return self._length
@@ -755,10 +685,10 @@ class FareyPath:
         or when a run ends before it on a vertex with an entry of absolute
         value at least `bound` (if not 0)."""
         while self._size is not None and self._size <= i:
-            if self._complete:
+            if self.complete:
                 return False
             self._advance()
-            if bound and self._size is not None and self._size <= i and max(map(abs, self._walk.s)) >= bound:
+            if bound and self._size is not None and self._size <= i and max(map(abs, self._s)) >= bound:
                 return False
         return True
 
@@ -778,7 +708,7 @@ class FareyPath:
         vertex count."""
         if not self.target.attained:
             raise ValueError("only a path toward an attained target has an end")
-        while not self._complete:
+        while not self.complete:
             self._advance()
         self._length = self._size
         return self._size
@@ -787,18 +717,55 @@ class FareyPath:
         """The i-th run (0-based), walked as far as needed; None when the
         path has fewer runs."""
         runs = self._runs
-        while len(runs) <= i and not self._complete and self._size is not None:
+        while len(runs) <= i and not self.complete and self._size is not None:
             self._advance()
         return runs[i] if i < len(runs) else None
 
+    def _read(self) -> int:
+        """Read one run off x; returns its a0."""
+        a0, a1, x = self.x._run(self.target.attained)
+        if a1 is None:  # x stays at the start of the run that never ends
+            self.done = True
+            return a0
+        bounds = self.bounds
+        bounds.append(bounds[-1] + a1)
+        self.x, self.done = x, self.target.attained and x.q == 0  # on the target: x = oo
+        if self._seen is not None:
+            n = len(bounds)  # the run x starts
+            i0 = self._seen.setdefault((x.P, x.Q), n)
+            if i0 != n:
+                self.period, self._seen = (i0, n - i0, bounds[-1] - bounds[i0 - 1]), None
+            elif n > PERIOD_BUDGET:  # a later repeat is past the budget
+                self._seen = None
+        return a0
+
+    def step(self) -> bool:
+        """Read the next run off x, if any, and hold its a0 until the fold
+        takes it; False once x is done."""
+        if not self.done:
+            self._held.append(self._read())
+        return not self.done
+
     def _advance(self):
-        """Walk one more run."""
-        walk = self._walk
-        start, (p, q) = self._size - 1, walk.s
-        edges, dp, dq = walk.next_run()
-        self._runs.append(Run(start, p, q, dp, dq, edges))
-        self._size = None if edges is None else start + edges + 1
-        self._complete = walk.attained and walk.done and walk.folded == len(walk.digits)
+        """Fold (u, s) over the oldest run x has read, or over the next one."""
+        held, i = self._held, len(self._runs)
+        if held:
+            a0, self._taken = held[self._taken], self._taken + 1
+            if self._taken == len(held):  # caught up: no a0 is kept
+                self._held, self._taken = [], 0
+        else:
+            a0 = self._read()
+        start, bounds = self._size - 1, self.bounds
+        (up, uq), (sp, sq) = self._u, self._s
+        dp, dq = up + a0 * sp, uq + a0 * sq
+        edges = bounds[i + 1] - bounds[i] if i + 1 < len(bounds) else None
+        self._runs.append(Run(start, sp, sq, dp, dq, edges))
+        if edges is None:  # the run never ends, and the fold stops at its start
+            self._size = None
+            return
+        sp, sq = sp + edges * dp, sq + edges * dq
+        self._u, self._s, self._size = (dp - sp, dq - sq), (sp, sq), start + edges + 1
+        self.complete = self.done and not self._held  # x is done on the target
 
     def vertex(self, i: int) -> Slope:
         if not self.has_vertex(i):
@@ -890,6 +857,14 @@ class FareyPath:
                 raise MalformedPathError(
                     f"vertex {i} ({v}) is not on the minimal clockwise path from {vs[0]} toward {target}")
         return path
+
+
+def next_toward(current: Slope, target: SlopeTarget) -> Slope:
+    """The neighbor of `current` closest to `target` on the clockwise arc:
+    vertex 1 of the path from `current`."""
+    if target.attained and target.slope == current:
+        raise ValueError("attained target equals the current slope")
+    return FareyPath(current, target).vertex(1)
 
 
 def farey_sequence(start: Slope, target: SlopeTarget, n: int) -> FareyPath:

@@ -11,6 +11,7 @@ remaining linear system exactly.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -646,3 +647,30 @@ def reference_quadratic_obstruction(inv, horizon: int):
         return NoTightExtension(
             "per-block count is neither maximal nor minimal for infinitely many blocks")
     return Unknown(horizon)
+
+
+# ---------------------------------------------------------------------------
+# the human format, one json.dumps per scalar
+
+
+def reference_render_human(doc: object, indent: int = 0) -> str:
+    """The --format human text of a document: keys sorted, nested lists and
+    dicts indented, list items as "- ", every scalar as json.dumps writes it."""
+    pad = "  " * indent
+    if isinstance(doc, dict):
+        lines = []
+        for key in sorted(doc):
+            value = doc[key]
+            if isinstance(value, (dict, list)) and value:
+                lines.append(f"{pad}{key}:")
+                lines.append(reference_render_human(value, indent + 1))
+            else:
+                lines.append(f"{pad}{key}: {json.dumps(value)}")
+        return "\n".join(lines)
+    if isinstance(doc, list):
+        return "\n".join(
+            reference_render_human(item, indent) if isinstance(item, (dict, list))
+            else f"{pad}- {json.dumps(item)}"
+            for item in doc
+        )
+    return f"{pad}{json.dumps(doc)}"

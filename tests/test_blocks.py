@@ -26,7 +26,7 @@ from toric_ends import ends
 from toric_ends.blocks import Block, witness_for_edge
 from toric_ends.cli import END, run_command
 from toric_ends.errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
-from toric_ends.farey import Run, _Surd, _Walk
+from toric_ends.farey import Run, _Surd
 
 from oracles import oracle_witness_search, synthetic_path_vertices
 from test_cf_targets import GL2Z_WORDS
@@ -212,20 +212,21 @@ OPTIONS = {"horizon": 64, "max_family": 1000}
 
 
 def count_walks(monkeypatch) -> dict:
-    """Counts of vertex runs (_Walk.next_run) and of surd runs (_Surd._run:
-    one per x step, which the vertex runs and the bounds share)."""
+    """Counts of vertex runs (FareyPath._advance, one per fold) and of surd
+    runs (_Surd._run: one per x step, which the vertex runs and the bounds
+    share)."""
     counts = {"vertex runs": 0, "x steps": 0}
-    next_run, run = _Walk.next_run, _Surd._run
+    advance, run = FareyPath._advance, _Surd._run
 
-    def counted_next_run(self):
+    def counted_advance(self):
         counts["vertex runs"] += 1
-        return next_run(self)
+        return advance(self)
 
     def counted_run(self, attained):
         counts["x steps"] += 1
         return run(self, attained)
 
-    monkeypatch.setattr(_Walk, "next_run", counted_next_run)
+    monkeypatch.setattr(FareyPath, "_advance", counted_advance)
     monkeypatch.setattr(_Surd, "_run", counted_run)
     return counts
 
@@ -282,8 +283,29 @@ def test_bounds_then_blocks_step_x_once_per_block(monkeypatch):
     walked = count_walks(monkeypatch)
     decomp.bounds(10)
     assert walked == {"vertex runs": 0, "x steps": 10}
+    assert len(decomp.path._held) == 10  # one a0 per run read ahead of the fold
     assert len(decomp.blocks_up_to(10)) == 10
     assert walked == {"vertex runs": 10, "x steps": 10}
+    assert decomp.path._held == []  # the fold has caught up: no a0 is kept
+
+
+@pytest.mark.parametrize("n", [1_001, 2_001, 4_001, 8_001])
+def test_a_path_reads_and_folds_each_run_once(monkeypatch, n):
+    # toward -sqrt(3) from -1 every block has 2 slices, so the first n
+    # vertices are (n - 1)/2 runs: each is read off x once and folded once,
+    # and a fold that keeps up with x holds no a0
+    runs = (n - 1) // 2
+    walked = count_walks(monkeypatch)
+    path = FareyPath(S("-1"), QuadraticTarget.of(0, -1, 1, 3))
+    assert path.extend_to(n) == n and len(path._runs) == runs
+    assert walked == {"vertex runs": runs, "x steps": runs}
+    assert path._held == []
+    # read ahead first, x holds every a0 until the fold takes it
+    decomp = decompose(FareyPath(S("-1"), QuadraticTarget.of(0, -1, 1, 3)))
+    assert len(decomp.bounds(runs)) == runs + 1 and len(decomp.path._held) == runs
+    assert len(decomp.blocks_up_to(runs)) == runs
+    assert walked == {"vertex runs": 2 * runs, "x steps": 2 * runs}
+    assert decomp.path._held == []
 
 
 def test_bounds_alone_finish_a_finite_decomposition():

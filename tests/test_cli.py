@@ -6,6 +6,8 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toric_ends import GL2Z, FareyPath, QuadraticTarget, Slope, classify, decompose
 from toric_ends import blocks as blocks_mod
@@ -25,7 +27,7 @@ from toric_ends.cli import (
 )
 from toric_ends.errors import SchemaError, ToricEndError
 
-from oracles import reference_path
+from oracles import reference_path, reference_render_human
 from test_codec import perfbench_workloads
 
 SQRT2 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 2}
@@ -988,6 +990,41 @@ def test_determinism_byte_identical():
     _, out1 = invoke("classify", doc)
     _, out2 = invoke("classify", doc)
     assert out1 == out2
+
+
+def rendered(render, doc):
+    """The text of render(doc), or its error: an integer past Python's
+    int-to-text limit fails in json.dumps and int.__repr__ alike."""
+    try:
+        return render(doc)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_human_text_of_census_answers_is_pinned():
+    jobs = perfbench_workloads().generate("census", 1)
+    answers = batch_answers([{"command": j["command"], "input": j["input"]} for j in jobs])
+    assert _render_human(answers) == reference_render_human(answers)
+
+
+SCALARS = (st.none() | st.booleans() | st.integers() | st.text() | st.floats()
+           | st.integers(10 ** 4999, 10 ** 5000).map(lambda v: v if v % 2 else -v))
+DOCUMENTS = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                         | st.dictionaries(st.text(max_size=4), inner, max_size=4), max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@example({"a": [], "b": {}, "c": [[], {}, "é", True, False, None], "d": [{"x": "\u2028"}, 10 ** 4999]})
+@example(["\ud800", "\x00\n\"", 2 ** 64, -0, 1.5, float("nan")])
+@given(DOCUMENTS)
+def test_human_text_matches_one_json_dumps_per_scalar(doc):
+    limit = sys.get_int_max_str_digits()
+    assert rendered(_render_human, doc) == rendered(reference_render_human, doc)
+    sys.set_int_max_str_digits(0)  # no limit: 5,000-digit integers are written out
+    try:
+        assert rendered(_render_human, doc) == rendered(reference_render_human, doc)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_human_format():

@@ -24,7 +24,7 @@ from toric_ends import (
 from toric_ends import cli, ends, invariants
 from toric_ends.cli import TARGET, invariant_doc, run_command
 from toric_ends.errors import InsufficientBlocksError, ToricEndError
-from toric_ends.farey import _Walk
+from toric_ends.farey import FareyPath
 
 from oracles import reference_family
 
@@ -190,7 +190,7 @@ def test_family_members_share_one_count_tail_and_one_bounds_table(monkeypatch):
     # every block toward -sqrt(3) from -1 has 3 vertices, so 244 and 250
     # members both take the first 3^5 < k <= 3^6 count vectors over 6 blocks
     normalized = counting(monkeypatch, "_normalize_count_tail", invariants)
-    walked = counting(monkeypatch, "step", _Walk)
+    walked = counting(monkeypatch, "_read", FareyPath)
     work = []
     for k in (244, 250):
         normalized.clear()

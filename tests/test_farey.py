@@ -148,6 +148,17 @@ def test_next_toward_degenerate_target():
         next_toward(S("-2"), RationalTarget(S("-2"), False))
 
 
+@pytest.mark.parametrize("slope", ["-2", "0", "1/0", "3/7"])
+def test_next_toward_refuses_a_target_at_the_current_slope(slope):
+    # attained there, the path has already ended: a plain ValueError, not a
+    # DegenerateTargetError; not attained, the target is degenerate
+    with pytest.raises(ValueError, match="^attained target equals the current slope$") as refused:
+        next_toward(S(slope), RationalTarget(S(slope), True))
+    assert refused.type is ValueError
+    with pytest.raises(DegenerateTargetError, match="^non-attained rational target equals the current slope$"):
+        next_toward(S(slope), RationalTarget(S(slope), False))
+
+
 def test_next_toward_matches_oracle_spot_checks():
     cases = [
         (S("-1"), RationalTarget(S("-3"), True)),

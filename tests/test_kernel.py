@@ -26,7 +26,7 @@ from toric_ends import (
     quadratic_cf_target,
 )
 from toric_ends.errors import MalformedPathError
-from toric_ends.farey import _Surd, _Walk
+from toric_ends.farey import _Surd
 
 from oracles import (
     reference_blocks,
@@ -179,7 +179,7 @@ def test_vertex_text_matches_reference_on_rationals(p, q, attained, start, n):
 
 
 def test_walk_steps_build_no_gl2z(monkeypatch):
-    walk = _Walk.at(Slope(-1, 1), QuadraticTarget.of(0, -1, 1, 421))
+    path = FareyPath(Slope(-1, 1), QuadraticTarget.of(0, -1, 1, 421))
     built = 0
     init = GL2Z.__init__
 
@@ -191,8 +191,7 @@ def test_walk_steps_build_no_gl2z(monkeypatch):
     monkeypatch.setattr(GL2Z, "__init__", counted)
     steps = 0
     while steps < 2000:
-        edges, _, _ = walk.next_run()
-        steps += edges
+        steps += path.run(len(path._runs)).edges
     assert built == 0
     GL2Z(0, 1, 1, 0)
     assert built == 1  # the count does see a GL2Z

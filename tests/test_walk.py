@@ -4,6 +4,7 @@ the reference block finder, which tests vertex by vertex, plus work counts
 that show a step costs the same at every depth and a block costs the same
 at every length (counts, not timings)."""
 
+import itertools
 from math import isqrt
 
 import pytest
@@ -26,7 +27,7 @@ from toric_ends.blocks import witness_for_edge
 from toric_ends.errors import MalformedPathError
 from toric_ends.farey import cw
 
-from oracles import reference_blocks, reference_next_toward, reference_path
+from oracles import circular_census, reference_blocks, reference_next_toward, reference_path
 from test_cf_targets import GL2Z_WORDS
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
@@ -69,6 +70,25 @@ def test_walk_matches_reference_on_streams(a, b, c, d, n):
     walked = FareyPath(Slope(-1, 1), quadratic_cf_target(value)).prefix(n)
     assert walked == reference_path(Slope(-1, 1), quadratic_cf_target(value), n)
     assert walked == reference_path(Slope(-1, 1), QuadraticTarget(value), n)
+
+
+def test_next_toward_is_vertex_one_of_the_path_over_a_census():
+    # rational targets, attained or not, surds and streams (the surds' own
+    # streams and one with growing coefficients), from every census slope
+    census = circular_census(3)
+    surds = [MINUS_SQRT2, QuadraticTarget.of(-3, 1, 4, 13), QuadraticTarget.of(-1, -1, 1, 421),
+             QuadraticTarget.of(1, 1, 2, 5)]
+    targets = [RationalTarget(t, attained) for t in census for attained in (False, True)]
+    targets += surds + [quadratic_cf_target(t.value) for t in surds] + [CFTarget(itertools.count(1))]
+    compared = 0
+    for start in census:
+        for target in targets:
+            if target.rational and target.slope == start:
+                continue  # refused: see test_next_toward_refuses_a_target_at_the_current_slope
+            vertex = next_toward(start, target)
+            assert vertex == FareyPath(start, target).vertex(1) == reference_next_toward(start, target)
+            compared += 1
+    assert compared == len(census) * (len(targets) - 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,11 +156,11 @@ def test_surd_walk_state_stays_bounded():
                    QuadraticTarget.of(-1, 1, 2, 100003)):
         path = FareyPath(Slope(-1, 1), target)
         path.extend_to(2)
-        D = path._walk.x.D
+        D = path.x.D
         bound = D.bit_length() + 4
         for n in range(3, 2003):
             path.extend_to(n)
-            x = path._walk.x
+            x = path.x
             assert x.D == D and (D - x.P * x.P) % x.Q == 0
             assert max(abs(x.P), abs(x.Q)).bit_length() <= bound, (target, n, x.P, x.Q)
 
