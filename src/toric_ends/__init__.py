@@ -1,5 +1,7 @@
 """Exact classification data for tight contact structures on toric ends."""
 
+from types import ModuleType as _ModuleType
+
 from .farey import (
     INFINITY,
     CFTarget,
@@ -8,14 +10,11 @@ from .farey import (
     QuadraticTarget,
     RationalTarget,
     Slope,
-    clockwise_between,
-    farey_edge,
     farey_sequence,
-    next_toward,
     parse_slope,
     quadratic_cf_target,
 )
-from .blocks import Block, BlockDecomposition, decompose, n_of_r
+from .blocks import Block, BlockDecomposition, decompose
 from .invariants import (
     AllNegative,
     AllPositive,
@@ -39,7 +38,6 @@ from .invariants import (
     equivalent,
     euler_class,
     invariant_from_signs,
-    signs_from_chars,
 )
 from .ends import (
     EndDescription,
@@ -52,7 +50,6 @@ from .ends import (
     classify,
     division_at_infinity,
     extension_obstruction,
-    is_minimally_twisting,
     non_extendable_family,
     slope_at_infinity,
     validate,
@@ -67,4 +64,5 @@ from .reduce import (
     t2xr_equivalent,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above, without the submodules that importing them binds
+__all__ = [name for name in dir() if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

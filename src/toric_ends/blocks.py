@@ -16,8 +16,8 @@ normalized picture is -1, ..., -m, -m - 1/a with a >= 2, and the triple
 
 from __future__ import annotations
 
-from .errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError, ToricEndError
-from .farey import GL2Z, PERIOD_BUDGET, FareyPath, RationalTarget, Run, Slope, det
+from .errors import InfiniteBlockError, MalformedPathError, ToricEndError
+from .farey import GL2Z, PERIOD_BUDGET, FareyPath, Run
 from .records import Record, setfield
 
 
@@ -43,9 +43,8 @@ class Block(Record):
         """The entries of the witness, read off the run.  The lifts (p, q)
         and (p + dp, q + dq) of its first edge have determinant
         p*dq - q*dp = 1, so (q - dq, dp - p, dq, -dp) sends them to -1 and
-        -2; it is the matrix witness_for_edge finds, sign-normalized here
-        by its first entry that is not 0 (one of the first two, or the
-        determinant would be 0)."""
+        -2, sign-normalized here by its first entry that is not 0 (one of
+        the first two, or the determinant would be 0)."""
         _, p, q, dp, dq, _ = self.run
         if (q - dq or dp - p) > 0:
             return (q - dq, dp - p, dq, -dp)
@@ -60,33 +59,6 @@ class Block(Record):
     @property
     def length(self) -> int | None:
         return None if self.infinite else self.end_index - self.start_index + 1
-
-    @property
-    def slice_range(self) -> tuple[int, int | None]:
-        """Global basic-slice (edge) indices covered: [first, last) with
-        last = None for the infinite block."""
-        return (self.start_index, self.end_index)
-
-    def slice_count(self) -> int:
-        if self.infinite:
-            raise InfiniteBlockError("infinite blocks have no finite slice count")
-        return self.length - 1
-
-
-def witness_for_edge(a: Slope, b: Slope) -> GL2Z:
-    """The SL2(Z) element sending the edge (a, b) to (-1, -2), sign-normalized,
-    for an edge given by its slopes; a block reads the same matrix off its
-    run (Block.witness_entries)."""
-    eps = det(a, b)
-    if abs(eps) != 1:
-        raise MalformedPathError(f"{a}, {b} is not a Farey edge")
-    m = GL2Z(
-        eps * (-b.q + 2 * eps * a.q),
-        eps * (b.p - 2 * eps * a.p),
-        eps * (b.q - eps * a.q),
-        eps * (-b.p + eps * a.p),
-    )
-    return m.canonical()
 
 
 class BlockDecomposition:
@@ -194,11 +166,3 @@ class BlockDecomposition:
 def decompose(path: FareyPath) -> BlockDecomposition:
     """Group the path into maximal continued fraction blocks."""
     return BlockDecomposition(path)
-
-
-def n_of_r(r: Slope, start: Slope) -> int:
-    """Total number of maximal blocks of the sequence from `start` toward the
-    non-attained rational target r: the finite ones plus the infinite one."""
-    if r == start:
-        raise DegenerateTargetError("target equals the start slope")
-    return len(BlockDecomposition(FareyPath(start, RationalTarget(r, attained=False))).bounds(None))

@@ -530,18 +530,9 @@ def _cmd_count(lengths: list, options: dict) -> dict:
 @_command("euler", field("horizon", POSITIVE_INT, default=None), field("end", END.codec))
 def _cmd_euler(horizon: int | None, e, options: dict) -> dict:
     horizon = horizon or options["horizon"]
-    target = ends_mod.normalized_target(e)
-    collar = target.attained and target.slope == ends_mod.BASE_SLOPE
-    # toward an attained target other than the base slope, validation counts
-    # the slices of the decomposition that the class is read from; any other
-    # target is validated first, so that a degenerate one is named as such
-    decomp = (blocks_mod.decompose(FareyPath(ends_mod.BASE_SLOPE, target))
-              if target.attained and not collar else None)
-    ends_mod.require_valid(e, decomp)
-    if collar:
+    decomp = ends_mod.validated_decomposition(e)
+    if decomp is None:  # the collar has no slices
         return {"euler": [0, 0], "slices": 0}
-    if decomp is None:
-        decomp = blocks_mod.decompose(FareyPath(ends_mod.BASE_SLOPE, target))
     path = decomp.path
     cls = inv_mod.euler_class(decomp, e.signs, horizon, _text_bound(sys.get_int_max_str_digits()))
     if cls is None:

@@ -173,12 +173,6 @@ def division_at_infinity(e: EndDescription) -> int | None:
     return e.division_tail.value
 
 
-def is_minimally_twisting(e: EndDescription) -> bool:
-    """No rotative layers; path-based descriptions stay inside one arc of
-    the circle of slopes, so they never complete a circuit by themselves."""
-    return e.rotative.n == 0
-
-
 def _path_slice_count(e: EndDescription, decomp: BlockDecomposition | None = None) -> int:
     """Number of basic slices of the finite factorization of an attained
     description (0 for the collar whose target equals the boundary): the
@@ -233,6 +227,24 @@ def require_valid(e: EndDescription, decomp: BlockDecomposition | None = None) -
         raise ValidationError(violations)
 
 
+def validated_decomposition(e: EndDescription,
+                            decomp: BlockDecomposition | None = None) -> BlockDecomposition | None:
+    """Validate e and return the decomposition toward its normalized target
+    (`decomp`, when given), or None for the collar whose target is the base
+    slope, which has no blocks.  Toward an attained target validation counts
+    the slices of the decomposition returned; any other target is validated
+    before its decomposition is built, so that a degenerate one is named by
+    its violation."""
+    target = normalized_target(e)
+    if target.attained and target.slope == BASE_SLOPE:
+        require_valid(e)
+        return None
+    if decomp is None and target.attained:
+        decomp = decompose(FareyPath(BASE_SLOPE, target))
+    require_valid(e, decomp)
+    return decomp if decomp is not None else decompose(FareyPath(BASE_SLOPE, target))
+
+
 def slope_at_infinity(e: EndDescription) -> SlopeTarget:
     """The limit slope of the factorization, after validating convergence of
     the underlying net of slopes."""
@@ -247,13 +259,7 @@ def slope_at_infinity(e: EndDescription) -> SlopeTarget:
 def classify(e: EndDescription, decomp: BlockDecomposition | None = None) -> EndInvariant:
     """Dispatch to the complete invariant of the end.  `decomp`, when given,
     is the decomposition toward the normalized target."""
-    # toward an attained target other than the base slope, validation counts
-    # the slices of the decomposition that the invariant is read from
-    target = normalized_target(e)
-    if decomp is None and target.attained and target.slope != BASE_SLOPE:
-        decomp = decompose(FareyPath(BASE_SLOPE, target))
-    require_valid(e, decomp)
-
+    decomp = validated_decomposition(e, decomp)
     base_context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, None)
     d_inf = division_at_infinity(e)
     if d_inf is None:
@@ -265,10 +271,11 @@ def classify(e: EndDescription, decomp: BlockDecomposition | None = None) -> End
             EndDescription(e.boundary, e.target, e.signs, e.division_tail), decomp)
         return NonMinimallyTwisting(rotative.n, rotative.sign, residual, base_context)
 
-    if target.attained and target.slope == BASE_SLOPE:
+    if decomp is None:
         # vertically invariant collar: no blocks, empty invariant
         return AttainedInvariant((), d_inf, base_context)
-    return _classify_minimal(e, _decomposition_context(e, target, decomp), d_inf)
+    context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, decomp)
+    return _classify_minimal(e, context, d_inf)
 
 
 def decomposition_of(inv: EndInvariant) -> BlockDecomposition | None:
@@ -279,20 +286,11 @@ def decomposition_of(inv: EndInvariant) -> BlockDecomposition | None:
     return None if inv is None else inv.context._decomposition
 
 
-def _decomposition_context(e: EndDescription, target: SlopeTarget,
-                           decomp: BlockDecomposition | None = None) -> InvariantContext:
-    """The context of e carrying the block decomposition of the path from
-    the base slope toward the normalized target (`decomp`, when given);
-    every end with the same boundary and target shares it."""
-    if decomp is None:
-        decomp = decompose(FareyPath(BASE_SLOPE, target))
-    return InvariantContext(e.boundary.slope, e.boundary.division, e.target, decomp)
-
-
 def _classify_minimal(e: EndDescription, context: InvariantContext,
                       d_inf: int) -> MinimallyTwisting:
     """The invariant of a validated, minimally twisting end whose context
-    comes from _decomposition_context."""
+    carries the decomposition toward its normalized target; every end with
+    the same boundary and target shares it."""
     decomp = context.decomposition()
     division = d_inf if decomp.path.target.attained else 1
     return invariant_from_signs(decomp, e.signs, division, context)
@@ -388,8 +386,8 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
     if target.attained:
         raise ToricEndError("non-extendable families need a non-attained or irrational target")
     frame = EndDescription(TorusRecord(start, 1), target)
-    context = _decomposition_context(frame, normalized_target(frame))
-    decomp = context.decomposition()
+    decomp = decompose(FareyPath(BASE_SLOPE, normalized_target(frame)))
+    context = InvariantContext(start, 1, target, decomp)
     if target.rational:
         slices = decomp.bounds(None)[-1]
     else:

@@ -101,29 +101,6 @@ def det(a: Slope, b: Slope) -> int:
     return a.p * b.q - b.p * a.q
 
 
-def farey_edge(a: Slope, b: Slope) -> bool:
-    """True iff the two distinct slopes are joined by an arc of the graph."""
-    if a == b:
-        raise ValueError("farey_edge needs distinct slopes")
-    return abs(det(a, b)) == 1
-
-
-def cw(a: Slope, b: Slope, c: Slope) -> bool:
-    """True iff b lies strictly inside the clockwise arc from a to c.
-
-    The sign of det(a,b)*det(b,c)*det(c,a) is independent of the choice of
-    vector representatives, so this is a well defined circular orientation.
-    """
-    return det(a, b) * det(b, c) * det(c, a) < 0
-
-
-def clockwise_between(a: Slope, b: Slope, x: Slope) -> bool:
-    """True iff x lies on the closed clockwise arc from a to b."""
-    if a == b:
-        raise ValueError("clockwise_between needs distinct endpoints")
-    return x == a or x == b or cw(a, x, b)
-
-
 # ---------------------------------------------------------------------------
 # GL2(Z)
 
@@ -157,10 +134,6 @@ class GL2Z(Record):
     def det(self) -> int:
         return self.a * self.d - self.b * self.c
 
-    @classmethod
-    def identity(cls) -> "GL2Z":
-        return cls(1, 0, 0, 1)
-
     def apply(self, s: Slope) -> Slope:
         return Slope._primitive(self.a * s.p + self.b * s.q, self.c * s.p + self.d * s.q)
 
@@ -171,19 +144,6 @@ class GL2Z(Record):
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
         )
-
-    def inverse(self) -> "GL2Z":
-        e = self.det
-        return GL2Z(e * self.d, -e * self.b, -e * self.c, e * self.a)
-
-    def canonical(self) -> "GL2Z":
-        """Sign-normalized representative: first nonzero entry positive."""
-        for x in (self.a, self.b, self.c, self.d):
-            if x != 0:
-                if x < 0:
-                    return GL2Z(-self.a, -self.b, -self.c, -self.d)
-                return self
-        raise AssertionError("zero matrix")
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
@@ -857,14 +817,6 @@ class FareyPath:
                 raise MalformedPathError(
                     f"vertex {i} ({v}) is not on the minimal clockwise path from {vs[0]} toward {target}")
         return path
-
-
-def next_toward(current: Slope, target: SlopeTarget) -> Slope:
-    """The neighbor of `current` closest to `target` on the clockwise arc:
-    vertex 1 of the path from `current`."""
-    if target.attained and target.slope == current:
-        raise ValueError("attained target equals the current slope")
-    return FareyPath(current, target).vertex(1)
 
 
 def farey_sequence(start: Slope, target: SlopeTarget, n: int) -> FareyPath:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
 from itertools import accumulate, pairwise
 
 from .blocks import BlockDecomposition
@@ -218,13 +217,6 @@ class SignData(Record):
         return SignData((), self.tail.shifted(k - len(self.prefix)))
 
 
-def signs_from_chars(prefix: Iterable[str], tail: SignTail | None = None) -> SignData:
-    chars = tuple(prefix)
-    if chars.count("+") + chars.count("-") != len(chars):
-        raise ValueError('sign characters must be "+" or "-"')
-    return SignData(tuple(POSITIVE if c == "+" else NEGATIVE for c in chars), tail)
-
-
 # ---------------------------------------------------------------------------
 # infinite block normal forms (rational non-attained case)
 
@@ -365,11 +357,6 @@ class MinimallyTwisting(Record):
     infinity: irrational, rational and not attained, or attained."""
 
     __slots__ = ()
-
-    @property
-    def invariant(self) -> "MinimallyTwisting":
-        """The record itself."""
-        return self
 
 
 class IrrationalInvariant(MinimallyTwisting):
@@ -673,7 +660,9 @@ def count_invariants(blocks_or_lengths, k: int | None = None) -> int:
         if len(lengths) < k:
             raise IndexError(f"decomposition has only {len(lengths)} blocks")
     else:
-        lengths = [int(x) for x in blocks_or_lengths]
+        lengths = list(blocks_or_lengths)
+        if any(isinstance(m, bool) or not isinstance(m, int) for m in lengths):
+            raise ValueError("block lengths must be integers")
         if any(m < 1 for m in lengths):
             raise ValueError("block lengths must be >= 1")
     return math.prod(lengths)
@@ -687,9 +676,6 @@ class EulerClass(Record):
     """Integer vector in the first homology of the torus fiber."""
 
     __slots__ = ("x", "y")
-
-    def __neg__(self) -> "EulerClass":
-        return EulerClass(-self.x, -self.y)
 
     def as_pair(self) -> tuple[int, int]:
         return (self.x, self.y)

@@ -6,7 +6,9 @@ not by the library's determinant products.  A quadratic target is read off
 its PQa triple once (oracle_surd), and its images are taken by the
 reference conjugate-product mobius, not by the library's surd arithmetic.
 Witness existence is decided by sweeping matrix entries and solving the
-remaining linear system exactly.
+remaining linear system exactly.  Edges, orientation and block witnesses
+are checked from the determinant of two slopes, one vertex at a time, where
+the library reads a path run by run.
 """
 
 from __future__ import annotations
@@ -33,16 +35,55 @@ from toric_ends import (
     decompose,
     extension_obstruction,
 )
-from toric_ends.blocks import witness_for_edge
 from toric_ends.errors import (
     DegenerateTargetError,
     InsufficientBlocksError,
+    MalformedPathError,
     NoRealizedPointError,
     ToricEndError,
     UndecidableAtHorizonError,
 )
 from toric_ends.invariants import PatternCounts
 from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _StreamImage, _bezout_partner, on_arc
+
+
+# ---------------------------------------------------------------------------
+# edges, orientation and matrices, from the determinant of two slopes
+
+
+def _det(a: Slope, b: Slope) -> int:
+    return a.p * b.q - b.p * a.q
+
+
+def oracle_farey_edge(a: Slope, b: Slope) -> bool:
+    """True iff the slopes are joined by an arc of the Farey graph."""
+    return abs(_det(a, b)) == 1
+
+
+def oracle_cw(a: Slope, b: Slope, c: Slope) -> bool:
+    """True iff b lies strictly inside the clockwise arc from a to c: the
+    sign of det(a, b) * det(b, c) * det(c, a) does not depend on the
+    vectors chosen for the slopes."""
+    return _det(a, b) * _det(b, c) * _det(c, a) < 0
+
+
+def reference_witness(a: Slope, b: Slope) -> GL2Z:
+    """The SL2(Z) element sending the edge (a, b) to (-1, -2), from the
+    slopes of the edge, signed so that its first entry that is not 0 is
+    positive."""
+    eps = _det(a, b)
+    if abs(eps) != 1:
+        raise MalformedPathError(f"{a}, {b} is not a Farey edge")
+    entries = (eps * (-b.q + 2 * eps * a.q), eps * (b.p - 2 * eps * a.p),
+               eps * (b.q - eps * a.q), eps * (-b.p + eps * a.p))
+    sign = 1 if next(x for x in entries if x) > 0 else -1
+    return GL2Z(*(sign * x for x in entries))
+
+
+def gl2z_inverse(m: GL2Z) -> GL2Z:
+    """The inverse of m: its adjugate times its determinant (+-1)."""
+    e = m.a * m.d - m.b * m.c
+    return GL2Z(e * m.d, -e * m.b, -e * m.c, e * m.a)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +349,7 @@ def reference_blocks(path, count: int) -> list[tuple]:
     out = []
     start = 0
     while len(out) < count and path.has_vertex(start + 1):
-        m = witness_for_edge(path.vertex(start), path.vertex(start + 1))
+        m = reference_witness(path.vertex(start), path.vertex(start + 1))
         if (isinstance(target, RationalTarget) and not target.attained
                 and m.c * target.slope.p + m.d * target.slope.q == 0):
             out.append((start, None, m.entries(), True))
@@ -563,7 +604,7 @@ def reference_family(target, k: int, start: Slope = Slope(-1, 1), horizon: int =
     if isinstance(target, RationalTarget):
         if target.attained:
             raise ToricEndError("non-extendable families need a non-attained or irrational target")
-        base = (-1,) * decomp.all_blocks()[-1].slice_range[0]
+        base = (-1,) * decomp.all_blocks()[-1].start_index
         for member in range(k):
             if member == 0:
                 signs = SignData(base, Alternating())
@@ -610,7 +651,7 @@ def reference_quadratic_period(decomp, value, from_block: int, phase_mod: int,
     i = from_block
     while i <= from_block + max(horizon, 8) * 4:
         b = decomp.block(i)
-        key = (reference_mobius(surd, b.witness), b.slice_range[0] % phase_mod)
+        key = (reference_mobius(surd, b.witness), b.start_index % phase_mod)
         if key in seen:
             return seen[key], i
         seen[key] = i

@@ -18,17 +18,16 @@ from toric_ends import (
     classify,
     decompose,
     farey_sequence,
-    n_of_r,
     parse_slope,
     quadratic_cf_target,
 )
 from toric_ends import ends
-from toric_ends.blocks import Block, witness_for_edge
+from toric_ends.blocks import Block
 from toric_ends.cli import END, run_command
 from toric_ends.errors import DegenerateTargetError, InfiniteBlockError, MalformedPathError
 from toric_ends.farey import Run, _Surd
 
-from oracles import oracle_witness_search, synthetic_path_vertices
+from oracles import oracle_witness_search, reference_witness, synthetic_path_vertices
 from test_cf_targets import GL2Z_WORDS
 from test_cli import SQRT2, end_doc
 
@@ -44,7 +43,7 @@ def test_normal_form_path_is_one_block_with_identity_witness():
     blocks = decompose(path).all_blocks()
     assert len(blocks) == 1
     assert blocks[0].length == 3
-    assert blocks[0].witness == GL2Z.identity()
+    assert blocks[0].witness == GL2Z(1, 0, 0, 1)
 
 
 def test_sqrt2_first_block_and_witness():
@@ -100,22 +99,22 @@ def test_maximality_no_witness_for_extended_run():
     ("-7/2", 2),
 ])
 def test_n_of_r(r_text, expected):
-    assert n_of_r(S(r_text), S("-1")) == expected
+    # the blocks toward a non-attained r: the finite ones and the infinite one
+    assert len(decompose(FareyPath(S("-1"), RationalTarget(S(r_text)))).bounds(None)) == expected
 
 
 def test_n_of_r_degenerate():
     with pytest.raises(DegenerateTargetError):
-        n_of_r(S("-1"), S("-1"))
+        FareyPath(S("-1"), RationalTarget(S("-1")))
 
 
 def test_block_slice_count():
     path = farey_sequence(S("-1"), MINUS_SQRT2, 6)
-    assert decompose(path).block(1).slice_count() == 2
+    assert decompose(path).block(1).length - 1 == 2
     two = decompose(farey_sequence(S("-1"), RationalTarget(S("-2"), True), 4))
-    assert two.all_blocks()[0].slice_count() == 1
+    assert two.all_blocks()[0].length - 1 == 1
     inf = decompose(FareyPath(S("-1"), RationalTarget(INFINITY, False)))
-    with pytest.raises(InfiniteBlockError):
-        inf.block(1).slice_count()
+    assert inf.block(1).length is None
 
 
 @pytest.mark.parametrize("target", [MINUS_SQRT2, quadratic_cf_target(MINUS_SQRT2.value)],
@@ -170,7 +169,7 @@ def test_decompose_rejects_short_paths():
 
 def test_witness_for_edge_rejects_non_edges():
     with pytest.raises(MalformedPathError):
-        witness_for_edge(S("-1"), S("-7/5"))
+        reference_witness(S("-1"), S("-7/5"))
 
 
 @given(st.integers(2, 5), st.integers(0, 3))
@@ -178,7 +177,8 @@ def test_witness_for_edge_rejects_non_edges():
 def test_witness_normalizes_first_edge_random_runs(m, extra):
     lengths = [m] + ([2 + extra] if extra else [])
     vertices = synthetic_path_vertices(lengths)
-    w = witness_for_edge(vertices[0], vertices[1])
+    w = decompose(FareyPath.from_vertices(vertices)).block(1).witness
+    assert w == reference_witness(vertices[0], vertices[1])
     assert w.apply(vertices[0]) == Slope(-1, 1)
     assert w.apply(vertices[1]) == Slope(-2, 1)
     assert w.det == 1
@@ -191,7 +191,7 @@ def test_witness_normalizes_first_edge_random_runs(m, extra):
 def test_run_witness_is_the_witness_of_its_first_edge(m):
     # the columns of m are coherent lifts (p, q), (p + dp, q + dq) of an edge
     run = Run(0, m.a, m.c, m.b - m.a, m.d - m.c, 3)
-    assert Block(run).witness == witness_for_edge(run.vertex(0), run.vertex(1))
+    assert Block(run).witness == reference_witness(run.vertex(0), run.vertex(1))
 
 
 def test_block_indices_below_one_are_refused():

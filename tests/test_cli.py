@@ -618,7 +618,6 @@ def test_block_witnesses_multiply_out_no_determinant(monkeypatch):
         raise AssertionError("a determinant was multiplied out")
 
     monkeypatch.setattr(GL2Z, "__init__", refuse)
-    monkeypatch.setattr(blocks_mod, "witness_for_edge", refuse)
     doc = {"start": "-1/1", "target": SQRT2, "count": 5000}
     times = []
     for _ in range(2):  # the better of two runs, on a shared machine

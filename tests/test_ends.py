@@ -34,7 +34,6 @@ from toric_ends import (
     equivalent,
     extension_obstruction,
     farey_sequence,
-    is_minimally_twisting,
     non_extendable_family,
     parse_slope,
     slope_at_infinity,
@@ -52,7 +51,7 @@ from toric_ends.ends import (
 from toric_ends.errors import UndecidableError, ValidationError
 from toric_ends.farey import FareyPath
 
-from oracles import circular_census
+from oracles import circular_census, gl2z_inverse
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 P, N = 1, -1
@@ -95,11 +94,12 @@ def test_division_at_infinity_rules():
 
 
 def test_is_minimally_twisting():
-    assert is_minimally_twisting(end(MINUS_SQRT2, SignData((), AllPositive())))
-    assert not is_minimally_twisting(
-        end(MINUS_SQRT2, SignData((), AllPositive()), rotative=RotativeLayers(P, 2)))
-    assert not is_minimally_twisting(
-        end(MINUS_SQRT2, SignData((), AllPositive()), rotative=InfiniteRotativity(P)))
+    # no rotative layers, and classify gives a minimally twisting invariant
+    plain = end(MINUS_SQRT2, SignData((), AllPositive()))
+    assert plain.rotative.n == 0 and isinstance(classify(plain), MinimallyTwisting)
+    for rotative in (RotativeLayers(P, 2), InfiniteRotativity(P)):
+        e = end(MINUS_SQRT2, SignData((), AllPositive()), rotative=rotative)
+        assert e.rotative.n != 0 and isinstance(classify(e), NonMinimallyTwisting)
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +151,12 @@ def test_classify_raises_on_violations():
 def test_classify_irrational_all_positive_saturates():
     inv = classify(end(MINUS_SQRT2, SignData((), AllPositive())))
     assert isinstance(inv, MinimallyTwisting)
-    assert all(inv.invariant.f(i) == 2 for i in range(1, 6))
+    assert all(inv.f(i) == 2 for i in range(1, 6))
 
 
 def test_classify_alternating_toward_infinity():
     inv = classify(end(RationalTarget(INFINITY, False), SignData((), Alternating())))
-    assert inv.invariant.infinite_block == AlternatingForm()
+    assert inv.infinite_block == AlternatingForm()
 
 
 def test_classify_rotative_layers():
@@ -166,7 +166,7 @@ def test_classify_rotative_layers():
     assert inv.rotativity == 3
     assert inv.sign == P
     assert isinstance(inv.residual, MinimallyTwisting)
-    assert inv.residual.invariant.finite_f == (2,)
+    assert inv.residual.finite_f == (2,)
 
 
 def test_classify_infinite_rotativity():
@@ -195,19 +195,19 @@ def test_infinite_division_equivalence_refused():
 def test_classify_collar():
     e = end(RationalTarget(S("-1"), True), SignData(()))
     inv = classify(e)
-    assert isinstance(inv.invariant, AttainedInvariant)
-    assert inv.invariant.finite_f == ()
+    assert isinstance(inv, AttainedInvariant)
+    assert inv.finite_f == ()
 
 
 def test_classify_normalizes_other_boundaries():
     m = basis_change(S("2/3"))
     assert m.apply(S("2/3")) == S("-1")
     e = EndDescription(TorusRecord(S("2/3"), 1),
-                       RationalTarget(m.inverse().apply(S("-3")), True),
+                       RationalTarget(gl2z_inverse(m).apply(S("-3")), True),
                        SignData((P, P)))
     assert normalized_target(e).slope == S("-3")
     inv = classify(e)
-    assert inv.invariant.finite_f == (2,)
+    assert inv.finite_f == (2,)
 
 
 def test_classify_constant_on_shuffle_orbits():
@@ -217,7 +217,7 @@ def test_classify_constant_on_shuffle_orbits():
     groups = {}
     for bits in product((P, N), repeat=slices):
         inv = classify(end(target, SignData(bits)))
-        groups.setdefault(inv.invariant.finite_f, set()).add(bits)
+        groups.setdefault(inv.finite_f, set()).add(bits)
     d = decompose(farey_sequence(S("-1"), target, 32))
     blocks = d.all_blocks()
     expected = 1
@@ -254,7 +254,7 @@ def test_obstruction_pos_neg_finite_nonzero(m):
 
 def test_obstruction_one_sided_infinite_block_extends():
     inv = classify(end(RationalTarget(INFINITY, False), SignData((), AllNegative())))
-    assert inv.invariant.infinite_block == PosFinite(0)
+    assert inv.infinite_block == PosFinite(0)
     assert isinstance(extension_obstruction(inv), ExtendsByConstruction)
 
 
@@ -294,7 +294,7 @@ def test_obstruction_consistent_on_equivalent_invariants():
 def test_family_toward_infinity():
     from toric_ends import NegFinite
     fam = non_extendable_family(RationalTarget(INFINITY, False), 3)
-    forms = [m.invariant.infinite_block for m in fam]
+    forms = [m.infinite_block for m in fam]
     assert forms == [AlternatingForm(), PosFinite(1), NegFinite(1)]
     for a in range(3):
         for b in range(a + 1, 3):

@@ -14,22 +14,20 @@ from toric_ends import (
     QuadraticTarget,
     RationalTarget,
     Slope,
-    clockwise_between,
-    farey_edge,
     farey_sequence,
-    next_toward,
     parse_slope,
     quadratic_cf_target,
 )
 from toric_ends import farey
 from toric_ends.cli import TARGET
 from toric_ends.errors import DegenerateTargetError
-from toric_ends.farey import SQUAREFREE_TRIAL_BUDGET, _squarefree_split
+from toric_ends.farey import SQUAREFREE_TRIAL_BUDGET, _squarefree_split, det, on_arc
 
 from oracles import (
     circular_census,
     oracle_clockwise_between,
     oracle_next_toward,
+    oracle_on_arc,
     reference_squarefree_split,
 )
 
@@ -75,14 +73,16 @@ def test_slope_always_canonical(p, q):
 
 
 def test_farey_edge_examples():
-    assert farey_edge(S("-1"), INFINITY) is True
-    assert farey_edge(S("0"), S("1")) is True
-    assert farey_edge(S("-1"), S("-7/5")) is False
+    # an edge of the Farey graph is a pair of slopes of determinant +-1
+    assert abs(det(S("-1"), INFINITY)) == 1
+    assert abs(det(S("0"), S("1"))) == 1
+    assert abs(det(S("-1"), S("-7/5"))) == 2
 
 
 def test_farey_edge_needs_distinct():
-    with pytest.raises(ValueError):
-        farey_edge(S("-1"), S("-1"))
+    # a slope and itself have determinant 0, so they are never an edge
+    for text in ("-1", "0", "1/0", "-7/5"):
+        assert det(S(text), S(text)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +90,7 @@ def test_farey_edge_needs_distinct():
 
 
 def test_apply_matrix_examples():
-    assert GL2Z.identity().apply(S("-4/3")) == S("-4/3")
+    assert GL2Z(1, 0, 0, 1).apply(S("-4/3")) == S("-4/3")
     m = GL2Z(1, 2, -2, -3)
     # hand oracle: (-4 + 6)/(8 - 9) and (-7 + 10)/(14 - 15)
     assert m.apply(S("-4/3")) == S("-2")
@@ -116,47 +116,48 @@ def test_apply_matrix_preserves_edges_randomized():
         if entries[0] * entries[3] - entries[1] * entries[2] not in (1, -1):
             continue
         m = GL2Z(*entries)
-        assert farey_edge(m.apply(a), m.apply(b))
+        assert abs(det(m.apply(a), m.apply(b))) == 1
         checked += 1
 
 
 # ---------------------------------------------------------------------------
-# next_toward
+# the next vertex toward a target: vertex 1 of the path
 
 
 def test_next_toward_attained_example():
-    assert next_toward(S("-1"), RationalTarget(S("-3"), True)) == S("-2")
+    assert FareyPath(S("-1"), RationalTarget(S("-3"), True)).vertex(1) == S("-2")
 
 
 def test_next_toward_infinity_iterates_integers():
     t = RationalTarget(INFINITY, False)
     cur = S("-1")
     for expected in ("-2", "-3", "-4", "-5"):
-        cur = next_toward(cur, t)
+        cur = FareyPath(cur, t).vertex(1)
         assert cur == S(expected)
 
 
 def test_next_toward_sqrt2_sequence():
     cur = S("-1")
     for expected in ("-4/3", "-7/5", "-24/17"):
-        cur = next_toward(cur, MINUS_SQRT2)
+        cur = FareyPath(cur, MINUS_SQRT2).vertex(1)
         assert cur == S(expected)
 
 
 def test_next_toward_degenerate_target():
     with pytest.raises(DegenerateTargetError):
-        next_toward(S("-2"), RationalTarget(S("-2"), False))
+        FareyPath(S("-2"), RationalTarget(S("-2"), False))
 
 
 @pytest.mark.parametrize("slope", ["-2", "0", "1/0", "3/7"])
 def test_next_toward_refuses_a_target_at_the_current_slope(slope):
-    # attained there, the path has already ended: a plain ValueError, not a
-    # DegenerateTargetError; not attained, the target is degenerate
-    with pytest.raises(ValueError, match="^attained target equals the current slope$") as refused:
-        next_toward(S(slope), RationalTarget(S(slope), True))
-    assert refused.type is ValueError
+    # attained there, the path has already ended and has no vertex 1; not
+    # attained, the target is degenerate
+    path = FareyPath(S(slope), RationalTarget(S(slope), True))
+    assert path.complete and len(path) == 1 and not path.has_vertex(1)
+    with pytest.raises(IndexError, match="^path is complete with 1 vertices$"):
+        path.vertex(1)
     with pytest.raises(DegenerateTargetError, match="^non-attained rational target equals the current slope$"):
-        next_toward(S(slope), RationalTarget(S(slope), False))
+        FareyPath(S(slope), RationalTarget(S(slope), False))
 
 
 def test_next_toward_matches_oracle_spot_checks():
@@ -170,7 +171,7 @@ def test_next_toward_matches_oracle_spot_checks():
         (S("1/2"), RationalTarget(S("2/5"), True)),
     ]
     for cur, target in cases:
-        assert next_toward(cur, target) == oracle_next_toward(cur, target)
+        assert FareyPath(cur, target).vertex(1) == oracle_next_toward(cur, target)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +251,18 @@ def test_cf_target_mobius_image_walks_same_path():
 # clockwise arcs
 
 
+def closed_arc(a, b, x):
+    """x on the closed clockwise arc from a to b."""
+    return on_arc(a, RationalTarget(b, True), x, include_target=True)
+
+
 def test_clockwise_between_examples():
-    assert clockwise_between(S("-1"), S("-3/2"), S("-4/3")) is True
-    assert clockwise_between(S("-1"), S("-2"), S("0")) is False
+    assert closed_arc(S("-1"), S("-3/2"), S("-4/3")) is True
+    assert closed_arc(S("-1"), S("-2"), S("0")) is False
     # orientation fixture: clockwise from -1 toward oo passes -2, and the
     # reversed arc from oo to -1 does not contain -2
-    assert clockwise_between(S("-1"), INFINITY, S("-2")) is True
-    assert clockwise_between(INFINITY, S("-1"), S("-2")) is False
+    assert closed_arc(S("-1"), INFINITY, S("-2")) is True
+    assert closed_arc(INFINITY, S("-1"), S("-2")) is False
 
 
 def test_clockwise_between_against_census_oracle():
@@ -265,7 +271,27 @@ def test_clockwise_between_against_census_oracle():
     pool = [s for s in census if abs(s.p) <= 8]
     for _ in range(400):
         a, b, x = rng.sample(pool, 3)
-        assert clockwise_between(a, b, x) == oracle_clockwise_between(census, a, b, x)
+        assert closed_arc(a, b, x) == oracle_clockwise_between(census, a, b, x)
+
+
+ARC_TARGETS = [
+    *(RationalTarget(S(text), attained) for text in ("-2", "-7/5", "0", "3/2", "1/0") for attained in (True, False)),
+    MINUS_SQRT2, QuadraticTarget.of(0, -1, 1, 3), QuadraticTarget.of(1, 1, 2, 5), QuadraticTarget.of(0, 1, 2, 2),
+]
+
+
+def test_on_arc_matches_the_oracle_over_a_census():
+    # finite starts only: the oracle ranks slopes along the arc from a finite one
+    census = circular_census(3)
+    starts = [s for s in census if s.q and abs(s.p) <= 6]
+    for target in ARC_TARGETS:
+        for start in starts:
+            if target.rational and target.slope == start:
+                continue
+            for x in census:
+                for include in (False, True):
+                    assert on_arc(start, target, x, include) == oracle_on_arc(start, target, x, include), \
+                        (start, target, x, include)
 
 
 @given(st.integers(-30, 30), st.integers(0, 9),
@@ -279,7 +305,9 @@ def test_cw_is_a_cyclic_orientation(p1, q1, p2, q2, p3, q3):
         return
     if len({a, b, c}) < 3:
         return
-    from toric_ends.farey import cw
+    # b strictly inside the clockwise arc from a to c, and its rotations
+    def cw(a, b, c):
+        return on_arc(a, RationalTarget(c, True), b)
     assert cw(a, b, c) == cw(b, c, a) == cw(c, a, b)
     assert cw(a, b, c) != cw(a, c, b)
 
@@ -329,7 +357,7 @@ def test_squarefree_split_of_two_large_primes_is_exact():
     assert _squarefree_split(p * p * 6) == (p, 6)
     assert _squarefree_split(p * p) == (p, 1)
     target = QuadraticTarget.of(0, -1, 1, p * q)
-    assert TARGET.encode(target)["d"] == p * q and target.mobius_floor(GL2Z.identity()) == -isqrt(p * q) - 1
+    assert TARGET.encode(target)["d"] == p * q and target.mobius_floor(GL2Z(1, 0, 0, 1)) == -isqrt(p * q) - 1
 
 
 def test_squarefree_split_stops_at_its_budget(monkeypatch):

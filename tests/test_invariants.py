@@ -30,11 +30,13 @@ from toric_ends import (
     invariant_from_signs,
     parse_slope,
 )
+from toric_ends.cli import _signs
 from toric_ends.ends import InfiniteDivision, NestedAnnuli, NonMinimallyTwisting
 from toric_ends.errors import (
     CoverageMismatchError,
     IllegalTailError,
     IncomparableTargetsError,
+    SchemaError,
 )
 from toric_ends.invariants import (
     BothFinite,
@@ -47,7 +49,6 @@ from toric_ends.invariants import (
     _positive_counts,
     _primitive_pattern,
     _tail_pattern_at,
-    signs_from_chars,
 )
 
 from oracles import (
@@ -92,14 +93,15 @@ def test_attained_invariant_counts_positive_slices():
 
 
 def test_signs_from_chars_matches_sign_data():
-    assert signs_from_chars("+-") == SignData((P, N))
-    assert signs_from_chars([], AllPositive()) == SignData((), AllPositive())
+    # sign text is parsed where it is read, by the CLI
+    assert SignData(_signs(list("+-"), "signs", "prefix")) == SignData((P, N))
+    assert SignData(_signs([], "signs", "prefix"), AllPositive()) == SignData((), AllPositive())
 
 
 @pytest.mark.parametrize("text", ["+x", "0", "+ -", "-+P", ["+", 1]])
 def test_signs_from_chars_rejects_other_characters(text):
-    with pytest.raises(ValueError, match='sign characters must be "\\+" or "-"'):
-        signs_from_chars(text)
+    with pytest.raises(SchemaError, match='^signs.prefix must be "\\+" or "-"$'):
+        _signs(list(text), "signs", "prefix")
 
 
 def test_attained_coverage_must_match():
@@ -340,6 +342,9 @@ def test_count_invariants_examples():
     assert count_invariants([3]) == 3
     assert count_invariants([3, 2]) == 6
     assert count_invariants([1]) == 1
+    for lengths in ([2.7, 3], ["2", 3], [True, 3]):
+        with pytest.raises(ValueError):
+            count_invariants(lengths)
 
 
 def test_count_matches_orbit_oracle():
@@ -561,7 +566,8 @@ def test_euler_sign_antisymmetry():
     d = decompose(FareyPath.from_vertices(vertices))
     for bits in product((P, N), repeat=4):
         flipped = tuple(-s for s in bits)
-        assert euler_class(d, SignData(flipped)) == -euler_class(d, SignData(bits))
+        x, y = euler_class(d, SignData(bits)).as_pair()
+        assert euler_class(d, SignData(flipped)).as_pair() == (-x, -y)
 
 
 def test_euler_sensitive_across_block_boundary():

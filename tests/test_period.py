@@ -42,6 +42,7 @@ from toric_ends.invariants import PatternCounts, _grown, _periodic_span
 from test_cf_targets import GL2Z_WORDS
 
 from oracles import (
+    gl2z_inverse,
     reference_euler_walk,
     reference_quadratic_equivalent,
     reference_quadratic_obstruction,
@@ -84,8 +85,8 @@ def test_block_period_matches_reference_scan(target, start):
     assert decomp.period() == (i0, blocks, slices)
     assert reference_quadratic_period(decomp, target.value, i0, 1, 4 * blocks) == (i0, i0 + blocks)
     for i in range(i0, i0 + 2 * blocks):
-        lo, hi = decomp.block(i).slice_range
-        lo2, hi2 = decomp.block(i + blocks).slice_range
+        lo, hi = decomp.block(i).start_index, decomp.block(i).end_index
+        lo2, hi2 = decomp.block(i + blocks).start_index, decomp.block(i + blocks).end_index
         assert (lo2 - lo, hi2 - hi) == (slices, slices)
 
 
@@ -103,8 +104,8 @@ def test_block_period_matches_reference_scan(target, start):
 def test_quadratic_decisions_ignore_the_horizon(target, start, pre_a, pat_a, pre_b, pat_b, rotate):
     if rotate is not None:  # a rotated pattern often gives equal per-block counts
         pre_b, pat_b = pre_a, pat_a[rotate % len(pat_a):] + pat_a[:rotate % len(pat_a)]
-    a = classify(periodic_end(target, pre_a, pat_a, start)).invariant
-    b = classify(periodic_end(target, pre_b, pat_b, start)).invariant
+    a = classify(periodic_end(target, pre_a, pat_a, start))
+    b = classify(periodic_end(target, pre_b, pat_b, start))
     answers = {outcome(lambda: equivalent(a, b, h)) for h in HORIZONS}
     assert len(answers) == 1 and isinstance(answers.pop(), bool)
     reference = outcome(lambda: reference_quadratic_equivalent(a, b, 64))
@@ -124,8 +125,8 @@ def test_quadratic_decisions_ignore_the_horizon(target, start, pre_a, pat_a, pre
     (QuadraticTarget.of(0, -1, 1, 99999989), 1024),
 ], ids=["-1-sqrt421", "-sqrt99999989"])
 def test_long_periods_are_decided_at_horizon_one(target, reference_horizon):
-    a = classify(periodic_end(target, (), (P, P, N))).invariant
-    b = classify(periodic_end(target, (), (P, N, N))).invariant
+    a = classify(periodic_end(target, (), (P, P, N)))
+    b = classify(periodic_end(target, (), (P, N, N)))
     with pytest.raises(UndecidableAtHorizonError):
         reference_quadratic_equivalent(a, b, 1)
     assert equivalent(a, b, 1) is reference_quadratic_equivalent(a, b, reference_horizon) is False
@@ -136,8 +137,8 @@ def test_count_equal_patterns_are_equivalent_at_horizon_one():
     # every block of -sqrt(2) has two slices, so (+,-) and (-,+) give each
     # block one positive slice: different rules, equal invariants
     target = QuadraticTarget.of(0, -1, 1, 2)
-    a = classify(periodic_end(target, (), (P, N))).invariant
-    b = classify(periodic_end(target, (), (N, P))).invariant
+    a = classify(periodic_end(target, (), (P, N)))
+    b = classify(periodic_end(target, (), (N, P)))
     assert equivalent(a, b, 1) is True
 
 
@@ -154,15 +155,15 @@ def test_periodic_span_reads_the_walked_blocks(target, start, k, m, walked):
     ranges = [first, *ranges]
     assert lo == max(k, i0)
     assert len(ranges) == blocks * m // gcd(slices, m)
-    assert ranges == [decomp.block(i).slice_range for i in range(lo, lo + len(ranges))]
+    assert ranges == [(b.start_index, b.end_index) for b in map(decomp.block, range(lo, lo + len(ranges)))]
 
 
 def test_span_budget_is_named(monkeypatch):
     # (+,-) and (-,+) agree on every block of -sqrt(2), over a span of one block
     monkeypatch.setattr(invariants, "SPAN_BUDGET", 0)
     target = QuadraticTarget.of(0, -1, 1, 2)
-    a = classify(periodic_end(target, (), (P, N))).invariant
-    b = classify(periodic_end(target, (), (N, P))).invariant
+    a = classify(periodic_end(target, (), (P, N)))
+    b = classify(periodic_end(target, (), (N, P)))
     with pytest.raises(ToricEndError, match="SPAN_BUDGET = 0 blocks"):
         equivalent(a, b)
     with pytest.raises(ToricEndError, match="SPAN_BUDGET = 0 blocks"):
@@ -177,8 +178,8 @@ def test_stream_targets_have_no_period():
 def test_period_budget_is_named(monkeypatch):
     monkeypatch.setattr(blocks_mod, "PERIOD_BUDGET", 3)
     target = QuadraticTarget.of(0, -1, 1, 421)
-    a = classify(periodic_end(target, (), (P, P, N))).invariant
-    b = classify(periodic_end(target, (), (P, N, N))).invariant
+    a = classify(periodic_end(target, (), (P, P, N)))
+    b = classify(periodic_end(target, (), (P, N, N)))
     assert equivalent(a, b) is False  # the counts differ before the period is needed
     with pytest.raises(ToricEndError, match="PERIOD_BUDGET = 3 blocks"):
         extension_obstruction(a)
@@ -248,7 +249,7 @@ def test_a_capped_power_is_refused_only_past_its_limit(pairs, w, y, k):
     m = w
     for a, b in pairs:
         m = m @ GL2Z(1 + a * b, a, b, 1)
-    m = m @ w.inverse()
+    m = m @ gl2z_inverse(w)
     exact = y
     for _ in range(k):
         exact = (m.a * exact[0] + m.b * exact[1], m.c * exact[0] + m.d * exact[1])

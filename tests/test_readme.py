@@ -10,6 +10,7 @@ import sys
 import tokenize
 from pathlib import Path
 
+import toric_ends
 from toric_ends.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -64,3 +65,26 @@ def test_quick_start_statements_show_their_comments():
             assert shows(comment, rendered(value)), (ast.unparse(stmt), comment, rendered(value))
             checked += 1
     assert checked == len(comments) == 6
+
+
+PUBLIC_NAMES = [
+    "AllNegative", "AllPositive", "Alternating", "AlternatingForm", "AttainedInvariant", "Block",
+    "BlockDecomposition", "CFTarget", "EndDescription", "EulerClass", "EventuallySign", "ExtendsByConstruction",
+    "FareyPath", "GL2Z", "INFINITY", "InfiniteDivision", "InfiniteRotativity", "IrrationalInvariant",
+    "MinimallyTwisting", "NegFinite", "NestedAnnuli", "NoTightExtension", "NonMinimallyTwisting",
+    "OpenToricAnnulus", "Periodic", "PosFinite", "QuadraticTarget", "RationalNonAttainedInvariant",
+    "RationalTarget", "RotativeLayers", "SignData", "Slope", "SolidTorusClass", "SolidTorusEnd", "TorusRecord",
+    "Unknown", "admissible", "classify", "classify_solid_torus", "count_invariants", "decompose",
+    "division_at_infinity", "equivalent", "euler_class", "extension_obstruction", "farey_sequence",
+    "invariant_from_signs", "non_extendable_family", "normalize_rotativity", "parse_slope",
+    "quadratic_cf_target", "slope_at_infinity", "solid_torus_factor", "t2xr_equivalent", "validate",
+]
+
+
+def test_the_public_names_are_pinned_and_cover_the_quick_start():
+    # no submodule is exported, and every name the quick start imports is
+    assert sorted(toric_ends.__all__) == PUBLIC_NAMES
+    (source,) = code_blocks("python")
+    imported = {alias.name for stmt in ast.parse(source).body
+                if isinstance(stmt, ast.ImportFrom) and stmt.module == "toric_ends" for alias in stmt.names}
+    assert imported and imported <= set(PUBLIC_NAMES)

@@ -58,7 +58,7 @@ def test_equality_is_by_class_and_fields():
     assert AllPositive() != AllNegative()
     assert SaturatedCounts() != ZeroCounts() and AlternatingForm() == AlternatingForm()
     assert Slope(1, 2) != (1, 2)
-    assert GL2Z(1, 0, 0, 1) == GL2Z.identity() != GL2Z(-1, 0, 0, -1)
+    assert GL2Z(1, 0, 0, 1) == GL2Z._unimodular(1, 0, 0, 1) != GL2Z(-1, 0, 0, -1)
     assert EventuallySign(-1, 2) == EventuallySign(-1, 2) != EventuallySign(1, 2)
     assert RationalTarget(Slope(-2, 1)) == RationalTarget(Slope(-2, 1), attained=False)
     assert RationalTarget(Slope(-2, 1)) != RationalTarget(Slope(-2, 1), True)

@@ -104,7 +104,7 @@ def test_classify_pair_shuffle_invariant():
     a = classify_solid_torus(end(target, SignData((P, N, P))))
     b = classify_solid_torus(end(target, SignData((N, P, P))))
     assert a.s_of_r == b.s_of_r
-    assert a.invariant.invariant.finite_f == b.invariant.invariant.finite_f
+    assert a.invariant.finite_f == b.invariant.finite_f
 
 
 def test_classify_pair_distinguishes_targets():
