@@ -77,10 +77,6 @@ class BlockDecomposition:
         self.path = path
         if path.target.attained and path.target.slope == path.start:
             raise MalformedPathError("decomposition needs a path with at least 2 vertices")
-        # normalized count tails by (sign pattern, rotation, anchor), interned
-        # by invariants._tail_pattern_at so that ends sharing the
-        # decomposition share them (count tails are immutable records)
-        self.count_tails: dict = {}
 
     def block(self, i: int) -> Block:
         """The i-th block, 1-based."""

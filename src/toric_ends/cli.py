@@ -537,7 +537,7 @@ def _cmd_euler(horizon: int | None, e, options: dict) -> dict:
     cls = inv_mod.euler_class(decomp, e.signs, horizon, _text_bound(sys.get_int_max_str_digits()))
     if cls is None:
         raise _digits_error("an euler entry")
-    slices = len(path) - 1 if path.complete else horizon
+    slices = path.walk_to_end() - 1 if path.target.attained else horizon
     return {"euler": [cls.x, cls.y], "slices": slices}
 
 

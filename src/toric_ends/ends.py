@@ -411,7 +411,7 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
             for member in range(1, k))]
     else:
         # the next k - 1 count vectors in lexicographic order, each with the
-        # first member's interned count tail and first tail block (the last
+        # first member's count tail and first tail block (the last
         # leading block has a slice).  An alternating tail normalizes to a
         # mixed PatternCounts, so the certificate scans the periodic span,
         # which reads only those two and the decomposition: it is every member's

@@ -11,7 +11,7 @@ exact integer sign test.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import gcd, isqrt
@@ -578,8 +578,8 @@ class Run(namedtuple("Run", "start p q dp dq edges")):
 class FareyPath:
     """A minimal clockwise vertex sequence from a start slope toward a target,
     walked lazily one run at a time; a vertex becomes a Slope only when
-    vertex(i) or prefix(n) asks for it.  The length is the number of
-    vertices asked for so far, and `complete` says the path has ended.
+    vertex(i) or prefix(n) asks for it.  extend_to(n) says how many of the
+    first n vertices there are, and `complete` says the path has ended.
 
     The walk state is the last vertex s as an integer vector, a partner u
     with det(u, s) = -1, and the image x = det(u, t) / det(t, s) of the
@@ -620,11 +620,9 @@ class FareyPath:
         self.target = target
         self._runs: list[Run] = []
         self._size: int | None = 1  # vertices walked; None inside a run that never ends
-        self._length = 1
         self.bounds = [0]
         self.period = None
-        self._held: list[int] = []  # a0 of the runs x has read and the fold has not, from _held[_taken]
-        self._taken = 0
+        self._held: deque[int] = deque()  # a0 of the runs x has read and the fold has not
         self.complete = self.done = target.attained and target.slope == start
         if self.done:
             return
@@ -636,9 +634,6 @@ class FareyPath:
             raise DegenerateTargetError("non-attained rational target equals the current slope")
         # the first run to start at each PQa pair of x, until the period is found
         self._seen = {(x.P, x.Q): 1} if target.periodic else None
-
-    def __len__(self) -> int:
-        return self._length
 
     def _reach(self, i: int, bound: int) -> bool:
         """Walk until vertex i exists; False when the path ends before it,
@@ -653,15 +648,13 @@ class FareyPath:
         return True
 
     def extend_to(self, n: int, bound: int = 0) -> int:
-        """Make the first n vertices available (fewer when the path ends
-        sooner); returns the length.  With a bound the walk also stops at
-        the first vertex before vertex n - 1 that ends a run and has an
-        entry of absolute value at least `bound`, which is then the last;
-        entries are linear along a run, so when the start is within the
-        bound, so is every vertex before that one."""
-        if n > self._length:
-            self._length = n if self._reach(n - 1, bound) else self._size
-        return self._length
+        """Make the first n vertices available; returns n, or the number of
+        vertices walked when the path ends sooner.  With a bound the walk
+        also stops at the first vertex before vertex n - 1 that ends a run
+        and has an entry of absolute value at least `bound`, which is then
+        the last; entries are linear along a run, so when the start is
+        within the bound, so is every vertex before that one."""
+        return n if self._reach(n - 1, bound) else self._size
 
     def walk_to_end(self) -> int:
         """Walk a path toward an attained target to its end; returns the
@@ -670,7 +663,6 @@ class FareyPath:
             raise ValueError("only a path toward an attained target has an end")
         while not self.complete:
             self._advance()
-        self._length = self._size
         return self._size
 
     def run(self, i: int) -> Run | None:
@@ -708,13 +700,8 @@ class FareyPath:
 
     def _advance(self):
         """Fold (u, s) over the oldest run x has read, or over the next one."""
-        held, i = self._held, len(self._runs)
-        if held:
-            a0, self._taken = held[self._taken], self._taken + 1
-            if self._taken == len(held):  # caught up: no a0 is kept
-                self._held, self._taken = [], 0
-        else:
-            a0 = self._read()
+        i = len(self._runs)
+        a0 = self._held.popleft() if self._held else self._read()
         start, bounds = self._size - 1, self.bounds
         (up, uq), (sp, sq) = self._u, self._s
         dp, dq = up + a0 * sp, uq + a0 * sq

@@ -486,17 +486,12 @@ def _build_rational_non_attained(decomp: BlockDecomposition, signs: SignData,
     return RationalNonAttainedInvariant(counts, form, context)
 
 
-def _tail_pattern_at(signs: SignData, anchor: int, interned: dict) -> CountTail:
+def _tail_pattern_at(signs: SignData, anchor: int) -> CountTail:
     """The count tail induced by the sign tail, anchored at slice `anchor`
-    (which must lie past the tail's opening slices); normalized once per
-    pattern rotation and anchor, and kept in `interned`."""
+    (which must lie past the tail's opening slices)."""
     pattern = signs.tail.pattern
     rot = (anchor - len(signs.prefix) - signs.tail.after) % len(pattern)
-    key = (pattern, rot, anchor)
-    tail = interned.get(key)
-    if tail is None:
-        tail = interned[key] = _normalize_count_tail(pattern[rot:] + pattern[:rot], anchor)
-    return tail
+    return _normalize_count_tail(pattern[rot:] + pattern[:rot], anchor)
 
 
 def _build_irrational(decomp: BlockDecomposition, signs: SignData,
@@ -511,7 +506,7 @@ def _build_irrational(decomp: BlockDecomposition, signs: SignData,
         decomp.bounds(len(bounds))
     n = bisect_left(bounds, pure)  # the blocks that start before slice `pure`
     return IrrationalInvariant(_block_counts(signs, bounds, n),
-                               _tail_pattern_at(signs, bounds[n], decomp.count_tails), context)
+                               _tail_pattern_at(signs, bounds[n]), context)
 
 
 def invariant_from_signs(decomp: BlockDecomposition, signs: SignData,
@@ -650,8 +645,8 @@ def count_invariants(blocks_or_lengths, k: int | None = None) -> int:
     """Number of admissible count assignments on the first k finite blocks:
     the product of the block lengths."""
     if isinstance(blocks_or_lengths, BlockDecomposition):
-        if k is None:
-            raise ValueError("pass k when counting over a decomposition")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+            raise ValueError("pass k, an integer >= 0, when counting over a decomposition")
         lengths = []
         for b in blocks_or_lengths.blocks_up_to(k):
             if b.infinite:

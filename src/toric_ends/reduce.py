@@ -26,14 +26,7 @@ from .errors import (
     NoRealizedPointError,
     ValidationError,
 )
-from .farey import (
-    FareyPath,
-    GL2Z,
-    Slope,
-    SlopeTarget,
-    INFINITY,
-    on_arc,
-)
+from .farey import FareyPath, GL2Z, RationalTarget, Slope, SlopeTarget, on_arc
 from .invariants import DEFAULT_HORIZON, POSITIVE, equivalent
 from .records import Record, setfield
 
@@ -77,34 +70,21 @@ class OpenToricAnnulus(Record):
         setfield(self, "middle", middle)
 
 
-def _is_one_over_n(s: Slope) -> bool:
-    return abs(s.p) == 1
-
-
 def _closest_one_over_n(target: SlopeTarget) -> Slope:
-    """Largest-position 1/n point not past the target, traversing the arc
-    clockwise; exclusive of a non-attained rational target."""
-    if target.rational:
-        t = target.slope
-        if target.attained and _is_one_over_n(t):
-            return t
-        if t.q == 0:
-            return Slope(-1, 1)
-        if t.p == 0:
-            if target.attained:
-                raise AttainedZeroSlopeError("slope zero at infinity is excluded")
-            raise NoRealizedPointError("1/n points accumulate at slope zero; no closest one")
-        if t.p < 0:
-            k = t.q // (-t.p) + 1
-            return Slope(-1, k)
-        if t.p >= t.q:
-            return INFINITY
-        return Slope(1, (t.q - 1) // t.p)
-    if target.cmp_fraction(0, 1) < 0:
-        return Slope(-1, target.mobius_floor(GL2Z(0, -1, 1, 0)) + 1)  # floor(-1/t) + 1
-    if target.cmp_fraction(1, 1) > 0:
-        return INFINITY
-    return Slope(1, target.mobius_floor(GL2Z(0, 1, 1, 0)))
+    """s(r), vertex 1 of the walk from 0/1 toward the target t (see
+    FareyPath): the 1/n slopes and oo are the neighbors -1/k of 0, and the
+    walk takes k = floor(-1/t) + 1, or k = -1/t when t is an attained 1/n."""
+    if not target.rational:
+        return Slope._primitive(-1, target.mobius_floor(GL2Z(0, -1, 1, 0)) + 1)
+    t = target.slope
+    if t.p == 0:
+        if target.attained:
+            raise AttainedZeroSlopeError("slope zero at infinity is excluded")
+        raise NoRealizedPointError("1/n points accumulate at slope zero; no closest one")
+    k, r = divmod(-t.q, t.p)  # -1/t = k + r/p
+    if r or not target.attained:
+        k += 1
+    return Slope._primitive(-1, k)
 
 
 def _shift_division(tail, k: int):
@@ -114,29 +94,12 @@ def _shift_division(tail, k: int):
 
 
 def _vertex_index(path: FareyPath, s: Slope) -> int:
-    """The position on the path of a slope s on its arc, found run by run:
-    vertex j of a run is s exactly when det((p + j*dp, q + j*dq), s) = 0,
-    and a run whose last vertex is past s has passed it.  A run that never
-    ends converges to the target, so it passes every s before the target;
-    so does a run ending at an attained target other than s."""
-    if s == path.start:
-        return 0
-    target = path.target
-    i = 0
-    while (run := path.run(i)) is not None:
-        a = run.p * s.q - s.p * run.q
-        b = run.dp * s.q - s.p * run.dq
-        if b != 0:
-            j, rem = divmod(-a, b)
-            if rem == 0 and 0 <= j and (run.edges is None or j <= run.edges):
-                return run.start + j
-        if run.edges is None:
-            break
-        last = run.vertex(run.edges)
-        if (target.attained and last == target.slope) or not on_arc(
-                last, target, s, include_target=target.attained):
-            break
-        i += 1
+    """The position on the path of a slope s on its arc: a minimal path
+    through s is the minimal path toward s up to s, so s can only be the
+    vertex that ends the walk from the path's start to the attained s."""
+    index = FareyPath(path.start, RationalTarget(s, True)).walk_to_end() - 1
+    if path.has_vertex(index) and path.vertex(index) == s:
+        return index
     raise NoRealizedPointError(
         f"s(r) = {s} is not a vertex of the factorization from {path.start}")
 

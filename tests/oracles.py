@@ -14,6 +14,7 @@ the library reads a path run by run.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -44,7 +45,7 @@ from toric_ends.errors import (
     UndecidableAtHorizonError,
 )
 from toric_ends.invariants import PatternCounts
-from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _StreamImage, _bezout_partner, on_arc
+from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, _StreamImage, _bezout_partner
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +185,25 @@ class OracleTarget:
 
 def _rank(current: Slope, x: Slope):
     """Position of x along the clockwise traversal starting just after
-    `current` (finite): first everything below, then oo, then everything
-    above, each leg numerically decreasing."""
-    assert current.q > 0
-    c = Fraction(current.p, current.q)
+    `current`: from a finite slope, first everything below, then oo, then
+    everything above, each leg numerically decreasing; from oo, one
+    numerically decreasing leg."""
     if x.q == 0:
         return (1, Fraction(0))
     v = Fraction(x.p, x.q)
+    if current.q == 0:
+        return (0, -v)
+    c = Fraction(current.p, current.q)
     if v < c:
         return (0, c - v)
     return (2, -v)
 
 
 def _rank_target(current: Slope, t: OracleTarget):
-    c = Fraction(current.p, current.q)
     if t.infinite:
         return (1, Fraction(0))
+    c = Fraction(current.p, current.q) if current.q else None
+    last = 2 if c is not None else 0  # the leg above a finite start, or the one leg from oo
 
     class _SurdKey:
         """Comparable stand-in for an irrational rank component."""
@@ -210,13 +214,12 @@ def _rank_target(current: Slope, t: OracleTarget):
 
     if t.surd is None:
         v = t.value
-        if v < c:
+        if c is not None and v < c:
             return (0, c - v)
-        return (2, -v)
-    sign_vs_c = t.cmp_fraction(c)
-    if sign_vs_c < 0:
+        return (last, -v)
+    if c is not None and t.cmp_fraction(c) < 0:
         return (0, _SurdKey(0, t.surd, c, True))
-    return (2, _SurdKey(2, t.surd, Fraction(0), True))
+    return (last, _SurdKey(last, t.surd, Fraction(0), True))
 
 
 def _component_less(a, b, surd_cmp=_surd_cmp_fraction) -> bool:
@@ -562,12 +565,26 @@ def reference_solid_torus_index(start: Slope, target, s: Slope) -> int:
     target other than s is past it)."""
     v, index = start, 0
     while v != s:
-        if (target.attained and v == target.slope) or not on_arc(
-                v, target, s, include_target=target.attained):
+        if (target.attained and v == target.slope) or not oracle_on_arc(v, target, s, target.attained):
             raise NoRealizedPointError(
                 f"s(r) = {s} is not a vertex of the factorization from {start}")
         v, index = reference_next_toward(v, target), index + 1
     return index
+
+
+def reference_closest_one_over_n(target, max_n: int) -> Slope | None:
+    """s(r) among oo and the slopes +-1/n with n <= max_n: the last of them
+    on the clockwise arc from 0/1 toward the target (the target included
+    when attained), by the oracle's arc test; None when none is on it.
+    Clockwise from 0/1 they are -1/max_n, ..., -1/1, oo, 1/1, ..., 1/max_n,
+    so those on the arc are a prefix of that list, found by bisection.  An
+    answer with n < max_n is exact: when s(r) has n >= max_n, the last
+    candidate on the arc is +-1/max_n or there is none."""
+    zero = Slope(0, 1)
+    ordered = [*(Slope(-1, n) for n in range(max_n, 0, -1)), Slope(1, 0),
+               *(Slope(1, n) for n in range(1, max_n + 1))]
+    i = bisect_left(ordered, True, key=lambda s: not oracle_on_arc(zero, target, s, target.attained))
+    return ordered[i - 1] if i else None
 
 
 def reference_squarefree_split(d: int) -> tuple[int, int]:

@@ -286,7 +286,7 @@ def test_bounds_then_blocks_step_x_once_per_block(monkeypatch):
     assert len(decomp.path._held) == 10  # one a0 per run read ahead of the fold
     assert len(decomp.blocks_up_to(10)) == 10
     assert walked == {"vertex runs": 10, "x steps": 10}
-    assert decomp.path._held == []  # the fold has caught up: no a0 is kept
+    assert not decomp.path._held  # the fold has caught up: no a0 is kept
 
 
 @pytest.mark.parametrize("n", [1_001, 2_001, 4_001, 8_001])
@@ -299,13 +299,13 @@ def test_a_path_reads_and_folds_each_run_once(monkeypatch, n):
     path = FareyPath(S("-1"), QuadraticTarget.of(0, -1, 1, 3))
     assert path.extend_to(n) == n and len(path._runs) == runs
     assert walked == {"vertex runs": runs, "x steps": runs}
-    assert path._held == []
+    assert not path._held
     # read ahead first, x holds every a0 until the fold takes it
     decomp = decompose(FareyPath(S("-1"), QuadraticTarget.of(0, -1, 1, 3)))
     assert len(decomp.bounds(runs)) == runs + 1 and len(decomp.path._held) == runs
     assert len(decomp.blocks_up_to(runs)) == runs
     assert walked == {"vertex runs": 2 * runs, "x steps": 2 * runs}
-    assert decomp.path._held == []
+    assert not decomp.path._held
 
 
 def test_bounds_alone_finish_a_finite_decomposition():

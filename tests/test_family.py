@@ -236,7 +236,7 @@ def test_family_command_writes_each_member_as_alone(target, start, k):
 
 def test_a_family_writes_its_shared_fields_once(monkeypatch):
     # the first family compiles the count tail's encoders; the next one
-    # writes its one interned tail once for 250 members
+    # writes its members' one shared tail once for 250 members
     run_command("family", {"k": 1, "target": SQRT3}, OPTIONS)
     written = []
     encode, follow = cli.COUNT_TAIL.encoders[invariants.PatternCounts]

@@ -345,6 +345,10 @@ def test_count_invariants_examples():
     for lengths in ([2.7, 3], ["2", 3], [True, 3]):
         with pytest.raises(ValueError):
             count_invariants(lengths)
+    d = sqrt2_decomp()
+    for k in (-3, 2.5, True):
+        with pytest.raises(ValueError):
+            count_invariants(d, k)
 
 
 def test_count_matches_orbit_oracle():
@@ -461,10 +465,7 @@ def test_alternating_count_tail_is_already_normal(prefix, first, offset):
     signs = SignData(prefix, Alternating(first))
     anchor = len(prefix) + offset
     pattern = (signs.sign_at(anchor), signs.sign_at(anchor + 1))
-    interned = {}
-    tail = _tail_pattern_at(signs, anchor, interned)
-    assert tail == _normalize_count_tail(pattern, anchor)
-    assert _tail_pattern_at(signs, anchor, interned) is tail
+    assert _tail_pattern_at(signs, anchor) == _normalize_count_tail(pattern, anchor)
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,4 +1,4 @@
-from math import isqrt
+from math import gcd, isqrt, sqrt
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -22,6 +22,7 @@ from toric_ends import (
     classify_solid_torus,
     normalize_rotativity,
     parse_slope,
+    quadratic_cf_target,
     solid_torus_factor,
     t2xr_equivalent,
     validate,
@@ -38,7 +39,7 @@ from toric_ends.farey import on_arc
 from toric_ends.invariants import Periodic
 from toric_ends.reduce import _closest_one_over_n, _vertex_index
 
-from oracles import reference_solid_torus_index
+from oracles import reference_closest_one_over_n, reference_solid_torus_index
 
 MINUS_SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 P, N = 1, -1
@@ -70,6 +71,26 @@ def end(target, signs, boundary="-1"):
 ])
 def test_closest_one_over_n(target, expected):
     assert _closest_one_over_n(target) == S(expected)
+
+
+ONE_OVER_N_BOUND = 40
+# every target has |t| >= 1/30, so s(r) has n <= 31 < ONE_OVER_N_BOUND
+ONE_OVER_N_CENSUS = [
+    *(RationalTarget(Slope(p, q), attained) for p in range(-30, 31) if p for q in range(31)
+      for attained in (True, False) if gcd(p, q) == 1),
+    *(QuadraticTarget.of(a, b, c, d) for a in range(-6, 7) for b in (-2, -1, 1, 2)
+      for c in (-5, -3, -2, 1, 2, 4) for d in (2, 3, 5, 13) if abs((a + b * sqrt(d)) / c) > 0.05),
+]
+
+
+def test_closest_one_over_n_matches_the_oracle_over_a_census():
+    for target in ONE_OVER_N_CENSUS:
+        expected = reference_closest_one_over_n(target, ONE_OVER_N_BOUND)
+        assert expected is not None and expected.q < ONE_OVER_N_BOUND, target
+        twins = [target] if target.rational else [target, quadratic_cf_target(target.value)]
+        for t in twins:
+            # s(r) is vertex 1 of the walk from 0/1 toward the target
+            assert _closest_one_over_n(t) == expected == FareyPath(Slope(0, 1), t).vertex(1), t
 
 
 def test_factor_examples_from_boundary_minus_one():
@@ -130,7 +151,7 @@ def test_factor_rejects_infinite_rotativity():
 
 def test_factor_at_a_far_realized_point():
     # 1/n slopes toward 1/10^12 lie inside one run of 10^12 vertices; the
-    # run is solved for the realized one instead of being scanned
+    # walks that find the realized one go a run at a time, not a vertex
     e = end(RationalTarget(Slope(1, 10 ** 12), False), SignData((N,), AllPositive()))
     st = solid_torus_factor(e)
     assert st.realized_start == Slope(1, 10 ** 12 - 1)
