@@ -16,7 +16,7 @@ normalized picture is -1, ..., -m, -m - 1/a with a >= 2, and the triple
 
 from __future__ import annotations
 
-from .errors import InfiniteBlockError, MalformedPathError, ToricEndError
+from .errors import InfiniteBlockError, ToricEndError
 from .farey import GL2Z, PERIOD_BUDGET, FareyPath, Run
 from .records import Record, setfield
 
@@ -68,15 +68,15 @@ class BlockDecomposition:
     Blocks partition the path's edges; consecutive blocks share exactly one
     boundary vertex.  For irrational targets the block list is infinite and
     extends on demand; for a rational non-attained target the final block is
-    infinite and ends the list.  The slice bounds and the block period need
-    only the block lengths, so they are read off the path's walk of x (see
-    FareyPath) with none of the vertices, whose entries grow without bound.
+    infinite and ends the list; the path of one vertex (the collar, toward an
+    attained target at its start) has none.  The slice bounds and the block
+    period need only the block lengths, so they are read off the path's walk
+    of x (see FareyPath) with none of the vertices, whose entries grow
+    without bound.
     """
 
     def __init__(self, path: FareyPath):
         self.path = path
-        if path.target.attained and path.target.slope == path.start:
-            raise MalformedPathError("decomposition needs a path with at least 2 vertices")
 
     def block(self, i: int) -> Block:
         """The i-th block, 1-based."""

@@ -505,10 +505,9 @@ def _cmd_classify(end, options: dict) -> dict:
 @_command("compare", field("a", END.codec), field("b", END.codec))
 def _cmd_compare(a, b, options: dict) -> dict:
     first = ends_mod.classify(a)
-    # two ends toward one normalized target share its decomposition
-    shared = (ends_mod.decomposition_of(first)
-              if ends_mod.normalized_target(a) == ends_mod.normalized_target(b) else None)
-    return {"equivalent": inv_mod.equivalent(first, ends_mod.classify(b, shared), options["horizon"])}
+    # b shares a's decomposition when their normalized targets are equal
+    second = ends_mod.classify(b, first.context.decomposition())
+    return {"equivalent": inv_mod.equivalent(first, second, options["horizon"])}
 
 
 @_command("count", field("lengths", LENGTHS))
@@ -531,8 +530,6 @@ def _cmd_count(lengths: list, options: dict) -> dict:
 def _cmd_euler(horizon: int | None, e, options: dict) -> dict:
     horizon = horizon or options["horizon"]
     decomp = ends_mod.validated_decomposition(e)
-    if decomp is None:  # the collar has no slices
-        return {"euler": [0, 0], "slices": 0}
     path = decomp.path
     cls = inv_mod.euler_class(decomp, e.signs, horizon, _text_bound(sys.get_int_max_str_digits()))
     if cls is None:
@@ -689,13 +686,13 @@ def main(argv=None) -> int:
                         help="operation to run; `run` processes a batch list of jobs")
     parser.add_argument("--input", default="-", help="input JSON file (default: stdin)")
     parser.add_argument("--output", default="-", help="output file (default: stdout)")
-    parser.add_argument("--horizon", type=int, default=64,
+    parser.add_argument("--horizon", type=int, default=inv_mod.DEFAULT_HORIZON,
                         help="blocks/slices scanned where no exact rule applies: coefficient-stream "
                              "decisions, euler truncation, the blocks count and the family block "
-                             "search; quadratic decisions never read it (default 64)")
+                             "search; quadratic decisions never read it (default %(default)s)")
     parser.add_argument("--format", choices=("structured", "human"), default="structured")
     parser.add_argument("--max-family", type=int, default=DEFAULT_MAX_FAMILY,
-                        help="cap on family sizes (default 10000)")
+                        help="cap on family sizes (default %(default)s)")
     args = parser.parse_args(argv)
 
     if args.horizon < 1:

@@ -37,7 +37,6 @@ from .invariants import (
     InfiniteDivision,
     InvariantContext,
     IrrationalInvariant,
-    MinimallyTwisting,
     NegFinite,
     NestedAnnuli,
     NonMinimallyTwisting,
@@ -147,14 +146,13 @@ class EndDescription(Record):
 def basis_change(boundary_slope: Slope) -> GL2Z:
     """The canonical SL2(Z) element sending the boundary slope to -1.
 
-    Composed from a Bezout matrix sending the slope to oo and the fixed
-    matrix sending oo to -1; for boundary -1 this is the identity."""
+    The fixed matrix (-1, -1; 1, 0) sending oo to -1 times the Bezout
+    matrix (x, y; -q, p) sending the slope p/q to oo, multiplied out; its
+    determinant is p*x + q*y = 1.  For boundary -1 this is the identity."""
     p, q = boundary_slope.p, boundary_slope.q
     g, x, y = _egcd(p, q)
     assert g == 1
-    to_inf = GL2Z(x, y, -q, p)
-    inf_to_base = GL2Z(-1, -1, 1, 0)
-    return inf_to_base @ to_inf
+    return GL2Z._unimodular(q - x, -p - y, x, y)
 
 
 def normalized_target(e: EndDescription) -> SlopeTarget:
@@ -173,20 +171,6 @@ def division_at_infinity(e: EndDescription) -> int | None:
     return e.division_tail.value
 
 
-def _path_slice_count(e: EndDescription, decomp: BlockDecomposition | None = None) -> int:
-    """Number of basic slices of the finite factorization of an attained
-    description (0 for the collar whose target equals the boundary): the
-    end of its last block, read off the walk of x with no vertex.  `decomp`
-    is the decomposition toward the normalized target, when the caller has it."""
-    target = normalized_target(e)
-    assert target.attained
-    if target.slope == BASE_SLOPE:
-        return 0
-    if decomp is None:
-        decomp = decompose(FareyPath(BASE_SLOPE, target))
-    return decomp.bounds(None)[-1]
-
-
 def validate(e: EndDescription, decomp: BlockDecomposition | None = None) -> list[str]:
     """Structural violations of the description; empty when legal.  `decomp`,
     when given, is the decomposition toward the normalized target."""
@@ -201,7 +185,11 @@ def validate(e: EndDescription, decomp: BlockDecomposition | None = None) -> lis
         if e.signs.tail is not None:
             violations.append("finite path, infinite tail")
         elif e.boundary.division == 1:
-            slices = _path_slice_count(e, decomp)
+            # the end of the last block, read off the walk of x with no
+            # vertex: 0 for the collar, whose path has one vertex
+            if decomp is None:
+                decomp = decompose(FareyPath(BASE_SLOPE, normalized_target(e)))
+            slices = decomp.bounds(None)[-1]
             if len(e.signs.prefix) != slices:
                 violations.append(
                     f"sign coverage mismatch: prefix has {len(e.signs.prefix)} signs, "
@@ -228,17 +216,15 @@ def require_valid(e: EndDescription, decomp: BlockDecomposition | None = None) -
 
 
 def validated_decomposition(e: EndDescription,
-                            decomp: BlockDecomposition | None = None) -> BlockDecomposition | None:
-    """Validate e and return the decomposition toward its normalized target
-    (`decomp`, when given), or None for the collar whose target is the base
-    slope, which has no blocks.  Toward an attained target validation counts
-    the slices of the decomposition returned; any other target is validated
-    before its decomposition is built, so that a degenerate one is named by
-    its violation."""
+                            shared: BlockDecomposition | None = None) -> BlockDecomposition:
+    """Validate e and return the decomposition toward its normalized target:
+    `shared`, when it is toward that target, else a new one.  Toward an
+    attained target validation counts the slices of the decomposition
+    returned (none for the collar, whose target is the base slope); any
+    other target is validated before its decomposition is built, so that a
+    degenerate one is named by its violation."""
     target = normalized_target(e)
-    if target.attained and target.slope == BASE_SLOPE:
-        require_valid(e)
-        return None
+    decomp = shared if shared is not None and shared.path.target == target else None
     if decomp is None and target.attained:
         decomp = decompose(FareyPath(BASE_SLOPE, target))
     require_valid(e, decomp)
@@ -256,44 +242,20 @@ def slope_at_infinity(e: EndDescription) -> SlopeTarget:
 # classification
 
 
-def classify(e: EndDescription, decomp: BlockDecomposition | None = None) -> EndInvariant:
-    """Dispatch to the complete invariant of the end.  `decomp`, when given,
-    is the decomposition toward the normalized target."""
-    decomp = validated_decomposition(e, decomp)
-    base_context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, None)
+def classify(e: EndDescription, shared: BlockDecomposition | None = None) -> EndInvariant:
+    """The complete invariant of the end, validated once.  Its context
+    carries the decomposition toward the normalized target: `shared` when
+    that is toward the same target (see validated_decomposition)."""
+    decomp = validated_decomposition(e, shared)
+    context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, decomp)
     d_inf = division_at_infinity(e)
     if d_inf is None:
-        return InfiniteDivision(NestedAnnuli(), base_context)
-
+        return InfiniteDivision(NestedAnnuli(), context)
     rotative = e.rotative
-    if rotative.n != 0:  # infinitely many layers (n None) leave no residual end
-        residual = None if rotative.n is None else classify(
-            EndDescription(e.boundary, e.target, e.signs, e.division_tail), decomp)
-        return NonMinimallyTwisting(rotative.n, rotative.sign, residual, base_context)
-
-    if decomp is None:
-        # vertically invariant collar: no blocks, empty invariant
-        return AttainedInvariant((), d_inf, base_context)
-    context = InvariantContext(e.boundary.slope, e.boundary.division, e.target, decomp)
-    return _classify_minimal(e, context, d_inf)
-
-
-def decomposition_of(inv: EndInvariant) -> BlockDecomposition | None:
-    """The decomposition that classify read inv from, or None when it read
-    none (a collar, infinite division or infinitely many rotative layers)."""
-    if isinstance(inv, NonMinimallyTwisting):
-        inv = inv.residual
-    return None if inv is None else inv.context._decomposition
-
-
-def _classify_minimal(e: EndDescription, context: InvariantContext,
-                      d_inf: int) -> MinimallyTwisting:
-    """The invariant of a validated, minimally twisting end whose context
-    carries the decomposition toward its normalized target; every end with
-    the same boundary and target shares it."""
-    decomp = context.decomposition()
-    division = d_inf if decomp.path.target.attained else 1
-    return invariant_from_signs(decomp, e.signs, division, context)
+    if rotative.n is None:  # infinitely many layers leave no residual end
+        return NonMinimallyTwisting(None, rotative.sign, None, context)
+    minimal = invariant_from_signs(decomp, e.signs, d_inf, context)
+    return NonMinimallyTwisting(rotative.n, rotative.sign, minimal, context) if rotative.n else minimal
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +349,6 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
         raise ToricEndError("non-extendable families need a non-attained or irrational target")
     frame = EndDescription(TorusRecord(start, 1), target)
     decomp = decompose(FareyPath(BASE_SLOPE, normalized_target(frame)))
-    context = InvariantContext(start, 1, target, decomp)
     if target.rational:
         slices = decomp.bounds(None)[-1]
     else:
@@ -400,9 +361,8 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
             decomp.bounds(n)
             distinct *= bounds[n] - bounds[n - 1] + 1  # a block of s slices has s + 1 counts
         slices = bounds[n]
-    e = EndDescription(frame.boundary, target, SignData((NEGATIVE,) * slices, Alternating()))
-    require_valid(e)
-    first = _classify_minimal(e, context, 1)
+    first = classify(EndDescription(frame.boundary, target, SignData((NEGATIVE,) * slices, Alternating())), decomp)
+    context = first.context
     if target.rational:
         # members 1, 2, 3, 4, ... have PosFinite(1), NegFinite(1),
         # PosFinite(2), ... on the infinite block

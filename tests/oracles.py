@@ -246,6 +246,12 @@ def oracle_on_arc(current: Slope, target, x: Slope, include_target: bool) -> boo
     t = OracleTarget(target)
     if x == current:
         return True
+    if t.equals_slope(current):
+        # the path toward an attained target at its start is that one point;
+        # a non-attained one there has no path
+        if t.attained:
+            return False
+        raise ValueError("target equals the start slope")
     if t.equals_slope(x):
         return include_target
     return rank_less(_rank(current, x), _rank_target(current, t))

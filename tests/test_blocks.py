@@ -162,9 +162,15 @@ def test_synthetic_paths_round_trip_block_lengths(lengths):
         assert oracle_witness_search(run, bound=max(50, bound)) is not None
 
 
-def test_decompose_rejects_short_paths():
-    with pytest.raises(MalformedPathError):
-        decompose(FareyPath.from_vertices([S("-1")]))
+def test_decompose_of_a_collar_has_no_blocks():
+    # the path toward an attained target at its start has one vertex
+    decomp = decompose(FareyPath.from_vertices([S("-1")]))
+    assert decomp.bounds(None) == [0]
+    assert decomp.finished
+    assert decomp.all_blocks() == []
+    assert not decomp.has_block(1)
+    with pytest.raises(IndexError):
+        decomp.block(1)
 
 
 def test_witness_for_edge_rejects_non_edges():

@@ -141,6 +141,69 @@ def test_compare_names_the_first_violation_before_sharing():
                                    "violations": ["sign coverage mismatch: prefix has 14 signs, path has 15 basic slices"]}
 
 
+def count_ends_calls(monkeypatch, name) -> list:
+    """The calls of toric_ends.ends.<name> from now on."""
+    calls = []
+    real = getattr(ends_mod, name)
+    monkeypatch.setattr(ends_mod, name, lambda *args, real=real: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("classify", {"end": end_doc(TO_100_7, ["+"] * 15)}),
+    ("classify", {"end": end_doc(SQRT3, ["+"] * 8, {"type": "alternating"})}),
+    ("classify", {"end": end_doc(SQRT3, ["+"] * 8, {"type": "alternating"}, rotative={"sign": "+", "n": 2})}),
+    ("classify", {"end": end_doc(TO_100_7, ["+"] * 15, rotative={"sign": "-", "n": 1})}),
+    ("euler", {"end": end_doc(TO_100_7, ["+"] * 15)}),
+], ids=["attained", "sqrt3", "sqrt3-rotative", "attained-rotative", "euler-attained"])
+def test_an_end_is_normalized_and_validated_once(monkeypatch, command, doc):
+    # the slice count and a residual end under rotative layers are read off
+    # the one decomposition that validation was given
+    normalized = count_ends_calls(monkeypatch, "normalized_target")
+    validated = count_ends_calls(monkeypatch, "validate")
+    decompositions = count_decompositions(monkeypatch)
+    code, _ = invoke(command, doc)
+    assert code == 0
+    assert len(normalized) == len(validated) == len(decompositions) == 1
+
+
+@pytest.mark.parametrize("target,prefix,tail", [(SQRT3, ["+"] * 8, {"type": "alternating"}),
+                                                (TO_100_7, ["+"] * 15, None)], ids=["sqrt3", "attained"])
+def test_compare_normalizes_each_end_once(monkeypatch, target, prefix, tail):
+    normalized = count_ends_calls(monkeypatch, "normalized_target")
+    decompositions = count_decompositions(monkeypatch)
+    a = end_doc(target, prefix, tail)
+    b = end_doc(target, prefix, tail, rotative={"sign": "+", "n": 1})
+    assert invoke("compare", {"a": a, "b": b}) == (0, '{"equivalent":false}\n')
+    assert len(normalized) == 2 and len(decompositions) == 1
+
+
+COLLAR = end_doc({"kind": "rational", "slope": "-1/1", "attained": True})
+
+
+@pytest.mark.parametrize("command,doc,answer", [
+    ("path", {"start": "-1/1", "target": COLLAR["target"], "n": 3}, '{"vertices":["-1/1"]}'),
+    ("blocks", {"start": "-1/1", "target": COLLAR["target"]}, '{"blocks":[],"complete":true}'),
+    ("classify", {"end": COLLAR}, '{"d":1,"f":[],"kind":"attained"}'),
+    ("classify", {"end": {**COLLAR, "rotative": {"sign": "+", "n": 2}}},
+     '{"kind":"nonminimal","residual":{"d":1,"f":[],"kind":"attained"},"rotativity":2,"sign":"+"}'),
+    ("classify", {"end": {**COLLAR, "division_tail": {"type": "strictly-increasing"}}},
+     '{"annuli":{"tb_start":-1,"tb_step":1},"kind":"infinite-division"}'),
+    ("classify", {"end": {**COLLAR, "boundary": {"slope": "2/3", "div": 1},
+                          "target": {"kind": "rational", "slope": "2/3", "attained": True}}},
+     '{"d":1,"f":[],"kind":"attained"}'),
+    ("extend-check", {"end": COLLAR}, '{"result":"extends-by-construction"}'),
+    ("compare", {"a": COLLAR, "b": COLLAR}, '{"equivalent":true}'),
+    ("compare", {"a": COLLAR, "b": {**COLLAR, "rotative": {"sign": "+", "n": 1}}}, '{"equivalent":false}'),
+], ids=["path", "blocks", "classify", "classify-rotative", "classify-increasing", "classify-boundary-2-3",
+        "extend-check", "compare", "compare-rotative"])
+def test_collar_answers_are_pinned(command, doc, answer):
+    # the collar, toward an attained target at its boundary, is the path of
+    # one vertex, whose decomposition has no block (its euler answer is
+    # test_euler_of_a_collar_is_zero)
+    assert invoke(command, doc) == (0, answer + "\n")
+
+
 def test_count_command():
     code, out = invoke("count", {"lengths": [3, 2]})
     assert code == 0

@@ -44,7 +44,6 @@ from toric_ends.ends import (
     ConstantDivision,
     EventuallyConstantDivision,
     StrictlyIncreasingDivision,
-    _path_slice_count,
     basis_change,
     normalized_target,
 )
@@ -330,7 +329,6 @@ def test_slice_counts_match_the_vertex_walk_over_a_census():
             e = EndDescription(TorusRecord(boundary), RationalTarget(slope, True))
             target = normalized_target(e)
             slices = 0 if target.slope == BASE_SLOPE else FareyPath(BASE_SLOPE, target).walk_to_end() - 1
-            assert _path_slice_count(e) == slices
             signs = SignData((P,) * slices)
             assert validate(EndDescription(e.boundary, e.target, signs)) == []
             assert validate(EndDescription(e.boundary, e.target, SignData((P,) * (slices + 1)))) == [

@@ -131,7 +131,7 @@ def counting(monkeypatch, name, owner=ends):
 def test_family_shares_one_decomposition(monkeypatch):
     decompositions = counting(monkeypatch, "decompose")
     validated = counting(monkeypatch, "validate")
-    classified = counting(monkeypatch, "_classify_minimal")
+    classified = counting(monkeypatch, "invariant_from_signs")
     certified = counting(monkeypatch, "extension_obstruction")
     for target in (QuadraticTarget.of(0, -1, 1, 3), RationalTarget(Slope(-19, 2), False)):
         for seen in (decompositions, validated, classified, certified):
@@ -141,9 +141,10 @@ def test_family_shares_one_decomposition(monkeypatch):
         assert len(decompositions) == 1
         shared = family[0].context.decomposition()
         assert all(m.context.decomposition() is shared for m in family)
-        # only the first member is validated and classified from its signs
+        # only the first member is validated and classified from its signs,
+        # on the shared decomposition
         assert len(validated) == 1
-        assert [id(e) for e in classified] == [id(e) for e in validated]
+        assert [id(d) for d in classified] == [id(shared)]
         if target.rational:
             # the first member and the first of each finite form: a later
             # member's certificate is that of the first of its form
@@ -178,10 +179,11 @@ def test_rational_certificates_do_not_grow_with_k(monkeypatch, k):
 def test_rational_members_are_built_from_their_forms(monkeypatch):
     target = RationalTarget(Slope(-19, 2), False)
     validated = counting(monkeypatch, "validate")
-    classified = counting(monkeypatch, "_classify_minimal")
+    classified = counting(monkeypatch, "invariant_from_signs")
     family = non_extendable_family(target, 10 ** 4)
     assert len(family) == 10 ** 4
     assert len(validated) == len(classified) == 1
+    assert classified[0] is family[0].context.decomposition()
     assert {m.finite_f for m in family} == {family[0].finite_f}
     assert family[-1].infinite_block == PosFinite(5000)
 

@@ -285,10 +285,16 @@ def test_on_arc_matches_the_oracle_over_a_census():
     starts = [s for s in census if abs(s.p) <= 6]  # oo among them
     for target in ARC_TARGETS:
         for start in starts:
-            if target.rational and target.slope == start:
-                continue
+            degenerate = target.rational and not target.attained and target.slope == start
             for x in census:
                 for include in (False, True):
+                    if degenerate and x != start:
+                        # a non-attained target at the start: both sides refuse
+                        with pytest.raises(DegenerateTargetError):
+                            on_arc(start, target, x, include)
+                        with pytest.raises(ValueError):
+                            oracle_on_arc(start, target, x, include)
+                        continue
                     assert on_arc(start, target, x, include) == oracle_on_arc(start, target, x, include), \
                         (start, target, x, include)
 
