@@ -11,7 +11,9 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import methodcaller
 
 from . import blocks as blocks_mod
 from . import ends as ends_mod
@@ -44,11 +46,12 @@ WRITE_BLOCK = 1 << 16
 
 # ---------------------------------------------------------------------------
 # document tables: each document kind is one Document, read both to decode a
-# document with every check and to encode a record.  A field's codec is a
-# pair (decode, encode), or a triple (decode, encode, keep):
+# document with every check and to encode or write a record.  A field's codec
+# is a triple (decode, encode, write), or (decode, encode, write, keep):
 # decode(value, where, key) checks and converts the value under `key` of the
-# document at `where`; encode converts back (None: as it is); a value for
-# which keep is false leaves the key out.
+# document at `where`; encode converts back (None: as it is); write gives
+# the text of the encoded value as _emit writes it; a value for which keep
+# is false leaves the key out.
 
 
 def _check_keys(doc: object, required: set[str], optional: set[str] = frozenset(), where: str = "document") -> dict:
@@ -168,61 +171,105 @@ def _sign_texts(signs: tuple[int, ...]) -> list[str]:
     return [_SIGN_TEXT[s] for s in signs]
 
 
+# the text json.dumps writes for a scalar, by the scalar's exact class; any
+# other class, an empty list or dict among them, still goes through json.dumps
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, bool: lambda b: "true" if b else "false",
+                type(None): lambda _: "null"}
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _text(value: object) -> str:
+    """json.dumps(value, sort_keys=True, separators=(",", ":")), as _emit writes."""
+    return _SCALAR_TEXT.get(value.__class__, _dumps)(value)
+
+
+# lists whose entries need no escaping are written with a join: strings
+# such as signs and slopes; and integers (never booleans, which the decoders
+# refuse), by the repr of their list, as an int's repr holds no space
+
+def _plain_texts(texts: list[str]) -> str:
+    return '["' + '","'.join(texts) + '"]' if texts else "[]"
+
+
+def _signs_text(signs: tuple[int, ...]) -> str:
+    return _plain_texts(_sign_texts(signs))
+
+
+def _ints_text(values: tuple[int, ...]) -> str:
+    return repr(list(values)).replace(" ", "")
+
+
 _MISSING = object()
-INT = (_int, None)
-NONNEGATIVE = (_at_least(0), None)
-POSITIVE_INT = (_at_least(1), None)
-BOOL = (_bool, None)
-SLOPE = (_slope, str)
-SIGN = (_sign, _SIGN_TEXT.__getitem__)
-SIGNS = (_signs, _sign_texts)
-PATTERN = (_pattern, _sign_texts)
-COUNT_PATTERN = (_count_pattern, _sign_texts)
-INTS = (_ints, list, bool)
-COUNTS = (_counts, list)
-LENGTHS = (_lengths, None)
-ANY = (lambda value, where, key: value, None)
-ROTATIVITY = (_rotativity, lambda n: "inf" if n is None else n)
-RESIDUAL = (_residual, lambda inv: None if inv is None else invariant_doc(inv))
+INT = (_int, None, _text)
+NONNEGATIVE = (_at_least(0), None, _text)
+POSITIVE_INT = (_at_least(1), None, _text)
+BOOL = (_bool, None, _text)
+SLOPE = (_slope, str, lambda s: f'"{s}"')
+SIGN = (_sign, _SIGN_TEXT.__getitem__, lambda s: f'"{_SIGN_TEXT[s]}"')
+SIGNS = (_signs, _sign_texts, _signs_text)
+PATTERN = (_pattern, _sign_texts, _signs_text)
+COUNT_PATTERN = (_count_pattern, _sign_texts, _signs_text)
+INT_LIST = (_ints, list, _ints_text)
+INTS = (*INT_LIST, bool)
+COUNTS = (_counts, list, _ints_text)
+LENGTHS = (_lengths, None, _text)
+ANY = (lambda value, where, key: value, None, _text)
+OPTIONAL = (*ANY, lambda value: value is not None)
+ROTATIVITY = (_rotativity, lambda n: "inf" if n is None else n, lambda n: '"inf"' if n is None else _text(n))
+RESIDUAL = (_residual, lambda inv: None if inv is None else invariant_doc(inv),
+            lambda inv: "null" if inv is None else INVARIANT.write(inv))
+SLOPE_TEXTS = (None, None, _plain_texts)  # the vertex texts of a path answer
 
 
 def field(key: str, codec: tuple, attr=None, default: object = _MISSING) -> tuple:
-    """A document key as (key, decode, encode, keep, attr, default): its
-    codec (keep None unless given), the record attribute it holds (the key
-    unless named; a dotted name reaches into the record, and a function is
-    its getter) and its default when it may be left out."""
-    decode, encode, keep = codec if len(codec) == 3 else (*codec, None)
-    return (key, decode, encode, keep, attr or key, default)
+    """A document key as (key, decode, encode, write, keep, attr, default):
+    its codec (keep None unless given), the record attribute it holds (the
+    key unless named; a dotted name reaches into the record, and a function
+    is its getter) and its default when it may be left out."""
+    decode, encode, write, keep = codec if len(codec) == 4 else (*codec, None)
+    return (key, decode, encode, write, keep, attr or key, default)
 
 
-def _compile_encoders(head: list[str], fields: tuple, name: str) -> tuple:
-    """The encoders of one variant, compiled from its fields: encode(r), the
-    document of the record r as one dict display, and follow(r, p, q), the
-    same document written after the document q of a record p of the same
-    class, which shares q's value of each field whose object is p's.
-    Records are immutable, so a shared value is the one encode would write."""
+def _compile_encoders(head: tuple, fields: tuple, name: str, text: bool) -> tuple:
+    """The encoders of one variant, compiled from its tag `head` ((key,
+    value), or () when none is written) and its fields: convert(r), the
+    document of the record r as one dict display, or with `text` the text
+    _emit writes for it, keys sorted, as one f-string (a join when a key may
+    be left out; no key or tag holds a brace); and convert_next(r, m), the
+    same for a record after others of its class, which converts a field's
+    object only when it is not the one the memo m holds (m starts as
+    [_MISSING] * (2 * len(fields))).  Records are immutable, so a shared
+    value is the one a fresh conversion would give."""
     scope, sources = {}, []
-    for follow in (False, True):
-        items, kept = list(head), []
-        for i, (key, _, encode, keep, attr, _) in enumerate(fields):
-            scope[f"e{i}"], scope[f"k{i}"], scope[f"g{i}"] = encode, keep, attr
+    for memo in (False, True):
+        lines, items = [], [(head[0], _text(head[1]) if text else repr(head[1]), None)] if head else []
+        for i, (key, _, encode, write, keep, attr, _) in enumerate(fields):
+            scope[f"c{i}"], scope[f"k{i}"], scope[f"g{i}"] = write if text else encode, keep, attr
             get = f"r.{attr}" if isinstance(attr, str) else f"g{i}(r)"
-            if keep is not None:  # the value is read once, for keep and the encoder
-                kept.append(f"    v = {get}")
-                get = "v"
-            value = get if encode is None else f"e{i}({get})"
-            if follow and encode is not None and isinstance(attr, str):
-                value = f"q[{key!r}] if {get} is p.{attr} else {value}"
-            if keep is None:
-                items.append(f"{key!r}: {value}")
-            else:
-                kept.append(f"    if k{i}(v): d[{key!r}] = {value}")
-        signature = "follow(r, p, q)" if follow else "encode(r)"
-        display = "{" + ", ".join(items) + "}"
-        body = [f"    d = {display}", *kept, "    return d"] if kept else [f"    return {display}"]
-        sources.append("\n".join([f"def {signature}:", *body]))
-    exec(compile("\n".join(sources), f"<{name} document>", "exec"), scope)
-    return scope["encode"], scope["follow"]
+            convert = text or encode is not None
+            if keep is not None or memo and convert:  # the value is read once
+                lines.append(f"    v{i} = {get}")
+                get = f"v{i}"
+            value = f"c{i}({get})" if convert else get
+            if memo and convert and keep is None:
+                lines.append(f"    if v{i} is not m[{2 * i}]: m[{2 * i}], m[{2 * i + 1}] = v{i}, {value}")
+                value = f"m[{2 * i + 1}]"
+            items.append((key, "{" + value + "}" if text else value, keep and f"k{i}(v{i})"))
+        if not text:
+            display = "{" + ", ".join(f"{key!r}: {value}" for key, value, test in items if not test) + "}"
+            kept = [f"    if {test}: d[{key!r}] = {value}" for key, value, test in items if test]
+            lines += [f"    d = {display}", *kept, "    return d"] if kept else [f"    return {display}"]
+        elif any(test for _, _, test in items):  # the kept entries are joined
+            lines.append("    t = []")
+            for key, value, test in sorted(items):
+                lines.append(f"    {'if ' + test + ': ' if test else ''}t.append(f{_text(key) + ':' + value!r})")
+            lines.append("    return '{' + ','.join(t) + '}'")
+        else:
+            template = "{{" + ",".join(_text(key) + ":" + value for key, value, _ in sorted(items)) + "}}"
+            lines.append(f"    return f{template!r}")
+        sources.append("\n".join([f"def convert{'_next(r, m)' if memo else '(r)'}:", *lines]))
+    exec(compile("\n".join(sources), f"<{name} {'text' if text else 'document'}>", "exec"), scope)
+    return scope["convert"], scope["convert_next"]
 
 
 class Variant:
@@ -255,11 +302,13 @@ class Document:
                 variant.keys |= {tag}
                 variant.required |= set() if value is default_tag else {tag}
         self.by_class = {variant.cls: (value, variant.fields) for value, variant in variants.items()}
-        self.encoders = {}  # by record class, compiled on first use (see _compile)
+        # the pairs of _compile_encoders by record class, compiled on first use
+        self.encoders, self.writers = {}, {}
         # the keys that some variant allows, and the keys that all require
         self.keys = frozenset().union(*(v.keys for v in variants.values()))
         self.required = frozenset.intersection(*(v.required for v in variants.values()))
-        self.codec = (self.decode_field, self.encode)
+        self.codec = (self.decode_field, self.encode, self.write)
+        self.list_codec = (None, self.encode_list, self.write_list)  # a list of records
 
     def decode(self, doc: object, where: str):
         """The record of the document at `where`, or a SchemaError naming its
@@ -276,7 +325,7 @@ class Document:
                 raise SchemaError(f"{where}.{self.tag} {self.bad_tag}")
         _check_keys(doc, variant.required, variant.keys, where)
         values = []
-        for key, decode, _, _, _, default in variant.fields:
+        for key, decode, _, _, _, _, default in variant.fields:
             value = doc.get(key, _MISSING)
             values.append(default if value is _MISSING else decode(value, where, key))
         try:
@@ -287,33 +336,41 @@ class Document:
     def decode_field(self, doc: object, where: str, key: str):
         return self.decode(doc, f"{where}.{key}")
 
-    def _compile(self, cls: type) -> tuple:
-        """The (encode, follow) pair of _compile_encoders for records of class cls."""
+    def _compile(self, cls: type, text: bool) -> tuple:
+        """The pair of _compile_encoders for records of class cls, kept in
+        self.writers (text) or self.encoders."""
         entry = self.by_class.get(cls)
         if entry is None:
             raise SchemaError(f"{cls.__name__} records have no document form")
         tag, fields = entry
-        head = [] if tag is self.default_tag else [f"{self.tag!r}: {tag!r}"]
-        pair = self.encoders[cls] = _compile_encoders(head, fields, cls.__name__)
+        head = () if tag is self.default_tag else (self.tag, tag)
+        pair = (self.writers if text else self.encoders)[cls] = _compile_encoders(head, fields, cls.__name__, text)
         return pair
 
     def encode(self, record) -> dict:
-        return (self.encoders.get(record.__class__) or self._compile(record.__class__))[0](record)
+        return (self.encoders.get(record.__class__) or self._compile(record.__class__, False))[0](record)
+
+    def write(self, record) -> str:
+        """The text of encode(record) as _emit writes it."""
+        return (self.writers.get(record.__class__) or self._compile(record.__class__, True))[0](record)
 
     def encode_list(self, records) -> list[dict]:
         """The documents of records, in order.  A field whose object is the
-        previous record's is written once, and the documents share its value."""
-        docs, cls = [], None
-        for record in records:
-            if record.__class__ is cls:
-                doc = follow(record, previous, doc)
-            else:
-                cls = record.__class__
-                encode, follow = self.encoders.get(cls) or self._compile(cls)
-                doc = encode(record)
-            docs.append(doc)
-            previous = record
-        return docs
+        previous record's is encoded once, and the documents share its value."""
+        return self._convert_all(records, False)
+
+    def write_list(self, records) -> str:
+        """The text of encode_list(records), which writes a field whose
+        object is the previous record's once."""
+        return "[" + ",".join(self._convert_all(records, True)) + "]"
+
+    def _convert_all(self, records, text: bool) -> list:
+        converted, compiled = [], self.writers if text else self.encoders
+        for cls, run in groupby(records, type):
+            convert = (compiled.get(cls) or self._compile(cls, text))[1]
+            memo = [_MISSING] * (2 * len(self.by_class[cls][1]))
+            converted += [convert(record, memo) for record in run]
+        return converted
 
 
 def _values(*values):
@@ -411,14 +468,22 @@ def parse_invariant_document(doc: object, where: str = "invariant") -> dict:
     return doc
 
 
-def block_doc(b: blocks_mod.Block) -> dict:
-    return {
-        "start": b.start_index,
-        "end": b.end_index,
-        "length": b.length,
-        "witness": list(b.witness_entries),
-        "infinite": b.infinite,
-    }
+BLOCK = Document({None: Variant(blocks_mod.Block, field("start", INT, "start_index"), field("end", INT, "end_index"),
+                                field("length", INT), field("witness", INT_LIST, "witness_entries"),
+                                field("infinite", BOOL))})
+
+block_doc = BLOCK.encode
+
+
+def _answer(*fields: tuple) -> Document:
+    """The table of an answer held as a dict: each (key, codec) of `fields`
+    reads the dict's value under the key, None when the dict leaves it out."""
+    return Document({None: Variant(dict, *(field(key, codec, methodcaller("get", key)) for key, codec in fields))})
+
+
+# an error answer: of a command or a batch (`error`), of a batch job
+# (`status`) and of a validation (`violations`)
+ERROR = _answer(("error", ANY), ("status", OPTIONAL), ("violations", OPTIONAL))
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +523,21 @@ def _check_digits(values, what: str):
 _RUNNERS = {}
 
 
-def _command(name: str, *fields: tuple):
+def _command(name: str, *fields: tuple, answer: Document):
     """Register the function below as the command `name`: its input is one
     table of `fields`, decoded in order and whole before any domain work,
-    and the function is called with the decoded values and the options."""
+    and the function is called with the decoded values and the options and
+    returns a record of the table `answer`."""
     table = Document({None: Variant(tuple, *fields, make=_values)})
 
     def register(run):
-        _RUNNERS[name] = (table, run)
+        _RUNNERS[name] = (table, run, answer)
         return run
     return register
 
 
-@_command("path", field("n", POSITIVE_INT), field("start", SLOPE), field("target", TARGET.codec))
+@_command("path", field("n", POSITIVE_INT), field("start", SLOPE), field("target", TARGET.codec),
+          answer=_answer(("vertices", SLOPE_TEXTS)))
 def _cmd_path(n: int, start: Slope, target, options: dict) -> dict:
     path = FareyPath(start, target)
     # the walk stops at the first run end past the bound, so that no
@@ -484,25 +551,25 @@ def _cmd_path(n: int, start: Slope, target, options: dict) -> dict:
 
 
 @_command("blocks", field("count", POSITIVE_INT, default=None), field("start", SLOPE),
-          field("target", TARGET.codec))
+          field("target", TARGET.codec), answer=_answer(("blocks", BLOCK.list_codec), ("complete", ANY)))
 def _cmd_blocks(count: int | None, start: Slope, target, options: dict) -> dict:
     decomp = blocks_mod.decompose(FareyPath(start, target))
     size = min(count or options["horizon"], OUTPUT_BUDGET + 1)
-    docs = []
+    blocks = []
     # block by block, so that the walk stops at the first over-long witness
-    while len(docs) < size and decomp.has_block(len(docs) + 1):
-        docs.append(block_doc(decomp.block(len(docs) + 1)))
-        _check_digits(docs[-1]["witness"], "a witness entry")
-    _check_output_budget(len(docs), "blocks")
-    return {"blocks": docs, "complete": decomp.finished}
+    while len(blocks) < size and decomp.has_block(len(blocks) + 1):
+        blocks.append(decomp.block(len(blocks) + 1))
+        _check_digits(blocks[-1].witness_entries, "a witness entry")
+    _check_output_budget(len(blocks), "blocks")
+    return {"blocks": blocks, "complete": decomp.finished}
 
 
-@_command("classify", field("end", END.codec))
-def _cmd_classify(end, options: dict) -> dict:
-    return invariant_doc(ends_mod.classify(end))
+@_command("classify", field("end", END.codec), answer=INVARIANT)
+def _cmd_classify(end, options: dict):
+    return ends_mod.classify(end)
 
 
-@_command("compare", field("a", END.codec), field("b", END.codec))
+@_command("compare", field("a", END.codec), field("b", END.codec), answer=_answer(("equivalent", ANY)))
 def _cmd_compare(a, b, options: dict) -> dict:
     first = ends_mod.classify(a)
     # b shares a's decomposition when their normalized targets are equal
@@ -510,7 +577,7 @@ def _cmd_compare(a, b, options: dict) -> dict:
     return {"equivalent": inv_mod.equivalent(first, second, options["horizon"])}
 
 
-@_command("count", field("lengths", LENGTHS))
+@_command("count", field("lengths", LENGTHS), answer=_answer(("count", ANY), ("note", OPTIONAL)))
 def _cmd_count(lengths: list, options: dict) -> dict:
     # the lengths are at least 1, so the partial products never shrink, and
     # the first one past the _text_bound is refused before the rest is multiplied
@@ -526,7 +593,8 @@ def _cmd_count(lengths: list, options: dict) -> dict:
     return out
 
 
-@_command("euler", field("horizon", POSITIVE_INT, default=None), field("end", END.codec))
+@_command("euler", field("horizon", POSITIVE_INT, default=None), field("end", END.codec),
+          answer=_answer(("euler", INT_LIST), ("slices", ANY)))
 def _cmd_euler(horizon: int | None, e, options: dict) -> dict:
     horizon = horizon or options["horizon"]
     decomp = ends_mod.validated_decomposition(e)
@@ -535,10 +603,11 @@ def _cmd_euler(horizon: int | None, e, options: dict) -> dict:
     if cls is None:
         raise _digits_error("an euler entry")
     slices = path.walk_to_end() - 1 if path.target.attained else horizon
-    return {"euler": [cls.x, cls.y], "slices": slices}
+    return {"euler": (cls.x, cls.y), "slices": slices}
 
 
-@_command("extend-check", field("end", END.codec))
+@_command("extend-check", field("end", END.codec),
+          answer=_answer(("result", ANY), ("reason", OPTIONAL), ("horizon", OPTIONAL)))
 def _cmd_extend_check(end, options: dict) -> dict:
     result = ends_mod.extension_obstruction(ends_mod.classify(end), options["horizon"])
     if isinstance(result, ends_mod.NoTightExtension):
@@ -549,31 +618,34 @@ def _cmd_extend_check(end, options: dict) -> dict:
 
 
 @_command("family", field("k", NONNEGATIVE), field("start", SLOPE, default=ends_mod.BASE_SLOPE),
-          field("target", TARGET.codec))
+          field("target", TARGET.codec), answer=_answer(("invariants", INVARIANT.list_codec)))
 def _cmd_family(k: int, start: Slope, target, options: dict) -> dict:
     if k > options["max_family"]:
         raise SchemaError(f"input.k exceeds the family cap {options['max_family']}")
     members = ends_mod.non_extendable_family(target, k, start, options["horizon"])
-    return {"invariants": INVARIANT.encode_list(members)}
+    return {"invariants": members}
 
 
-@_command("reduce-solid-torus", field("end", END.codec))
+@_command("reduce-solid-torus", field("end", END.codec),
+          answer=_answer(("s", ANY), ("invariant", INVARIANT.codec), ("end", END.codec)))
 def _cmd_reduce_solid_torus(end, options: dict) -> dict:
     s_of_r, rest = reduce_mod.complementary_end(end)
-    return {"s": None if s_of_r is None else str(s_of_r),
-            "invariant": invariant_doc(ends_mod.classify(rest)), "end": END.encode(rest)}
+    return {"s": None if s_of_r is None else str(s_of_r), "invariant": ends_mod.classify(rest), "end": rest}
 
 
-@_command("reduce-t2xr", field("middle", TORUS.codec), field("plus", END.codec), field("minus", END.codec))
+@_command("reduce-t2xr", field("middle", TORUS.codec), field("plus", END.codec), field("minus", END.codec),
+          answer=_answer(("plus", END.codec), ("minus", END.codec), ("middle", TORUS.codec),
+                         ("plus_invariant", INVARIANT.codec), ("minus_invariant", INVARIANT.codec),
+                         ("framing", INT_LIST)))
 def _cmd_reduce_t2xr(middle, plus, minus, options: dict) -> dict:
     norm = reduce_mod.normalize_rotativity(reduce_mod.OpenToricAnnulus(plus, minus, middle))
     return {
-        "plus": END.encode(norm.plus),
-        "minus": END.encode(norm.minus),
-        "middle": TORUS.encode(norm.middle),
-        "plus_invariant": invariant_doc(ends_mod.classify(norm.plus)),
-        "minus_invariant": invariant_doc(ends_mod.classify(norm.minus)),
-        "framing": list(reduce_mod.REFLECTION),
+        "plus": norm.plus,
+        "minus": norm.minus,
+        "middle": norm.middle,
+        "plus_invariant": ends_mod.classify(norm.plus),
+        "minus_invariant": ends_mod.classify(norm.minus),
+        "framing": reduce_mod.REFLECTION,
     }
 
 
@@ -584,19 +656,19 @@ COMMANDS = tuple(_RUNNERS)
 # driver
 
 
-def run_command(command: str, doc: object, options: dict) -> dict:
+def _run_job(command: str, doc: object, options: dict) -> tuple:
+    """The answer to one job: (its command's answer table, its record)."""
     if not isinstance(command, str):
         raise SchemaError(f"command must be a string, not {type(command).__name__}")
     if command not in _RUNNERS:
         raise SchemaError(f"unknown command {command!r}")
-    table, run = _RUNNERS[command]
-    return run(*table.decode(doc, "input"), options)
+    table, run, answer = _RUNNERS[command]
+    return answer, run(*table.decode(doc, "input"), options)
 
 
-# the text json.dumps writes for a scalar, by the scalar's exact class; any
-# other class, an empty list or dict among them, still goes through json.dumps
-_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, bool: lambda b: "true" if b else "false",
-                type(None): lambda _: "null"}
+def run_command(command: str, doc: object, options: dict) -> dict:
+    answer, record = _run_job(command, doc, options)
+    return answer.encode(record)
 
 
 def _render_human(doc: object, indent: int = 0) -> str:
@@ -620,9 +692,9 @@ def _render_human(doc: object, indent: int = 0) -> str:
     return f"{pad}{_SCALAR_TEXT.get(doc.__class__, json.dumps)(doc)}"
 
 
-def _emit(doc: object, fmt: str, out) -> None:
+def _emit(table: Document, record, fmt: str, out) -> None:
     # the newline is a write of its own, so that a long answer is not copied
-    out.write(_render_human(doc) if fmt == "human" else json.dumps(doc, sort_keys=True, separators=(",", ":")))
+    out.write(_render_human(table.encode(record)) if fmt == "human" else table.write(record))
     out.write("\n")
 
 
@@ -641,34 +713,39 @@ def _load_input(args) -> object:
         raise SchemaError(f"input is not valid JSON: {exc}") from None
 
 
+def _job_text(i: int, job: object, options: dict, human: bool) -> tuple[str, int]:
+    """The text of the answer to job i of a batch, and its exit status."""
+    try:
+        command, doc, overrides = JOB.decode(job, f"job[{i}]")
+        table, record = _run_job(command, doc, {**options, **overrides})
+        if human:
+            return _render_human({"status": "ok", "output": table.encode(record)}), 0
+        return f'{{"output":{table.write(record)},"status":"ok"}}', 0
+    except SchemaError as exc:
+        answer, status = {"status": "malformed", "error": str(exc)}, 2
+    except ToricEndError as exc:
+        answer, status = {"status": "violation", "error": str(exc)}, 1
+    return _render_human(answer) if human else ERROR.write(answer), status
+
+
 def _run_batch(jobs: object, options: dict, fmt: str, out) -> int:
     """Run the jobs in order and write each answer as soon as its job
     returns, so that the batch holds one answer at a time: the bytes are
     those of _emit on the list of answers.  Returns the exit status."""
     if not isinstance(jobs, list):
         raise SchemaError("batch input must be a list of job objects")
-    if fmt == "human":
-        render, opening, between, closing = _render_human, "", "\n", "\n"
-    else:
-        render = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        opening, between, closing = "[", ",", "]\n"
+    human = fmt == "human"
+    opening, between, closing = ("", "\n", "\n") if human else ("[", ",", "]\n")
     block, size = [opening], 0
     status = 0
     for i, job in enumerate(jobs):
-        try:
-            command, doc, overrides = JOB.decode(job, f"job[{i}]")
-            answer = {"status": "ok", "output": run_command(command, doc, {**options, **overrides})}
-        except SchemaError as exc:
-            answer = {"status": "malformed", "error": str(exc)}
-            status = 2
-        except ToricEndError as exc:
-            answer = {"status": "violation", "error": str(exc)}
-            status = status or 1
+        text, job_status = _job_text(i, job, options, human)
+        status = max(status, job_status)  # malformed (2) over violation (1)
         if i:
             block.append(between)
-        block.append(render(answer))
-        del answer  # the next job runs with no earlier answer held
-        size += len(block[-1])
+        block.append(text)
+        size += len(text)
+        del text  # the next job runs with no earlier answer held
         if size >= WRITE_BLOCK:
             out.write("".join(block))
             block, size = [], 0
@@ -712,17 +789,14 @@ def main(argv=None) -> int:
         doc = _load_input(args)
         if args.command == "run":
             return _run_batch(doc, options, args.format, out)
-        output = run_command(args.command, doc, options)
-        _emit(output, args.format, out)
+        _emit(*_run_job(args.command, doc, options), args.format, out)
         return 0
     except SchemaError as exc:
-        _emit({"error": str(exc)}, args.format, out)
+        _emit(ERROR, {"error": str(exc)}, args.format, out)
         return 2
     except ToricEndError as exc:
-        doc = {"error": str(exc)}
-        if isinstance(exc, ValidationError):
-            doc["violations"] = exc.violations
-        _emit(doc, args.format, out)
+        violations = exc.violations if isinstance(exc, ValidationError) else None
+        _emit(ERROR, {"error": str(exc), "violations": violations}, args.format, out)
         return 1
     finally:
         if out is not sys.stdout:

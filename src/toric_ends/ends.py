@@ -43,6 +43,7 @@ from .invariants import (
     PosFinite,
     RationalNonAttainedInvariant,
     SignData,
+    _normalize_count_tail,
     _periodic_span,
     invariant_from_signs,
 )
@@ -331,15 +332,17 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
 
     Members differ only in their counts: on the leading blocks toward an
     irrational target, on the infinite block toward a rational one.  The
-    first, with zero counts and an alternating tail, is validated and
-    classified against the one decomposition toward the target; the rest
-    share its boundary, target, division and rotative data, so its
-    validation holds for each, and are built from their own counts.  Toward
-    a rational target a certificate reads only the infinite block's form
-    and, for a finite form, whether m >= 1; every member after the first is
-    PosFinite(m) or NegFinite(m) with m >= 1, so the first member and the
-    first of each finite form are certified, and each later member's
-    certificate is that of the first of its form.  Toward an irrational
+    frame, the end from `start` toward the target with no sign prefix and an
+    alternating tail, is validated once; each member shares its boundary,
+    target and division, and is built from its own counts against the one
+    decomposition toward the target, so its cost follows the blocks and not
+    their slices.  The first has zero counts and the frame's alternating
+    tail: it is the invariant of the end whose leading slices are all
+    negative.  Toward a rational target a certificate reads only the
+    infinite block's form and, for a finite form, whether m >= 1; every
+    member after the first is PosFinite(m) or NegFinite(m) with m >= 1, so
+    the first member and the first of each finite form are certified, and
+    each later member's certificate is that of the first of its form.  Toward an irrational
     target the first member's certificate is every member's."""
     if k < 0:
         raise ValueError("k must be >= 0")
@@ -347,10 +350,16 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
         return []
     if target.attained:
         raise ToricEndError("non-extendable families need a non-attained or irrational target")
-    frame = EndDescription(TorusRecord(start, 1), target)
+    frame = EndDescription(TorusRecord(start, 1), target, SignData((), Alternating()))
     decomp = decompose(FareyPath(BASE_SLOPE, normalized_target(frame)))
+    require_valid(frame, decomp)
+    context = InvariantContext(start, 1, target, decomp)
     if target.rational:
-        slices = decomp.bounds(None)[-1]
+        # zero counts on the finite blocks; members 1, 2, 3, 4, ... have
+        # PosFinite(1), NegFinite(1), PosFinite(2), ... on the infinite block
+        finite_f = (0,) * (len(decomp.bounds(None)) - 1)
+        forms = (AlternatingForm(), *((PosFinite if m % 2 else NegFinite)((m + 1) // 2) for m in range(1, k)))
+        members = [RationalNonAttainedInvariant(finite_f, form, context) for form in forms]
     else:
         bounds, n, distinct = decomp.bounds(), 0, 1  # distinct count vectors over n blocks
         while distinct < k:
@@ -360,23 +369,16 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
             n += 1
             decomp.bounds(n)
             distinct *= bounds[n] - bounds[n - 1] + 1  # a block of s slices has s + 1 counts
-        slices = bounds[n]
-    first = classify(EndDescription(frame.boundary, target, SignData((NEGATIVE,) * slices, Alternating())), decomp)
-    context = first.context
-    if target.rational:
-        # members 1, 2, 3, 4, ... have PosFinite(1), NegFinite(1),
-        # PosFinite(2), ... on the infinite block
-        members = [first, *(RationalNonAttainedInvariant(
-            first.finite_f, (PosFinite if member % 2 else NegFinite)((member + 1) // 2), context)
-            for member in range(1, k))]
-    else:
-        # the next k - 1 count vectors in lexicographic order, each with the
-        # first member's count tail and first tail block (the last
-        # leading block has a slice).  An alternating tail normalizes to a
-        # mixed PatternCounts, so the certificate scans the periodic span,
-        # which reads only those two and the decomposition: it is every member's
-        counts = product(*(range(hi - lo + 1) for lo, hi in pairwise(bounds[:n + 1])))
-        members = [first, *(IrrationalInvariant(c, first.tail, context) for c in islice(counts, 1, k))]
+        # the first k count vectors in lexicographic order, zero first, each
+        # with the alternating count tail anchored at the first tail block
+        # (the last leading block has a slice).  That mixed PatternCounts
+        # makes the certificate scan the periodic span, which reads only the
+        # tail, that block and the decomposition: it is every member's
+        # (each block's counts cut at k, which leaves the first k vectors as
+        # they are and builds no range of a long block's counts)
+        tail = _normalize_count_tail((POSITIVE, NEGATIVE), bounds[n])
+        counts = product(*(range(min(hi - lo + 1, k)) for lo, hi in pairwise(bounds[:n + 1])))
+        members = [IrrationalInvariant(c, tail, context) for c in islice(counts, k)]
     for member, inv in enumerate(members[:3] if target.rational else members[:1]):
         result = extension_obstruction(inv, horizon)
         if not isinstance(result, NoTightExtension):

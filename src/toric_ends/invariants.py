@@ -332,8 +332,7 @@ class InvariantContext(Record):
     __slots__ = ("start", "division", "target", "_decomposition")
     _fields = ("start", "division", "target")
 
-    def __init__(self, start: Slope, division: int, target: SlopeTarget,
-                 decomposition: BlockDecomposition | None):
+    def __init__(self, start: Slope, division: int, target: SlopeTarget, decomposition: BlockDecomposition):
         setfield(self, "start", start)
         setfield(self, "division", division)
         setfield(self, "target", target)
@@ -343,8 +342,6 @@ class InvariantContext(Record):
         return f"InvariantContext(start={self.start}, div={self.division}, target={self.target})"
 
     def decomposition(self) -> BlockDecomposition:
-        if self._decomposition is None:
-            raise UndecidableError("invariant carries no decomposition handle")
         return self._decomposition
 
 

@@ -14,19 +14,37 @@ from hypothesis import strategies as st
 
 from toric_ends import cli
 from toric_ends.cli import COMMANDS, END, TARGET, invariant_doc, main, parse_invariant_document, run_command
-from toric_ends.ends import InfiniteDivision, NestedAnnuli, NonMinimallyTwisting
+from toric_ends.blocks import decompose
+from toric_ends.ends import (
+    ConstantDivision,
+    EndDescription,
+    EventuallyConstantDivision,
+    InfiniteDivision,
+    InfiniteRotativity,
+    NestedAnnuli,
+    NonMinimallyTwisting,
+    RotativeLayers,
+    StrictlyIncreasingDivision,
+    TorusRecord,
+)
 from toric_ends.errors import SchemaError
-from toric_ends.farey import GL2Z, QuadraticTarget, RationalTarget, Slope
+from toric_ends.farey import GL2Z, FareyPath, QuadraticTarget, RationalTarget, Slope
 from toric_ends.invariants import (
+    AllNegative,
+    AllPositive,
+    Alternating,
     AlternatingForm,
     AttainedInvariant,
     BothFinite,
+    EventuallySign,
     InvariantContext,
     IrrationalInvariant,
     NegFinite,
+    Periodic,
     PosFinite,
     RationalNonAttainedInvariant,
     SaturatedCounts,
+    SignData,
     ZeroCounts,
     _normalize_count_tail,
 )
@@ -174,19 +192,22 @@ def test_written_targets_match_the_reference_normalization(surd, m):
 
 
 def context(attained=False):
-    return InvariantContext(Slope(-1, 1), 1, RationalTarget(Slope(-3, 1), attained), None)
+    target = RationalTarget(Slope(-3, 1), attained)
+    return InvariantContext(Slope(-1, 1), 1, target, decompose(FareyPath(Slope(-1, 1), target)))
 
 
 COUNTS = st.lists(st.integers(0, 9), max_size=5).map(tuple)
 SIGNS = st.lists(st.sampled_from((1, -1)), min_size=1, max_size=5).map(tuple)
+INFINITE_FORMS = st.one_of(
+    st.builds(PosFinite, st.integers(0, 9)), st.builds(NegFinite, st.integers(0, 9)),
+    st.just(AlternatingForm()), st.builds(BothFinite, st.integers(0, 9), st.integers(0, 9)))
+# a pattern tail as the library makes one: primitive and mixed
+COUNT_TAILS = st.one_of(
+    st.just(SaturatedCounts()), st.just(ZeroCounts()), st.builds(_normalize_count_tail, SIGNS, st.integers(-9, 9)))
 MINIMAL = st.one_of(
     st.builds(lambda f, d: AttainedInvariant(f, d, context(True)), COUNTS, st.integers(1, 9)),
-    st.builds(lambda f, form: RationalNonAttainedInvariant(f, form, context()), COUNTS, st.one_of(
-        st.builds(PosFinite, st.integers(0, 9)), st.builds(NegFinite, st.integers(0, 9)),
-        st.just(AlternatingForm()), st.builds(BothFinite, st.integers(0, 9), st.integers(0, 9)))),
-    # a pattern tail as the library makes one: primitive and mixed
-    st.builds(lambda f, tail: IrrationalInvariant(f, tail, context()), COUNTS, st.one_of(
-        st.just(SaturatedCounts()), st.just(ZeroCounts()), st.builds(_normalize_count_tail, SIGNS, st.integers(-9, 9)))),
+    st.builds(lambda f, form: RationalNonAttainedInvariant(f, form, context()), COUNTS, INFINITE_FORMS),
+    st.builds(lambda f, tail: IrrationalInvariant(f, tail, context()), COUNTS, COUNT_TAILS),
 )
 INVARIANTS = st.one_of(
     MINIMAL,
@@ -314,3 +335,104 @@ def test_malformed_documents_keep_their_messages():
         if got != case["error"]:
             wrong.append((case, got))
     assert not wrong, wrong[:5]
+
+
+# ---------------------------------------------------------------------------
+# the compiled text writers against json.dumps of the compiled documents
+
+
+def dumps(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+SIGN_VALUES = st.sampled_from((1, -1))
+SLOPE_VALUES = st.tuples(st.integers(-10 ** 20, 10 ** 20), st.integers(0, 50)).filter(any).map(lambda pq: Slope(*pq))
+TARGETS = st.one_of(st.builds(RationalTarget, SLOPE_VALUES, st.booleans()),
+                    SURD_INPUTS.map(lambda surd: QuadraticTarget.of(*surd)))
+SIGN_TAILS = st.one_of(
+    st.none(), st.just(AllPositive()), st.just(AllNegative()),
+    st.builds(EventuallySign, SIGN_VALUES, st.integers(0, 10 ** 20)), st.builds(Alternating, SIGN_VALUES),
+    st.builds(Periodic, st.lists(SIGN_VALUES, min_size=1, max_size=4).map(tuple)))
+SIGN_DATA = st.builds(SignData, st.lists(SIGN_VALUES, max_size=6).map(tuple), SIGN_TAILS)
+DIVISION_TAILS = st.one_of(
+    st.builds(ConstantDivision, st.integers(1, 9)), st.just(StrictlyIncreasingDivision()),
+    st.builds(EventuallyConstantDivision, st.integers(0, 9), st.integers(1, 9),
+              st.lists(st.integers(1, 9), max_size=3).map(tuple)))
+TORI = st.builds(TorusRecord, SLOPE_VALUES, st.integers(1, 9))
+ROTATIVE = st.one_of(st.builds(RotativeLayers, SIGN_VALUES, st.integers(0, 9)), st.builds(InfiniteRotativity, SIGN_VALUES))
+ENDS = st.builds(EndDescription, TORI, TARGETS, SIGN_DATA, DIVISION_TAILS, ROTATIVE)
+# the blocks of a path, the infinite block of a rational non-attained target among them
+SMALL_SLOPES = st.tuples(st.integers(-99, 99), st.integers(0, 20)).filter(any).map(lambda pq: Slope(*pq))
+BLOCKS = st.builds(
+    lambda path, n: list(decompose(path).blocks_up_to(n)),
+    st.one_of(st.builds(lambda ends, attained: FareyPath(ends[0], RationalTarget(ends[1], attained)),
+                        st.tuples(SMALL_SLOPES, SMALL_SLOPES).filter(lambda ends: ends[0] != ends[1]), st.booleans()),
+              st.builds(lambda start, surd: FareyPath(start, QuadraticTarget.of(*surd)), SMALL_SLOPES, SURD_INPUTS)),
+    st.integers(1, 6))
+
+# records of every document kind that has a written form: those a document
+# holds, and the ends, invariants and blocks of answers
+DOCUMENTS = {
+    "TARGET": TARGETS, "SIGN_TAIL": SIGN_TAILS, "SIGN_DATA": SIGN_DATA, "DIVISION_TAIL": DIVISION_TAILS,
+    "TORUS": TORI, "ROTATIVE": ROTATIVE, "END": ENDS, "INVARIANT": INVARIANTS,
+    "COUNT_TAIL": COUNT_TAILS, "INFINITE_BLOCK": INFINITE_FORMS,
+    "ANNULI": st.builds(NestedAnnuli, st.integers(-10 ** 20, 10 ** 20), st.integers(-9, 9)),
+    "BLOCK": BLOCKS.map(lambda blocks: blocks[-1] if blocks else None),
+}
+
+
+def test_every_written_document_kind_has_records():
+    # the decode-only tables (a batch job and its options) are left out
+    tables = {name for name, value in vars(cli).items() if isinstance(value, cli.Document)}
+    assert tables - DOCUMENTS.keys() == {"JOB", "JOB_OPTIONS", "ERROR"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_writer_writes_each_record_as_json_dumps(data):
+    for name, records in DOCUMENTS.items():
+        table, record = getattr(cli, name), data.draw(records, label=name)
+        if record is not None or table is cli.SIGN_TAIL:  # a path may have no block
+            assert table.write(record) == dumps(table.encode(record)), name
+
+
+def family_context():
+    target = QuadraticTarget.of(0, -1, 1, 3)
+    return InvariantContext(Slope(-1, 1), 1, target, decompose(FareyPath(Slope(-1, 1), target)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_run_of_records_sharing_fields_writes_as_its_documents(data):
+    # as in a family: members that share their count tail or their finite
+    # counts, among records of other classes
+    counts = data.draw(st.lists(COUNTS, min_size=1, max_size=3))
+    tails = data.draw(st.lists(COUNT_TAILS, min_size=1, max_size=2))
+    context = family_context()
+    member = st.one_of(
+        st.builds(lambda f, tail: IrrationalInvariant(f, tail, context), st.sampled_from(counts), st.sampled_from(tails)),
+        st.builds(lambda f, m: RationalNonAttainedInvariant(f, PosFinite(m), context), st.sampled_from(counts),
+                  st.integers(0, 3)),
+        INVARIANTS)
+    records = data.draw(st.lists(member, max_size=12))
+    text = cli.INVARIANT.write_list(records)
+    assert text == dumps(cli.INVARIANT.encode_list(records)) == dumps([invariant_doc(r) for r in records])
+    blocks = data.draw(BLOCKS)
+    assert cli.BLOCK.write_list(blocks) == dumps(cli.BLOCK.encode_list(blocks))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_each_answer_writes_as_json_dumps(command):
+    for doc in BASES[command]:
+        table, record = cli._run_job(command, doc, {"horizon": 64, "max_family": 100})
+        assert table.write(record) == dumps(table.encode(record)) == dumps(run_command(command, doc, {
+            "horizon": 64, "max_family": 100}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(), st.one_of(st.none(), st.sampled_from(("malformed", "violation"))),
+       st.one_of(st.none(), st.lists(st.text(), max_size=3)))
+def test_error_answers_write_as_json_dumps(error, status, violations):
+    answer = {"error": error, "status": status, "violations": violations}
+    expected = {key: value for key, value in answer.items() if value is not None}
+    assert cli.ERROR.write(answer) == dumps(cli.ERROR.encode(answer)) == dumps(expected)

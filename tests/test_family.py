@@ -3,6 +3,10 @@ and certifies every member from scratch through the public classify, plus
 work counts that show one decomposition, one validation and one
 classification from signs per family (counts, not timings)."""
 
+import io
+import json
+import sys
+import tracemalloc
 from math import isqrt
 
 import pytest
@@ -27,6 +31,7 @@ from toric_ends.errors import InsufficientBlocksError, ToricEndError
 from toric_ends.farey import FareyPath
 
 from oracles import reference_family
+from test_codec import perfbench_workloads
 
 SLOPES = st.tuples(st.integers(-40, 40), st.integers(0, 12)).filter(any).map(lambda pq: Slope(*pq))
 
@@ -141,10 +146,10 @@ def test_family_shares_one_decomposition(monkeypatch):
         assert len(decompositions) == 1
         shared = family[0].context.decomposition()
         assert all(m.context.decomposition() is shared for m in family)
-        # only the first member is validated and classified from its signs,
-        # on the shared decomposition
+        # only the frame is validated, and every member is built from its
+        # counts: none is classified from signs
         assert len(validated) == 1
-        assert [id(d) for d in classified] == [id(shared)]
+        assert classified == []
         if target.rational:
             # the first member and the first of each finite form: a later
             # member's certificate is that of the first of its form
@@ -154,6 +159,16 @@ def test_family_shares_one_decomposition(monkeypatch):
         else:
             # the first member's certificate reads only what all share
             assert [id(inv) for inv in certified] == [id(family[0])]
+
+
+def test_a_stream_family_from_another_start_decomposes_once(monkeypatch):
+    # a stream target compares by identity, so classifying a member from its
+    # signs decomposed the frame's normalized target a second time
+    decompositions = counting(monkeypatch, "decompose")
+    value = QuadraticTarget.of(0, -1, 1, 3).value
+    with pytest.raises(InsufficientBlocksError):
+        non_extendable_family(quadratic_cf_target(value), 5, Slope(2, 5))
+    assert len(decompositions) == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,8 +197,7 @@ def test_rational_members_are_built_from_their_forms(monkeypatch):
     classified = counting(monkeypatch, "invariant_from_signs")
     family = non_extendable_family(target, 10 ** 4)
     assert len(family) == 10 ** 4
-    assert len(validated) == len(classified) == 1
-    assert classified[0] is family[0].context.decomposition()
+    assert len(validated) == 1 and classified == []
     assert {m.finite_f for m in family} == {family[0].finite_f}
     assert family[-1].infinite_block == PosFinite(5000)
 
@@ -191,7 +205,7 @@ def test_rational_members_are_built_from_their_forms(monkeypatch):
 def test_family_members_share_one_count_tail_and_one_bounds_table(monkeypatch):
     # every block toward -sqrt(3) from -1 has 3 vertices, so 244 and 250
     # members both take the first 3^5 < k <= 3^6 count vectors over 6 blocks
-    normalized = counting(monkeypatch, "_normalize_count_tail", invariants)
+    normalized = counting(monkeypatch, "_normalize_count_tail")
     walked = counting(monkeypatch, "_read", FareyPath)
     work = []
     for k in (244, 250):
@@ -253,3 +267,66 @@ def test_a_family_writes_its_shared_fields_once(monkeypatch):
     docs = run_command("family", {"k": 250, "target": rational}, OPTIONS)["invariants"]
     assert all(doc["f"] is docs[0]["f"] for doc in docs)
     assert len({id(doc["infinite"]) for doc in docs}) == 250
+
+
+# a family's cost follows its blocks and not their slices: a target whose
+# first block has 10^k slices costs what a short one does, toward a rational
+# target and toward a surd alike
+
+def shape(doc):
+    """The document with every integer replaced by 0."""
+    if isinstance(doc, dict):
+        return {key: shape(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [shape(value) for value in doc]
+    return 0 if isinstance(doc, int) and not isinstance(doc, bool) else doc
+
+
+def far_rational(k):
+    return {"kind": "rational", "slope": f"-{10 ** k}/1", "attained": False}
+
+
+def far_surd(k):
+    # -10^k - sqrt(2): from -1 its first block has 10^k slices
+    return {"kind": "quadratic", "a": -10 ** k, "b": -1, "c": 1, "d": 2}
+
+
+@pytest.mark.parametrize("far", [far_rational, far_surd], ids=["rational", "surd"])
+def test_a_family_toward_a_far_target_costs_its_blocks(far):
+    shapes, peaks = [], []
+    for k in (1, 10, 100, 1000):
+        tracemalloc.start()
+        try:
+            docs = run_command("family", {"k": 5, "target": far(k)}, OPTIONS)["invariants"]
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        shapes.append(shape(docs))
+        assert len(docs) == 5
+    assert all(s == shapes[0] for s in shapes)
+    # the integers grow to 1000 digits, the heap does not grow with them
+    assert max(peaks) < 2 * peaks[0] + (64 << 10), peaks
+
+
+def test_a_batch_answers_the_jobs_around_a_far_family(monkeypatch):
+    count = {"command": "count", "input": {"lengths": [3, 2]}}
+    family = {"command": "family", "input": {"k": 5, "target": far_rational(21)}}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps([count, family, count])))
+    monkeypatch.setattr(sys, "stdout", io.StringIO())
+    assert cli.main(["run"]) == 0
+    answers = json.loads(sys.stdout.getvalue())
+    assert [a["status"] for a in answers] == ["ok"] * 3
+    assert answers[1]["output"] == run_command("family", family["input"], OPTIONS)
+
+
+def census_family_jobs():
+    return [j["input"] for seed in (1, 2, 3) for j in perfbench_workloads().generate("census", seed)
+            if j["command"] == "family"]
+
+
+def test_census_families_match_reference():
+    for doc in census_family_jobs():
+        target, start = TARGET.decode(doc["target"], "target"), Slope(-1, 1)
+        if "start" in doc:
+            start = cli._slope(doc["start"], "input", "start")
+        same_family(target, doc["k"], start)

@@ -46,9 +46,10 @@ SQRT2 = QuadraticTarget.of(0, -1, 1, 2)
 
 
 def contexts(target):
-    """Two unequal contexts toward one target."""
-    return (InvariantContext(Slope(-1, 1), 1, target, None),
-            InvariantContext(Slope(-2, 1), 1, target, None))
+    """Two unequal contexts toward one target, holding its decomposition."""
+    decomp = decompose(FareyPath(Slope(-1, 1), target))
+    return (InvariantContext(Slope(-1, 1), 1, target, decomp),
+            InvariantContext(Slope(-2, 1), 1, target, decomp))
 
 
 def test_equality_is_by_class_and_fields():
@@ -90,7 +91,7 @@ def test_context_is_left_out_of_nonminimal_and_infinite_division_equality():
     lambda: Slope(6, -4),
     lambda: RationalTarget(Slope(-3, 2), True),
     lambda: QuadraticTarget.of(2, -4, 2, 12),
-    lambda: InvariantContext(Slope(-1, 1), 1, QuadraticTarget.of(0, -1, 1, 2), None),
+    lambda: InvariantContext(Slope(-1, 1), 1, SQRT2, decompose(FareyPath(Slope(-1, 1), SQRT2))),
 ], ids=["slope", "rational-target", "quadratic-target", "context"])
 def test_hash_agrees_with_equality(make):
     a, b = make(), make()
