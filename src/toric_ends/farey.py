@@ -15,7 +15,7 @@ from collections import deque, namedtuple
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 from math import gcd, isqrt
-from operator import attrgetter
+from operator import attrgetter, index
 
 from .errors import DegenerateTargetError, MalformedPathError, ToricEndError
 from .records import Record, setfield
@@ -88,8 +88,11 @@ INFINITY = Slope(1, 0)
 
 
 def parse_slope(text: str) -> Slope:
-    """Parse "p/q" (or a bare integer) into a Slope."""
+    """Parse "p/q" (or a bare integer p) into a Slope: p and q are each an
+    optional sign and ASCII digits, with optional whitespace around them."""
     s = text.strip()
+    if "_" in s or (not s.isascii() and any(c.isdecimal() and not c.isascii() for c in s)):
+        raise ValueError(f"slope {text!r} must be written in ASCII digits with no underscores")
     if "/" in s:
         num, den = s.split("/", 1)
         return Slope(int(num), int(den))
@@ -313,22 +316,17 @@ class CFStream:
     def coefficient(self, i: int) -> int:
         while len(self._coeffs) <= i:
             try:
-                a = int(next(self._it))
+                a = next(self._it)
             except StopIteration:
                 raise ToricEndError("cf-stream must be infinite") from None
+            if a.__class__ is not int:  # an integer-like value is read by operator.index
+                if isinstance(a, bool) or not hasattr(a, "__index__"):
+                    raise ToricEndError(f"cf-stream coefficient {len(self._coeffs)} must be an integer, not {a!r}")
+                a = index(a)
             if self._coeffs and a < 1:
                 raise ToricEndError("cf-stream coefficients after the first must be >= 1")
             self._coeffs.append(a)
         return self._coeffs[i]
-
-    def cmp_fraction(self, p: int, q: int) -> int:
-        """Exact sign of (value - p/q), q > 0: the sign of floor(q*t - p),
-        read by the Gosper cursor (q*t - p is irrational, so never 0)."""
-        return 1 if _StreamImage(self, 0, q, -p, 0, 1).floor() >= 0 else -1
-
-    def mobius(self, m: GL2Z) -> "CFStream":
-        """The stream of the image (a*t + b)/(c*t + d)."""
-        return CFStream(_cf_coefficients(_StreamImage(self, 0, *m.entries())))
 
 
 class _StreamImage:
@@ -424,8 +422,8 @@ class IrrationalTarget:
 
     Each kind answers cmp_fraction(p, q), the sign of t - p/q for q > 0,
     exactly.  Like a rational target, each kind also gives the image of t
-    under m in GL2(Z), image(m), as a walk value (see FareyPath), and the floor
-    of that image is mobius_floor(m)."""
+    under m in GL2(Z), image(m), as a walk value (see FareyPath) with a
+    floor()."""
 
     __slots__ = ()
     attained = False
@@ -436,9 +434,6 @@ class IrrationalTarget:
         if s.q == 0:
             return 1
         return -self.cmp_fraction(s.p, s.q)
-
-    def mobius_floor(self, m: GL2Z) -> int:
-        return self.image(m).floor()
 
 
 class QuadraticTarget(IrrationalTarget, Record):
@@ -504,28 +499,33 @@ class QuadraticTarget(IrrationalTarget, Record):
         return f"({a} + {b}*sqrt({d}))/{c}"
 
 
-class CFTarget(IrrationalTarget):
-    """A limit slope given by an explicit continued fraction coefficient stream.
+class CFTarget(IrrationalTarget, Record):
+    """A limit slope given by a continued fraction coefficient stream read in
+    a frame: the value frame(t) for the stream's value t.  Two targets are
+    equal when they read the same stream object (equality of arbitrary
+    streams is not decidable) in equal frames, so their values are equal."""
 
-    Two CFTarget objects compare equal only when they are the same object;
-    equality of arbitrary coefficient streams is not decidable.
-    """
+    __slots__ = ("stream", "frame")
 
-    def __init__(self, coefficients: Iterable[int]):
-        self.stream = coefficients if isinstance(coefficients, CFStream) else CFStream(coefficients)
+    def __init__(self, coefficients: Iterable[int], frame: GL2Z = GL2Z(1, 0, 0, 1)):
+        setfield(self, "stream", coefficients if isinstance(coefficients, CFStream) else CFStream(coefficients))
+        setfield(self, "frame", frame)
 
     def cmp_fraction(self, p: int, q: int) -> int:
-        return self.stream.cmp_fraction(p, q)
+        """The sign of floor(q*x - p) for the value x, by one Gosper cursor
+        over the stream (q*x - p is irrational, so never 0)."""
+        a, b, c, d = self.frame.entries()
+        return 1 if _StreamImage(self.stream, 0, q * a - p * c, q * b - p * d, c, d).floor() >= 0 else -1
 
     def transform(self, m: GL2Z) -> "CFTarget":
-        return CFTarget(self.stream.mobius(m))
+        return CFTarget(self.stream, m @ self.frame)
 
     def image(self, m: GL2Z) -> _StreamImage:
-        return _StreamImage(self.stream, 0, *m.entries())
+        return _StreamImage(self.stream, 0, *(m @ self.frame).entries())
 
     def __str__(self) -> str:
-        head = [self.stream.coefficient(i) for i in range(4)]
-        return f"[{head[0]}; {head[1]}, {head[2]}, {head[3]}, ...]"
+        x = _cf_coefficients(_StreamImage(self.stream, 0, *self.frame.entries()))
+        return f"[{next(x)}; {next(x)}, {next(x)}, {next(x)}, ...]"
 
 
 SlopeTarget = RationalTarget | QuadraticTarget | CFTarget

@@ -326,7 +326,7 @@ class InvariantContext(Record):
     """Boundary data an invariant classifies against: start slope, start
     division number and the slope at infinity.  Two invariants are only
     comparable when these agree (rational and quadratic targets compare by
-    value, streams by identity).  Also carries the decomposition the
+    value, streams by source and frame).  Also carries the decomposition the
     invariant was computed from, for lazy re-evaluation."""
 
     __slots__ = ("start", "division", "target", "_decomposition")

@@ -75,7 +75,7 @@ def _closest_one_over_n(target: SlopeTarget) -> Slope:
     FareyPath): the 1/n slopes and oo are the neighbors -1/k of 0, and the
     walk takes k = floor(-1/t) + 1, or k = -1/t when t is an attained 1/n."""
     if not target.rational:
-        return Slope._primitive(-1, target.mobius_floor(GL2Z(0, -1, 1, 0)) + 1)
+        return Slope._primitive(-1, target.image(GL2Z(0, -1, 1, 0)).floor() + 1)
     t = target.slope
     if t.p == 0:
         if target.attained:

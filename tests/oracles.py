@@ -302,8 +302,8 @@ def reference_next_toward(current: Slope, target) -> Slope:
     """One clockwise step computed from scratch at every vertex: the Bezout
     partner u of the current vertex s, then k from the ratio
     det(u, t) / det(t, s) for the original target t (a Fraction for a
-    rational t, the oracle's own surd floor for a quadratic t, the target's
-    own mobius_floor for a stream)."""
+    rational t, the oracle's own surd floor for a quadratic t, the floor of
+    the stream's own image for a stream)."""
     s = current
     up, uq = _bezout_partner(s)
     if isinstance(target, RationalTarget):
@@ -320,7 +320,7 @@ def reference_next_toward(current: Slope, target) -> Slope:
     elif isinstance(target, QuadraticTarget):
         k = _surd_floor(*reference_mobius(oracle_surd(target.value), GL2Z(-uq, up, s.q, -s.p))) + 1
     else:
-        k = target.mobius_floor(GL2Z(-uq, up, s.q, -s.p)) + 1
+        k = target.image(GL2Z(-uq, up, s.q, -s.p)).floor() + 1
     return Slope(up + k * s.p, uq + k * s.q)
 
 

@@ -4,6 +4,7 @@ the honest-refusal paths when a finite scan cannot settle a question."""
 import functools
 import itertools
 import operator
+import re
 from math import isqrt
 
 import pytest
@@ -30,9 +31,10 @@ from toric_ends import (
     parse_slope,
     quadratic_cf_target,
 )
+from toric_ends import ends
 from toric_ends.ends import Unknown, basis_change
 from toric_ends.errors import ToricEndError, UndecidableAtHorizonError
-from toric_ends.farey import CFStream, GL2Z, _StreamImage
+from toric_ends.farey import CFStream, GL2Z, _cf_coefficients, _StreamImage
 
 from oracles import gl2z_inverse, reference_stream_run
 
@@ -59,6 +61,37 @@ def test_stream_validation():
         CFStream(itertools.cycle([1, 0])).coefficient(1)
 
 
+class Integral:
+    """An integer-like value that is not an int."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __index__(self):
+        return self.n
+
+
+@pytest.mark.parametrize("bad", [2.9, "3", True, None], ids=["float", "text", "bool", "none"])
+def test_stream_coefficients_must_be_integers(bad):
+    # int() turned the first three into 2, 3 and 1, and None raised a TypeError
+    stream = CFStream(itertools.chain([1, 2], [bad], itertools.repeat(2)))
+    with pytest.raises(ToricEndError, match=rf"cf-stream coefficient 2 must be an integer, not {re.escape(repr(bad))}"):
+        stream.coefficient(4)
+    assert CFStream(itertools.chain([Integral(-1)], map(Integral, itertools.repeat(2)))).coefficient(3) == 2
+    assert str(CFTarget(itertools.chain([Integral(1)], map(Integral, itertools.repeat(2))))) == "[1; 2, 2, 2, ...]"
+
+
+def convergent_neighbours(value, count):
+    """h/k, (h - 1)/k and (h + 1)/k for the first `count` convergents h/k of
+    a surd: fractions close enough to it that a floor must read far."""
+    fractions, (h, k, h0, k0), coefficients = [], (1, 0, 0, 1), value.cf_coefficients()
+    for _ in range(count):
+        e = next(coefficients)
+        h, k, h0, k0 = e * h + h0, e * k + k0, h, k
+        fractions += [(h - 1, k), (h, k), (h + 1, k)]
+    return fractions
+
+
 @settings(max_examples=150, deadline=None)
 @example(2, 0, 1, 1, 141421356, 100000000)
 @example(421, -1, -1, 3, 0, 1)
@@ -66,7 +99,7 @@ def test_stream_validation():
        st.integers(-40, 40), st.integers(-6, 6).filter(bool), st.integers(-10, 10).filter(bool),
        st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4))
 def test_stream_comparisons(d, a, b, c, p, q):
-    s = sqrt2_stream()  # sqrt(2)
+    s = CFTarget(sqrt2_stream())  # sqrt(2)
     assert s.cmp_fraction(1, 1) > 0
     assert s.cmp_fraction(3, 2) < 0
     assert s.cmp_fraction(141421356, 100000000) > 0
@@ -75,14 +108,7 @@ def test_stream_comparisons(d, a, b, c, p, q):
     # convergent h/k of the surd with h - 1 and h + 1 around it
     quad = QuadraticTarget.of(a, b, c, d)
     twin = quadratic_cf_target(quad.value)
-    fractions = [(p, q)]
-    h, k, h0, k0 = 1, 0, 0, 1
-    coefficients = quad.value.cf_coefficients()
-    for _ in range(12):
-        e = next(coefficients)
-        h, k, h0, k0 = e * h + h0, e * k + k0, h, k
-        fractions += [(h - 1, k), (h, k), (h + 1, k)]
-    for p, q in fractions:
+    for p, q in [(p, q)] + convergent_neighbours(quad.value, 12):
         assert twin.cmp_fraction(p, q) == quad.cmp_fraction(p, q), (p, q)
 
 
@@ -104,10 +130,69 @@ GL2Z_WORDS = st.lists(
 def test_stream_mobius_floor_matches_surd(d, a, b, c, m):
     quad = QuadraticTarget.of(a, b, c, d)
     twin = quadratic_cf_target(quad.value)
-    assert quad.mobius_floor(m) == twin.mobius_floor(m)
-    image = twin.stream.mobius(m)
+    assert quad.image(m).floor() == twin.image(m).floor()
+    image = _cf_coefficients(twin.image(m))
     exact = quad.value.mobius(m).cf_coefficients()
-    assert [image.coefficient(i) for i in range(8)] == [next(exact) for _ in range(8)]
+    assert [next(image) for _ in range(8)] == [next(exact) for _ in range(8)]
+
+
+@settings(max_examples=80, deadline=None)
+@example(2, 0, 1, 1, [GL2Z(0, 1, 1, 0), GL2Z(1, 2, 0, 1)], GL2Z(1, 0, 0, 1), 7, 5)
+@example(3, 1, 1, 2, [], GL2Z(0, -1, 1, 0), 1, 1)
+@given(st.integers(2, 60).filter(lambda d: isqrt(d) ** 2 != d),
+       st.integers(-20, 20), st.integers(-5, 5).filter(bool), st.integers(-10, 10).filter(bool),
+       st.lists(GL2Z_WORDS, max_size=4), GL2Z_WORDS, st.integers(-10 ** 4, 10 ** 4), st.integers(1, 100))
+def test_a_chain_of_transforms_is_the_target_in_the_composed_frame(d, a, b, c, chain, m, p, q):
+    quad = QuadraticTarget.of(a, b, c, d)
+    source = quadratic_cf_target(quad.value)
+    stacked, twin, frame = source, quad, GL2Z(1, 0, 0, 1)
+    for w in chain:
+        stacked, twin, frame = stacked.transform(w), twin.transform(w), w @ frame
+    composed = CFTarget(source.stream, frame)
+    assert stacked == composed and hash(stacked) == hash(composed) and stacked.stream is source.stream
+    # the same value read from another source is another target
+    assert stacked != CFTarget(quad.value.cf_coefficients(), frame)
+    for p, q in [(p, q)] + convergent_neighbours(twin.value, 8):
+        assert stacked.cmp_fraction(p, q) == twin.cmp_fraction(p, q), (p, q)
+    assert stacked.image(m).floor() == twin.image(m).floor()
+    image, exact = _cf_coefficients(stacked.image(m)), twin.image(m).cf_coefficients()
+    assert [next(image) for _ in range(8)] == [next(exact) for _ in range(8)]
+    head = twin.value.cf_coefficients()
+    assert str(stacked) == "[{}; {}, {}, {}, ...]".format(*(next(head) for _ in range(4)))
+
+
+def test_stacked_transforms_read_one_stream_once_per_coefficient(monkeypatch):
+    # a transform multiplies the frame, so the walk reads each coefficient of
+    # the one source, never through a stack of images
+    built, reads = [], []
+    init, coefficient = CFStream.__init__, CFStream.coefficient
+    monkeypatch.setattr(CFStream, "__init__", lambda self, it: built.append(self) or init(self, it))
+    monkeypatch.setattr(CFStream, "coefficient", lambda self, i: reads.append(self) or coefficient(self, i))
+    minus_sqrt3 = QuadraticTarget.of(0, -1, 1, 3)
+    stream, twin = quadratic_cf_target(minus_sqrt3.value), minus_sqrt3
+    for k in range(12):
+        m = basis_change(Slope(2 * k + 1, 5))
+        stream, twin = stream.transform(m), twin.transform(m)
+    n = 2000
+    walked = FareyPath(S("-1"), stream).prefix(n)
+    assert len(built) == 1 and set(reads) == {stream.stream}
+    assert len(reads) <= 2 * n
+    assert walked == FareyPath(S("-1"), twin).prefix(n)
+
+
+def test_two_stream_ends_from_another_start_share_one_decomposition(monkeypatch):
+    # each end's target is moved to the frame of its boundary; the two moved
+    # targets read one stream in equal frames, so they are equal
+    decompositions = []
+    real = ends.decompose
+    monkeypatch.setattr(ends, "decompose", lambda path: decompositions.append(path) or real(path))
+    cf = quadratic_cf_target(QuadraticTarget.of(0, -1, 1, 3).value)
+    boundary = TorusRecord(S("2/5"), 1)
+    a = EndDescription(boundary, cf, SignData((P,), Alternating()))
+    b = EndDescription(boundary, cf, SignData((N, N), Alternating()))
+    shared = classify(a).context.decomposition()
+    assert classify(b, shared).context.decomposition() is shared
+    assert len(decompositions) == 1
 
 
 @settings(max_examples=100, deadline=None)
@@ -149,11 +234,13 @@ def test_stream_walk_keeps_the_stream_checks(coefficients, message):
 
 def test_stream_mobius_emits_image_cf():
     # image of sqrt(2) under x -> (x + 1)/x is (2 + sqrt(2))/2
-    image = sqrt2_stream().mobius(GL2Z(1, 1, 1, 0))
+    image = CFTarget(sqrt2_stream()).transform(GL2Z(1, 1, 1, 0))
+    coefficients = _cf_coefficients(image.image(GL2Z(1, 0, 0, 1)))
     expected = QuadraticTarget.of(2, 1, 2, 2).value
     exact = expected.cf_coefficients()
     for i in range(12):
-        assert image.coefficient(i) == next(exact)
+        assert next(coefficients) == next(exact)
+    assert str(image) == "[1; 1, 2, 2, ...]"
 
 
 def test_classify_cf_target_matches_quadratic_twin():

@@ -813,6 +813,21 @@ def test_exit_code_malformed():
     assert "unknown fields" in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("start", ["1_0/3", "10/3_0", "-1_1", "\u0661/\u0662", "1/\u0663", "\uff11/3"],
+                         ids=["underscore", "underscore-denominator", "underscore-integer", "arabic-indic",
+                              "arabic-indic-denominator", "fullwidth"])
+def test_a_slope_is_written_in_ascii_digits_with_no_underscores(start):
+    # int() reads each of these: "1_0/3" as 10/3 and "\u0661/\u0662" as 1/2
+    code, out = invoke("path", {"n": 2, "start": start, "target": SQRT2})
+    assert code == 2
+    assert json.loads(out) == {"error": f"input.start: slope {start!r} must be written in ASCII digits with no underscores"}
+
+
+@pytest.mark.parametrize("start", [" -1/1 ", "\t-1/1\n", "-1 / 1", "+1/-1", "-1", " -1", "1/-1", "-2/2"])
+def test_every_other_slope_form_is_still_read(start):
+    assert invoke("path", {"n": 3, "start": start, "target": SQRT2}) == (0, '{"vertices":["-1/1","-4/3","-7/5"]}\n')
+
+
 @pytest.mark.parametrize("division_tail", [
     {"type": "eventually-constant", "after": 1, "value": 1, "prefix": [True]},
     {"type": "eventually-constant", "after": 1, "value": 1, "prefix": ["3"]},

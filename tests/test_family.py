@@ -162,8 +162,8 @@ def test_family_shares_one_decomposition(monkeypatch):
 
 
 def test_a_stream_family_from_another_start_decomposes_once(monkeypatch):
-    # a stream target compares by identity, so classifying a member from its
-    # signs decomposed the frame's normalized target a second time
+    # the members are built from counts against the one validated frame,
+    # so no member normalizes and decomposes the target again
     decompositions = counting(monkeypatch, "decompose")
     value = QuadraticTarget.of(0, -1, 1, 3).value
     with pytest.raises(InsufficientBlocksError):

@@ -362,7 +362,7 @@ def test_squarefree_split_of_two_large_primes_is_exact():
     assert _squarefree_split(p * p * 6) == (p, 6)
     assert _squarefree_split(p * p) == (p, 1)
     target = QuadraticTarget.of(0, -1, 1, p * q)
-    assert TARGET.encode(target)["d"] == p * q and target.mobius_floor(GL2Z(1, 0, 0, 1)) == -isqrt(p * q) - 1
+    assert TARGET.encode(target)["d"] == p * q and target.image(GL2Z(1, 0, 0, 1)).floor() == -isqrt(p * q) - 1
 
 
 def test_squarefree_split_stops_at_its_budget(monkeypatch):
