@@ -574,7 +574,7 @@ def _cmd_compare(a, b, options: dict) -> dict:
     first = ends_mod.classify(a)
     # b shares a's decomposition when their normalized targets are equal
     second = ends_mod.classify(b, first.context.decomposition())
-    return {"equivalent": inv_mod.equivalent(first, second, options["horizon"])}
+    return {"equivalent": inv_mod.equivalent(first, second)}
 
 
 @_command("count", field("lengths", LENGTHS), answer=_answer(("count", ANY), ("note", OPTIONAL)))
@@ -607,14 +607,14 @@ def _cmd_euler(horizon: int | None, e, options: dict) -> dict:
 
 
 @_command("extend-check", field("end", END.codec),
-          answer=_answer(("result", ANY), ("reason", OPTIONAL), ("horizon", OPTIONAL)))
+          answer=_answer(("result", ANY), ("reason", OPTIONAL)))
 def _cmd_extend_check(end, options: dict) -> dict:
-    result = ends_mod.extension_obstruction(ends_mod.classify(end), options["horizon"])
+    result = ends_mod.extension_obstruction(ends_mod.classify(end))
     if isinstance(result, ends_mod.NoTightExtension):
         return {"result": "no-tight-extension", "reason": result.reason}
     if isinstance(result, ends_mod.ExtendsByConstruction):
         return {"result": "extends-by-construction"}
-    return {"result": "unknown", "horizon": result.horizon}
+    return {"result": "unknown"}
 
 
 @_command("family", field("k", NONNEGATIVE), field("start", SLOPE, default=ends_mod.BASE_SLOPE),
@@ -622,7 +622,7 @@ def _cmd_extend_check(end, options: dict) -> dict:
 def _cmd_family(k: int, start: Slope, target, options: dict) -> dict:
     if k > options["max_family"]:
         raise SchemaError(f"input.k exceeds the family cap {options['max_family']}")
-    members = ends_mod.non_extendable_family(target, k, start, options["horizon"])
+    members = ends_mod.non_extendable_family(target, k, start)
     return {"invariants": members}
 
 
@@ -764,9 +764,8 @@ def main(argv=None) -> int:
     parser.add_argument("--input", default="-", help="input JSON file (default: stdin)")
     parser.add_argument("--output", default="-", help="output file (default: stdout)")
     parser.add_argument("--horizon", type=int, default=inv_mod.DEFAULT_HORIZON,
-                        help="blocks/slices scanned where no exact rule applies: coefficient-stream "
-                             "decisions, euler truncation, the blocks count and the family block "
-                             "search; quadratic decisions never read it (default %(default)s)")
+                        help="slices summed by euler and blocks listed by blocks when the input "
+                             "names no horizon or count; no decision reads it (default %(default)s)")
     parser.add_argument("--format", choices=("structured", "human"), default="structured")
     parser.add_argument("--max-family", type=int, default=DEFAULT_MAX_FAMILY,
                         help="cap on family sizes (default %(default)s)")

@@ -28,7 +28,6 @@ from .farey import (
 from .invariants import (
     POSITIVE,
     NEGATIVE,
-    DEFAULT_HORIZON,
     Alternating,
     AlternatingForm,
     AttainedInvariant,
@@ -275,13 +274,13 @@ class ExtendsByConstruction(Record):
 
 
 class Unknown(Record):
-    __slots__ = ("horizon",)
+    __slots__ = ()
 
 
 ObstructionResult = NoTightExtension | ExtendsByConstruction | Unknown
 
 
-def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> ObstructionResult:
+def _irrational_obstruction(inv: IrrationalInvariant) -> ObstructionResult:
     decomp = inv.context.decomposition()
     tail = inv.tail
     if len(tail.pattern) == 1:
@@ -289,7 +288,7 @@ def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> Obstructi
         bounds = decomp.bounds(len(inv.counts))
         if all(c == tail.count_positive(lo, hi) for c, (lo, hi) in zip(inv.counts, pairwise(bounds))):
             return ExtendsByConstruction()
-        return Unknown(horizon)
+        return Unknown()
     # every block of the span is a tail block, so its count is the tail's;
     # a block of one slice is never mixed, and is passed without a count
     span = _periodic_span(decomp, inv.first_tail_block(), len(tail.pattern))
@@ -297,14 +296,14 @@ def _irrational_obstruction(inv: IrrationalInvariant, horizon: int) -> Obstructi
                                 for lo, hi in span[1]):
         return NoTightExtension(
             "per-block count is neither maximal nor minimal for infinitely many blocks")
-    return Unknown(horizon)
+    return Unknown()
 
 
-def extension_obstruction(inv, horizon: int = DEFAULT_HORIZON) -> ObstructionResult:
+def extension_obstruction(inv) -> ObstructionResult:
     """Decide whether the classified end can sit inside a tight toric end on
     the full half-open cylinder, where the theory decides it."""
     if isinstance(inv, IrrationalInvariant):
-        return _irrational_obstruction(inv, horizon)
+        return _irrational_obstruction(inv)
     if isinstance(inv, (NonMinimallyTwisting, InfiniteDivision)):
         raise ToricEndError("extension obstructions apply to minimally twisting invariants")
 
@@ -326,8 +325,7 @@ def extension_obstruction(inv, horizon: int = DEFAULT_HORIZON) -> ObstructionRes
 # non-extendable families
 
 
-def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE,
-                          horizon: int = DEFAULT_HORIZON) -> list[EndInvariant]:
+def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE) -> list[EndInvariant]:
     """k pairwise non-equivalent invariants, each certified NoTightExtension.
 
     Members differ only in their counts: on the leading blocks toward an
@@ -361,11 +359,10 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
         forms = (AlternatingForm(), *((PosFinite if m % 2 else NegFinite)((m + 1) // 2) for m in range(1, k)))
         members = [RationalNonAttainedInvariant(finite_f, form, context) for form in forms]
     else:
-        bounds, n, distinct = decomp.bounds(), 0, 1  # distinct count vectors over n blocks
+        # distinct count vectors over n blocks: each block has a slice, so it
+        # at least doubles them, and at most ceil(log2 k) blocks are read
+        bounds, n, distinct = decomp.bounds(), 0, 1
         while distinct < k:
-            if n >= horizon:
-                raise InsufficientBlocksError(
-                    f"cannot distinguish {k} invariants within {horizon} blocks")
             n += 1
             decomp.bounds(n)
             distinct *= bounds[n] - bounds[n - 1] + 1  # a block of s slices has s + 1 counts
@@ -380,7 +377,7 @@ def non_extendable_family(target: SlopeTarget, k: int, start: Slope = BASE_SLOPE
         counts = product(*(range(min(hi - lo + 1, k)) for lo, hi in pairwise(bounds[:n + 1])))
         members = [IrrationalInvariant(c, tail, context) for c in islice(counts, k)]
     for member, inv in enumerate(members[:3] if target.rational else members[:1]):
-        result = extension_obstruction(inv, horizon)
+        result = extension_obstruction(inv)
         if not isinstance(result, NoTightExtension):
             failure = (f"family member {member} failed certification" if target.rational
                        else f"alternating-tail members toward {target} are not certifiable")

@@ -62,7 +62,7 @@ class MixedSignRotativityError(ToricEndError):
 
 
 class InsufficientBlocksError(ToricEndError):
-    """The decomposition prefix cannot distinguish the requested family size."""
+    """A member of a requested non-extendable family is not certified."""
 
 
 class SchemaError(ToricEndError):

@@ -740,9 +740,11 @@ def _periodic_steps(decomp: BlockDecomposition, signs: SignData, horizon: int, b
     """The (p, q) sum of _weighted_steps over the first `horizon` slices,
     in closed form over the block period (i0, blocks, slices); None where
     the walk sums them instead: for a stream, a period or span past its
-    budget, or a horizon short of the end of the first whole span, so that
-    a small horizon never needs the period.  Past `bound` (if not 0) it is
-    (bound, 0), a stand-in with an entry at the bound.
+    budget, a horizon within the sign prefix, or one short of the end of
+    the first whole span, so that a small horizon never needs the period.
+    A horizon within the tail's opening slices sums them as a one-sign
+    pattern.  Past `bound` (if not 0) it is (bound, 0), a stand-in with an
+    entry at the bound.
 
     A span is `blocks * m / gcd(slices, m)` blocks for a sign pattern of
     length m, and the first starts at the first block from i0 on that
@@ -756,8 +758,12 @@ def _periodic_steps(decomp: BlockDecomposition, signs: SignData, horizon: int, b
     run's lifts turn one way and converge to one ray, so N, and M, is
     hyperbolic with a positive eigenvalue: tr M >= 3 and e < 0."""
     tail = signs.tail
-    if tail is None or len(signs.prefix) + tail.after >= horizon:
+    if tail is None or len(signs.prefix) >= horizon:
         return None
+    if len(signs.prefix) + tail.after >= horizon:
+        # the horizon ends in the opening slices, one sign from the prefix on
+        tail = Periodic((-tail.pattern[0],))
+        signs = SignData(signs.prefix, tail)
     pure = len(signs.prefix) + tail.after  # the first slice in the pattern
     # past `horizon` blocks the first span ends past the horizon, since
     # every block has a slice

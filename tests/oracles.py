@@ -605,7 +605,7 @@ def reference_squarefree_split(d: int) -> tuple[int, int]:
     return f, d0
 
 
-def reference_family(target, k: int, start: Slope = Slope(-1, 1), horizon: int = 64) -> list:
+def reference_family(target, k: int, start: Slope = Slope(-1, 1)) -> list:
     """The non-extendable family with every member classified from scratch
     by the public classify: the block lengths are read off a separate path
     from start, and rational members carry their finitely many rare signs
@@ -618,7 +618,7 @@ def reference_family(target, k: int, start: Slope = Slope(-1, 1), horizon: int =
 
     def certify(e, failure):
         inv = classify(e)
-        result = extension_obstruction(inv, horizon)
+        result = extension_obstruction(inv)
         if not isinstance(result, NoTightExtension):
             raise InsufficientBlocksError(f"{failure}: {result}")
         members.append(inv)
@@ -642,9 +642,6 @@ def reference_family(target, k: int, start: Slope = Slope(-1, 1), horizon: int =
     lengths = []
     product_ = 1
     while product_ < k:
-        if len(lengths) >= horizon:
-            raise InsufficientBlocksError(
-                f"cannot distinguish {k} invariants within {horizon} blocks")
         lengths.append(decomp.block(len(lengths) + 1).length)
         product_ *= lengths[-1]
     for counts in product(*(range(m) for m in lengths)):
@@ -710,7 +707,7 @@ def reference_quadratic_obstruction(inv, horizon: int):
     if any(0 < inv.f(i) < decomp.block(i).length - 1 for i in range(i0, i1)):
         return NoTightExtension(
             "per-block count is neither maximal nor minimal for infinitely many blocks")
-    return Unknown(horizon)
+    return Unknown()
 
 
 # ---------------------------------------------------------------------------

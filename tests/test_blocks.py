@@ -284,6 +284,25 @@ def test_euler_steps_x_once_per_vertex_run(monkeypatch):
     assert walked == {"vertex runs": 16, "x steps": 16}
 
 
+def test_compare_and_extend_check_work_alike_at_every_horizon(monkeypatch):
+    # toward -sqrt(2) both are decided over the block period: the runs read
+    # off x (one per FareyPath._read) and the vertex runs folded are the
+    # same at horizons 1 and 10^6
+    a = end_doc(SQRT2, ["+"] * 8, {"type": "alternating"})
+    b = end_doc(SQRT2, ["+"] * 8, {"type": "periodic", "pattern": ["-", "+"]})
+    c = end_doc(SQRT2, ["+", "-", "+"], {"type": "all-positive"})
+    walked = count_walks(monkeypatch)
+    work = []
+    for horizon in (1, 10 ** 6):
+        options = {"horizon": horizon}
+        equal = [run_command("compare", {"a": a, "b": other}, options)["equivalent"] for other in (b, c)]
+        results = [run_command("extend-check", {"end": end}, options)["result"] for end in (a, c)]
+        assert (equal, results) == ([True, False], ["no-tight-extension", "unknown"])
+        work.append(dict(walked))
+        walked.update({"vertex runs": 0, "x steps": 0})
+    assert work[0] == work[1] and work[0]["x steps"] > 0
+
+
 def test_bounds_then_blocks_step_x_once_per_block(monkeypatch):
     decomp = decompose(FareyPath(S("-1"), MINUS_SQRT2))
     walked = count_walks(monkeypatch)
@@ -354,3 +373,19 @@ def test_a_sign_tail_far_down_the_path_is_refused_at_the_counts_budget():
     refused = {"status": "violation",
                "error": "the sign tail starts past the budget of COUNTS_BUDGET = 1000000 blocks"}
     assert (proc.returncode, json.loads(proc.stdout)) == (1, [refused] * 3), proc.stderr
+
+
+def _128_mib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 27, 2 ** 27))
+
+
+def test_euler_whose_horizon_ends_in_the_opening_slices_is_refused_under_a_memory_cap():
+    # the 10^6 slices before the horizon are all negative: the class is
+    # summed in closed form over the block period, with no walk to 10^6
+    # slices, and passes the digit limit (the walk ran out of memory)
+    far = end_doc(SQRT2, tail={"type": "eventually", "sign": "+", "after": 10 ** 15})
+    proc = subprocess.run([sys.executable, "-m", "toric_ends", "euler"],
+                          input=json.dumps({"end": far, "horizon": 10 ** 6}), capture_output=True, text=True,
+                          timeout=60, preexec_fn=_128_mib_address_space)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["error"].startswith("the answer would hold an euler entry of more than 4300 digits")

@@ -523,6 +523,23 @@ def test_quadratic_compare_is_decided_at_horizon_one():
     assert json.loads(out) == {"equivalent": False}
 
 
+def test_a_family_answers_alike_at_every_horizon():
+    # each block toward an irrational target has a slice, so it at least
+    # doubles the members the leading blocks tell apart: 100 need at most
+    # seven blocks, and the search reads no horizon
+    sqrt3 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 3}
+    answers = {invoke("family", {"k": 100, "target": sqrt3}, "--horizon", str(h)) for h in (1, 3, 64)}
+    assert len(answers) == 1
+    code, out = answers.pop()
+    assert code == 0 and len(json.loads(out)["invariants"]) == 100
+
+
+def test_an_unknown_extension_answers_alike_at_every_horizon():
+    end = end_doc(SQRT2, ["+", "-", "+"], {"type": "all-positive"})
+    for h in (1, 64, 4096):
+        assert invoke("extend-check", {"end": end}, "--horizon", str(h)) == (0, '{"result":"unknown"}\n')
+
+
 def test_period_budget_is_a_violation(monkeypatch):
     monkeypatch.setattr("toric_ends.blocks.PERIOD_BUDGET", 3)
     target = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 421}

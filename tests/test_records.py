@@ -30,6 +30,7 @@ from toric_ends.invariants import (
     AlternatingForm,
     AttainedInvariant,
     BothFinite,
+    EulerClass,
     EventuallySign,
     InvariantContext,
     IrrationalInvariant,
@@ -121,7 +122,7 @@ def some_records():
         (Periodic((1, -1)), "pattern"),
         (PosFinite(1), "m"),
         (EndDescription(TorusRecord(Slope(-1, 1)), SQRT2), "signs"),
-        (Unknown(64), "horizon"),
+        (EulerClass(1, -2), "x"),
     ]
 
 
@@ -169,20 +170,22 @@ def test_defaults():
 
 def test_fields_by_position_or_by_name():
     c, _ = contexts(SQRT2)
-    assert Unknown(horizon=64) == Unknown(64)
+    assert EulerClass(1, y=-2) == EulerClass(y=-2, x=1) == EulerClass(1, -2)
     assert NonMinimallyTwisting(2, 1, residual=None, context=c) == NonMinimallyTwisting(2, 1, None, c)
     assert RationalTarget(attained=True, slope=Slope(1, 2)) == RationalTarget(Slope(1, 2), True)
-    for bad in (Unknown, lambda: Unknown(1, 2), lambda: Unknown(64, horizon=64), lambda: Unknown(h=1),
+    for bad in (EulerClass, lambda: EulerClass(1, 2, 3), lambda: EulerClass(1, x=1), lambda: EulerClass(1, z=2),
+                lambda: Unknown(64), lambda: Unknown(horizon=64),
                 lambda: BothFinite(positive=1), lambda: BothFinite(1, negative=2, positive=1)):
         with pytest.raises(TypeError):
             bad()
 
 
 def test_repr_text():
-    assert repr(Unknown(64)) == "Unknown(horizon=64)"
+    assert repr(EulerClass(1, -2)) == "EulerClass(x=1, y=-2)"
+    assert repr(Unknown()) == "Unknown()"
     assert repr(ExtendsByConstruction()) == "ExtendsByConstruction()"
     assert repr(NoTightExtension("why")) == "NoTightExtension(reason='why')"
-    assert f"{Unknown(64)}" == "Unknown(horizon=64)"
+    assert f"{EulerClass(1, -2)}" == "EulerClass(x=1, y=-2)" and f"{Unknown()}" == "Unknown()"
     assert repr(Slope(-3, 2)) == "Slope(-3, 2)" and str(Slope(-3, 2)) == "-3/2"
     assert repr(GL2Z(1, 2, -2, -3)) == "GL2Z(a=1, b=2, c=-2, d=-3)"
     assert repr(decompose(FareyPath(Slope(-1, 1), SQRT2)).block(1)) == (
