@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 from itertools import groupby
@@ -230,46 +231,45 @@ def field(key: str, codec: tuple, attr=None, default: object = _MISSING) -> tupl
     return (key, decode, encode, write, keep, attr or key, default)
 
 
-def _compile_encoders(head: tuple, fields: tuple, name: str, text: bool) -> tuple:
-    """The encoders of one variant, compiled from its tag `head` ((key,
+def _compile_encoder(head: tuple, fields: tuple, name: str, text: bool, memo: bool):
+    """An encoder of one variant, compiled from its tag `head` ((key,
     value), or () when none is written) and its fields: convert(r), the
     document of the record r as one dict display, or with `text` the text
     _emit writes for it, keys sorted, as one f-string (a join when a key may
-    be left out; no key or tag holds a brace); and convert_next(r, m), the
-    same for a record after others of its class, which converts a field's
-    object only when it is not the one the memo m holds (m starts as
-    [_MISSING] * (2 * len(fields))).  Records are immutable, so a shared
-    value is the one a fresh conversion would give."""
-    scope, sources = {}, []
-    for memo in (False, True):
-        lines, items = [], [(head[0], _text(head[1]) if text else repr(head[1]), None)] if head else []
-        for i, (key, _, encode, write, keep, attr, _) in enumerate(fields):
-            scope[f"c{i}"], scope[f"k{i}"], scope[f"g{i}"] = write if text else encode, keep, attr
-            get = f"r.{attr}" if isinstance(attr, str) else f"g{i}(r)"
-            convert = text or encode is not None
-            if keep is not None or memo and convert:  # the value is read once
-                lines.append(f"    v{i} = {get}")
-                get = f"v{i}"
-            value = f"c{i}({get})" if convert else get
-            if memo and convert and keep is None:
-                lines.append(f"    if v{i} is not m[{2 * i}]: m[{2 * i}], m[{2 * i + 1}] = v{i}, {value}")
-                value = f"m[{2 * i + 1}]"
-            items.append((key, "{" + value + "}" if text else value, keep and f"k{i}(v{i})"))
-        if not text:
-            display = "{" + ", ".join(f"{key!r}: {value}" for key, value, test in items if not test) + "}"
-            kept = [f"    if {test}: d[{key!r}] = {value}" for key, value, test in items if test]
-            lines += [f"    d = {display}", *kept, "    return d"] if kept else [f"    return {display}"]
-        elif any(test for _, _, test in items):  # the kept entries are joined
-            lines.append("    t = []")
-            for key, value, test in sorted(items):
-                lines.append(f"    {'if ' + test + ': ' if test else ''}t.append(f{_text(key) + ':' + value!r})")
-            lines.append("    return '{' + ','.join(t) + '}'")
-        else:
-            template = "{{" + ",".join(_text(key) + ":" + value for key, value, _ in sorted(items)) + "}}"
-            lines.append(f"    return f{template!r}")
-        sources.append("\n".join([f"def convert{'_next(r, m)' if memo else '(r)'}:", *lines]))
-    exec(compile("\n".join(sources), f"<{name} {'text' if text else 'document'}>", "exec"), scope)
-    return scope["convert"], scope["convert_next"]
+    be left out; no key or tag holds a brace); or with `memo`
+    convert_next(r, m), the same for a record after others of its class,
+    which converts a field's object only when it is not the one the memo m
+    holds (m starts as [_MISSING] * (2 * len(fields))).  Records are
+    immutable, so a shared value is the one a fresh conversion would give."""
+    scope, lines = {}, []
+    items = [(head[0], _text(head[1]) if text else repr(head[1]), None)] if head else []
+    for i, (key, _, encode, write, keep, attr, _) in enumerate(fields):
+        scope[f"c{i}"], scope[f"k{i}"], scope[f"g{i}"] = write if text else encode, keep, attr
+        get = f"r.{attr}" if isinstance(attr, str) else f"g{i}(r)"
+        convert = text or encode is not None
+        if keep is not None or memo and convert:  # the value is read once
+            lines.append(f"    v{i} = {get}")
+            get = f"v{i}"
+        value = f"c{i}({get})" if convert else get
+        if memo and convert and keep is None:
+            lines.append(f"    if v{i} is not m[{2 * i}]: m[{2 * i}], m[{2 * i + 1}] = v{i}, {value}")
+            value = f"m[{2 * i + 1}]"
+        items.append((key, "{" + value + "}" if text else value, keep and f"k{i}(v{i})"))
+    if not text:
+        display = "{" + ", ".join(f"{key!r}: {value}" for key, value, test in items if not test) + "}"
+        kept = [f"    if {test}: d[{key!r}] = {value}" for key, value, test in items if test]
+        lines += [f"    d = {display}", *kept, "    return d"] if kept else [f"    return {display}"]
+    elif any(test for _, _, test in items):  # the kept entries are joined
+        lines.append("    t = []")
+        for key, value, test in sorted(items):
+            lines.append(f"    {'if ' + test + ': ' if test else ''}t.append(f{_text(key) + ':' + value!r})")
+        lines.append("    return '{' + ','.join(t) + '}'")
+    else:
+        template = "{{" + ",".join(_text(key) + ":" + value for key, value, _ in sorted(items)) + "}}"
+        lines.append(f"    return f{template!r}")
+    source = "\n".join([f"def convert{'_next(r, m)' if memo else '(r)'}:", *lines])
+    exec(compile(source, f"<{name} {'text' if text else 'document'}>", "exec"), scope)
+    return scope["convert_next" if memo else "convert"]
 
 
 class Variant:
@@ -302,8 +302,9 @@ class Document:
                 variant.keys |= {tag}
                 variant.required |= set() if value is default_tag else {tag}
         self.by_class = {variant.cls: (value, variant.fields) for value, variant in variants.items()}
-        # the pairs of _compile_encoders by record class, compiled on first use
-        self.encoders, self.writers = {}, {}
+        # the convert of _compile_encoder by record class, and its
+        # convert_next by (record class, text): each compiled on first use
+        self.encoders, self.writers, self.followers = {}, {}, {}
         # the keys that some variant allows, and the keys that all require
         self.keys = frozenset().union(*(v.keys for v in variants.values()))
         self.required = frozenset.intersection(*(v.required for v in variants.values()))
@@ -336,23 +337,28 @@ class Document:
     def decode_field(self, doc: object, where: str, key: str):
         return self.decode(doc, f"{where}.{key}")
 
-    def _compile(self, cls: type, text: bool) -> tuple:
-        """The pair of _compile_encoders for records of class cls, kept in
-        self.writers (text) or self.encoders."""
+    def _compile(self, cls: type, text: bool, memo: bool = False):
+        """The convert of _compile_encoder for records of class cls, kept in
+        self.writers (text) or self.encoders, or with `memo` its
+        convert_next, kept in self.followers."""
         entry = self.by_class.get(cls)
         if entry is None:
             raise SchemaError(f"{cls.__name__} records have no document form")
         tag, fields = entry
         head = () if tag is self.default_tag else (self.tag, tag)
-        pair = (self.writers if text else self.encoders)[cls] = _compile_encoders(head, fields, cls.__name__, text)
-        return pair
+        convert = _compile_encoder(head, fields, cls.__name__, text, memo)
+        if memo:
+            self.followers[cls, text] = convert
+        else:
+            (self.writers if text else self.encoders)[cls] = convert
+        return convert
 
     def encode(self, record) -> dict:
-        return (self.encoders.get(record.__class__) or self._compile(record.__class__, False))[0](record)
+        return (self.encoders.get(record.__class__) or self._compile(record.__class__, False))(record)
 
     def write(self, record) -> str:
         """The text of encode(record) as _emit writes it."""
-        return (self.writers.get(record.__class__) or self._compile(record.__class__, True))[0](record)
+        return (self.writers.get(record.__class__) or self._compile(record.__class__, True))(record)
 
     def encode_list(self, records) -> list[dict]:
         """The documents of records, in order.  A field whose object is the
@@ -365,9 +371,9 @@ class Document:
         return "[" + ",".join(self._convert_all(records, True)) + "]"
 
     def _convert_all(self, records, text: bool) -> list:
-        converted, compiled = [], self.writers if text else self.encoders
+        converted = []
         for cls, run in groupby(records, type):
-            convert = (compiled.get(cls) or self._compile(cls, text))[1]
+            convert = self.followers.get((cls, text)) or self._compile(cls, text, memo=True)
             memo = [_MISSING] * (2 * len(self.by_class[cls][1]))
             converted += [convert(record, memo) for record in run]
         return converted
@@ -698,19 +704,46 @@ def _emit(table: Document, record, fmt: str, out) -> None:
     out.write("\n")
 
 
-def _load_input(args) -> object:
+def _read_input(args) -> str:
     try:
         if args.input and args.input != "-":
             with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        else:
-            text = sys.stdin.read()
+                return fh.read()
+        return sys.stdin.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"input cannot be read: {exc}") from None
+
+
+def _load_input(text: str, **hooks) -> object:
+    """json.loads(text, **hooks), whose message a SchemaError carries."""
     try:
-        return json.loads(text)
+        return json.loads(text, **hooks)
     except ValueError as exc:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
         raise SchemaError(f"input is not valid JSON: {exc}") from None
+
+
+_SKIP_SPACE = re.compile(r"[ \t\n\r]*").match  # JSON's whitespace (RFC 8259)
+
+
+def _load_batch(text: str):
+    """The jobs of a `run` input, decoded one at a time.  The whole text is
+    checked first, by a json.loads that keeps no object of it (an object is
+    read as its number of keys), so that unreadable JSON anywhere runs no
+    job; the decoder then reads each element at its offset."""
+    if not isinstance(_load_input(text, object_pairs_hook=len), list):
+        raise SchemaError("batch input must be a list of job objects")
+    return _elements(text)
+
+
+def _elements(text: str):
+    # the text is a list, with only JSON whitespace around its `[`, `,` and `]`
+    decode = json.JSONDecoder().raw_decode
+    i = _SKIP_SPACE(text, _SKIP_SPACE(text).end() + 1).end()
+    while text[i] != "]":
+        job, i = decode(text, i)
+        yield job
+        i = _SKIP_SPACE(text, i).end()
+        i = _SKIP_SPACE(text, i + (text[i] == ",")).end()
 
 
 def _job_text(i: int, job: object, options: dict, human: bool) -> tuple[str, int]:
@@ -728,12 +761,11 @@ def _job_text(i: int, job: object, options: dict, human: bool) -> tuple[str, int
     return _render_human(answer) if human else ERROR.write(answer), status
 
 
-def _run_batch(jobs: object, options: dict, fmt: str, out) -> int:
-    """Run the jobs in order and write each answer as soon as its job
-    returns, so that the batch holds one answer at a time: the bytes are
-    those of _emit on the list of answers.  Returns the exit status."""
-    if not isinstance(jobs, list):
-        raise SchemaError("batch input must be a list of job objects")
+def _run_batch(jobs, options: dict, fmt: str, out) -> int:
+    """Run the jobs of an iterator in order and write each answer as soon as
+    its job returns, so that while a job runs no other job's input or answer
+    is held: the bytes are those of _emit on the list of answers.  Returns
+    the exit status."""
     human = fmt == "human"
     opening, between, closing = ("", "\n", "\n") if human else ("[", ",", "]\n")
     block, size = [opening], 0
@@ -785,10 +817,9 @@ def main(argv=None) -> int:
         print(f"output cannot be written: {exc}", file=sys.stderr)
         return 2
     try:
-        doc = _load_input(args)
         if args.command == "run":
-            return _run_batch(doc, options, args.format, out)
-        _emit(*_run_job(args.command, doc, options), args.format, out)
+            return _run_batch(_load_batch(_read_input(args)), options, args.format, out)
+        _emit(*_run_job(args.command, _load_input(_read_input(args)), options), args.format, out)
         return 0
     except SchemaError as exc:
         _emit(ERROR, {"error": str(exc)}, args.format, out)

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import subprocess
@@ -6,11 +7,12 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from toric_ends import GL2Z, FareyPath, QuadraticTarget, Slope, classify, decompose
 from toric_ends import blocks as blocks_mod
+from toric_ends import cli
 from toric_ends import ends as ends_mod
 from toric_ends import farey
 from toric_ends import reduce as reduce_mod
@@ -1077,6 +1079,114 @@ def test_a_batch_holds_one_answer_at_a_time(monkeypatch):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < one_answer
+
+
+def test_a_batch_holds_its_text_and_one_job_at_a_time(monkeypatch):
+    # 20,000 count jobs peak within twice their extra text of 2,000: the
+    # batch is checked whole by a decoder that keeps no object, then decoded
+    # one job at a time (the parsed list held whole grew by about 600 B a job)
+    peaks, sizes = [], []
+    for copies in (2000, 20000):
+        text = json.dumps([COUNT] * copies)
+        sizes.append(len(text))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        monkeypatch.setattr(sys, "stdout", CountingSink())
+        tracemalloc.start()
+        try:
+            assert main(["run"]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 2 * (sizes[1] - sizes[0])
+
+
+def refused(message: str) -> tuple:
+    """The exit status and the structured and human texts of a refused batch."""
+    return 2, json.dumps({"error": message}, separators=(",", ":")) + "\n", f"error: {json.dumps(message)}\n"
+
+
+@functools.lru_cache(maxsize=1)
+def census_text() -> str:
+    return json.dumps([{"command": j["command"], "input": j["input"]} for j in perfbench_workloads().generate("census", 1)])
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(0, "cut", "x")
+@example(-1, "cut", "x")  # inside the last job
+@example(None, "insert", ",")  # after the closing ]
+@example(None, "insert", "\x00")
+@given(st.integers(0, 10 ** 6) | st.integers(-400, -1) | st.none(), st.sampled_from(["cut", "replace", "insert"]),
+       st.sampled_from('\x00\x1f{}[],:"x0 \\'))
+def test_unreadable_json_anywhere_in_a_batch_runs_no_job(monkeypatch, offset, edit, char):
+    # a census batch cut, or with one character replaced or inserted, at an
+    # offset counted from its start, from its end (within its last job) or
+    # at its end (None, after the closing ])
+    text = census_text()
+    k = len(text) if offset is None else offset % len(text)
+    bad = {"cut": text[:k], "replace": text[:k] + char + text[k + 1:], "insert": text[:k] + char + text[k:]}[edit]
+    try:
+        json.loads(bad)
+    except ValueError as exc:
+        message = str(exc)
+    else:
+        assume(False)
+    jobs = []
+    monkeypatch.setattr(cli, "_run_job", lambda *job: jobs.append(job))
+    assert invoke_text("run", bad) == refused(f"input is not valid JSON: {message}")[:2]
+    assert jobs == []
+
+
+EDGE_COUNT = '{"command": "count", "input": {"lengths": [3, 2]}}'
+EDGE_UNIT = '{"command": "count", "input": {"lengths": [1]}}'
+EDGE_LONG_LAST = "[" + EDGE_COUNT + ', {"command": "count", "input": {"lengths": [1' + "0" * 4999 + "]}}]"
+NOT_A_LIST = (2, '{"error":"batch input must be a list of job objects"}\n',
+              'error: "batch input must be a list of job objects"\n')
+BOM = "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+COUNT_ANSWERS = ('{"output":{"count":6},"status":"ok"}',
+                 'output:\n  count: 6\nstatus: "ok"\n')
+UNIT_NOTE = "length-1 blocks carry no basic slices and contribute factor 1"
+DIGITS_VIOLATION = ("the answer would hold a count of more than DIGITS_BUDGET = 4300 digits, "
+                    "with no limit on int-to-text conversion")
+
+
+# batches at the edges of the list syntax, each with (exit status, structured
+# text, human text), as answered when the batch was parsed whole; the
+# 5,000-digit integer is read under Python's default int-to-text limit and
+# with none
+EDGE_BATCHES = {
+    "empty": (4300, "[]", (0, "[]\n", "\n")),
+    "spaced-empty": (4300, " [ ] ", (0, "[]\n", "\n")),
+    "object": (4300, "{}", NOT_A_LIST),
+    "number": (4300, "5", NOT_A_LIST),
+    "string": (4300, '"x"', NOT_A_LIST),
+    "bom": (4300, "\ufeff[]", refused(f"input is not valid JSON: {BOM}")),
+    "overflowing-float": (4300, "[1e999999]", (2, '[{"error":"job[0] must be an object","status":"malformed"}]\n',
+                                               'error: "job[0] must be an object"\nstatus: "malformed"\n')),
+    "long-integer-last": (4300, EDGE_LONG_LAST, None),  # json.loads's own message
+    "long-integer-last-no-limit": (0, EDGE_LONG_LAST, (
+        1, "[" + COUNT_ANSWERS[0] + f',{{"error":"{DIGITS_VIOLATION}","status":"violation"}}]\n',
+        COUNT_ANSWERS[1] + f'error: "{DIGITS_VIOLATION}"\nstatus: "violation"\n')),
+    "whitespace": (4300, "\n[\n\t" + EDGE_COUNT + "\t,\n " + EDGE_UNIT + " \r\n]\n\t", (
+        0, "[" + COUNT_ANSWERS[0] + f',{{"output":{{"count":1,"note":"{UNIT_NOTE}"}},"status":"ok"}}]\n',
+        COUNT_ANSWERS[1] + f'output:\n  count: 1\n  note: "{UNIT_NOTE}"\nstatus: "ok"\n')),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_BATCHES)
+def test_batches_at_the_edges_of_the_list_syntax_answer_as_before(name):
+    limit, text, expected = EDGE_BATCHES[name]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        if expected is None:
+            with pytest.raises(ValueError) as exc:
+                json.loads(text)
+            expected = refused(f"input is not valid JSON: {exc.value}")
+        status, structured, human = expected
+        assert invoke_text("run", text) == (status, structured)
+        assert invoke_text("run", text, "--format", "human") == (status, human)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_determinism_byte_identical():

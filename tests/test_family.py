@@ -255,9 +255,9 @@ def test_a_family_writes_its_shared_fields_once(monkeypatch):
     # writes its members' one shared tail once for 250 members
     run_command("family", {"k": 1, "target": SQRT3}, OPTIONS)
     written = []
-    encode, follow = cli.COUNT_TAIL.encoders[invariants.PatternCounts]
+    encode = cli.COUNT_TAIL.encoders[invariants.PatternCounts]
     monkeypatch.setitem(cli.COUNT_TAIL.encoders, invariants.PatternCounts,
-                        (lambda tail: written.append(tail) or encode(tail), follow))
+                        lambda tail: written.append(tail) or encode(tail))
     docs = run_command("family", {"k": 250, "target": SQRT3}, OPTIONS)["invariants"]
     assert len(docs) == 250 and len(written) == 1
     assert all(doc["tail"] is docs[0]["tail"] for doc in docs)
