@@ -30,6 +30,7 @@ from .farey import (
 )
 from .invariants import NEGATIVE, POSITIVE
 
+# most members a family answer may list
 DEFAULT_MAX_FAMILY = 10_000
 
 # most vertices a path answer and most blocks a blocks answer may list
@@ -456,13 +457,8 @@ INVARIANT = Document({
                                  make=_values),
 }, "kind", "is unknown")
 
-# a `run` job: its command, its input (decoded by run_command) and the
-# options it overrides of the command line's
-JOB_OPTIONS = Document({None: Variant(dict, field("horizon", POSITIVE_INT, default=None),
-                                      make=lambda horizon: {} if horizon is None else {"horizon": horizon})})
-
-JOB = Document({None: Variant(tuple, field("command", ANY), field("input", ANY),
-                              field("options", JOB_OPTIONS.codec, default={}), make=_values)})
+# a `run` job: its command and its input (decoded by run_command)
+JOB = Document({None: Variant(tuple, field("command", ANY), field("input", ANY), make=_values)})
 
 
 invariant_doc = INVARIANT.encode
@@ -532,8 +528,7 @@ _RUNNERS = {}
 def _command(name: str, *fields: tuple, answer: Document):
     """Register the function below as the command `name`: its input is one
     table of `fields`, decoded in order and whole before any domain work,
-    and the function is called with the decoded values and the options and
-    returns a record of the table `answer`."""
+    and the function is called with the decoded values and returns a record of the table `answer`."""
     table = Document({None: Variant(tuple, *fields, make=_values)})
 
     def register(run):
@@ -544,7 +539,7 @@ def _command(name: str, *fields: tuple, answer: Document):
 
 @_command("path", field("n", POSITIVE_INT), field("start", SLOPE), field("target", TARGET.codec),
           answer=_answer(("vertices", SLOPE_TEXTS)))
-def _cmd_path(n: int, start: Slope, target, options: dict) -> dict:
+def _cmd_path(n: int, start: Slope, target) -> dict:
     path = FareyPath(start, target)
     # the walk stops at the first run end past the bound, so that no
     # vertex past it is walked; the start and every vertex before the last
@@ -556,11 +551,11 @@ def _cmd_path(n: int, start: Slope, target, options: dict) -> dict:
     return {"vertices": path.prefix_text(size)}
 
 
-@_command("blocks", field("count", POSITIVE_INT, default=None), field("start", SLOPE),
+@_command("blocks", field("count", POSITIVE_INT, default=inv_mod.DEFAULT_HORIZON), field("start", SLOPE),
           field("target", TARGET.codec), answer=_answer(("blocks", BLOCK.list_codec), ("complete", ANY)))
-def _cmd_blocks(count: int | None, start: Slope, target, options: dict) -> dict:
+def _cmd_blocks(count: int, start: Slope, target) -> dict:
     decomp = blocks_mod.decompose(FareyPath(start, target))
-    size = min(count or options["horizon"], OUTPUT_BUDGET + 1)
+    size = min(count, OUTPUT_BUDGET + 1)
     blocks = []
     # block by block, so that the walk stops at the first over-long witness
     while len(blocks) < size and decomp.has_block(len(blocks) + 1):
@@ -571,12 +566,12 @@ def _cmd_blocks(count: int | None, start: Slope, target, options: dict) -> dict:
 
 
 @_command("classify", field("end", END.codec), answer=INVARIANT)
-def _cmd_classify(end, options: dict):
+def _cmd_classify(end):
     return ends_mod.classify(end)
 
 
 @_command("compare", field("a", END.codec), field("b", END.codec), answer=_answer(("equivalent", ANY)))
-def _cmd_compare(a, b, options: dict) -> dict:
+def _cmd_compare(a, b) -> dict:
     first = ends_mod.classify(a)
     # b shares a's decomposition when their normalized targets are equal
     second = ends_mod.classify(b, first.context.decomposition())
@@ -584,7 +579,7 @@ def _cmd_compare(a, b, options: dict) -> dict:
 
 
 @_command("count", field("lengths", LENGTHS), answer=_answer(("count", ANY), ("note", OPTIONAL)))
-def _cmd_count(lengths: list, options: dict) -> dict:
+def _cmd_count(lengths: list) -> dict:
     # the lengths are at least 1, so the partial products never shrink, and
     # the first one past the _text_bound is refused before the rest is multiplied
     bound = _text_bound(sys.get_int_max_str_digits())
@@ -599,22 +594,20 @@ def _cmd_count(lengths: list, options: dict) -> dict:
     return out
 
 
-@_command("euler", field("horizon", POSITIVE_INT, default=None), field("end", END.codec),
+@_command("euler", field("horizon", POSITIVE_INT, default=inv_mod.DEFAULT_HORIZON), field("end", END.codec),
           answer=_answer(("euler", INT_LIST), ("slices", ANY)))
-def _cmd_euler(horizon: int | None, e, options: dict) -> dict:
-    horizon = horizon or options["horizon"]
+def _cmd_euler(horizon: int, e) -> dict:
     decomp = ends_mod.validated_decomposition(e)
-    path = decomp.path
     cls = inv_mod.euler_class(decomp, e.signs, horizon, _text_bound(sys.get_int_max_str_digits()))
     if cls is None:
         raise _digits_error("an euler entry")
-    slices = path.walk_to_end() - 1 if path.target.attained else horizon
+    slices = decomp.bounds(None)[-1] if decomp.path.target.attained else horizon
     return {"euler": (cls.x, cls.y), "slices": slices}
 
 
 @_command("extend-check", field("end", END.codec),
           answer=_answer(("result", ANY), ("reason", OPTIONAL)))
-def _cmd_extend_check(end, options: dict) -> dict:
+def _cmd_extend_check(end) -> dict:
     result = ends_mod.extension_obstruction(ends_mod.classify(end))
     if isinstance(result, ends_mod.NoTightExtension):
         return {"result": "no-tight-extension", "reason": result.reason}
@@ -625,16 +618,16 @@ def _cmd_extend_check(end, options: dict) -> dict:
 
 @_command("family", field("k", NONNEGATIVE), field("start", SLOPE, default=ends_mod.BASE_SLOPE),
           field("target", TARGET.codec), answer=_answer(("invariants", INVARIANT.list_codec)))
-def _cmd_family(k: int, start: Slope, target, options: dict) -> dict:
-    if k > options["max_family"]:
-        raise SchemaError(f"input.k exceeds the family cap {options['max_family']}")
+def _cmd_family(k: int, start: Slope, target) -> dict:
+    if k > DEFAULT_MAX_FAMILY:
+        raise SchemaError(f"input.k exceeds the family cap {DEFAULT_MAX_FAMILY}")
     members = ends_mod.non_extendable_family(target, k, start)
     return {"invariants": members}
 
 
 @_command("reduce-solid-torus", field("end", END.codec),
           answer=_answer(("s", ANY), ("invariant", INVARIANT.codec), ("end", END.codec)))
-def _cmd_reduce_solid_torus(end, options: dict) -> dict:
+def _cmd_reduce_solid_torus(end) -> dict:
     s_of_r, rest = reduce_mod.complementary_end(end)
     return {"s": None if s_of_r is None else str(s_of_r), "invariant": ends_mod.classify(rest), "end": rest}
 
@@ -643,7 +636,7 @@ def _cmd_reduce_solid_torus(end, options: dict) -> dict:
           answer=_answer(("plus", END.codec), ("minus", END.codec), ("middle", TORUS.codec),
                          ("plus_invariant", INVARIANT.codec), ("minus_invariant", INVARIANT.codec),
                          ("framing", INT_LIST)))
-def _cmd_reduce_t2xr(middle, plus, minus, options: dict) -> dict:
+def _cmd_reduce_t2xr(middle, plus, minus) -> dict:
     norm = reduce_mod.normalize_rotativity(reduce_mod.OpenToricAnnulus(plus, minus, middle))
     return {
         "plus": norm.plus,
@@ -662,18 +655,21 @@ COMMANDS = tuple(_RUNNERS)
 # driver
 
 
-def _run_job(command: str, doc: object, options: dict) -> tuple:
+def _run_job(command: str, doc: object) -> tuple:
     """The answer to one job: (its command's answer table, its record)."""
     if not isinstance(command, str):
         raise SchemaError(f"command must be a string, not {type(command).__name__}")
     if command not in _RUNNERS:
         raise SchemaError(f"unknown command {command!r}")
     table, run, answer = _RUNNERS[command]
-    return answer, run(*table.decode(doc, "input"), options)
+    return answer, run(*table.decode(doc, "input"))
 
 
-def run_command(command: str, doc: object, options: dict) -> dict:
-    answer, record = _run_job(command, doc, options)
+def run_command(command: str, doc: object, options: object = None) -> dict:
+    """The answer document of one command on its input, which alone decides
+    it.  `options` is not read: it is kept for callers that still pass one
+    (perfbench's Runner.cli_job)."""
+    answer, record = _run_job(command, doc)
     return answer.encode(record)
 
 
@@ -718,7 +714,8 @@ def _load_input(text: str, **hooks) -> object:
     """json.loads(text, **hooks), whose message a SchemaError carries."""
     try:
         return json.loads(text, **hooks)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past sys.get_int_max_str_digits()
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an integer past
+        # sys.get_int_max_str_digits(), or arrays or objects nested past the recursion limit
         raise SchemaError(f"input is not valid JSON: {exc}") from None
 
 
@@ -746,11 +743,10 @@ def _elements(text: str):
         i = _SKIP_SPACE(text, i + (text[i] == ",")).end()
 
 
-def _job_text(i: int, job: object, options: dict, human: bool) -> tuple[str, int]:
+def _job_text(i: int, job: object, human: bool) -> tuple[str, int]:
     """The text of the answer to job i of a batch, and its exit status."""
     try:
-        command, doc, overrides = JOB.decode(job, f"job[{i}]")
-        table, record = _run_job(command, doc, {**options, **overrides})
+        table, record = _run_job(*JOB.decode(job, f"job[{i}]"))
         if human:
             return _render_human({"status": "ok", "output": table.encode(record)}), 0
         return f'{{"output":{table.write(record)},"status":"ok"}}', 0
@@ -761,7 +757,7 @@ def _job_text(i: int, job: object, options: dict, human: bool) -> tuple[str, int
     return _render_human(answer) if human else ERROR.write(answer), status
 
 
-def _run_batch(jobs, options: dict, fmt: str, out) -> int:
+def _run_batch(jobs, fmt: str, out) -> int:
     """Run the jobs of an iterator in order and write each answer as soon as
     its job returns, so that while a job runs no other job's input or answer
     is held: the bytes are those of _emit on the list of answers.  Returns
@@ -771,7 +767,7 @@ def _run_batch(jobs, options: dict, fmt: str, out) -> int:
     block, size = [opening], 0
     status = 0
     for i, job in enumerate(jobs):
-        text, job_status = _job_text(i, job, options, human)
+        text, job_status = _job_text(i, job, human)
         status = max(status, job_status)  # malformed (2) over violation (1)
         if i:
             block.append(between)
@@ -795,21 +791,8 @@ def main(argv=None) -> int:
                         help="operation to run; `run` processes a batch list of jobs")
     parser.add_argument("--input", default="-", help="input JSON file (default: stdin)")
     parser.add_argument("--output", default="-", help="output file (default: stdout)")
-    parser.add_argument("--horizon", type=int, default=inv_mod.DEFAULT_HORIZON,
-                        help="slices summed by euler and blocks listed by blocks when the input "
-                             "names no horizon or count; no decision reads it (default %(default)s)")
     parser.add_argument("--format", choices=("structured", "human"), default="structured")
-    parser.add_argument("--max-family", type=int, default=DEFAULT_MAX_FAMILY,
-                        help="cap on family sizes (default %(default)s)")
     args = parser.parse_args(argv)
-
-    if args.horizon < 1:
-        print("horizon must be >= 1", file=sys.stderr)
-        return 2
-    if args.max_family < 0:
-        print("max-family must be >= 0", file=sys.stderr)
-        return 2
-    options = {"horizon": args.horizon, "max_family": args.max_family}
 
     try:
         out = sys.stdout if args.output == "-" else open(args.output, "w", encoding="utf-8")
@@ -818,8 +801,8 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "run":
-            return _run_batch(_load_batch(_read_input(args)), options, args.format, out)
-        _emit(*_run_job(args.command, _load_input(_read_input(args)), options), args.format, out)
+            return _run_batch(_load_batch(_read_input(args)), args.format, out)
+        _emit(*_run_job(args.command, _load_input(_read_input(args))), args.format, out)
         return 0
     except SchemaError as exc:
         _emit(ERROR, {"error": str(exc)}, args.format, out)

@@ -656,15 +656,6 @@ class FareyPath:
         within the bound, so is every vertex before that one."""
         return n if self._reach(n - 1, bound) else self._size
 
-    def walk_to_end(self) -> int:
-        """Walk a path toward an attained target to its end; returns the
-        vertex count."""
-        if not self.target.attained:
-            raise ValueError("only a path toward an attained target has an end")
-        while not self.complete:
-            self._advance()
-        return self._size
-
     def run(self, i: int) -> Run | None:
         """The i-th run (0-based), walked as far as needed; None when the
         path has fewer runs."""

@@ -686,7 +686,7 @@ def euler_class(decomp: BlockDecomposition, signs: SignData,
     Toward a quadratic target a horizon past the first whole span of the
     block period is summed in closed form (see _periodic_steps)."""
     path = decomp.path
-    slices = path.walk_to_end() - 1 if path.target.attained else horizon
+    slices = decomp.bounds(None)[-1] if path.target.attained else horizon
     steps = None if path.target.rational else _periodic_steps(decomp, signs, horizon, bound)
     p, q = steps or _weighted_steps(path, signs, 0, 0, slices)[:2]
     if bound and max(abs(p), abs(q)) >= bound:

@@ -10,6 +10,7 @@ every rotative layer on the plus side.
 
 from __future__ import annotations
 
+from .blocks import decompose
 from .ends import (
     NO_LAYERS,
     EndDescription,
@@ -96,8 +97,9 @@ def _shift_division(tail, k: int):
 def _vertex_index(path: FareyPath, s: Slope) -> int:
     """The position on the path of a slope s on its arc: a minimal path
     through s is the minimal path toward s up to s, so s can only be the
-    vertex that ends the walk from the path's start to the attained s."""
-    index = FareyPath(path.start, RationalTarget(s, True)).walk_to_end() - 1
+    vertex that ends the walk from the path's start to the attained s, whose
+    slice count, read off x with no vertex, is its index."""
+    index = decompose(FareyPath(path.start, RationalTarget(s, True))).bounds(None)[-1]
     if path.has_vertex(index) and path.vertex(index) == s:
         return index
     raise NoRealizedPointError(

@@ -419,7 +419,7 @@ def reference_euler_walk(decomp, signs, horizon: int) -> tuple[int, int]:
     form over the block period: each run adds its step times
     (positives - negatives) among its slices up to the horizon."""
     path = decomp.path
-    slices = path.walk_to_end() - 1 if path.target.attained else horizon
+    slices = decomp.bounds(None)[-1] if path.target.attained else horizon
     x = y = i = 0
     while (run := path.run(i)) is not None and run.start < slices:
         hi = slices if run.edges is None else min(run.start + run.edges, slices)

@@ -429,10 +429,9 @@ def _job_corpus():
 
 def test_criterion_10_cli_determinism_and_round_trip():
     started = time.monotonic()
-    options = {"horizon": 64, "max_family": 10_000}
     first_pass = []
     for cmd, doc in _job_corpus():
-        out = run_command(cmd, doc, options)
+        out = run_command(cmd, doc)
         rendered = json.dumps(out, sort_keys=True, separators=(",", ":"))
         first_pass.append(rendered)
         if cmd == "classify":
@@ -441,6 +440,6 @@ def test_criterion_10_cli_determinism_and_round_trip():
             for inv_doc in out["invariants"]:
                 parse_invariant_document(inv_doc)
     for (cmd, doc), before in zip(_job_corpus(), first_pass):
-        out = run_command(cmd, doc, options)
+        out = run_command(cmd, doc)
         assert json.dumps(out, sort_keys=True, separators=(",", ":")) == before
     _report(10, started, 10)

@@ -17,6 +17,7 @@ from toric_ends import (
     Slope,
     classify,
     decompose,
+    equivalent,
     farey_sequence,
     parse_slope,
     quadratic_cf_target,
@@ -214,7 +215,6 @@ def test_block_indices_below_one_are_refused():
 # the length walk: block lengths and the period from the walk value alone
 
 SQRT3 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 3}
-OPTIONS = {"horizon": 64, "max_family": 1000}
 
 
 def count_walks(monkeypatch) -> dict:
@@ -244,10 +244,10 @@ def test_invariant_questions_walk_no_vertex(monkeypatch):
     a = end_doc(SQRT3, ["+"] * 8, {"type": "alternating"})
     b = end_doc(SQRT3, ["+"] * 8, {"type": "periodic", "pattern": ["-", "+"]})
     walked = count_walks(monkeypatch)
-    assert run_command("compare", {"a": a, "b": b}, OPTIONS) == {"equivalent": True}
-    assert run_command("extend-check", {"end": a}, OPTIONS)["result"] == "no-tight-extension"
-    assert len(run_command("family", {"target": SQRT3, "k": 250}, OPTIONS)["invariants"]) == 250
-    assert run_command("classify", {"end": a}, OPTIONS)["f"] == [2, 2, 2, 2]
+    assert run_command("compare", {"a": a, "b": b}) == {"equivalent": True}
+    assert run_command("extend-check", {"end": a})["result"] == "no-tight-extension"
+    assert len(run_command("family", {"target": SQRT3, "k": 250})["invariants"]) == 250
+    assert run_command("classify", {"end": a})["f"] == [2, 2, 2, 2]
     assert walked["vertex runs"] == 0
     # classify steps x once per block it bounds, and only so far
     walked["x steps"] = 0
@@ -263,13 +263,13 @@ def test_classify_toward_an_attained_target_walks_no_vertex(monkeypatch):
     decompose_path = ends.decompose
     monkeypatch.setattr(ends, "decompose", lambda path: decomposed.append(path) or decompose_path(path))
     end = end_doc({"kind": "rational", "slope": "-100/7", "attained": True}, ["+"] * 15)
-    assert run_command("classify", {"end": end}, OPTIONS) == {"kind": "attained", "f": [13, 2], "d": 1}
+    assert run_command("classify", {"end": end}) == {"kind": "attained", "f": [13, 2], "d": 1}
     assert walked["vertex runs"] == 0 and len(decomposed) == 1
 
 
 def test_blocks_walk_one_vertex_run_per_block(monkeypatch):
     walked = count_walks(monkeypatch)
-    out = run_command("blocks", {"start": "-1/1", "target": SQRT3, "count": 100}, OPTIONS)
+    out = run_command("blocks", {"start": "-1/1", "target": SQRT3, "count": 100})
     assert len(out["blocks"]) == 100 and out["complete"] is False
     # each vertex run reads its own x: the decomposition steps no x of its own
     assert walked == {"vertex runs": 100, "x steps": 100}
@@ -280,23 +280,25 @@ def test_euler_steps_x_once_per_vertex_run(monkeypatch):
     # vertex runs, so no run of x is read twice
     walked = count_walks(monkeypatch)
     end = end_doc(SQRT3, ["+"] * 30, {"type": "alternating"})
-    assert run_command("euler", {"end": end, "horizon": 1000}, OPTIONS)["slices"] == 1000
+    assert run_command("euler", {"end": end, "horizon": 1000})["slices"] == 1000
     assert walked == {"vertex runs": 16, "x steps": 16}
 
 
 def test_compare_and_extend_check_work_alike_at_every_horizon(monkeypatch):
     # toward -sqrt(2) both are decided over the block period: the runs read
-    # off x (one per FareyPath._read) and the vertex runs folded are the
-    # same at horizons 1 and 10^6
+    # off x and the vertex runs folded are the same when `equivalent` is
+    # given horizon 1 or 10^6 (the extension check takes no horizon)
     a = end_doc(SQRT2, ["+"] * 8, {"type": "alternating"})
     b = end_doc(SQRT2, ["+"] * 8, {"type": "periodic", "pattern": ["-", "+"]})
     c = end_doc(SQRT2, ["+", "-", "+"], {"type": "all-positive"})
     walked = count_walks(monkeypatch)
     work = []
     for horizon in (1, 10 ** 6):
-        options = {"horizon": horizon}
-        equal = [run_command("compare", {"a": a, "b": other}, options)["equivalent"] for other in (b, c)]
-        results = [run_command("extend-check", {"end": end}, options)["result"] for end in (a, c)]
+        # as the compare command does, the second end reads the first's decomposition
+        first = classify(END.decode(a, "a"))
+        equal = [equivalent(first, classify(END.decode(other, "b"), first.context.decomposition()), horizon)
+                 for other in (b, c)]
+        results = [run_command("extend-check", {"end": end})["result"] for end in (a, c)]
         assert (equal, results) == ([True, False], ["no-tight-extension", "unknown"])
         work.append(dict(walked))
         walked.update({"vertex runs": 0, "x steps": 0})
@@ -333,6 +335,47 @@ def test_a_path_reads_and_folds_each_run_once(monkeypatch, n):
     assert not decomp.path._held
 
 
+def far_rational_jobs(k: int) -> list:
+    """One job per command that walks toward -10^k/1 from -1, attained for
+    `path` and not attained for the others; the end has three "+" signs and
+    an alternating tail."""
+    attained, rational = ({"kind": "rational", "slope": f"-{10 ** k}/1", "attained": a} for a in (True, False))
+    end = end_doc(rational, ["+"] * 3, {"type": "alternating"})
+    return [("path", {"start": "-1/1", "target": attained, "n": 3}),
+            ("blocks", {"start": "-1/1", "target": rational, "count": 5}),
+            ("family", {"target": rational, "k": 5}),
+            *((command, {"end": end}) for command in ("classify", "extend-check", "reduce-solid-torus")),
+            ("euler", {"end": end, "horizon": 100})]
+
+
+# (runs read off x by FareyPath._read, vertex runs folded by FareyPath._advance)
+FAR_RATIONAL_WORK = {"path": (1, 1), "blocks": (2, 2), "family": (2, 0), "classify": (2, 0),
+                     "extend-check": (2, 0), "reduce-solid-torus": (2, 0), "euler": (1, 1)}
+
+
+@pytest.mark.parametrize("k", [10, 100, 1000])
+def test_work_toward_a_rational_target_does_not_grow_with_its_size(monkeypatch, k):
+    # the first block toward -10^k/1 has about 10^k slices, and each
+    # command reads and folds it as one run, whatever k is
+    work = {"reads": 0, "folds": 0}
+    read, advance = FareyPath._read, FareyPath._advance
+
+    def counted_read(self):
+        work["reads"] += 1
+        return read(self)
+
+    def counted_advance(self):
+        work["folds"] += 1
+        return advance(self)
+
+    monkeypatch.setattr(FareyPath, "_read", counted_read)
+    monkeypatch.setattr(FareyPath, "_advance", counted_advance)
+    for command, doc in far_rational_jobs(k):
+        work.update(reads=0, folds=0)
+        run_command(command, doc)
+        assert (work["reads"], work["folds"]) == FAR_RATIONAL_WORK[command], command
+
+
 def test_bounds_alone_finish_a_finite_decomposition():
     # x reaches the infinite block before any vertex run is folded
     decomp = decompose(FareyPath(S("-1"), RationalTarget(S("-100/7"), False)))
@@ -348,7 +391,7 @@ def test_classify_memory_is_linear_in_the_sign_prefix(n):
     doc = {"end": end_doc(SQRT2, ["+"] * n, {"type": "alternating"})}
     tracemalloc.start()
     try:
-        answer = run_command("classify", doc, OPTIONS)
+        answer = run_command("classify", doc)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -291,12 +291,19 @@ def test_the_whole_input_is_decoded_before_any_domain_work():
     assert (code, json.loads(out)) == (2, {"error": 'input.target.kind must be "rational" or "quadratic"'})
 
 
-def test_family_cap_below_zero_is_refused(capsys):
-    code, out = invoke("family", {"target": INF_NA, "k": 3}, "--max-family", "-5")
-    assert code == 2 and out == ""
-    assert capsys.readouterr().err == "max-family must be >= 0\n"
-    code, out = invoke("family", {"target": INF_NA, "k": 0}, "--max-family", "0")
+def test_a_family_past_the_cap_is_malformed():
+    code, out = invoke("family", {"target": INF_NA, "k": DEFAULT_MAX_FAMILY + 1})
+    assert (code, out) == (2, '{"error":"input.k exceeds the family cap 10000"}\n')
+    code, out = invoke("family", {"target": INF_NA, "k": 0})
     assert code == 0 and json.loads(out) == {"invariants": []}
+
+
+@pytest.mark.parametrize("flag", ["--horizon", "--max-family"])
+def test_a_removed_flag_is_refused(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        invoke("count", {"lengths": [3, 2]}, flag, "5")
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_reduce_solid_torus_command():
@@ -473,11 +480,10 @@ def test_a_square_in_d_or_in_b_is_one_target(monkeypatch):
     docs = [end_doc(t, ["+"], {"type": "alternating"}) for t in spellings]
     contexts = [classify(END.decode(doc, "end")).context for doc in docs]
     assert contexts[0] == contexts[1] and hash(contexts[0]) == hash(contexts[1])
-    options = {"horizon": 64, "max_family": 10}
-    answers = [run_command("classify", {"end": doc}, options) for doc in docs]
+    answers = [run_command("classify", {"end": doc}) for doc in docs]
     assert answers[0] == answers[1] and answers[0]["kind"] == "irrational"
-    assert run_command("compare", {"a": docs[0], "b": docs[1]}, options) == {"equivalent": True}
-    assert run_command("family", {"target": spellings[0], "k": 0}, options) == {"invariants": []}
+    assert run_command("compare", {"a": docs[0], "b": docs[1]}) == {"equivalent": True}
+    assert run_command("family", {"target": spellings[0], "k": 0}) == {"invariants": []}
     # a member is certified over the block period, far past PERIOD_BUDGET
     # for a discriminant near 4 * 10^18: both spellings are refused alike.
     # Each message writes its input's split: d = r splits, d = p^2 r stops
@@ -486,7 +492,7 @@ def test_a_square_in_d_or_in_b_is_one_target(monkeypatch):
     monkeypatch.setattr("toric_ends.blocks.PERIOD_BUDGET", 50)
     for target, text in zip(spellings, (str(first), str(second))):
         with pytest.raises(ToricEndError, match="PERIOD_BUDGET = 50") as info:
-            run_command("family", {"target": target, "k": 2}, options)
+            run_command("family", {"target": target, "k": 2})
         assert text in str(info.value)
 
 
@@ -516,30 +522,6 @@ def test_euler_short_of_the_first_span_writes_no_target():
 def periodic_pair(target):
     return {"a": end_doc(target, tail={"type": "periodic", "pattern": ["+", "+", "-"]}),
             "b": end_doc(target, tail={"type": "periodic", "pattern": ["+", "-", "-"]})}
-
-
-def test_quadratic_compare_is_decided_at_horizon_one():
-    target = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 99999989}
-    code, out = invoke("compare", periodic_pair(target), "--horizon", "1")
-    assert code == 0
-    assert json.loads(out) == {"equivalent": False}
-
-
-def test_a_family_answers_alike_at_every_horizon():
-    # each block toward an irrational target has a slice, so it at least
-    # doubles the members the leading blocks tell apart: 100 need at most
-    # seven blocks, and the search reads no horizon
-    sqrt3 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 3}
-    answers = {invoke("family", {"k": 100, "target": sqrt3}, "--horizon", str(h)) for h in (1, 3, 64)}
-    assert len(answers) == 1
-    code, out = answers.pop()
-    assert code == 0 and len(json.loads(out)["invariants"]) == 100
-
-
-def test_an_unknown_extension_answers_alike_at_every_horizon():
-    end = end_doc(SQRT2, ["+", "-", "+"], {"type": "all-positive"})
-    for h in (1, 64, 4096):
-        assert invoke("extend-check", {"end": end}, "--horizon", str(h)) == (0, '{"result":"unknown"}\n')
 
 
 def test_period_budget_is_a_violation(monkeypatch):
@@ -633,9 +615,10 @@ def test_output_budget_counts_what_is_listed_not_what_is_asked(monkeypatch):
     code, out = invoke("blocks", {"start": "-1/1", "target": rational, "count": 10 ** 9})
     assert code == 0
     assert json.loads(out) == json.loads(invoke("blocks", {"start": "-1/1", "target": rational})[1])
-    # the default count is the horizon, under the same budget
-    code, out = invoke("blocks", {"start": "-1/1", "target": SQRT2}, "--horizon", "6")
-    assert code == 1 and "5 blocks" in json.loads(out)["error"]
+    # a count the input names, and the default count, are under the same budget
+    for doc in ({"start": "-1/1", "target": SQRT2, "count": 6}, {"start": "-1/1", "target": SQRT2}):
+        code, out = invoke("blocks", doc)
+        assert code == 1 and "5 blocks" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize("command,size,value,what", [
@@ -688,11 +671,10 @@ def test_the_int_to_text_limit_is_pinned_on_both_sides(command, size, listed, wh
     # toward -sqrt(2) entries first pass 4300 digits at vertex 11234 and in
     # the witness of block 5618
     last = {"path": 11234, "blocks": 5617}[command]
-    options = {"horizon": 64}
-    answer = run_command(command, {"start": "-1/1", "target": SQRT2, size: last}, options)
+    answer = run_command(command, {"start": "-1/1", "target": SQRT2, size: last})
     assert len(answer[listed]) == last
     with pytest.raises(ToricEndError, match=what):
-        run_command(command, {"start": "-1/1", "target": SQRT2, size: last + 1}, options)
+        run_command(command, {"start": "-1/1", "target": SQRT2, size: last + 1})
 
 
 def test_block_witnesses_multiply_out_no_determinant(monkeypatch):
@@ -704,7 +686,7 @@ def test_block_witnesses_multiply_out_no_determinant(monkeypatch):
     times = []
     for _ in range(2):  # the better of two runs, on a shared machine
         started = time.perf_counter()
-        answer = run_command("blocks", doc, {"horizon": 64})
+        answer = run_command("blocks", doc)
         times.append(time.perf_counter() - started)
     assert min(times) < 0.3
     assert len(answer["blocks"]) == 5000 and answer["blocks"][0]["witness"] == [1, 2, -2, -3]
@@ -723,7 +705,7 @@ def test_a_count_past_the_int_to_text_limit_is_a_violation_and_the_batch_goes_on
          "error": f"the answer would hold a count of more than {limit} digits, the limit of int-to-text conversion"},
         {"status": "ok", "output": {"count": 2}}]
     # 10^(limit - 1) has limit digits and is answered; 10^limit is refused
-    assert run_command("count", {"lengths": [10] * (limit - 1)}, {"horizon": 64})["count"] == 10 ** (limit - 1)
+    assert run_command("count", {"lengths": [10] * (limit - 1)})["count"] == 10 ** (limit - 1)
     code, out = invoke("count", {"lengths": [10] * limit})
     assert code == 1 and "a count of more than" in json.loads(out)["error"]
 
@@ -796,7 +778,7 @@ def test_answers_are_bounded_by_the_digits_budget_with_no_int_to_text_limit(comm
     try:
         started = time.perf_counter()
         with pytest.raises(ToricEndError) as raised:
-            run_command(command, doc, {"horizon": 64})
+            run_command(command, doc)
         elapsed = time.perf_counter() - started
     finally:
         sys.set_int_max_str_digits(limit)
@@ -896,10 +878,23 @@ def test_input_integer_past_the_int_to_text_limit_is_malformed():
         sys.stdin, sys.stdout = stdin, stdout
 
 
+@pytest.mark.parametrize("fmt,prefix", [("structured", '{"error":"input is not valid JSON: '),
+                                        ("human", 'error: "input is not valid JSON: ')],
+                         ids=["structured", "human"])
+@pytest.mark.parametrize("command", ["count", "run"])
+def test_input_nested_past_the_recursion_limit_is_malformed(monkeypatch, command, fmt, prefix):
+    # json's message differs between Python versions, so only its prefix is
+    # pinned; a batch runs no job
+    jobs = []
+    monkeypatch.setattr(cli, "_run_job", lambda *job: jobs.append(job))
+    code, out = invoke_text(command, "[" * 100_000 + "]" * 100_000, "--format", fmt)
+    assert code == 2 and out.startswith(prefix) and out.count("\n") == 1
+    assert jobs == []
+
+
 def test_unknown_fields_rejected_everywhere():
     with pytest.raises(SchemaError):
-        run_command("path", {"start": "-1/1", "target": SQRT2, "n": 2, "x": 1},
-                    {"horizon": 64, "max_family": 100})
+        run_command("path", {"start": "-1/1", "target": SQRT2, "n": 2, "x": 1})
 
 
 def test_batch_run_statuses():
@@ -943,14 +938,11 @@ def test_a_command_that_is_not_a_string_is_malformed_and_the_batch_goes_on(comma
         {"status": "ok", "output": {"count": 2}}]
 
 
-def test_batch_job_options_are_strict():
-    jobs = [{"command": "count", "input": {"lengths": [2]}, "options": {"format": "human"}},
-            {"command": "count", "input": {"lengths": [2]}, "options": {"horizon": 8}}]
-    code, out = invoke("run", jobs)
-    assert code == 2
-    results = json.loads(out)
-    assert [r["status"] for r in results] == ["malformed", "ok"]
-    assert "format" in results[0]["error"]
+def test_a_job_with_options_is_malformed_and_the_batch_goes_on():
+    jobs = [{"command": "count", "input": {"lengths": [2]}, "options": {"horizon": 8}},
+            {"command": "count", "input": {"lengths": [3, 2]}}]
+    assert invoke("run", jobs) == (2, '[{"error":"job[0] has unknown fields: [\'options\']","status":"malformed"},'
+                                      '{"output":{"count":6},"status":"ok"}]\n')
 
 
 @pytest.mark.parametrize("job,field", [
@@ -961,10 +953,7 @@ def test_batch_job_options_are_strict():
      "input.middle"),
     ({"command": "euler", "input": {"end": end_doc(SQRT2), "horizon": 0}}, "input.horizon"),
     ({"command": "euler", "input": {"end": end_doc(SQRT2), "horizon": -5}}, "input.horizon"),
-    ({"command": "blocks", "input": {"start": "-1/1", "target": SQRT2}, "options": {"horizon": 0}},
-     "job[0].options.horizon"),
-], ids=["negative-sign-tail-after", "middle-div-0", "euler-horizon-0", "euler-horizon-negative",
-        "option-horizon-0"])
+], ids=["negative-sign-tail-after", "middle-div-0", "euler-horizon-0", "euler-horizon-negative"])
 def test_batch_reports_out_of_range_numbers_as_malformed(job, field):
     code, out = invoke("run", [job, {"command": "count", "input": {"lengths": [2]}}])
     assert code == 2
@@ -999,12 +988,11 @@ LONG_PATH = {"command": "path", "input": {"start": "-1/1", "n": 5000,
 
 
 def batch_answers(jobs: list) -> list:
-    """The answers of a batch of job objects with no options, one
-    run_command at a time."""
+    """The answers of a batch of job objects, one run_command at a time."""
     answers = []
     for job in jobs:
         try:
-            output = run_command(job["command"], job["input"], {"horizon": 64, "max_family": DEFAULT_MAX_FAMILY})
+            output = run_command(job["command"], job["input"])
             answers.append({"status": "ok", "output": output})
         except SchemaError as exc:
             answers.append({"status": "malformed", "error": str(exc)})
@@ -1063,7 +1051,7 @@ def test_a_batch_holds_one_answer_at_a_time(monkeypatch):
                                         "target": {"kind": "rational", "slope": "-20000/1", "attained": True}}}
     tracemalloc.start()
     try:
-        answer = run_command(job["command"], job["input"], {"horizon": 64})
+        answer = run_command(job["command"], job["input"])
         one_answer = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -1255,6 +1243,6 @@ def test_classify_normalizes_a_long_periodic_tail_in_linear_time():
            "signs": {"prefix": [], "tail": {"type": "periodic", "pattern": pattern}},
            "division_tail": {"type": "constant", "value": 1}}
     start = time.perf_counter()
-    answer = run_command("classify", {"end": end}, {"horizon": 64})
+    answer = run_command("classify", {"end": end})
     assert time.perf_counter() - start < 2
     assert answer == {"kind": "irrational", "f": [], "tail": {"type": "pattern", "pattern": pattern, "anchor": 0}}

@@ -291,7 +291,7 @@ BASES.update({
                      "minus": dict(POSITIVE_END, boundary={"slope": "1/1", "div": 1})}],
 })
 PARSERS = {"end": lambda doc: END.decode(doc, "end"), "invariant": parse_invariant_document,
-           **{name: lambda doc, name=name: run_command(name, doc, {"horizon": 64, "max_family": 100})
+           **{name: lambda doc, name=name: run_command(name, doc)
               for name in COMMANDS}}
 
 
@@ -382,9 +382,9 @@ DOCUMENTS = {
 
 
 def test_every_written_document_kind_has_records():
-    # the decode-only tables (a batch job and its options) are left out
+    # the decode-only table (a batch job) and the error answer are left out
     tables = {name for name, value in vars(cli).items() if isinstance(value, cli.Document)}
-    assert tables - DOCUMENTS.keys() == {"JOB", "JOB_OPTIONS", "ERROR"}
+    assert tables - DOCUMENTS.keys() == {"JOB", "ERROR"}
 
 
 @settings(max_examples=60, deadline=None)
@@ -424,9 +424,8 @@ def test_a_run_of_records_sharing_fields_writes_as_its_documents(data):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_each_answer_writes_as_json_dumps(command):
     for doc in BASES[command]:
-        table, record = cli._run_job(command, doc, {"horizon": 64, "max_family": 100})
-        assert table.write(record) == dumps(table.encode(record)) == dumps(run_command(command, doc, {
-            "horizon": 64, "max_family": 100}))
+        table, record = cli._run_job(command, doc)
+        assert table.write(record) == dumps(table.encode(record)) == dumps(run_command(command, doc))
 
 
 @settings(max_examples=100, deadline=None)

@@ -328,7 +328,7 @@ def test_slice_counts_match_the_vertex_walk_over_a_census():
         for slope in (*circular_census(4), S("-100/7"), S("355/113"), S("-1000/1")):
             e = EndDescription(TorusRecord(boundary), RationalTarget(slope, True))
             target = normalized_target(e)
-            slices = 0 if target.slope == BASE_SLOPE else FareyPath(BASE_SLOPE, target).walk_to_end() - 1
+            slices = decompose(FareyPath(BASE_SLOPE, target)).bounds(None)[-1]
             signs = SignData((P,) * slices)
             assert validate(EndDescription(e.boundary, e.target, signs)) == []
             assert validate(EndDescription(e.boundary, e.target, SignData((P,) * (slices + 1)))) == [

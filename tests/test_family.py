@@ -222,7 +222,6 @@ def test_family_members_share_one_count_tail_and_one_bounds_table(monkeypatch):
 # the family command writes its members' documents in one pass, which
 # writes a field that a member shares with the one before it only once
 
-OPTIONS = {"horizon": 64, "max_family": 10_000}
 SQRT3 = {"kind": "quadratic", "a": 0, "b": -1, "c": 1, "d": 3}
 
 TARGET_DOCS = st.one_of(
@@ -233,7 +232,7 @@ TARGET_DOCS = st.one_of(
 
 def command_outcome(doc):
     try:
-        return run_command("family", doc, OPTIONS)["invariants"]
+        return run_command("family", doc)["invariants"]
     except ToricEndError as exc:
         return type(exc), str(exc)
 
@@ -253,18 +252,18 @@ def test_family_command_writes_each_member_as_alone(target, start, k):
 def test_a_family_writes_its_shared_fields_once(monkeypatch):
     # the first family compiles the count tail's encoders; the next one
     # writes its members' one shared tail once for 250 members
-    run_command("family", {"k": 1, "target": SQRT3}, OPTIONS)
+    run_command("family", {"k": 1, "target": SQRT3})
     written = []
     encode = cli.COUNT_TAIL.encoders[invariants.PatternCounts]
     monkeypatch.setitem(cli.COUNT_TAIL.encoders, invariants.PatternCounts,
                         lambda tail: written.append(tail) or encode(tail))
-    docs = run_command("family", {"k": 250, "target": SQRT3}, OPTIONS)["invariants"]
+    docs = run_command("family", {"k": 250, "target": SQRT3})["invariants"]
     assert len(docs) == 250 and len(written) == 1
     assert all(doc["tail"] is docs[0]["tail"] for doc in docs)
     assert len({id(doc["f"]) for doc in docs}) == 250
     # toward a rational target the members share their finite counts
     rational = {"kind": "rational", "slope": "-19/2", "attained": False}
-    docs = run_command("family", {"k": 250, "target": rational}, OPTIONS)["invariants"]
+    docs = run_command("family", {"k": 250, "target": rational})["invariants"]
     assert all(doc["f"] is docs[0]["f"] for doc in docs)
     assert len({id(doc["infinite"]) for doc in docs}) == 250
 
@@ -297,7 +296,7 @@ def test_a_family_toward_a_far_target_costs_its_blocks(far):
     for k in (1, 10, 100, 1000):
         tracemalloc.start()
         try:
-            docs = run_command("family", {"k": 5, "target": far(k)}, OPTIONS)["invariants"]
+            docs = run_command("family", {"k": 5, "target": far(k)})["invariants"]
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -316,7 +315,7 @@ def test_a_batch_answers_the_jobs_around_a_far_family(monkeypatch):
     assert cli.main(["run"]) == 0
     answers = json.loads(sys.stdout.getvalue())
     assert [a["status"] for a in answers] == ["ok"] * 3
-    assert answers[1]["output"] == run_command("family", family["input"], OPTIONS)
+    assert answers[1]["output"] == run_command("family", family["input"])
 
 
 def census_family_jobs():

@@ -20,6 +20,7 @@ from toric_ends import (
     SolidTorusEnd,
     TorusRecord,
     classify_solid_torus,
+    decompose,
     normalize_rotativity,
     parse_slope,
     quadratic_cf_target,
@@ -205,6 +206,17 @@ def test_vertex_index_matches_reference_scan(boundary, target, s):
         outcome(lambda: reference_solid_torus_index(boundary, target, s))
 
 
+def test_vertex_index_folds_only_the_path_it_checks(monkeypatch):
+    # the index of s is the slice count toward s, read off x with no vertex;
+    # only the one run of the path that holds s is folded, to check it
+    folds = []
+    advance = FareyPath._advance
+    monkeypatch.setattr(FareyPath, "_advance", lambda path: folds.append(path.target) or advance(path))
+    far = RationalTarget(S("-1000000000000"), True)
+    assert _vertex_index(FareyPath(S("-1"), far), S("-5")) == 4
+    assert folds == [far]
+
+
 @settings(max_examples=150, deadline=None)
 @given(SLOPES, TARGETS)
 def test_factor_matches_reference_scan(boundary, target):
@@ -212,7 +224,7 @@ def test_factor_matches_reference_scan(boundary, target):
     s_r = outcome(lambda: _closest_one_over_n(target))
     assume(isinstance(s_r, Slope) and on_arc(boundary, target, s_r, include_target=target.attained))
     if target.attained:
-        slices = FareyPath(boundary, target).walk_to_end() - 1
+        slices = decompose(FareyPath(boundary, target)).bounds(None)[-1]
         signs = SignData(tuple(P if j % 3 else N for j in range(slices)))
     else:
         signs = SignData((N, P), Periodic((P, N, N)))
@@ -230,7 +242,7 @@ CENSUS_SLOPES = sorted({Slope(p, q) for p in range(-12, 13) for q in range(13) i
 
 def census_end(boundary, target):
     if target.attained:
-        slices = FareyPath(boundary, target).walk_to_end() - 1
+        slices = decompose(FareyPath(boundary, target)).bounds(None)[-1]
         signs = SignData(tuple(P if j % 3 else N for j in range(slices)))
     else:
         signs = SignData((N, P), Periodic((P, N, N)))

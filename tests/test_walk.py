@@ -245,7 +245,8 @@ def test_block_walk_stores_one_run_per_block():
     assert len(path._runs) == 2
 
     path = FareyPath(Slope(-1, 1), RationalTarget(far, True))
-    assert path.walk_to_end() == 10 ** 12
+    assert decompose(path).bounds(None)[-1] == 10 ** 12 - 1  # slices, read off x with no vertex
+    assert not path._runs
     assert path.vertex(5 * 10 ** 11) == Slope(-(5 * 10 ** 11 + 1), 1)
     assert path.prefix(3) == (Slope(-1, 1), Slope(-2, 1), Slope(-3, 1))
     assert len(path._runs) == 1
